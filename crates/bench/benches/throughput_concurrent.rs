@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use bloomrf::{BloomRf, ShardedBloomRf};
+use bloomrf::BloomRf;
 use bloomrf_workloads::{Distribution, Sampler};
 
 const N_KEYS: usize = 100_000;
@@ -125,8 +125,12 @@ fn bench_concurrent_mixed(c: &mut Criterion) {
                 b.iter(|| {
                     // Half the threads insert disjoint key slices in batches,
                     // the other half probe points and ranges concurrently.
-                    let filter =
-                        ShardedBloomRf::basic_sharded(64, keys.len(), BITS_PER_KEY, 7, 16).unwrap();
+                    let filter = BloomRf::builder()
+                        .expected_keys(keys.len())
+                        .bits_per_key(BITS_PER_KEY)
+                        .sharded(16)
+                        .build()
+                        .unwrap();
                     let writers = threads.div_ceil(2);
                     std::thread::scope(|scope| {
                         for chunk in keys.chunks(keys.len().div_ceil(writers)) {

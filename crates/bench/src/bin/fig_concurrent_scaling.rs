@@ -15,7 +15,7 @@
 //! Output: ops/s per thread count plus the speedup over the single-threaded
 //! row, as `results/fig_concurrent_scaling_*.csv`.
 
-use bloomrf::ShardedBloomRf;
+use bloomrf::{BloomRf, ShardedBloomRf};
 use bloomrf_bench::{mops, sig, timed, ExpScale, Report};
 use bloomrf_filters::FilterKind;
 use bloomrf_lsm::{Db, DbOptions};
@@ -37,7 +37,12 @@ fn main() {
     );
     let mut baseline_mops = 0.0f64;
     for &threads in &thread_counts {
-        let filter = ShardedBloomRf::basic_sharded(64, n_keys, 14.0, 7, 16).expect("config");
+        let filter = BloomRf::builder()
+            .expected_keys(n_keys)
+            .bits_per_key(14.0)
+            .sharded(16)
+            .build()
+            .expect("config");
         // Pre-load half of the keys so reads and scans hit realistic occupancy.
         let preload: Vec<u64> = (0..n_keys as u64 / 2)
             .map(bloomrf::hashing::mix64)

@@ -1,14 +1,19 @@
-//! Probe-kernel microbenchmark: the scalar reference loop vs the
-//! word-parallel kernel vs the prefetching kernel (see
+//! Probe-path microbenchmark: a loop over the per-key lookups vs the batch
+//! entry points, both through the public API only (see
 //! `docs/probe-kernel.md`), measured honestly — explicit warm-up, Tukey
 //! outlier rejection and a 95% confidence interval per cell, via the same
 //! [`bloomrf_bench::SampleStats`] pipeline the criterion shim reports with.
 //!
+//! A filter picks its probe path from its own size at construction, so below
+//! the crossover the `batch` rows *are* the loop (plus the call overhead) and
+//! at or above it they are the phase-split kernel against the prefetched
+//! per-key probe. The sweep is the evidence for where the crossover constant
+//! sits: no point cell may have `batch` slower than `loop` by more than 10%.
+//!
 //! Four experiments in one binary:
 //!
 //! 1. **Probe sweep** — point and range batches across key counts, space
-//!    budgets, batch sizes and kernel tiers. This is the evidence for the
-//!    batched-lookup speedup claim and the regression surface
+//!    budgets, batch sizes and the two paths. This is the regression surface
 //!    `cargo run -p xtask -- bench-check` guards.
 //! 2. **Layout A/B** — `WordLayout::Forward` vs `WordLayout::Alternating`
 //!    at the headline configuration, backing the measured default in
@@ -16,8 +21,8 @@
 //! 3. **Insert threshold** — `insert_batch` with the sort+dedup path forced
 //!    on vs off across segment sizes, backing the measured
 //!    [`bloomrf::filter::SORT_THRESHOLD_BITS`] default.
-//! 4. **Headline** — scalar vs default-tier kernel at 64-key batches and
-//!    16 bits/key, reported as a single speedup number.
+//! 4. **Headline** — loop vs batch at 64-key batches and 16 bits/key on the
+//!    largest filter, reported as a single speedup number.
 //!
 //! Run with: `cargo run --release --bin fig_probe_kernel`
 //! (`QUICK=1` measures a reduced grid; unmeasured rows are emitted with
@@ -25,24 +30,24 @@
 //!
 //! # Snapshot format (`BENCH_probe_kernel.json`)
 //!
-//! Schema `probe_kernel_v1`:
+//! Schema `probe_kernel_v2`:
 //!
 //! ```json
 //! {
-//!   "snapshot": "probe_kernel_v1",
+//!   "snapshot": "probe_kernel_v2",
 //!   "config": { "samples": .., "quick": .., "queries_per_run": ..,
-//!               "range_width": .., "default_tier": "scalar|word|prefetch" },
+//!               "range_width": .. },
 //!   "probe_rows": [ { "keys": .., "bits_per_key": .., "batch": ..,
-//!                     "tier": "scalar|word|prefetch",
+//!                     "path": "loop|batch",
 //!                     "mode": "point|range", "skipped": false,
 //!                     "ns_per_op": .., "min_ns_per_op": ..,
 //!                     "ci95_ns": .., "outliers": .. }, .. ],
-//!   "layout_rows": [ { "layout": "forward|alternating", "tier": ..,
+//!   "layout_rows": [ { "layout": "forward|alternating", "path": ..,
 //!                      "skipped": false, "ns_per_op": .., .. }, .. ],
 //!   "insert_rows": [ { "segment_bits": .., "strategy": "sorted|unsorted",
 //!                      "skipped": false, "ns_per_key": .., .. }, .. ],
 //!   "headline": { "keys": .., "bits_per_key": 16, "batch": 64,
-//!                 "mode": "point", "scalar_ns": .., "kernel_ns": ..,
+//!                 "mode": "point", "loop_ns": .., "batch_ns": ..,
 //!                 "speedup": .. }
 //! }
 //! ```
@@ -51,8 +56,9 @@
 //! directory; override with the `BENCH_SNAPSHOT` environment variable.
 
 use bloomrf::hashing::WordLayout;
-use bloomrf::{BloomRf, BloomRfConfig, KernelTier, ProbeScratch};
+use bloomrf::{BloomRf, BloomRfConfig, ProbeScratch};
 use bloomrf_bench::{measure_ns_per_op, sig, ExpScale, Report, SampleStats};
+use std::time::Instant;
 
 /// Deterministic multiplicative permutation: unique pseudo-random keys.
 fn key_of(j: u64) -> u64 {
@@ -63,6 +69,11 @@ fn key_of(j: u64) -> u64 {
 const DELTA: u32 = 7;
 /// Inclusive width of every range query.
 const RANGE_WIDTH: u64 = 1 << 10;
+
+/// Row tags of the two ways a chunk of queries reaches the filter, in the
+/// order [`time_paths`] returns them: one `contains_point` / `contains_range`
+/// call per query, or one `contains_*_batch_into` call per chunk.
+const PATHS: [&str; 2] = ["loop", "batch"];
 
 fn build_filter(n_keys: usize, bits_per_key: f64, layout: WordLayout) -> BloomRf {
     let config = BloomRfConfig::basic(64, n_keys, bits_per_key, DELTA)
@@ -97,70 +108,90 @@ fn probe_ranges(n_keys: usize, n_queries: usize) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Time point batches of size `batch` over the whole query set at `tier`.
+/// Time both paths over the whole query set, `batch` queries at a time:
+/// `one` answers a single query (the loop path calls it per query), `many` is
+/// the batch entry point. Samples alternate between the paths, so a pace
+/// shift of the (shared) host lands on both sides of the comparison instead
+/// of on whichever was measured second. Returns `[loop, batch]`.
+fn time_paths<Q: Copy>(
+    queries: &[Q],
+    batch: usize,
+    samples: usize,
+    one: impl Fn(Q) -> bool,
+    mut many: impl FnMut(&[Q], &mut Vec<bool>),
+) -> [SampleStats; 2] {
+    let mut out: Vec<bool> = Vec::new();
+    let mut per_op = [Vec::new(), Vec::new()];
+    // Round 0 is the warm-up of both paths.
+    for round in 0..=samples {
+        for (slot, ns) in per_op.iter_mut().enumerate() {
+            let start = Instant::now();
+            for chunk in queries.chunks(batch) {
+                if slot == 0 {
+                    out.clear();
+                    out.extend(chunk.iter().map(|&q| one(q)));
+                } else {
+                    many(chunk, &mut out);
+                }
+                std::hint::black_box(&out);
+            }
+            if round > 0 {
+                ns.push(start.elapsed().as_nanos() as f64 / queries.len() as f64);
+            }
+        }
+    }
+    per_op.map(|ns| SampleStats::from_ns(&ns).expect("at least one sample"))
+}
+
+/// [`time_paths`] for point lookups.
 fn time_points(
     filter: &BloomRf,
     queries: &[u64],
     batch: usize,
-    tier: KernelTier,
     samples: usize,
-) -> SampleStats {
+) -> [SampleStats; 2] {
     let mut scratch = ProbeScratch::new();
-    let mut out: Vec<bool> = Vec::new();
-    measure_ns_per_op(queries.len(), samples, || {
-        for chunk in queries.chunks(batch) {
-            filter.contains_point_batch_with(chunk, &mut out, &mut scratch, tier);
-            std::hint::black_box(&out);
-        }
-    })
-}
-
-/// Time range batches of size `batch` over the whole query set at `tier`.
-fn time_ranges(
-    filter: &BloomRf,
-    queries: &[(u64, u64)],
-    batch: usize,
-    tier: KernelTier,
-    samples: usize,
-) -> SampleStats {
-    let mut out: Vec<bool> = Vec::new();
-    measure_ns_per_op(queries.len(), samples, || {
-        for chunk in queries.chunks(batch) {
-            filter.contains_range_batch_with(chunk, &mut out, tier);
-            std::hint::black_box(&out);
-        }
-    })
-}
-
-fn stats_json(stats: &SampleStats, value_key: &str) -> String {
-    format!(
-        "\"{value_key}\": {:.2}, \"min_ns_per_op\": {:.2}, \
-         \"ci95_ns\": {:.2}, \"outliers\": {}",
-        stats.mean_ns, stats.min_ns, stats.ci95_ns, stats.outliers
+    time_paths(
+        queries,
+        batch,
+        samples,
+        |k| filter.contains_point(k),
+        |chunk, out| filter.contains_point_batch_into(chunk, out, &mut scratch),
     )
 }
 
-fn skipped_json(value_key: &str) -> String {
-    format!(
-        "\"{value_key}\": null, \"min_ns_per_op\": null, \
-         \"ci95_ns\": null, \"outliers\": null"
-    )
+/// One snapshot row: the identifying `tags`, then the measured statistics —
+/// or nulls with `"skipped": true` when the cell was not measured.
+fn row_json(tags: &str, value_key: &str, stats: Option<&SampleStats>) -> String {
+    match stats {
+        Some(s) => format!(
+            "    {{ {tags}, \"skipped\": false, \"{value_key}\": {:.2}, \
+             \"min_ns_per_op\": {:.2}, \"ci95_ns\": {:.2}, \"outliers\": {} }}",
+            s.mean_ns, s.min_ns, s.ci95_ns, s.outliers
+        ),
+        None => format!(
+            "    {{ {tags}, \"skipped\": true, \"{value_key}\": null, \
+             \"min_ns_per_op\": null, \"ci95_ns\": null, \"outliers\": null }}"
+        ),
+    }
+}
+
+/// The three statistics columns of the printed table.
+fn stat_cells(stats: Option<&SampleStats>) -> [String; 3] {
+    match stats {
+        Some(s) => [sig(s.mean_ns), sig(s.min_ns), sig(s.ci95_ns)],
+        None => ["skipped".to_string(), "-".to_string(), "-".to_string()],
+    }
 }
 
 fn main() {
     let scale = ExpScale::from_env();
     let samples = if scale.quick { 3 } else { 10 };
     let n_queries = scale.queries(100_000);
-    let default_tier = KernelTier::detect();
 
     let key_counts: &[usize] = &[100_000, 1_000_000, 4_000_000];
     let budgets: &[f64] = &[10.0, 16.0];
     let batches: &[usize] = &[16, 64, 256];
-    let tiers: &[KernelTier] = &[
-        KernelTier::Scalar,
-        KernelTier::WordParallel,
-        KernelTier::Prefetch,
-    ];
     // QUICK measures one filter configuration and one batch size; every
     // other cell is emitted as skipped so the row sets stay identical.
     let measure_cell = |keys: usize, batch: usize| !scale.quick || (keys == 100_000 && batch == 64);
@@ -171,7 +202,7 @@ fn main() {
             "keys",
             "bits_per_key",
             "batch",
-            "tier",
+            "path",
             "mode",
             "ns_per_op",
             "min_ns",
@@ -180,9 +211,8 @@ fn main() {
     );
     let mut probe_rows: Vec<String> = Vec::new();
     let mut headline: Option<String> = None;
-    // Speedup reference cell: 64-key batches at 16 bits/key (the claim the
-    // committed snapshot documents) at the largest measured key count — the
-    // out-of-cache regime a prefetching kernel exists for.
+    // Speedup reference cell: 64-key batches at 16 bits/key at the largest
+    // measured key count — the out-of-cache regime the kernel exists for.
     let headline_keys = if scale.quick { 100_000 } else { 4_000_000 };
 
     for &n_keys in key_counts {
@@ -193,85 +223,53 @@ fn main() {
             let points = probe_keys(n_keys, n_queries);
             let ranges = probe_ranges(n_keys, n_queries);
             for &batch in batches {
-                let mut cell: Vec<(KernelTier, &str, Option<SampleStats>)> = Vec::new();
-                for &tier in tiers {
-                    if let (true, Some(f)) = (measure_cell(n_keys, batch), filter.as_ref()) {
-                        cell.push((
-                            tier,
-                            "point",
-                            Some(time_points(f, &points, batch, tier, samples)),
+                let measured = filter.as_ref().filter(|_| measure_cell(n_keys, batch));
+                let point = measured.map(|f| time_points(f, &points, batch, samples));
+                let range = measured.map(|f| {
+                    time_paths(
+                        &ranges,
+                        batch,
+                        samples,
+                        |(lo, hi)| f.contains_range(lo, hi),
+                        |chunk, out| f.contains_range_batch_into(chunk, out),
+                    )
+                });
+                for (slot, path) in PATHS.into_iter().enumerate() {
+                    for (mode, stats) in [("point", &point), ("range", &range)] {
+                        let stats = stats.as_ref().map(|s| &s[slot]);
+                        let [mean, min, ci] = stat_cells(stats);
+                        report.push(&[
+                            n_keys.to_string(),
+                            bits_per_key.to_string(),
+                            batch.to_string(),
+                            path.to_string(),
+                            mode.to_string(),
+                            mean,
+                            min,
+                            ci,
+                        ]);
+                        probe_rows.push(row_json(
+                            &format!(
+                                "\"keys\": {n_keys}, \"bits_per_key\": {bits_per_key}, \
+                                 \"batch\": {batch}, \"path\": \"{path}\", \"mode\": \"{mode}\""
+                            ),
+                            "ns_per_op",
+                            stats,
                         ));
-                        cell.push((
-                            tier,
-                            "range",
-                            Some(time_ranges(f, &ranges, batch, tier, samples)),
-                        ));
-                    } else {
-                        cell.push((tier, "point", None));
-                        cell.push((tier, "range", None));
                     }
                 }
-                for (tier, mode, stats) in &cell {
-                    match stats {
-                        Some(s) => {
-                            report.push(&[
-                                n_keys.to_string(),
-                                bits_per_key.to_string(),
-                                batch.to_string(),
-                                tier.to_string(),
-                                mode.to_string(),
-                                sig(s.mean_ns),
-                                sig(s.min_ns),
-                                sig(s.ci95_ns),
-                            ]);
-                            probe_rows.push(format!(
-                                "    {{ \"keys\": {n_keys}, \"bits_per_key\": {bits_per_key}, \
-                                 \"batch\": {batch}, \"tier\": \"{tier}\", \"mode\": \"{mode}\", \
-                                 \"skipped\": false, {} }}",
-                                stats_json(s, "ns_per_op"),
-                            ));
-                        }
-                        None => {
-                            report.push(&[
-                                n_keys.to_string(),
-                                bits_per_key.to_string(),
-                                batch.to_string(),
-                                tier.to_string(),
-                                mode.to_string(),
-                                "skipped".to_string(),
-                                "-".to_string(),
-                                "-".to_string(),
-                            ]);
-                            probe_rows.push(format!(
-                                "    {{ \"keys\": {n_keys}, \"bits_per_key\": {bits_per_key}, \
-                                 \"batch\": {batch}, \"tier\": \"{tier}\", \"mode\": \"{mode}\", \
-                                 \"skipped\": true, {} }}",
-                                skipped_json("ns_per_op"),
-                            ));
-                        }
-                    }
-                }
-                // Headline: scalar vs the default kernel tier on this cell.
-                if n_keys == headline_keys
-                    && (bits_per_key - 16.0).abs() < f64::EPSILON
-                    && batch == 64
-                {
-                    let scalar = cell
-                        .iter()
-                        .find(|(t, m, s)| *t == KernelTier::Scalar && *m == "point" && s.is_some());
-                    let kernel = cell
-                        .iter()
-                        .find(|(t, m, s)| *t == default_tier && *m == "point" && s.is_some());
-                    if let (Some((_, _, Some(s))), Some((_, _, Some(k)))) = (scalar, kernel) {
-                        headline = Some(format!(
-                            "  \"headline\": {{ \"keys\": {headline_keys}, \"bits_per_key\": 16, \
-                             \"batch\": 64, \"mode\": \"point\", \"tier\": \"{default_tier}\", \
-                             \"scalar_ns\": {:.2}, \"kernel_ns\": {:.2}, \"speedup\": {:.2} }}",
-                            s.mean_ns,
-                            k.mean_ns,
-                            s.mean_ns / k.mean_ns.max(1e-9),
-                        ));
-                    }
+                if let (true, Some([loop_stats, batch_stats])) = (
+                    n_keys == headline_keys && bits_per_key == 16.0 && batch == 64,
+                    &point,
+                ) {
+                    headline = Some(format!(
+                        "  \"headline\": {{ \"keys\": {headline_keys}, \"bits_per_key\": 16, \
+                         \"batch\": 64, \"mode\": \"point\", \"loop_ns\": {:.2}, \
+                         \"batch_ns\": {:.2}, \"speedup\": {:.2} }}",
+                        loop_stats.mean_ns,
+                        batch_stats.mean_ns,
+                        loop_stats.mean_ns / batch_stats.mean_ns.max(1e-9),
+                    ));
                 }
             }
         }
@@ -285,32 +283,29 @@ fn main() {
         ("forward", WordLayout::Forward),
         ("alternating", WordLayout::Alternating),
     ] {
-        for &tier in &[KernelTier::Scalar, default_tier] {
-            if scale.quick {
-                layout_rows.push(format!(
-                    "    {{ \"layout\": \"{name}\", \"tier\": \"{tier}\", \
-                     \"skipped\": true, {} }}",
-                    skipped_json("ns_per_op"),
-                ));
-                continue;
+        let filter = (!scale.quick).then(|| build_filter(headline_keys, 16.0, layout));
+        let points = probe_keys(headline_keys, n_queries);
+        let stats = filter
+            .as_ref()
+            .map(|f| time_points(f, &points, 64, samples));
+        for (slot, path) in PATHS.into_iter().enumerate() {
+            let stats = stats.as_ref().map(|s| &s[slot]);
+            if let Some(s) = stats {
+                report.push(&[
+                    headline_keys.to_string(),
+                    "16".to_string(),
+                    "64".to_string(),
+                    format!("{path}[{name}]"),
+                    "point".to_string(),
+                    sig(s.mean_ns),
+                    sig(s.min_ns),
+                    sig(s.ci95_ns),
+                ]);
             }
-            let filter = build_filter(headline_keys, 16.0, layout);
-            let points = probe_keys(headline_keys, n_queries);
-            let stats = time_points(&filter, &points, 64, tier, samples);
-            report.push(&[
-                headline_keys.to_string(),
-                "16".to_string(),
-                "64".to_string(),
-                format!("{tier}[{name}]"),
-                "point".to_string(),
-                sig(stats.mean_ns),
-                sig(stats.min_ns),
-                sig(stats.ci95_ns),
-            ]);
-            layout_rows.push(format!(
-                "    {{ \"layout\": \"{name}\", \"tier\": \"{tier}\", \
-                 \"skipped\": false, {} }}",
-                stats_json(&stats, "ns_per_op"),
+            layout_rows.push(row_json(
+                &format!("\"layout\": \"{name}\", \"path\": \"{path}\""),
+                "ns_per_op",
+                stats,
             ));
         }
     }
@@ -326,12 +321,9 @@ fn main() {
         let n_keys = segment_bits / 16;
         let measured = !scale.quick || shift <= 20;
         for (strategy, threshold) in [("unsorted", usize::MAX), ("sorted", 0usize)] {
+            let tags = format!("\"segment_bits\": {segment_bits}, \"strategy\": \"{strategy}\"");
             if !measured {
-                insert_rows.push(format!(
-                    "    {{ \"segment_bits\": {segment_bits}, \"strategy\": \"{strategy}\", \
-                     \"skipped\": true, {} }}",
-                    skipped_json("ns_per_key"),
-                ));
+                insert_rows.push(row_json(&tags, "ns_per_key", None));
                 continue;
             }
             let keys: Vec<u64> = (0..n_keys as u64).map(key_of).collect();
@@ -358,20 +350,16 @@ fn main() {
                 sig(stats.min_ns),
                 sig(stats.ci95_ns),
             ]);
-            insert_rows.push(format!(
-                "    {{ \"segment_bits\": {segment_bits}, \"strategy\": \"{strategy}\", \
-                 \"skipped\": false, {} }}",
-                stats_json(&stats, "ns_per_key"),
-            ));
+            insert_rows.push(row_json(&tags, "ns_per_key", Some(&stats)));
         }
     }
 
     report.finish();
 
     let snapshot = format!(
-        "{{\n  \"snapshot\": \"probe_kernel_v1\",\n  \"config\": {{ \
+        "{{\n  \"snapshot\": \"probe_kernel_v2\",\n  \"config\": {{ \
          \"samples\": {samples}, \"quick\": {}, \"queries_per_run\": {n_queries}, \
-         \"range_width\": {RANGE_WIDTH}, \"default_tier\": \"{default_tier}\" }},\n  \
+         \"range_width\": {RANGE_WIDTH} }},\n  \
          \"probe_rows\": [\n{}\n  ],\n  \"layout_rows\": [\n{}\n  ],\n  \
          \"insert_rows\": [\n{}\n  ],\n{}\n}}\n",
         scale.quick,

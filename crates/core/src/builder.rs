@@ -20,9 +20,8 @@
 //! assert!(filter.contains_range(&0.0, &2.0));
 //! ```
 //!
-//! The pre-existing constructors ([`BloomRf::new`], [`BloomRf::basic`],
-//! [`crate::ShardedBloomRf::new_sharded`], …) remain as thin delegates for
-//! backwards compatibility; new code should prefer the builder.
+//! [`BloomRf::new`], [`BloomRf::basic`] and [`BloomRf::from_bytes`] remain as
+//! thin delegates for the flat backend; sharded filters are built here only.
 
 use std::marker::PhantomData;
 
@@ -248,19 +247,14 @@ impl<S: BuildStore> BloomRfBuilder<S> {
     /// builder's storage backend. The serialized configuration wins over the
     /// builder's geometry and seed knobs (the bits were written under them).
     ///
-    /// Format v2 persists the complete configuration: the serialized
+    /// The stream persists the complete configuration: the serialized
     /// `word_layout` is authoritative (a conflicting builder layout is
     /// ignored — the bits were written under the serialized one) and the
     /// builder's [`BloomRfBuilder::range_policy`] acts as a run-time
-    /// override. Legacy v1 bytes never recorded the layout; they decode only
-    /// when `.word_layout(..)` is set explicitly, otherwise
-    /// [`DecodeError::AmbiguousLegacyFormat`] is returned instead of a
-    /// silently wrong (false-negative-prone) filter.
+    /// override.
     pub fn from_bytes(self, bytes: &[u8]) -> Result<BloomRf<S>, DecodeError> {
         let shards = self.shards;
-        BloomRf::from_bytes_knobs(bytes, self.range_policy, self.word_layout, |bits| {
-            S::make(bits, shards)
-        })
+        BloomRf::from_bytes_with(bytes, self.range_policy, |bits| S::make(bits, shards))
     }
 
     /// Aggregate constructor: build one filter holding the union of `parts`
@@ -580,11 +574,8 @@ mod tests {
 
     #[test]
     fn from_bytes_restores_every_knob_without_overrides() {
-        // Wire format v2 carries the complete configuration — word_layout
-        // and range_policy included — so a *bare* restore is exact. (Under
-        // v1 this very case silently produced false negatives; the
-        // regression is pinned by `v2_roundtrip_fixes_v1_false_negatives`
-        // in filter.rs and the committed v1 fixtures.)
+        // The wire format carries the complete configuration — word_layout
+        // and range_policy included — so a *bare* restore is exact.
         let filter = BloomRf::builder()
             .expected_keys(2000)
             .bits_per_key(14.0)
@@ -610,7 +601,7 @@ mod tests {
                 filter.contains_range(probe, probe.saturating_add(1 << 20))
             );
         }
-        // A conflicting builder layout cannot corrupt a v2 restore: the
+        // A conflicting builder layout cannot corrupt a restore: the
         // serialized layout is authoritative.
         let forced = BloomRf::builder()
             .word_layout(WordLayout::Forward)

@@ -98,11 +98,10 @@ pub struct BloomRfConfig {
     ///
     /// The `Forward` default is a measured choice, not an aesthetic one: in
     /// the `fig_probe_kernel` layout A/B (4M keys × 16 bits, batch 64, see
-    /// `BENCH_probe_kernel.json`) forward wins on the scalar path (128 vs
-    /// 141 ns/op) and single-point probes, while alternating only edges ahead
-    /// under the prefetching batch kernel at out-of-cache sizes (97 vs
-    /// 110 ns/op). Switch to `Alternating` for its intended purpose —
-    /// degenerate key distributions — not for throughput.
+    /// `BENCH_probe_kernel.json`) forward wins on both the per-key loop
+    /// (76 vs 131 ns/op) and the batch call (67 vs 105 ns/op). Switch to
+    /// `Alternating` for its intended purpose — degenerate key
+    /// distributions — not for throughput.
     #[cfg_attr(feature = "serde", serde(skip))]
     pub word_layout: WordLayout,
 }

@@ -138,15 +138,6 @@ pub enum DecodeError {
         /// The unknown discriminant value.
         tag: u8,
     },
-    /// The bytes are legacy v1 format, which does not record `word_layout`:
-    /// restoring them without knowing the layout silently produces false
-    /// negatives for alternating-layout filters, so a bare decode refuses.
-    /// Resolve the ambiguity explicitly via
-    /// `BloomRf::builder().word_layout(..).from_bytes(..)`.
-    AmbiguousLegacyFormat {
-        /// The legacy format version encountered.
-        version: u32,
-    },
 }
 
 impl fmt::Display for DecodeError {
@@ -178,11 +169,6 @@ impl fmt::Display for DecodeError {
             DecodeError::BadEnumTag { field, tag } => {
                 write!(f, "field {field} has unknown discriminant {tag}")
             }
-            DecodeError::AmbiguousLegacyFormat { version } => write!(
-                f,
-                "legacy v{version} bytes do not record the word layout; decode them through \
-                 BloomRf::builder().word_layout(..).from_bytes(..) to resolve the ambiguity"
-            ),
         }
     }
 }
@@ -332,10 +318,6 @@ mod tests {
                     tag: 9,
                 },
                 "word_layout",
-            ),
-            (
-                DecodeError::AmbiguousLegacyFormat { version: 1 },
-                "legacy v1",
             ),
         ];
         for (err, needle) in cases {

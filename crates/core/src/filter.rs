@@ -25,14 +25,16 @@
 //! Because the PMHF probes of different dyadic levels are independent, the
 //! probe engine also exposes batched entry points —
 //! [`BloomRf::insert_batch`], [`BloomRf::contains_point_batch`] and
-//! [`BloomRf::contains_range_batch`] — that group the work of many keys or
-//! ranges *per layer*: one pass over a layer computes and probes every
-//! pending position before the engine moves to the next layer, which
-//! amortizes the per-layer hash setup and keeps accesses local to one
-//! segment at a time. The batched paths are restructured loops over the very
-//! same per-layer step functions the sequential lookups use, so their
-//! answers are bit-identical by construction (and proven so by the
-//! differential property tests).
+//! [`BloomRf::contains_range_batch`]. Overlapping the probes of many keys
+//! only pays when their cache lines miss, so each filter decides once, at
+//! construction, from its own size (`kernel::KERNEL_MIN_FILTER_BITS`):
+//! below the crossover the batch calls are a loop over the early-exit
+//! per-key lookups; at or above it they group the work *per layer* — one
+//! pass computes, prefetches and probes every pending position of a layer
+//! before the engine moves to the next — and the single-key lookups prefetch
+//! all their probe words up front. Either way exactly the same logical bits
+//! are read, so the answers are bit-identical by construction (and proven so
+//! by the differential property tests).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,8 +42,8 @@ use crate::bitarray::{mask_between, AtomicBits, BitStore, BitVec, ShardedAtomicB
 use crate::config::{BloomRfConfig, RangePolicy};
 use crate::crc32::crc32;
 use crate::error::{ConfigError, DecodeError, MergeError};
-use crate::hashing::{derive_seeds, shl, shr, HashKind, Pmhf, WordLayout};
-use crate::kernel::{KernelTier, ProbeScratch};
+use crate::hashing::{derive_seeds, shl, shr, Pmhf, WordLayout};
+use crate::kernel::{ProbeScratch, KERNEL_MIN_FILTER_BITS};
 use crate::traits::{OnlineFilter, PointRangeFilter};
 
 /// Probe-cost counters collected during a range lookup; used by the
@@ -82,14 +84,17 @@ pub struct BloomRf<S: BitStore = AtomicBits> {
     segments: Vec<S>,
     exact: Option<S>,
     key_count: AtomicU64,
+    /// `memory_bits() >= KERNEL_MIN_FILTER_BITS`, fixed at construction:
+    /// lookups overlap their probes (batch kernel, prefetched point probe,
+    /// range staging) instead of running the early-exit per-key loop.
+    overlap_probes: bool,
 }
 
 /// bloomRF over [`ShardedAtomicBits`]: every memory segment is striped into
 /// lock-free shards (routed by the prefix of the physical word index, written
 /// by CAS), which removes allocation-level sharing between concurrent writer
-/// threads. Construct with [`ShardedBloomRf::new_sharded`] or
-/// [`ShardedBloomRf::basic_sharded`]; answers are bit-identical to the
-/// equivalent [`BloomRf`].
+/// threads. Construct with [`BloomRf::builder`]`()….sharded(n)`; answers are
+/// bit-identical to the equivalent [`BloomRf`].
 pub type ShardedBloomRf = BloomRf<ShardedAtomicBits>;
 
 /// State of one two-path range lookup between layer steps.
@@ -151,46 +156,11 @@ impl BloomRf {
     /// Thin delegate kept for compatibility; prefer
     /// [`BloomRf::builder`]`().from_bytes(..)`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        Self::from_bytes_with(bytes, AtomicBits::new)
+        Self::from_bytes_with(bytes, None, AtomicBits::new)
     }
 }
 
 impl ShardedBloomRf {
-    /// Build an empty sharded filter: every segment (and the exact-layer
-    /// bitmap, if any) is striped into (at most) `shards` lock-free shards.
-    ///
-    /// Thin delegate kept for compatibility; prefer
-    /// [`BloomRf::builder`]`().config(..).sharded(..).build()`.
-    pub fn new_sharded(config: BloomRfConfig, shards: usize) -> Result<Self, ConfigError> {
-        Self::with_store(config, |bits| ShardedAtomicBits::new(bits, shards))
-    }
-
-    /// Sharded counterpart of [`BloomRf::basic`].
-    ///
-    /// Thin delegate kept for compatibility; prefer [`BloomRf::builder`]
-    /// with [`crate::BloomRfBuilder::sharded`].
-    pub fn basic_sharded(
-        domain_bits: u32,
-        n_keys: usize,
-        bits_per_key: f64,
-        delta: u32,
-        shards: usize,
-    ) -> Result<Self, ConfigError> {
-        Self::new_sharded(
-            BloomRfConfig::basic(domain_bits, n_keys, bits_per_key, delta)?,
-            shards,
-        )
-    }
-
-    /// Reconstruct a sharded filter from [`BloomRf::to_bytes`] output (the
-    /// serialized format is backend-independent).
-    ///
-    /// Thin delegate kept for compatibility; prefer
-    /// [`BloomRf::builder`]`().sharded(..).from_bytes(..)`.
-    pub fn from_bytes_sharded(bytes: &[u8], shards: usize) -> Result<Self, DecodeError> {
-        Self::from_bytes_with(bytes, |bits| ShardedAtomicBits::new(bits, shards))
-    }
-
     /// Shard count of the first probabilistic segment (segments smaller than
     /// one word per shard are striped less finely).
     pub fn shard_count(&self) -> usize {
@@ -200,8 +170,10 @@ impl ShardedBloomRf {
 
 impl<S: BitStore> BloomRf<S> {
     /// Build an empty filter whose bit arrays are produced by `make_store`
-    /// (called once per segment and once for the exact-layer bitmap).
-    pub fn with_store(
+    /// (called once per segment and once for the exact-layer bitmap). Every
+    /// construction path — build, decode, union — ends here, so this is
+    /// where the filter picks its probe path from its own size.
+    pub(crate) fn with_store(
         config: BloomRfConfig,
         make_store: impl Fn(usize) -> S,
     ) -> Result<Self, ConfigError> {
@@ -237,49 +209,29 @@ impl<S: BitStore> BloomRf<S> {
                 hashers,
             });
         }
-        Ok(Self {
+        let mut filter = Self {
             config,
             layers,
             segments,
             exact,
             key_count: AtomicU64::new(0),
-        })
+            overlap_probes: false,
+        };
+        filter.overlap_probes = filter.memory_bits() >= KERNEL_MIN_FILTER_BITS;
+        Ok(filter)
     }
 
     /// Reconstruct a filter from [`BloomRf::to_bytes`] output onto the
     /// storage backend produced by `make_store` (the serialized format is
-    /// backend-independent). The builder's
-    /// [`crate::BloomRfBuilder::from_bytes`] routes through this.
-    pub fn from_bytes_with(
-        bytes: &[u8],
-        make_store: impl Fn(usize) -> S,
-    ) -> Result<Self, DecodeError> {
-        Self::from_bytes_knobs(bytes, None, None, make_store)
-    }
-
-    /// [`BloomRf::from_bytes_with`] with the builder's run-time knobs.
-    ///
-    /// Format v2 persists the full configuration, so the serialized
-    /// `word_layout` is authoritative (the bits were written under it; an
-    /// explicit builder layout is ignored) and `range_policy` acts as a
-    /// run-time override. Legacy v1 bytes do not record the layout: they are
-    /// only decoded when `word_layout` is supplied explicitly, otherwise an
-    /// alternating-layout filter would silently be restored with forward
-    /// layout and lose keys ([`DecodeError::AmbiguousLegacyFormat`]).
-    pub(crate) fn from_bytes_knobs(
+    /// backend-independent). The stream persists the full configuration, so
+    /// only `range_policy` — a pure run-time knob — can be overridden.
+    pub(crate) fn from_bytes_with(
         bytes: &[u8],
         range_policy: Option<RangePolicy>,
-        word_layout: Option<WordLayout>,
         make_store: impl Fn(usize) -> S,
     ) -> Result<Self, DecodeError> {
         let decoded = decode_parts(bytes)?;
         let mut config = decoded.config;
-        if decoded.version == 1 {
-            match word_layout {
-                Some(layout) => config = config.with_word_layout(layout),
-                None => return Err(DecodeError::AmbiguousLegacyFormat { version: 1 }),
-            }
-        }
         if let Some(policy) = range_policy {
             config = config.with_range_policy(policy);
         }
@@ -309,17 +261,6 @@ impl<S: BitStore> BloomRf<S> {
             .map(|s| s.capacity_bits())
             .sum::<usize>()
             + self.exact.as_ref().map(|e| e.capacity_bits()).unwrap_or(0)
-    }
-
-    /// Replace the hash functions of every layer with the paper's affine
-    /// example hashes `h_i(x) = a_i + b_i·x` (for tests reproducing Fig. 3/4).
-    pub fn with_affine_hashes(mut self, params: &[(u64, u64)]) -> Self {
-        for (layer, &(a, b)) in self.layers.iter_mut().zip(params.iter()) {
-            for h in layer.hashers.iter_mut() {
-                h.hash = HashKind::Affine { a, b };
-            }
-        }
-        self
     }
 
     /// Insert a key. Panics if the key does not fit the configured domain.
@@ -411,155 +352,103 @@ impl<S: BitStore> BloomRf<S> {
                 return false;
             }
         }
-        // The bit position of every layer depends only on the key, so on
-        // filters too large to be cache-resident all probe addresses are
-        // computed and prefetched up front; the first loads then overlap the
-        // remaining hash work instead of serializing layer by layer.
-        if KernelTier::detect().prefetches() && self.has_prefetch_worthy_segment() {
-            if let Some(answer) = self.contains_point_prefetched(key) {
-                return answer;
-            }
+        if self.overlap_probes {
+            self.contains_point_prefetched(key)
+        } else {
+            self.layers
+                .iter()
+                .all(|layer| self.layer_bit_set(layer, key))
         }
-        for layer in &self.layers {
-            if !self.layer_bit_set(layer, key) {
-                return false;
+    }
+
+    /// The probabilistic layers of a point lookup on a filter too large to be
+    /// cache-resident. The bit position of every layer depends only on the
+    /// key, so all probe addresses are computed and prefetched up front; the
+    /// first loads then overlap the remaining hash work instead of
+    /// serializing layer by layer. Probes exactly the bits the plain loop
+    /// probes (answers are identical); only the memory schedule differs.
+    fn contains_point_prefetched(&self, key: u64) -> bool {
+        // Positions live in a stack window. Every configuration the advisor
+        // emits fits one window; a larger one is staged a window of whole
+        // layers at a time (validation caps a layer at 8 replicas, so a
+        // window always holds at least one).
+        const WINDOW: usize = 64;
+        let mut pos = [0u64; WINDOW];
+        let mut rest = &self.layers[..];
+        while !rest.is_empty() {
+            let mut n = 0usize;
+            let mut staged = 0usize;
+            for layer in rest {
+                if n + layer.hashers.len() > WINDOW {
+                    break;
+                }
+                let seg = &self.segments[layer.segment];
+                for h in &layer.hashers {
+                    let p = h.bit_position(key, layer.word_count);
+                    seg.prefetch_bit(p as usize);
+                    pos[n] = p;
+                    n += 1;
+                }
+                staged += 1;
             }
+            let mut idx = 0usize;
+            for layer in &rest[..staged] {
+                let seg = &self.segments[layer.segment];
+                let mut all_set = true;
+                for _ in &layer.hashers {
+                    all_set &= seg.get(pos[idx] as usize);
+                    idx += 1;
+                }
+                if !all_set {
+                    return false;
+                }
+            }
+            rest = &rest[staged..];
         }
         true
     }
 
-    /// Is any probabilistic segment large enough that a prefetch pass pays
-    /// for its extra hash work? (See `kernel::PREFETCH_MIN_SEGMENT_BITS`.)
-    #[inline]
-    fn has_prefetch_worthy_segment(&self) -> bool {
-        self.segments
-            .iter()
-            .any(|s| s.capacity_bits() >= crate::kernel::PREFETCH_MIN_SEGMENT_BITS)
-    }
-
-    /// Point lookup with an up-front prefetch pass over all layers. Probes
-    /// exactly the bits the plain loop probes (answers are identical); only
-    /// the memory schedule differs. Returns `None` when the probe count
-    /// exceeds the stack buffer (extreme configurations), in which case the
-    /// caller falls back to the plain loop.
-    fn contains_point_prefetched(&self, key: u64) -> Option<bool> {
-        const MAX_PROBES: usize = 64;
-        if self.layers.iter().map(|l| l.hashers.len()).sum::<usize>() > MAX_PROBES {
-            return None;
-        }
-        let mut pos = [0u64; MAX_PROBES];
-        let mut n = 0usize;
-        for layer in &self.layers {
-            let seg = &self.segments[layer.segment];
-            for h in &layer.hashers {
-                let p = h.bit_position(key, layer.word_count);
-                seg.prefetch_bit(p as usize);
-                pos[n] = p;
-                n += 1;
-            }
-        }
-        let mut idx = 0usize;
-        for layer in &self.layers {
-            let seg = &self.segments[layer.segment];
-            let mut all_set = true;
-            for _ in &layer.hashers {
-                all_set &= seg.get(pos[idx] as usize);
-                idx += 1;
-            }
-            if !all_set {
-                return Some(false);
-            }
-        }
-        Some(true)
-    }
-
     /// Batched point membership: answers element-wise identical to
-    /// [`BloomRf::contains_point`], evaluated by the word-parallel kernel at
-    /// the detected [`KernelTier`] — all bit positions of a layer are
-    /// computed branch-free up front (prefetching the next layer's words
-    /// while the current one resolves), tested in 4-wide lanes, and the
-    /// alive set is compacted at each layer boundary.
+    /// [`BloomRf::contains_point`]. Convenience form of
+    /// [`BloomRf::contains_point_batch_into`] that allocates the answer
+    /// vector and the scratch.
     pub fn contains_point_batch(&self, keys: &[u64]) -> Vec<bool> {
         let mut out = Vec::new();
-        self.contains_point_batch_into(keys, &mut out);
+        self.contains_point_batch_into(keys, &mut out, &mut ProbeScratch::default());
         out
     }
 
-    /// [`BloomRf::contains_point_batch`] writing into a caller-owned buffer
-    /// (cleared first), so repeated batches allocate nothing for the answer
-    /// vector. Hot loops that also want to reuse the kernel's internal
-    /// buffers hold a [`ProbeScratch`] and call
-    /// [`BloomRf::contains_point_batch_with`].
-    pub fn contains_point_batch_into(&self, keys: &[u64], out: &mut Vec<bool>) {
-        let mut scratch = ProbeScratch::default();
-        self.contains_point_batch_with(keys, out, &mut scratch, KernelTier::detect());
-    }
-
-    /// Batched point membership with explicit scratch buffers and an explicit
-    /// kernel tier. This is the full-control entry point: the LSM tree
-    /// descent reuses one [`ProbeScratch`] across thousands of per-node
-    /// batches, and the benchmark harness pins the tier so one binary can
-    /// compare scalar vs. kernel on the same filter.
-    pub fn contains_point_batch_with(
+    /// Batched point membership into a caller-owned buffer (cleared first),
+    /// reusing the caller's [`ProbeScratch`], so repeated batches allocate
+    /// nothing. Below the size crossover this is the early-exit per-key
+    /// loop; at or above it the phase-split kernel — all bit positions of a
+    /// layer are computed branch-free up front (prefetching the next layer's
+    /// words while the current one resolves), tested in 4-wide lanes, and
+    /// the alive set is compacted at each layer boundary.
+    pub fn contains_point_batch_into(
         &self,
         keys: &[u64],
         out: &mut Vec<bool>,
         scratch: &mut ProbeScratch,
-        tier: KernelTier,
     ) {
-        match tier {
-            KernelTier::Scalar => self.point_batch_scalar(keys, out),
-            KernelTier::WordParallel => self.point_batch_kernel(keys, out, scratch, false),
-            KernelTier::Prefetch => self.point_batch_kernel(keys, out, scratch, true),
+        if self.overlap_probes {
+            self.point_batch_kernel(keys, out, scratch);
+        } else {
+            out.clear();
+            out.extend(keys.iter().map(|&k| self.contains_point(k)));
         }
     }
 
-    /// The pre-kernel scalar batch path, kept verbatim as the reference
-    /// implementation: one key at a time per layer with per-key early exit.
-    /// `fig_probe_kernel` measures the kernel's speedup against this, and the
-    /// differential property tests assert answer-identity to it.
-    pub fn contains_point_batch_scalar(&self, keys: &[u64]) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.point_batch_scalar(keys, &mut out);
-        out
-    }
-
-    fn point_batch_scalar(&self, keys: &[u64], out: &mut Vec<bool>) {
-        let max_key = self.config.max_key();
-        out.clear();
-        out.extend(keys.iter().map(|&k| k <= max_key));
-        if let (Some(exact), Some(e)) = (&self.exact, self.config.exact_level) {
-            for (i, &key) in keys.iter().enumerate() {
-                if out[i] && !exact.get(shr(key, e) as usize) {
-                    out[i] = false;
-                }
-            }
-        }
-        for layer in &self.layers {
-            for (i, &key) in keys.iter().enumerate() {
-                if out[i] && !self.layer_bit_set(layer, key) {
-                    out[i] = false;
-                }
-            }
-        }
-    }
-
-    /// The word-parallel point kernel (tentpole of `docs/probe-kernel.md`).
+    /// The phase-split point kernel (see `docs/probe-kernel.md`).
     ///
     /// Per layer the work is phase-split: phase A computes the bit position
-    /// of every alive key for every replica in one branch-free pass (issuing
-    /// a prefetch per position when `prefetch` is set); phase B tests the
-    /// positions of the *previous* layer in 4-wide lanes, so its loads —
-    /// requested one full layer earlier — resolve while phase A's hash work
-    /// executes. Queries short-circuit only at layer boundaries, where the
-    /// alive list is compacted and survivors' next-layer positions gathered.
-    fn point_batch_kernel(
-        &self,
-        keys: &[u64],
-        out: &mut Vec<bool>,
-        scratch: &mut ProbeScratch,
-        prefetch: bool,
-    ) {
+    /// of every alive key for every replica in one branch-free pass, issuing
+    /// a prefetch per position; phase B tests the positions of the
+    /// *previous* layer in 4-wide lanes, so its loads — requested one full
+    /// layer earlier — resolve while phase A's hash work executes. Queries
+    /// short-circuit only at layer boundaries, where the alive list is
+    /// compacted and survivors' next-layer positions gathered.
+    fn point_batch_kernel(&self, keys: &[u64], out: &mut Vec<bool>, scratch: &mut ProbeScratch) {
         let max_key = self.config.max_key();
         out.clear();
         out.extend(keys.iter().map(|&k| k <= max_key));
@@ -576,10 +465,8 @@ impl<S: BitStore> BloomRf<S> {
         if let (Some(exact), Some(e)) = (&self.exact, self.config.exact_level) {
             cur_pos.clear();
             cur_pos.extend(alive.iter().map(|&i| shr(keys[i as usize], e)));
-            if prefetch {
-                for &p in cur_pos.iter() {
-                    exact.prefetch_bit(p as usize);
-                }
+            for &p in cur_pos.iter() {
+                exact.prefetch_bit(p as usize);
             }
             next_alive.clear();
             for (j, &i) in alive.iter().enumerate() {
@@ -597,13 +484,13 @@ impl<S: BitStore> BloomRf<S> {
 
         // Phase A for the first layer; the pipeline below keeps one layer of
         // positions in flight from here on.
-        self.layer_positions(&self.layers[0], keys, alive, cur_pos, prefetch);
+        self.layer_positions(&self.layers[0], keys, alive, cur_pos);
         for k in 0..self.layers.len() {
             let layer = &self.layers[k];
             // Phase A (pipelined): compute + prefetch layer k+1's positions
             // for the current alive set while layer k's loads resolve.
             if let Some(next_layer) = self.layers.get(k + 1) {
-                self.layer_positions(next_layer, keys, alive, next_pos, prefetch);
+                self.layer_positions(next_layer, keys, alive, next_pos);
             }
             // Phase B: test layer k's (already requested) words branch-free.
             let seg = &self.segments[layer.segment];
@@ -633,30 +520,21 @@ impl<S: BitStore> BloomRf<S> {
             // Layer boundary: compact survivors; gather their already-computed
             // next-layer positions so the pipeline stays warm.
             next_alive.clear();
-            if k + 1 < self.layers.len() {
-                let r_next = self.layers[k + 1].hashers.len();
-                cur_pos.clear();
-                for (j, &i) in alive.iter().enumerate() {
-                    if flags[j] != 0 {
-                        next_alive.push(i);
-                    } else {
-                        out[i as usize] = false;
-                    }
+            for (j, &i) in alive.iter().enumerate() {
+                if flags[j] != 0 {
+                    next_alive.push(i);
+                } else {
+                    out[i as usize] = false;
                 }
-                for rep in 0..r_next {
+            }
+            if let Some(next_layer) = self.layers.get(k + 1) {
+                cur_pos.clear();
+                for rep in 0..next_layer.hashers.len() {
                     let base = rep * n;
                     for (j, f) in flags.iter().enumerate() {
                         if *f != 0 {
                             cur_pos.push(next_pos[base + j]);
                         }
-                    }
-                }
-            } else {
-                for (j, &i) in alive.iter().enumerate() {
-                    if flags[j] != 0 {
-                        next_alive.push(i);
-                    } else {
-                        out[i as usize] = false;
                     }
                 }
             }
@@ -668,30 +546,23 @@ impl<S: BitStore> BloomRf<S> {
     }
 
     /// Phase A of the kernel: the absolute bit position of every alive key
-    /// for every replica of `layer`, replica-major, optionally issuing a
-    /// software prefetch for each position as it is produced.
+    /// for every replica of `layer`, replica-major, issuing a software
+    /// prefetch for each position as it is produced.
     fn layer_positions(
         &self,
         layer: &LayerRuntime,
         keys: &[u64],
         alive: &[u32],
         pos_out: &mut Vec<u64>,
-        prefetch: bool,
     ) {
         let seg = &self.segments[layer.segment];
         pos_out.clear();
         pos_out.reserve(layer.hashers.len() * alive.len());
         for h in &layer.hashers {
-            if prefetch {
-                for &i in alive {
-                    let p = h.bit_position(keys[i as usize], layer.word_count);
-                    seg.prefetch_bit(p as usize);
-                    pos_out.push(p);
-                }
-            } else {
-                for &i in alive {
-                    pos_out.push(h.bit_position(keys[i as usize], layer.word_count));
-                }
+            for &i in alive {
+                let p = h.bit_position(keys[i as usize], layer.word_count);
+                seg.prefetch_bit(p as usize);
+                pos_out.push(p);
             }
         }
     }
@@ -732,38 +603,34 @@ impl<S: BitStore> BloomRf<S> {
     }
 
     /// Batched range lookup: answers element-wise identical to
-    /// [`BloomRf::contains_range`]. All queries advance through the layer
-    /// pipeline together — the engine runs the exact-layer step for every
-    /// query, then layer `k-1` for every unresolved query, then layer `k-2`,
-    /// and so on — executing the very same per-layer step function as the
-    /// sequential lookup. Degenerate single-point ranges are folded into one
-    /// [`BloomRf::contains_point_batch`] call.
+    /// [`BloomRf::contains_range`]. Convenience form of
+    /// [`BloomRf::contains_range_batch_into`] that allocates the answer
+    /// vector.
     pub fn contains_range_batch(&self, ranges: &[(u64, u64)]) -> Vec<bool> {
         let mut out = Vec::new();
         self.contains_range_batch_into(ranges, &mut out);
         out
     }
 
-    /// [`BloomRf::contains_range_batch`] writing into a caller-owned buffer
-    /// (cleared first), so repeated batches allocate nothing for the answer
-    /// vector.
+    /// Batched range lookup into a caller-owned buffer (cleared first).
+    /// Below the size crossover this is a loop over
+    /// [`BloomRf::contains_range`]; at or above it all queries advance
+    /// through the layer pipeline together, one layer of prefetch ahead.
     pub fn contains_range_batch_into(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
-        self.range_batch_with(ranges, out, KernelTier::detect());
+        if self.overlap_probes {
+            self.range_batch_staged(ranges, out);
+        } else {
+            out.clear();
+            out.extend(ranges.iter().map(|&(lo, hi)| self.contains_range(lo, hi)));
+        }
     }
 
-    /// Batched range lookup at an explicit [`KernelTier`] (the benchmark
-    /// harness pins the tier; production callers use the `_into`/plain
-    /// variants which run the detected tier).
-    pub fn contains_range_batch_with(
-        &self,
-        ranges: &[(u64, u64)],
-        out: &mut Vec<bool>,
-        tier: KernelTier,
-    ) {
-        self.range_batch_with(ranges, out, tier);
-    }
-
-    fn range_batch_with(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>, tier: KernelTier) {
+    /// The layer-grouped range engine: runs the exact-layer step for every
+    /// query, then layer `k-1` for every unresolved query, then layer `k-2`,
+    /// and so on — executing the very same per-layer step function as the
+    /// sequential lookup. Degenerate single-point ranges are folded into one
+    /// point-kernel batch.
+    fn range_batch_staged(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
         let budget = self.range_budget();
         out.clear();
         out.resize(ranges.len(), false);
@@ -785,8 +652,7 @@ impl<S: BitStore> BloomRf<S> {
         }
         if !points.is_empty() {
             let mut point_out = Vec::new();
-            let mut scratch = ProbeScratch::default();
-            self.contains_point_batch_with(&point_keys, &mut point_out, &mut scratch, tier);
+            self.point_batch_kernel(&point_keys, &mut point_out, &mut ProbeScratch::default());
             for (&i, answer) in points.iter().zip(point_out) {
                 out[i] = answer;
             }
@@ -799,14 +665,11 @@ impl<S: BitStore> BloomRf<S> {
         // (the next one the reversed iteration visits) are requested — their
         // addresses depend only on the query bounds, so they can be computed
         // a full layer early and their loads overlap this layer's probing.
-        let prefetch = tier.prefetches();
-        if prefetch {
-            if let Some(first) = self.layers.last() {
-                self.stage_range_prefetch(first, &pending);
-            }
+        if let Some(first) = self.layers.last() {
+            self.stage_range_prefetch(first, &pending);
         }
         for (k, layer) in self.layers.iter().enumerate().rev() {
-            if prefetch && k > 0 {
+            if k > 0 {
                 self.stage_range_prefetch(&self.layers[k - 1], &pending);
             }
             for (_, state) in pending.iter_mut() {
@@ -823,14 +686,9 @@ impl<S: BitStore> BloomRf<S> {
     /// Issue prefetches for the single-bit covering checks `range_layer_step`
     /// will perform on `layer` for every unresolved query. Only the `lo`/`hi`
     /// probe words are staged (the decomposition-run words depend on budget
-    /// flow), and only for segments too large to be cache-resident — below
-    /// `kernel::PREFETCH_MIN_SEGMENT_BITS` the duplicated hash work outweighs
-    /// the hidden latency.
+    /// flow).
     fn stage_range_prefetch(&self, layer: &LayerRuntime, pending: &[(usize, RangeState)]) {
         let seg = &self.segments[layer.segment];
-        if seg.capacity_bits() < crate::kernel::PREFETCH_MIN_SEGMENT_BITS {
-            return;
-        }
         for (_, state) in pending {
             if state.outcome.is_none() {
                 for h in &layer.hashers {
@@ -1128,10 +986,10 @@ impl<S: BitStore> BloomRf<S> {
     ///
     /// Writes wire format **v2** (see `docs/wire-format.md`): a magic +
     /// version prelude followed by self-describing, length-prefixed sections
-    /// — header, config, bits — each closed by a CRC-32 of its body. Unlike
-    /// v1, the config section carries the *complete* [`BloomRfConfig`],
-    /// including `range_policy` and `word_layout`, so a bare
-    /// [`BloomRf::from_bytes`] restores any filter exactly.
+    /// — header, config, bits — each closed by a CRC-32 of its body. The
+    /// config section carries the *complete* [`BloomRfConfig`], including
+    /// `range_policy` and `word_layout`, so a bare [`BloomRf::from_bytes`]
+    /// restores any filter exactly.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(WIRE_MAGIC);
@@ -1280,11 +1138,12 @@ fn config_mismatch(a: &BloomRfConfig, b: &BloomRfConfig) -> Option<&'static str>
 /// Sorting pays for itself only once a segment clearly exceeds the cache
 /// hierarchy; below that, the per-layer grouping alone provides the locality
 /// and the O(n log n) sort is pure overhead. The default (2²⁷ bits = 16 MiB)
-/// is backed by the `insert_threshold` sweep of the `fig_probe_kernel`
-/// harness (see `BENCH_probe_kernel.json`): the unsorted path wins through
-/// 2²⁶-bit segments (152 vs 282 ns/key at 2²⁶) while the sorted sweep wins
-/// at 2²⁸ (320 vs 467 ns/key); the threshold sits at the midpoint of that
-/// measured crossover interval.
+/// was placed by the `insert_rows` sweep of the `fig_probe_kernel` harness
+/// when the sorted sweep still won at 2²⁸ bits (320 vs 467 ns/key). The
+/// committed `BENCH_probe_kernel.json` no longer shows that: on its host
+/// (260 MiB last-level cache) the unsorted path wins every size through 2²⁸
+/// (171 vs 253 ns/key). Unverified, therefore, whether the sorted path pays
+/// anywhere below last-level-cache size; the constant is left as it was.
 pub const SORT_THRESHOLD_BITS: usize = 1 << 27; // 16 MiB
 
 /// Magic bytes opening every serialized filter.
@@ -1355,171 +1214,29 @@ struct DecodedFilter {
     config: BloomRfConfig,
     key_count: u64,
     arrays: Vec<BitVec>,
-    /// Wire-format version the stream was encoded with (1 or 2).
-    version: u32,
 }
 
-/// Parse [`BloomRf::to_bytes`] output (v2) or a legacy v1 stream.
+/// Parse [`BloomRf::to_bytes`] output: the magic + version prelude, then
+/// length-prefixed, CRC-32-closed sections. Unknown sections after the three
+/// required ones are skipped if well-formed (their checksum is still
+/// verified), so future writers can append metadata without breaking this
+/// reader.
 fn decode_parts(bytes: &[u8]) -> Result<DecodedFilter, DecodeError> {
     let mut cur = 0usize;
     if take(bytes, &mut cur, 4)? != WIRE_MAGIC {
         return Err(DecodeError::BadMagic);
     }
     let version = take_u32(bytes, &mut cur)?;
-    match version {
-        1 => decode_v1(bytes, cur),
-        2 => decode_v2(bytes, cur),
-        v => Err(DecodeError::UnsupportedVersion(v)),
+    if version != WIRE_FORMAT_VERSION {
+        return Err(DecodeError::UnsupportedVersion(version));
     }
-}
 
-/// The config fields shared by v1 and v2 streams, as laid out after the
-/// version word (v1) or at the start of the config section body (v2).
-struct ConfigFields {
-    domain_bits: u32,
-    layers: Vec<crate::config::LayerSpec>,
-    segment_bits: Vec<usize>,
-    exact_level: Option<u32>,
-    hash_seed: u64,
-}
-
-fn decode_config_fields(bytes: &[u8], cur: &mut usize) -> Result<ConfigFields, DecodeError> {
-    let domain_bits = take_u32(bytes, cur)?;
-    let n_layers = take_u32(bytes, cur)? as usize;
-    // No `with_capacity` on attacker-controlled counts: truncation surfaces
-    // on the first short read instead of as a giant allocation.
-    let mut layers = Vec::new();
-    for _ in 0..n_layers {
-        let level = take_u32(bytes, cur)?;
-        let gap = take_u32(bytes, cur)?;
-        let replicas = take_u32(bytes, cur)?;
-        let segment = take_u32(bytes, cur)? as usize;
-        layers.push(crate::config::LayerSpec::new(level, gap, replicas, segment));
-    }
-    let n_segments = take_u32(bytes, cur)? as usize;
-    let mut segment_bits = Vec::new();
-    for _ in 0..n_segments {
-        segment_bits.push(take_u64(bytes, cur)? as usize);
-    }
-    let exact_level_raw = i64::from_le_bytes(take(bytes, cur, 8)?.try_into().unwrap());
-    let exact_level = if exact_level_raw < 0 {
-        None
-    } else {
-        Some(exact_level_raw as u32)
-    };
-    let hash_seed = take_u64(bytes, cur)?;
-    Ok(ConfigFields {
-        domain_bits,
-        layers,
-        segment_bits,
-        exact_level,
-        hash_seed,
-    })
-}
-
-/// A genuine stream carries every declared bit array verbatim, so the
-/// declared sizes are bounded by the input length. This must run *before*
-/// `BloomRfConfig::new`: rejecting oversized declarations here keeps a
-/// flipped size byte from overflowing the config's word rounding or turning
-/// into a multi-terabyte allocation when the filter is constructed. (The
-/// fields are unvalidated at this point, hence the saturating arithmetic.)
-fn check_declared_bits(
-    input_len: usize,
-    at: usize,
-    domain_bits: u32,
-    segment_bits: &[usize],
-    exact_level: Option<u32>,
-) -> Result<(), DecodeError> {
-    let declared_bits: u128 = segment_bits.iter().map(|&b| b as u128).sum::<u128>()
-        + exact_level
-            .map(|e| 1u128 << domain_bits.saturating_sub(e).min(63))
-            .unwrap_or(0);
-    if declared_bits > input_len as u128 * 8 {
-        return Err(DecodeError::Truncated { offset: at });
-    }
-    Ok(())
-}
-
-/// Legacy v1 stream: fixed field order, no checksums, no `range_policy` /
-/// `word_layout`. Kept for back-compat with pre-v2 persisted filters.
-fn decode_v1(bytes: &[u8], mut cur: usize) -> Result<DecodedFilter, DecodeError> {
-    let ConfigFields {
-        domain_bits,
-        layers,
-        segment_bits,
-        exact_level,
-        hash_seed,
-    } = decode_config_fields(bytes, &mut cur)?;
-    let key_count = take_u64(bytes, &mut cur)?;
-    check_declared_bits(bytes.len(), cur, domain_bits, &segment_bits, exact_level)?;
-    let config = BloomRfConfig::new(domain_bits, layers, segment_bits, exact_level, hash_seed)?;
-    let expected_arrays = config.segment_bits.len() + usize::from(config.exact_level.is_some());
-    let mut arrays = Vec::new();
-    for index in 0..expected_arrays {
-        let len = take_u64(bytes, &mut cur)? as usize;
-        let bv = BitVec::from_bytes(take(bytes, &mut cur, len)?)
-            .ok_or(DecodeError::BitArrayCorrupted { index })?;
-        arrays.push(bv);
-    }
-    if cur != bytes.len() {
-        return Err(DecodeError::TrailingBytes {
-            remaining: bytes.len() - cur,
-        });
-    }
-    Ok(DecodedFilter {
-        config,
-        key_count,
-        arrays,
-        version: 1,
-    })
-}
-
-/// v2 stream: length-prefixed, CRC-32-closed sections. Unknown sections
-/// after the three required ones are skipped if well-formed (their checksum
-/// is still verified), so future writers can append metadata without
-/// breaking this reader.
-fn decode_v2(bytes: &[u8], mut cur: usize) -> Result<DecodedFilter, DecodeError> {
     let header = take_section(bytes, &mut cur, SECTION_HEADER, "header")?;
     let mut hc = 0usize;
     let key_count = take_u64(header, &mut hc)?;
 
     let config_body = take_section(bytes, &mut cur, SECTION_CONFIG, "config")?;
-    let mut cc = 0usize;
-    let ConfigFields {
-        domain_bits,
-        layers,
-        segment_bits,
-        exact_level,
-        hash_seed,
-    } = decode_config_fields(config_body, &mut cc)?;
-    let policy_tag = take(config_body, &mut cc, 1)?[0];
-    let policy_words = take_u64(config_body, &mut cc)? as usize;
-    let range_policy = match policy_tag {
-        0 => RangePolicy::Exact,
-        1 => RangePolicy::Conservative {
-            max_words_per_layer: policy_words,
-        },
-        tag => {
-            return Err(DecodeError::BadEnumTag {
-                field: "range_policy",
-                tag,
-            })
-        }
-    };
-    let word_layout = match take(config_body, &mut cc, 1)?[0] {
-        0 => WordLayout::Forward,
-        1 => WordLayout::Alternating,
-        tag => {
-            return Err(DecodeError::BadEnumTag {
-                field: "word_layout",
-                tag,
-            })
-        }
-    };
-    check_declared_bits(bytes.len(), cur, domain_bits, &segment_bits, exact_level)?;
-    let config = BloomRfConfig::new(domain_bits, layers, segment_bits, exact_level, hash_seed)?
-        .with_range_policy(range_policy)
-        .with_word_layout(word_layout);
+    let config = decode_config(config_body, bytes.len(), cur)?;
 
     let bits_body = take_section(bytes, &mut cur, SECTION_BITS, "bits")?;
     let mut bc = 0usize;
@@ -1560,8 +1277,81 @@ fn decode_v2(bytes: &[u8], mut cur: usize) -> Result<DecodedFilter, DecodeError>
         config,
         key_count,
         arrays,
-        version: 2,
     })
+}
+
+/// Decode the config section `body` into a validated configuration.
+/// `input_len` is the length of the whole stream and `at` the offset the
+/// config section ends at (for error reporting).
+fn decode_config(body: &[u8], input_len: usize, at: usize) -> Result<BloomRfConfig, DecodeError> {
+    let mut cur = 0usize;
+    let domain_bits = take_u32(body, &mut cur)?;
+    let n_layers = take_u32(body, &mut cur)? as usize;
+    // No `with_capacity` on attacker-controlled counts: truncation surfaces
+    // on the first short read instead of as a giant allocation.
+    let mut layers = Vec::new();
+    for _ in 0..n_layers {
+        let level = take_u32(body, &mut cur)?;
+        let gap = take_u32(body, &mut cur)?;
+        let replicas = take_u32(body, &mut cur)?;
+        let segment = take_u32(body, &mut cur)? as usize;
+        layers.push(crate::config::LayerSpec::new(level, gap, replicas, segment));
+    }
+    let n_segments = take_u32(body, &mut cur)? as usize;
+    let mut segment_bits = Vec::new();
+    for _ in 0..n_segments {
+        segment_bits.push(take_u64(body, &mut cur)? as usize);
+    }
+    let exact_level_raw = i64::from_le_bytes(take(body, &mut cur, 8)?.try_into().unwrap());
+    let exact_level = if exact_level_raw < 0 {
+        None
+    } else {
+        Some(exact_level_raw as u32)
+    };
+    let hash_seed = take_u64(body, &mut cur)?;
+    let policy_tag = take(body, &mut cur, 1)?[0];
+    let policy_words = take_u64(body, &mut cur)? as usize;
+    let range_policy = match policy_tag {
+        0 => RangePolicy::Exact,
+        1 => RangePolicy::Conservative {
+            max_words_per_layer: policy_words,
+        },
+        tag => {
+            return Err(DecodeError::BadEnumTag {
+                field: "range_policy",
+                tag,
+            })
+        }
+    };
+    let word_layout = match take(body, &mut cur, 1)?[0] {
+        0 => WordLayout::Forward,
+        1 => WordLayout::Alternating,
+        tag => {
+            return Err(DecodeError::BadEnumTag {
+                field: "word_layout",
+                tag,
+            })
+        }
+    };
+    // A genuine stream carries every declared bit array verbatim, so the
+    // declared sizes are bounded by the input length. This must run *before*
+    // `BloomRfConfig::new`: rejecting oversized declarations here keeps a
+    // flipped size byte from overflowing the config's word rounding or
+    // turning into a multi-terabyte allocation when the filter is
+    // constructed. (The fields are unvalidated at this point, hence the
+    // saturating arithmetic.)
+    let declared_bits: u128 = segment_bits.iter().map(|&b| b as u128).sum::<u128>()
+        + exact_level
+            .map(|e| 1u128 << domain_bits.saturating_sub(e).min(63))
+            .unwrap_or(0);
+    if declared_bits > input_len as u128 * 8 {
+        return Err(DecodeError::Truncated { offset: at });
+    }
+    Ok(
+        BloomRfConfig::new(domain_bits, layers, segment_bits, exact_level, hash_seed)?
+            .with_range_policy(range_policy)
+            .with_word_layout(word_layout),
+    )
 }
 
 /// Outcome of probing a run of sibling prefixes on one layer.
@@ -1600,14 +1390,8 @@ impl<S: BitStore> PointRangeFilter for BloomRf<S> {
     fn memory_bits(&self) -> usize {
         self.memory_bits()
     }
-    fn may_contain_batch(&self, keys: &[u64]) -> Vec<bool> {
-        self.contains_point_batch(keys)
-    }
-    fn may_contain_range_batch(&self, ranges: &[(u64, u64)]) -> Vec<bool> {
-        self.contains_range_batch(ranges)
-    }
     fn may_contain_batch_into(&self, keys: &[u64], out: &mut Vec<bool>) {
-        self.contains_point_batch_into(keys, out);
+        self.contains_point_batch_into(keys, out, &mut ProbeScratch::default());
     }
     fn may_contain_range_batch_into(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
         self.contains_range_batch_into(ranges, out);
@@ -1907,38 +1691,6 @@ mod tests {
         assert!(BloomRf::from_bytes(b"garbage").is_err());
     }
 
-    /// Encode a filter in the legacy v1 layout (fixed field order, no
-    /// checksums, no `range_policy`/`word_layout`) — the format this crate
-    /// wrote before wire format v2. Test-only: used to pin the decode
-    /// behaviour for pre-v2 persisted bytes.
-    fn to_bytes_v1<S: crate::bitarray::BitStore>(f: &BloomRf<S>) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"BLRF");
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.extend_from_slice(&f.config.domain_bits.to_le_bytes());
-        out.extend_from_slice(&(f.config.layers.len() as u32).to_le_bytes());
-        for l in &f.config.layers {
-            out.extend_from_slice(&l.level.to_le_bytes());
-            out.extend_from_slice(&l.gap.to_le_bytes());
-            out.extend_from_slice(&l.replicas.to_le_bytes());
-            out.extend_from_slice(&(l.segment as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&(f.config.segment_bits.len() as u32).to_le_bytes());
-        for s in &f.config.segment_bits {
-            out.extend_from_slice(&(*s as u64).to_le_bytes());
-        }
-        let exact_level: i64 = f.config.exact_level.map(|e| e as i64).unwrap_or(-1);
-        out.extend_from_slice(&exact_level.to_le_bytes());
-        out.extend_from_slice(&f.config.hash_seed.to_le_bytes());
-        out.extend_from_slice(&f.key_count().to_le_bytes());
-        for bv in f.snapshot_bits() {
-            let bytes = bv.to_bytes();
-            out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-            out.extend_from_slice(&bytes);
-        }
-        out
-    }
-
     /// Patch `value_bytes` into the config-section body at `body_offset` and
     /// rewrite the section CRC so the corruption reaches the field
     /// validators instead of tripping the checksum.
@@ -1981,13 +1733,15 @@ mod tests {
             DecodeError::BadMagic
         );
 
-        // Unsupported version.
-        let mut bad = bytes.clone();
-        bad[4..8].copy_from_slice(&9u32.to_le_bytes());
-        assert_eq!(
-            BloomRf::from_bytes(&bad).unwrap_err(),
-            DecodeError::UnsupportedVersion(9)
-        );
+        // Unsupported versions — the retired v1 included — are a typed error.
+        for version in [1u32, 9] {
+            let mut bad = bytes.clone();
+            bad[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                BloomRf::from_bytes(&bad).unwrap_err(),
+                DecodeError::UnsupportedVersion(version)
+            );
+        }
 
         // A flipped bit inside a section body is caught by the section CRC.
         let mut bad = bytes.clone();
@@ -2058,40 +1812,33 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_fixes_v1_false_negatives() {
-        // The regression this format exists for: a bare `from_bytes` of an
-        // alternating-layout filter. v1 bytes don't say which layout wrote
-        // the bits, so decoding them bare must *fail* rather than silently
-        // restore with forward layout and lose keys; v2 bytes round-trip.
-        let filter = BloomRf::builder()
-            .expected_keys(1500)
-            .bits_per_key(14.0)
-            .word_layout(WordLayout::Alternating)
-            .build()
-            .unwrap();
-        let keys: Vec<u64> = (0..1500).map(|i| crate::hashing::mix64(i) >> 8).collect();
-        filter.insert_batch(&keys);
-
-        // v2: bare restore is exact — zero false negatives.
-        let restored = BloomRf::from_bytes(&filter.to_bytes()).unwrap();
-        assert_eq!(restored.config().word_layout, WordLayout::Alternating);
-        for &k in &keys {
-            assert!(restored.contains_point(k), "false negative for {k}");
-        }
-
-        // v1: bare restore refuses instead of mis-decoding.
-        let legacy = to_bytes_v1(&filter);
-        assert_eq!(
-            BloomRf::from_bytes(&legacy).unwrap_err(),
-            DecodeError::AmbiguousLegacyFormat { version: 1 }
-        );
-        // With the ambiguity resolved explicitly, v1 decodes correctly.
-        let resolved = BloomRf::builder()
-            .word_layout(WordLayout::Alternating)
-            .from_bytes(&legacy)
-            .unwrap();
-        for &k in &keys {
-            assert!(resolved.contains_point(k), "false negative for {k}");
+    fn probe_path_flips_exactly_at_the_crossover() {
+        // tests/kernel_differential.rs and tests/loom_model.rs cannot name
+        // the crate-private constant and mirror its value: move all three
+        // together.
+        assert_eq!(KERNEL_MIN_FILTER_BITS, 1 << 25);
+        let layers = BloomRfConfig::basic(64, 1000, 14.0, 7).unwrap().layers;
+        for (bits, overlap) in [
+            (KERNEL_MIN_FILTER_BITS - 64, false),
+            (KERNEL_MIN_FILTER_BITS, true),
+        ] {
+            let cfg = BloomRfConfig::new(64, layers.clone(), vec![bits], None, 7).unwrap();
+            let f = BloomRf::new(cfg).unwrap();
+            assert_eq!(f.memory_bits(), bits);
+            assert_eq!(f.overlap_probes, overlap);
+            // Decode and union recompute the same answer from the same size.
+            f.insert(42);
+            let bytes = f.to_bytes();
+            let decoded = BloomRf::from_bytes(&bytes).unwrap();
+            assert_eq!(decoded.overlap_probes, overlap);
+            let sharded = BloomRf::builder().sharded(4).from_bytes(&bytes).unwrap();
+            assert_eq!(
+                sharded.overlap_probes,
+                sharded.memory_bits() >= KERNEL_MIN_FILTER_BITS
+            );
+            let union = BloomRf::builder().union_of(&[&f, &decoded]).unwrap();
+            assert_eq!(union.overlap_probes, overlap);
+            assert!(union.contains_point(42) && union.contains_point_batch(&[42])[0]);
         }
     }
 
@@ -2099,7 +1846,10 @@ mod tests {
     fn sharded_from_bytes_roundtrip() {
         let keys: Vec<u64> = (0..3000u64).map(crate::hashing::mix64).collect();
         let f = basic_filter(&keys, 64, 14.0, 7);
-        let sharded = ShardedBloomRf::from_bytes_sharded(&f.to_bytes(), 4).expect("roundtrip");
+        let sharded = BloomRf::builder()
+            .sharded(4)
+            .from_bytes(&f.to_bytes())
+            .expect("roundtrip");
         assert_eq!(sharded.key_count(), f.key_count());
         assert!(sharded.shard_count() >= 1);
         for i in 0..1000u64 {
@@ -2119,7 +1869,12 @@ mod tests {
         let keys: Vec<u64> = (0..4000u64).map(crate::hashing::mix64).collect();
         for shards in [1usize, 2, 4, 8] {
             let flat = BloomRf::basic(64, keys.len(), 14.0, 7).unwrap();
-            let sharded = ShardedBloomRf::basic_sharded(64, keys.len(), 14.0, 7, shards).unwrap();
+            let sharded = BloomRf::builder()
+                .expected_keys(keys.len())
+                .bits_per_key(14.0)
+                .sharded(shards)
+                .build()
+                .unwrap();
             for &k in &keys {
                 flat.insert(k);
                 sharded.insert(k);
@@ -2201,7 +1956,7 @@ mod tests {
         ];
         let cfg = BloomRfConfig::new(48, layers, vec![1 << 16, 1 << 18], Some(32), 77).unwrap();
         let f = BloomRf::new(cfg.clone()).unwrap();
-        let g = ShardedBloomRf::new_sharded(cfg, 4).unwrap();
+        let g = BloomRf::builder().config(cfg).sharded(4).build().unwrap();
         let keys: Vec<u64> = (0..8000u64)
             .map(|i| crate::hashing::mix64(i) >> 16)
             .collect();
@@ -2323,7 +2078,11 @@ mod tests {
     fn merge_from_crosses_storage_backends() {
         let cfg = BloomRfConfig::basic(64, 1000, 14.0, 7).unwrap();
         let flat = BloomRf::new(cfg.clone()).unwrap();
-        let sharded = ShardedBloomRf::new_sharded(cfg.clone(), 4).unwrap();
+        let sharded = BloomRf::builder()
+            .config(cfg.clone())
+            .sharded(4)
+            .build()
+            .unwrap();
         let keys: Vec<u64> = (0..1000u64).map(crate::hashing::mix64).collect();
         flat.insert_batch(&keys);
         sharded.merge_from(&flat).unwrap();

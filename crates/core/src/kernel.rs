@@ -1,125 +1,51 @@
-//! The word-parallel probe kernel: runtime dispatch tiers, software
-//! prefetch, and the scratch buffers the batched probe engine runs on.
+//! Support code of the batched probe kernel: the filter-size crossover that
+//! selects it, the software-prefetch hint, and the scratch buffers it runs on.
 //!
 //! The per-layer probes of a bloomRF lookup are independent memory reads —
 //! the bit position of layer `k+1` depends only on the key, never on the
-//! outcome of layer `k` — so the batched engine can compute *all* word
-//! indices and masks of a layer up front in a tight branch-free loop, request
-//! the cache lines early with a software prefetch, and test them 4-wide.
-//! Queries short-circuit only at layer boundaries, where the alive set is
-//! compacted. See `docs/probe-kernel.md` for the full pipeline and the
-//! measurements behind the defaults (committed as `BENCH_probe_kernel.json`
-//! at the workspace root).
+//! outcome of layer `k` — so a lookup can compute *all* word indices of a
+//! layer up front, request the cache lines early with a software prefetch,
+//! and test them 4-wide, short-circuiting only at layer boundaries. That
+//! overlap pays only when the lines miss cache; on a cache-resident filter
+//! the early-exit per-key loop wins. Each filter therefore picks one of the
+//! two at construction from its own size (`KERNEL_MIN_FILTER_BITS`). See
+//! `docs/probe-kernel.md` for the pipeline and the measurements (committed
+//! as `BENCH_probe_kernel.json` at the workspace root).
 //!
 //! The kernel never changes *which* logical bits are probed — only the order
-//! and grouping of the (pure) reads — so every tier is answer-identical to
-//! the scalar reference path; `tests/kernel_differential.rs` proves this for
-//! every `WordLayout` × backend × query-shape combination.
-//!
+//! and grouping of the (pure) reads — so it is answer-identical to the
+//! per-key calls; `tests/kernel_differential.rs` proves this on both sides
+//! of the crossover for every `WordLayout` × backend × query-shape
+//! combination.
 
-use std::sync::OnceLock;
-
-/// Which probe implementation the engine runs.
+/// Filter size (`memory_bits()`) at and above which every lookup overlaps its
+/// probes — the phase-split batch kernel, the prefetched single-point probe
+/// and the range staging pass — instead of running the early-exit per-key
+/// loop. 2²⁵ bits = 4 MiB, the private L2 of the measurement host.
 ///
-/// Tiers differ only in instruction scheduling, never in answers:
-///
-/// * [`KernelTier::Scalar`] — the pre-kernel reference loop: one key at a
-///   time per layer, early exit per key. Kept callable so benchmarks and
-///   differential tests always compare against the true baseline.
-/// * [`KernelTier::WordParallel`] — phase-split batched kernel: all bit
-///   positions of a layer are computed in one branch-free pass, then tested
-///   in 4-wide lanes (four independent loads in flight per step), with
-///   alive-set compaction at layer boundaries.
-/// * [`KernelTier::Prefetch`] — [`KernelTier::WordParallel`] plus software
-///   prefetch: while layer `k` resolves, the cache lines of layer `k+1`'s
-///   words are requested (their addresses are computable from the keys
-///   alone). This is the default wherever a prefetch instruction exists.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum KernelTier {
-    /// Scalar reference path (the pre-kernel implementation).
-    Scalar,
-    /// Branch-free word-parallel batch kernel, no prefetch.
-    WordParallel,
-    /// Word-parallel kernel with cross-layer software prefetch.
-    Prefetch,
-}
-
-/// Does this build have a real prefetch instruction to issue?
-///
-/// Under `--cfg bloomrf_loom` the atomics are the model checker's
-/// instrumented types, which have no meaningful raw address — the hint
-/// compiles to nothing, so the kernel path explores exactly the same
-/// schedule space as the scalar path (asserted in `tests/loom_model.rs`).
-/// Miri has no notion of caches either.
-pub(crate) const PREFETCH_AVAILABLE: bool = cfg!(all(
-    any(target_arch = "x86_64", target_arch = "aarch64"),
-    not(bloomrf_loom),
-    not(miri)
-));
-
-/// Segments smaller than this (bits) are assumed cache-resident, where the
-/// duplicated hash work of a prefetch staging pass costs more than the
-/// latency it hides. Gates the single-point prefetched probe and the range
-/// engine's staging pass — not the batched point kernel, whose prefetches
-/// are free byproducts of positions it computes anyway.
-///
-/// 2²⁵ bits = 4 MiB, around typical L2+L3-slice capacity. Measured via the
-/// `fig_probe_kernel` range sweep (see `BENCH_probe_kernel.json`): on a
-/// 2 MiB filter (1M keys × 16 bits) staging *costs* ~20% on 64-range
-/// batches, while on an 8 MiB filter (4M keys) it wins ~18%; the crossover
-/// sits between those sizes.
-pub(crate) const PREFETCH_MIN_SEGMENT_BITS: usize = 1 << 25;
-
-impl KernelTier {
-    /// The tier the engine uses by default: [`KernelTier::Prefetch`] where a
-    /// prefetch instruction exists (x86-64, aarch64 — outside the model
-    /// checker and Miri), [`KernelTier::WordParallel`] otherwise.
-    ///
-    /// Overridable for experiments with `BLOOMRF_KERNEL=scalar|word|prefetch`
-    /// (read once per process; the benchmark harness uses the explicit-tier
-    /// entry points instead so one binary can compare all tiers).
-    pub fn detect() -> Self {
-        static TIER: OnceLock<KernelTier> = OnceLock::new();
-        *TIER.get_or_init(|| {
-            match std::env::var("BLOOMRF_KERNEL").ok().as_deref() {
-                Some("scalar") => KernelTier::Scalar,
-                Some("word") | Some("word-parallel") => KernelTier::WordParallel,
-                Some("prefetch") => KernelTier::Prefetch,
-                // Unknown values fall through to detection rather than
-                // failing: the knob is a benchmarking aid, not config.
-                _ => {
-                    if PREFETCH_AVAILABLE {
-                        KernelTier::Prefetch
-                    } else {
-                        KernelTier::WordParallel
-                    }
-                }
-            }
-        })
-    }
-
-    /// Does this tier issue software prefetches?
-    #[inline]
-    pub fn prefetches(self) -> bool {
-        matches!(self, KernelTier::Prefetch)
-    }
-}
-
-impl std::fmt::Display for KernelTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KernelTier::Scalar => "scalar",
-            KernelTier::WordParallel => "word",
-            KernelTier::Prefetch => "prefetch",
-        })
-    }
-}
+/// Placed by edit-and-rerun of `fig_probe_kernel` with the constant forced to
+/// `0` and to `usize::MAX` (every run is listed in `docs/probe-kernel.md`):
+/// the point kernel loses to the plain loop through 16 Mbit (61–64 vs
+/// 57–60 ns at 1M keys × 16 bits), is a coin flip at 20–32 Mbit, and wins
+/// every point cell from 40 Mbit up (66–70 vs 77–80 ns at 4M × 10). The
+/// committed `BENCH_probe_kernel.json` (`probe_kernel_v2`, `path=loop` vs
+/// `path=batch` over the public API) brackets it with those two grid sizes:
+/// at 1M × 16 the batch rows *are* the loop (56.3–58.5 vs 56.1–58.3 ns), at
+/// 4M × 10 they are the kernel (72.2–74.3 vs 75.0–78.4 ns; 65.7–68.1 vs
+/// 75.5–78.2 at 4M × 16). There is no runtime override.
+pub(crate) const KERNEL_MIN_FILTER_BITS: usize = 1 << 25;
 
 /// Request the cache line holding `*p` into L1, if the target has a prefetch
 /// instruction. A pure scheduling hint: no memory is accessed architecturally,
 /// no fault can be raised, and nothing synchronizes — which is why the
 /// [`crate::bitarray::BitStore::prefetch_bit`] hook is sound to call
 /// concurrently with writers.
+///
+/// Under `--cfg bloomrf_loom` the atomics are the model checker's
+/// instrumented types, which have no meaningful raw address, and Miri has no
+/// notion of caches: there the hint compiles to nothing, so the kernel
+/// explores exactly the schedule space of the per-key loop (asserted in
+/// `tests/loom_model.rs`).
 #[inline(always)]
 pub(crate) fn prefetch_read<T>(p: *const T) {
     #[cfg(all(target_arch = "x86_64", not(bloomrf_loom), not(miri)))]
@@ -146,13 +72,12 @@ pub(crate) fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// Reusable buffers for the word-parallel point kernel.
+/// Reusable buffers for the batched point kernel.
 ///
-/// The `_into` batch entry points allocate one of these per call (the buffers
-/// are small); hot paths that probe thousands of batches — the LSM tree
-/// descent, `Db::get_batch` — hold one across calls via
-/// [`crate::BloomRf::contains_point_batch_with`] so the steady state is
-/// allocation-free.
+/// [`crate::BloomRf::contains_point_batch_into`] takes one so that hot paths
+/// probing thousands of batches — the LSM tree descent — hold it across
+/// calls and the steady state is allocation-free. Filters below the
+/// crossover never touch it.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// Indices (into the caller's key slice) of queries still alive.
@@ -186,24 +111,5 @@ mod tests {
         let x = 42u64;
         prefetch_read(&x);
         prefetch_read(std::ptr::null::<u64>());
-    }
-
-    #[test]
-    fn tier_display_is_stable() {
-        // Snapshot schemas serialize these names; changing them breaks
-        // `xtask bench-check` comparisons.
-        assert_eq!(KernelTier::Scalar.to_string(), "scalar");
-        assert_eq!(KernelTier::WordParallel.to_string(), "word");
-        assert_eq!(KernelTier::Prefetch.to_string(), "prefetch");
-    }
-
-    #[test]
-    fn detect_returns_a_fixed_tier() {
-        let a = KernelTier::detect();
-        let b = KernelTier::detect();
-        assert_eq!(a, b);
-        if std::env::var("BLOOMRF_KERNEL").is_err() && !PREFETCH_AVAILABLE {
-            assert_ne!(a, KernelTier::Prefetch);
-        }
     }
 }

@@ -25,34 +25,18 @@ pub trait PointRangeFilter: Send + Sync {
         self.memory_bits() as f64 / n_keys.max(1) as f64
     }
 
-    /// Batched point membership: element `i` answers `may_contain(keys[i])`.
-    ///
-    /// Filters with a batched probe engine (bloomRF) override this to group
-    /// probes per level; the default simply loops.
-    fn may_contain_batch(&self, keys: &[u64]) -> Vec<bool> {
-        keys.iter().map(|&k| self.may_contain(k)).collect()
-    }
-
-    /// Batched range emptiness: element `i` answers
-    /// `may_contain_range(ranges[i].0, ranges[i].1)`.
-    fn may_contain_range_batch(&self, ranges: &[(u64, u64)]) -> Vec<bool> {
-        ranges
-            .iter()
-            .map(|&(lo, hi)| self.may_contain_range(lo, hi))
-            .collect()
-    }
-
-    /// [`PointRangeFilter::may_contain_batch`] written into a caller-owned
-    /// buffer (cleared first). Hot paths that probe thousands of batches per
-    /// lookup (the LSM tree descent) route through this to keep the steady
-    /// state allocation-free; the default simply loops.
+    /// Batched point membership into a caller-owned buffer (cleared first):
+    /// element `i` answers `may_contain(keys[i])`. The LSM read path probes
+    /// every SST filter once per batch through this, reusing the buffer to
+    /// stay allocation-free. bloomRF overrides it with its batch engine; the
+    /// default simply loops.
     fn may_contain_batch_into(&self, keys: &[u64], out: &mut Vec<bool>) {
         out.clear();
         out.extend(keys.iter().map(|&k| self.may_contain(k)));
     }
 
-    /// [`PointRangeFilter::may_contain_range_batch`] written into a
-    /// caller-owned buffer (cleared first).
+    /// Batched range emptiness into a caller-owned buffer (cleared first):
+    /// element `i` answers `may_contain_range(ranges[i].0, ranges[i].1)`.
     fn may_contain_range_batch_into(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
         out.clear();
         out.extend(
@@ -181,12 +165,6 @@ impl<F: ExclusiveOnlineFilter> PointRangeFilter for Locked<F> {
     fn memory_bits(&self) -> usize {
         self.read().memory_bits()
     }
-    fn may_contain_batch(&self, keys: &[u64]) -> Vec<bool> {
-        self.read().may_contain_batch(keys)
-    }
-    fn may_contain_range_batch(&self, ranges: &[(u64, u64)]) -> Vec<bool> {
-        self.read().may_contain_range_batch(ranges)
-    }
     fn may_contain_batch_into(&self, keys: &[u64], out: &mut Vec<bool>) {
         self.read().may_contain_batch_into(keys, out);
     }
@@ -293,11 +271,11 @@ mod tests {
         dyn_filter.insert_all(&[3, 4]);
         assert_eq!(dyn_filter.name(), "counting");
         assert!(dyn_filter.may_contain(1) && dyn_filter.may_contain(4));
-        assert_eq!(dyn_filter.may_contain_batch(&[2, 9]), vec![true, false]);
-        assert_eq!(
-            dyn_filter.may_contain_range_batch(&[(0, 10), (5, 10)]),
-            vec![true, false]
-        );
+        let mut verdicts = vec![true; 5];
+        dyn_filter.may_contain_batch_into(&[2, 9], &mut verdicts);
+        assert_eq!(verdicts, vec![true, false]);
+        dyn_filter.may_contain_range_batch_into(&[(0, 10), (5, 10)], &mut verdicts);
+        assert_eq!(verdicts, vec![true, false]);
         assert_eq!(locked.memory_bits(), 4 * 64);
         // Concurrent use compiles and behaves: writers and readers share &self.
         std::thread::scope(|s| {

@@ -12,7 +12,7 @@
 #![cfg(bloomrf_loom)]
 
 use bloomrf::bitarray::{BitStore, ShardedAtomicBits};
-use bloomrf::{BloomRf, KernelTier, ProbeScratch};
+use bloomrf::{BloomRf, ProbeScratch};
 use shuttle_loom::{thread, Builder};
 use std::sync::Arc;
 
@@ -102,43 +102,52 @@ fn insert_batch_vs_point_queries_never_lose_settled_keys() {
     assert!(report.iterations > 1);
 }
 
-/// The probe kernel introduces no new synchronization: under `bloomrf_loom`
-/// the prefetch hint compiles to a no-op, so every kernel tier performs the
-/// same atomic loads as the scalar reference loop (replicas = 1 makes the
-/// per-layer and per-probe early-exit granularities coincide). Running the
-/// same writer-vs-reader scenario once per tier must (a) uphold the settled-
-/// key contract in every schedule and (b) explore *identical* schedule
-/// counts — a tier that acquired a lock or added an atomic op would change
-/// the interleaving space and the iteration count with it.
+/// The batch kernel introduces no new synchronization: under `bloomrf_loom`
+/// the prefetch hint compiles to a no-op, so on a filter above the size
+/// crossover (2²⁵ bits, mirrored from the crate-private
+/// `KERNEL_MIN_FILTER_BITS`) the batch call performs the same atomic loads as
+/// a loop over the per-key call (replicas = 1 makes the per-layer and
+/// per-probe early-exit granularities coincide). Running the same
+/// writer-vs-reader scenario once per path must (a) uphold the settled-key
+/// contract in every schedule and (b) explore *identical* schedule counts —
+/// a kernel that acquired a lock or added an atomic op would change the
+/// interleaving space and the iteration count with it.
 #[test]
-fn kernel_tiers_add_no_synchronization() {
-    let explore = |tier: KernelTier| {
+fn batch_kernel_adds_no_synchronization() {
+    type Probe = fn(&BloomRf, &[u64], &mut Vec<bool>);
+    let per_key: Probe = |filter, keys, out| {
+        out.clear();
+        out.extend(keys.iter().map(|&k| filter.contains_point(k)));
+    };
+    let batch: Probe =
+        |filter, keys, out| filter.contains_point_batch_into(keys, out, &mut ProbeScratch::new());
+    let explore = |probe: Probe| {
         let mut builder = Builder::default();
         builder.preemption_bound = Some(2);
         let report = builder.check(move || {
-            let filter = Arc::new(BloomRf::basic(64, 16, 12.0, 7).unwrap());
+            let filter = Arc::new(BloomRf::basic(64, 1 << 21, 16.0, 7).unwrap());
+            assert!(
+                filter.memory_bits() >= 1 << 25,
+                "filter must run the kernel"
+            );
             filter.insert(42);
             let writer = {
                 let filter = Arc::clone(&filter);
                 thread::spawn(move || filter.insert_batch(&[7, 4711]))
             };
             let mut out = Vec::new();
-            let mut scratch = ProbeScratch::new();
-            filter.contains_point_batch_with(&[42], &mut out, &mut scratch, tier);
+            probe(&filter, &[42], &mut out);
             assert!(out[0], "a key inserted before the query went missing");
             writer.join().unwrap();
-            filter.contains_point_batch_with(&[7, 4711, 42], &mut out, &mut scratch, tier);
+            probe(&filter, &[7, 4711, 42], &mut out);
             assert!(out.iter().all(|&b| b), "a joined writer's key is missing");
         });
         assert!(report.exhausted, "exploration must be exhaustive");
         report.iterations
     };
-    let scalar = explore(KernelTier::Scalar);
-    let word = explore(KernelTier::WordParallel);
-    let prefetch = explore(KernelTier::Prefetch);
     assert_eq!(
-        scalar, word,
-        "word-parallel tier changed the schedule space"
+        explore(per_key),
+        explore(batch),
+        "the batch kernel changed the schedule space"
     );
-    assert_eq!(scalar, prefetch, "prefetch tier changed the schedule space");
 }

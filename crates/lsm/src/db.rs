@@ -815,8 +815,7 @@ impl Db {
     /// threads (`0` = one per available core); each worker consults the
     /// memtable, then fans its still-unresolved keys across the SSTs newest
     /// to oldest through [`SsTable::get_many`], so every SST filter is probed
-    /// once per batch via bloomRF's level-grouped engine instead of once per
-    /// key.
+    /// once per batch instead of once per key.
     pub fn get_batch(&self, keys: &[u64], threads: usize) -> Vec<Option<Vec<u8>>> {
         let threads = effective_threads(threads, keys.len());
         if threads <= 1 {

@@ -323,9 +323,8 @@ impl SsTable {
     }
 
     /// Batched point lookup: probes the filter once for the whole batch via
-    /// [`PointRangeFilter::may_contain_batch_into`] (bloomRF's engine groups
-    /// the probes per dyadic level), then reads blocks only for the
-    /// positives. Element `i` equals `self.get(keys[i], ..)`.
+    /// [`PointRangeFilter::may_contain_batch_into`], then reads blocks only
+    /// for the positives. Element `i` equals `self.get(keys[i], ..)`.
     pub fn get_many(&self, keys: &[u64], io: &IoModel, stats: &ReadStats) -> Vec<Option<Value>> {
         self.get_many_with(keys, io, stats, &mut SstProbeScratch::default())
     }

@@ -13,8 +13,8 @@
 //! for **range predicates too**: descent probes each node with
 //! [`BloomRf::contains_range`], which reuses the paper's two-path dyadic
 //! decomposition, and the batch entry points route whole query batches
-//! through the level-grouped probe engine ([`BloomRf::contains_point_batch`]
-//! / [`BloomRf::contains_range_batch`]).
+//! through the filter's batch calls ([`BloomRf::contains_point_batch`] /
+//! [`BloomRf::contains_range_batch`]).
 //!
 //! Two deliberate deviations from textbook Bloofi, both documented in
 //! `docs/filter-tree.md`:
@@ -442,22 +442,20 @@ impl FilterTree {
     }
 
     /// Batched [`FilterTree::candidates_point`]: element `i` answers
-    /// `keys[i]`. Each node probes its surviving queries in one call to the
-    /// level-grouped batch engine.
+    /// `keys[i]`. Each node probes its surviving queries in one batch call.
     pub fn candidates_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<Vec<usize>> {
         // One probe buffer and one kernel scratch for the whole descent: the
         // tree probes thousands of per-node batches per lookup wave, so the
         // steady state must not allocate.
         let mut probe: Vec<u64> = Vec::new();
         let mut scratch = bloomrf::ProbeScratch::new();
-        let tier = bloomrf::KernelTier::detect();
         self.descend(
             keys.len(),
             &|node, q| node.lo <= keys[q] && keys[q] <= node.hi,
             &mut |filter, queries, verdicts| {
                 probe.clear();
                 probe.extend(queries.iter().map(|&q| keys[q]));
-                filter.contains_point_batch_with(&probe, verdicts, &mut scratch, tier);
+                filter.contains_point_batch_into(&probe, verdicts, &mut scratch);
             },
             stats,
         )

@@ -23,7 +23,40 @@ use std::path::Path;
 pub const REGRESSION_LIMIT: f64 = 1.25;
 
 /// Schemas bench-check understands, by their `"snapshot"` tag.
-const KNOWN_SCHEMAS: &[&str] = &["probe_kernel_v1", "fanin_scaling_v2"];
+const KNOWN_SCHEMAS: &[&str] = &["probe_kernel_v2", "fanin_scaling_v2"];
+
+/// One array of timing rows in a snapshot: its name, the tags identifying a
+/// row (the row key), and the gated timing metrics.
+type Section = (
+    &'static str,
+    &'static [&'static str],
+    &'static [&'static str],
+);
+
+/// The timing sections of a known schema.
+fn sections_of(schema: &str) -> Option<&'static [Section]> {
+    match schema {
+        "probe_kernel_v2" => Some(&[
+            (
+                "probe_rows",
+                &["keys", "bits_per_key", "batch", "path", "mode"],
+                &["ns_per_op"],
+            ),
+            ("layout_rows", &["layout", "path"], &["ns_per_op"]),
+            (
+                "insert_rows",
+                &["segment_bits", "strategy"],
+                &["ns_per_key"],
+            ),
+        ]),
+        "fanin_scaling_v2" => Some(&[(
+            "rows",
+            &["segments", "routing"],
+            &["point_ns_per_lookup", "range_ns_per_lookup"],
+        )]),
+        _ => None,
+    }
+}
 
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -354,61 +387,32 @@ pub fn validate(file: &str, doc: &Json) -> Vec<BenchIssue> {
         issues.push(issue(file, "missing string field \"snapshot\""));
         return issues;
     };
-    match schema {
-        "probe_kernel_v1" => {
-            for (section, tags, metric) in [
-                (
-                    "probe_rows",
-                    &["keys", "bits_per_key", "batch", "tier", "mode"][..],
-                    "ns_per_op",
-                ),
-                ("layout_rows", &["layout", "tier"][..], "ns_per_op"),
-                (
-                    "insert_rows",
-                    &["segment_bits", "strategy"][..],
-                    "ns_per_key",
-                ),
-            ] {
-                match doc.get(section).and_then(Json::as_arr) {
-                    Some(rows) if !rows.is_empty() => {
-                        for (i, row) in rows.iter().enumerate() {
-                            let context = format!("{section}[{i}]");
-                            check_row(file, &context, row, tags, &[metric], &mut issues);
-                        }
-                    }
-                    _ => issues.push(issue(file, format!("missing or empty array \"{section}\""))),
-                }
-            }
-            if doc.get("headline").is_none() {
-                issues.push(issue(file, "missing \"headline\""));
-            }
-        }
-        "fanin_scaling_v2" => match doc.get("rows").and_then(Json::as_arr) {
+    let Some(sections) = sections_of(schema) else {
+        issues.push(issue(
+            file,
+            format!("unknown snapshot schema \"{schema}\" (known: {KNOWN_SCHEMAS:?})"),
+        ));
+        return issues;
+    };
+    for (section, tags, metrics) in sections {
+        match doc.get(section).and_then(Json::as_arr) {
             Some(rows) if !rows.is_empty() => {
                 for (i, row) in rows.iter().enumerate() {
-                    let context = format!("rows[{i}]");
-                    check_row(
-                        file,
-                        &context,
-                        row,
-                        &["segments", "routing"],
-                        &["point_ns_per_lookup", "range_ns_per_lookup"],
-                        &mut issues,
-                    );
+                    let context = format!("{section}[{i}]");
+                    check_row(file, &context, row, tags, metrics, &mut issues);
                 }
             }
-            _ => issues.push(issue(file, "missing or empty array \"rows\"")),
-        },
-        other => issues.push(issue(
-            file,
-            format!("unknown snapshot schema \"{other}\" (known: {KNOWN_SCHEMAS:?})"),
-        )),
+            _ => issues.push(issue(file, format!("missing or empty array \"{section}\""))),
+        }
+    }
+    if schema == "probe_kernel_v2" && doc.get("headline").is_none() {
+        issues.push(issue(file, "missing \"headline\""));
     }
     issues
 }
 
 /// Identity of a timing cell within a snapshot, e.g.
-/// `probe_rows[keys=1000000,bits_per_key=16,batch=64,tier=word,mode=point]`.
+/// `probe_rows[keys=1000000,bits_per_key=16,batch=64,path=batch,mode=point]`.
 fn row_key(section: &str, row: &Json, tags: &[&str]) -> String {
     let parts: Vec<String> = tags
         .iter()
@@ -428,26 +432,8 @@ fn row_key(section: &str, row: &Json, tags: &[&str]) -> String {
 /// report cells where `new > baseline * REGRESSION_LIMIT`.
 pub fn compare(file: &str, baseline: &Json, new: &Json) -> Vec<BenchIssue> {
     let mut issues = Vec::new();
-    let sections: &[(&str, &[&str], &[&str])] = match schema_of(baseline) {
-        Some("probe_kernel_v1") => &[
-            (
-                "probe_rows",
-                &["keys", "bits_per_key", "batch", "tier", "mode"],
-                &["ns_per_op"],
-            ),
-            ("layout_rows", &["layout", "tier"], &["ns_per_op"]),
-            (
-                "insert_rows",
-                &["segment_bits", "strategy"],
-                &["ns_per_key"],
-            ),
-        ],
-        Some("fanin_scaling_v2") => &[(
-            "rows",
-            &["segments", "routing"],
-            &["point_ns_per_lookup", "range_ns_per_lookup"],
-        )],
-        _ => return vec![issue(file, "cannot compare: unknown baseline schema")],
+    let Some(sections) = schema_of(baseline).and_then(sections_of) else {
+        return vec![issue(file, "cannot compare: unknown baseline schema")];
     };
     if schema_of(baseline) != schema_of(new) {
         return vec![issue(file, "cannot compare: schema mismatch")];
@@ -568,12 +554,12 @@ mod tests {
             ("false", format!("{ns}"))
         };
         format!(
-            r#"{{ "snapshot": "probe_kernel_v1",
+            r#"{{ "snapshot": "probe_kernel_v2",
                  "config": {{ "samples": 3 }},
                  "probe_rows": [ {{ "keys": 1000, "bits_per_key": 16, "batch": 64,
-                                    "tier": "word", "mode": "point",
+                                    "path": "batch", "mode": "point",
                                     "skipped": {flag}, "ns_per_op": {metric} }} ],
-                 "layout_rows": [ {{ "layout": "forward", "tier": "word",
+                 "layout_rows": [ {{ "layout": "forward", "path": "batch",
                                      "skipped": {flag}, "ns_per_op": {metric} }} ],
                  "insert_rows": [ {{ "segment_bits": 1024, "strategy": "sorted",
                                      "skipped": {flag}, "ns_per_key": {metric} }} ],
@@ -584,7 +570,7 @@ mod tests {
     #[test]
     fn parser_round_trips_the_emitted_subset() {
         let doc = parse(&probe_doc(42.5, false)).unwrap();
-        assert_eq!(schema_of(&doc), Some("probe_kernel_v1"));
+        assert_eq!(schema_of(&doc), Some("probe_kernel_v2"));
         let rows = doc.get("probe_rows").unwrap().as_arr().unwrap();
         assert_eq!(rows[0].get("ns_per_op").unwrap().as_num(), Some(42.5));
         assert!(parse("{ \"a\": [1, 2.5e3, -4], \"b\": \"x\\ny\" }").is_ok());
@@ -603,8 +589,11 @@ mod tests {
 
     #[test]
     fn validate_rejects_wrong_shape() {
-        let doc = parse(r#"{ "snapshot": "probe_kernel_v1" }"#).unwrap();
+        let doc = parse(r#"{ "snapshot": "probe_kernel_v2" }"#).unwrap();
         assert!(!validate("t", &doc).is_empty());
+        // The retired tier-keyed schema is no longer understood.
+        let doc = parse(&probe_doc(1.0, false).replace("kernel_v2", "kernel_v1")).unwrap();
+        assert!(validate("t", &doc)[0].message.contains("unknown"));
         let doc = parse(r#"{ "snapshot": "who_knows_v9", "rows": [] }"#).unwrap();
         assert!(validate("t", &doc)[0].message.contains("unknown"));
         // A measured row whose metric is null is malformed.

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bloomrf::{BloomRf, ShardedBloomRf};
+use bloomrf::BloomRf;
 use bloomrf_lsm::{Db, DbOptions};
 use bloomrf_workloads::{ConcurrentConfig, ConcurrentWorkload, Operation};
 
@@ -57,7 +57,12 @@ fn sharded_filter_has_no_false_negatives_under_contention() {
     });
     let total_keys: usize = (0..writers).map(|t| workload.inserted_keys(t).len()).sum();
     let filter = Arc::new(
-        ShardedBloomRf::basic_sharded(64, total_keys.max(1), 14.0, 7, 16).expect("config"),
+        BloomRf::builder()
+            .expected_keys(total_keys.max(1))
+            .bits_per_key(14.0)
+            .sharded(16)
+            .build()
+            .expect("config"),
     );
     let probes_done = Arc::new(AtomicUsize::new(0));
 

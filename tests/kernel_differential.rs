@@ -1,54 +1,56 @@
-//! Differential tests for the batched probe kernel: every kernel tier must
-//! be *bit-identical* to the scalar reference loop — same verdict for every
-//! query — across every combination of word layout, storage backend
-//! (flat / sharded), query kind (point / range / single vs batched) and
-//! configuration family (basic / advisor-tuned / exact-layer / replicated).
+//! Differential tests for the batched probe engine: every batch entry point
+//! must be *bit-identical* to the per-key `contains_point` /
+//! `contains_range` call — same verdict for every query — across every
+//! combination of word layout, storage backend (flat / sharded), query kind
+//! (point / range) and configuration family (basic / advisor-tuned /
+//! exact-layer / replicated).
 //!
-//! The kernel only regroups pure bit reads (phase-split per layer, alive-set
-//! compaction, prefetch hints), so any divergence from the scalar path is a
+//! A filter picks its probe path from its own size at construction, so every
+//! property runs on two filters of the same shape: one sized just below the
+//! crossover (batches are the early-exit per-key loop) and one at or above it
+//! (phase-split kernel, prefetched point probe, range staging). The kernel
+//! only regroups pure bit reads, so any divergence from the per-key call is a
 //! bug by construction — there is no tolerance in these assertions.
 
 use proptest::prelude::*;
 
 use bloomrf::config::LayerSpec;
 use bloomrf::hashing::WordLayout;
-use bloomrf::{BloomRf, BloomRfConfig, KernelTier, ProbeScratch, ShardedBloomRf};
+use bloomrf::{BloomRf, BloomRfConfig, ProbeScratch};
 
-const TIERS: [KernelTier; 3] = [
-    KernelTier::Scalar,
-    KernelTier::WordParallel,
-    KernelTier::Prefetch,
+/// Mirrors the crate-private `bloomrf::kernel::KERNEL_MIN_FILTER_BITS` (a
+/// unit test next to the constant fails if the two drift apart).
+const CROSSOVER_BITS: usize = 1 << 25;
+
+/// The two filter sizes every property runs at, with the side of the
+/// crossover `memory_bits()` must land on.
+const SIZES: [(usize, bool); 2] = [
+    (CROSSOVER_BITS - (1 << 20), false),
+    (CROSSOVER_BITS + (1 << 20), true),
 ];
 
-/// Assert every tier answers the scalar reference exactly, for points and
-/// ranges, on any `BloomRf` backend.
-fn assert_tiers_match<S: bloomrf::BitStore>(
+/// Assert the batch entry points answer the per-key calls exactly, for
+/// points and ranges, on any `BloomRf` backend, and that the filter sits on
+/// the intended side of the crossover.
+fn assert_batch_matches_per_key<S: bloomrf::BitStore>(
     filter: &BloomRf<S>,
+    above: bool,
     points: &[u64],
     ranges: &[(u64, u64)],
 ) -> Result<(), TestCaseError> {
-    let reference = filter.contains_point_batch_scalar(points);
-    // The batched scalar path must agree with the single-query entry point.
-    for (&k, &r) in points.iter().zip(reference.iter()) {
-        prop_assert_eq!(
-            filter.contains_point(k),
-            r,
-            "single vs batched scalar, key {}",
-            k
-        );
-    }
-    let mut scratch = ProbeScratch::new();
-    let mut out = Vec::new();
-    for tier in TIERS {
-        filter.contains_point_batch_with(points, &mut out, &mut scratch, tier);
-        prop_assert_eq!(&out, &reference, "point tier {} diverged", tier);
-        filter.contains_range_batch_with(ranges, &mut out, tier);
-        let range_reference: Vec<bool> = ranges
-            .iter()
-            .map(|&(lo, hi)| filter.contains_range(lo, hi))
-            .collect();
-        prop_assert_eq!(&out, &range_reference, "range tier {} diverged", tier);
-    }
+    prop_assert_eq!(filter.memory_bits() >= CROSSOVER_BITS, above);
+    let point_reference: Vec<bool> = points.iter().map(|&k| filter.contains_point(k)).collect();
+    let range_reference: Vec<bool> = ranges
+        .iter()
+        .map(|&(lo, hi)| filter.contains_range(lo, hi))
+        .collect();
+    let mut out = vec![true; 3]; // dirty on purpose
+    filter.contains_point_batch_into(points, &mut out, &mut ProbeScratch::new());
+    prop_assert_eq!(&out, &point_reference, "point batch diverged");
+    prop_assert_eq!(&filter.contains_point_batch(points), &point_reference);
+    filter.contains_range_batch_into(ranges, &mut out);
+    prop_assert_eq!(&out, &range_reference, "range batch diverged");
+    prop_assert_eq!(&filter.contains_range_batch(ranges), &range_reference);
     Ok(())
 }
 
@@ -65,6 +67,35 @@ fn ranges_around(probes: &[u64], widths: &[u64]) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// `config` with its top layer re-homed into a fresh segment that brings the
+/// filter to `total_bits`. The filter lands on the wanted side of the
+/// crossover while the lower layers keep the small, heavily loaded segments
+/// that make probes die at every depth — and a case stays cheap: the big
+/// segment is allocated zeroed and touched once per key.
+fn sized(config: &BloomRfConfig, total_bits: usize) -> BloomRfConfig {
+    let mut layers = config.layers.clone();
+    let mut segment_bits = config.segment_bits.clone();
+    layers.last_mut().unwrap().segment = segment_bits.len();
+    segment_bits.push(total_bits - config.total_bits());
+    BloomRfConfig::new(
+        config.domain_bits,
+        layers,
+        segment_bits,
+        config.exact_level,
+        config.hash_seed,
+    )
+    .unwrap()
+    .with_word_layout(config.word_layout)
+}
+
+fn layout_of(alternating: bool) -> WordLayout {
+    if alternating {
+        WordLayout::Alternating
+    } else {
+        WordLayout::Forward
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -76,15 +107,16 @@ proptest! {
         widths in prop::collection::vec(0u64..1 << 45, 1..8),
         alternating in any::<bool>(),
     ) {
-        let layout = if alternating { WordLayout::Alternating } else { WordLayout::Forward };
-        let config = BloomRfConfig::basic(64, keys.len(), 14.0, 7)
-            .unwrap()
-            .with_word_layout(layout);
-        let filter = BloomRf::new(config).unwrap();
-        filter.insert_batch(&keys);
         let points = probes(&keys, &extra);
         let ranges = ranges_around(&points, &widths);
-        assert_tiers_match(&filter, &points, &ranges)?;
+        let config = BloomRfConfig::basic(64, keys.len(), 14.0, 7)
+            .unwrap()
+            .with_word_layout(layout_of(alternating));
+        for (bits, above) in SIZES {
+            let filter = BloomRf::new(sized(&config, bits)).unwrap();
+            filter.insert_batch(&keys);
+            assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
+        }
     }
 
     /// Basic filter, sharded (CAS-striped) backend, both word layouts.
@@ -96,15 +128,20 @@ proptest! {
         shards in 1usize..8,
         alternating in any::<bool>(),
     ) {
-        let layout = if alternating { WordLayout::Alternating } else { WordLayout::Forward };
-        let config = BloomRfConfig::basic(64, keys.len(), 14.0, 7)
-            .unwrap()
-            .with_word_layout(layout);
-        let filter = ShardedBloomRf::new_sharded(config, shards).unwrap();
-        filter.insert_batch(&keys);
         let points = probes(&keys, &extra);
         let ranges = ranges_around(&points, &widths);
-        assert_tiers_match(&filter, &points, &ranges)?;
+        let config = BloomRfConfig::basic(64, keys.len(), 14.0, 7)
+            .unwrap()
+            .with_word_layout(layout_of(alternating));
+        for (bits, above) in SIZES {
+            let filter = BloomRf::builder()
+                .config(sized(&config, bits))
+                .sharded(shards)
+                .build()
+                .unwrap();
+            filter.insert_batch(&keys);
+            assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
+        }
     }
 
     /// Advisor-tuned filter: exact-layer bitmap + replicated hashers +
@@ -116,12 +153,14 @@ proptest! {
         extra in prop::collection::vec(any::<u64>(), 1..80),
         widths in prop::collection::vec(0u64..1 << 50, 1..8),
     ) {
-        let tuned = bloomrf::TuningAdvisor::tune_for(64, keys.len().max(100), 18.0, 1e8).unwrap();
-        let filter = BloomRf::new(tuned.config).unwrap();
-        filter.insert_batch(&keys);
         let points = probes(&keys, &extra);
         let ranges = ranges_around(&points, &widths);
-        assert_tiers_match(&filter, &points, &ranges)?;
+        let tuned = bloomrf::TuningAdvisor::tune_for(64, keys.len().max(100), 18.0, 1e8).unwrap();
+        for (bits, above) in SIZES {
+            let filter = BloomRf::new(sized(&tuned.config, bits)).unwrap();
+            filter.insert_batch(&keys);
+            assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
+        }
     }
 
     /// Hand-built replicated layout on a small domain: several hashers per
@@ -136,6 +175,8 @@ proptest! {
     ) {
         let keys: Vec<u64> = keys.iter().map(|k| k & 0xFFFF_FFFF).collect();
         let extra: Vec<u64> = extra.iter().map(|k| k & 0xFFFF_FFFF).collect();
+        let points = probes(&keys, &extra);
+        let ranges = ranges_around(&points, &[1, 1 << 8, 1 << 16]);
         let layers = vec![
             LayerSpec::new(0, 6, replicas, 0),
             LayerSpec::new(6, 6, replicas, 0),
@@ -145,15 +186,15 @@ proptest! {
         // remaining 2^(32-18) prefixes.
         let config = BloomRfConfig::new(32, layers, vec![1 << 12, 1 << 10], Some(18), seed)
             .unwrap();
-        let filter = BloomRf::new(config).unwrap();
-        filter.insert_batch(&keys);
-        let points = probes(&keys, &extra);
-        let ranges = ranges_around(&points, &[1, 1 << 8, 1 << 16]);
-        assert_tiers_match(&filter, &points, &ranges)?;
+        for (bits, above) in SIZES {
+            let filter = BloomRf::new(sized(&config, bits)).unwrap();
+            filter.insert_batch(&keys);
+            assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
+        }
     }
 
     /// Batch sizes around the kernel's internal lane width (4) and the
-    /// single-point prefetch cap (64): empty, 1, 3, 4, 5, 63, 64, 65 …
+    /// single-point prefetch window (64): empty, 1, 3, 4, 5, 63, 64, 65 …
     #[test]
     fn kernel_matches_scalar_at_boundary_batch_sizes(
         seed_keys in prop::collection::vec(any::<u64>(), 64..80),
@@ -161,46 +202,58 @@ proptest! {
     ) {
         let sizes = [0usize, 1, 3, 4, 5, 63, 64, 65];
         let n = sizes[size_pick];
-        let filter = BloomRf::basic(64, seed_keys.len(), 16.0, 7).unwrap();
-        filter.insert_batch(&seed_keys);
         let points: Vec<u64> = seed_keys.iter().copied().take(n).collect();
         let ranges: Vec<(u64, u64)> = points
             .iter()
             .map(|&p| (p.saturating_sub(10), p.saturating_add(10)))
             .collect();
-        assert_tiers_match(&filter, &points, &ranges)?;
+        let config = BloomRfConfig::basic(64, seed_keys.len(), 16.0, 7).unwrap();
+        for (bits, above) in SIZES {
+            let filter = BloomRf::new(sized(&config, bits)).unwrap();
+            filter.insert_batch(&seed_keys);
+            assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
+        }
     }
 }
 
 /// The `_into` batch entry points reuse a dirty output buffer correctly.
 #[test]
 fn into_variants_clear_previous_contents() {
-    let filter = BloomRf::basic(64, 100, 16.0, 7).unwrap();
-    filter.insert_batch(&[1, 2, 3]);
-    let mut out = vec![true; 17];
-    filter.contains_point_batch_into(&[1, 999_999], &mut out);
-    assert_eq!(out.len(), 2);
-    assert!(out[0]);
-    filter.contains_range_batch_into(&[(0, 10)], &mut out);
-    assert_eq!(out.len(), 1);
-    assert!(out[0]);
+    let config = BloomRfConfig::basic(64, 100, 16.0, 7).unwrap();
+    for (bits, _) in SIZES {
+        let filter = BloomRf::new(sized(&config, bits)).unwrap();
+        filter.insert_batch(&[1, 2, 3]);
+        let mut out = vec![true; 17];
+        filter.contains_point_batch_into(&[1, 999_999], &mut out, &mut ProbeScratch::new());
+        assert_eq!(out, [true, filter.contains_point(999_999)]);
+        filter.contains_range_batch_into(&[(0, 10)], &mut out);
+        assert_eq!(out, [true]);
+    }
 }
 
-/// One scratch survives reuse across filters of different shapes.
+/// One scratch survives reuse across filters of different shapes and sides
+/// of the crossover.
 #[test]
 fn scratch_reuse_across_filters() {
-    let small = BloomRf::basic(64, 50, 12.0, 7).unwrap();
-    let tuned = bloomrf::TuningAdvisor::tune_for(64, 1000, 18.0, 1e6).unwrap();
-    let large = BloomRf::new(tuned.config).unwrap();
-    small.insert_batch(&[10, 20, 30]);
-    large.insert_batch(&[10, 20, 30]);
+    let small = BloomRfConfig::basic(64, 50, 12.0, 7).unwrap();
+    let tuned = bloomrf::TuningAdvisor::tune_for(64, 1000, 18.0, 1e6)
+        .unwrap()
+        .config;
+    let mut filters = Vec::new();
+    for (bits, _) in SIZES {
+        for config in [&small, &tuned] {
+            let filter = BloomRf::new(sized(config, bits)).unwrap();
+            filter.insert_batch(&[10, 20, 30]);
+            filters.push(filter);
+        }
+    }
     let mut scratch = ProbeScratch::new();
     let mut out = Vec::new();
     for _ in 0..3 {
-        for tier in TIERS {
-            small.contains_point_batch_with(&[10, 11, 30, 31], &mut out, &mut scratch, tier);
-            assert_eq!((out[0], out[2]), (true, true));
-            large.contains_point_batch_with(&[10, 11, 30, 31], &mut out, &mut scratch, tier);
+        for filter in &filters {
+            filter.contains_point_batch_into(&[10, 11, 30, 31], &mut out, &mut scratch);
+            let per_key = [10, 11, 30, 31].map(|k| filter.contains_point(k));
+            assert_eq!(out, per_key);
             assert_eq!((out[0], out[2]), (true, true));
         }
     }

@@ -403,31 +403,22 @@ fn fixture_keys() -> Vec<u64> {
 }
 
 #[test]
-fn v1_fixtures_decode_with_explicit_layout_only() {
-    for (file, layout) in [
-        ("filter_v1_forward.blrf", WordLayout::Forward),
-        ("filter_v1_alternating.blrf", WordLayout::Alternating),
-    ] {
-        let bytes = std::fs::read(fixture_path(file)).unwrap();
-        // Bare decode refuses: v1 never recorded the word layout.
-        assert!(
-            matches!(
-                BloomRf::from_bytes(&bytes),
-                Err(DecodeError::AmbiguousLegacyFormat { version: 1 })
-            ),
-            "{file}: bare v1 decode must be ambiguous"
-        );
-        // With the layout stated explicitly the filter loses no keys.
-        let filter = BloomRf::builder()
-            .word_layout(layout)
+fn v1_fixture_is_rejected_as_unsupported_version() {
+    // The v1 layout (no sections, no checksums, no word layout) is retired;
+    // a stream stamped with it — stating the layout or not — is a typed
+    // error, never a panic or a mis-parse.
+    let bytes = std::fs::read(fixture_path("filter_v1_forward.blrf")).unwrap();
+    assert_eq!(
+        BloomRf::from_bytes(&bytes).unwrap_err(),
+        DecodeError::UnsupportedVersion(1)
+    );
+    assert_eq!(
+        BloomRf::builder()
+            .word_layout(WordLayout::Forward)
             .from_bytes(&bytes)
-            .unwrap();
-        assert_eq!(filter.key_count(), 500);
-        for k in fixture_keys() {
-            assert!(filter.contains_point(k), "{file}: false negative for {k}");
-            assert!(filter.contains_range(k.saturating_sub(5), k.saturating_add(5)));
-        }
-    }
+            .unwrap_err(),
+        DecodeError::UnsupportedVersion(1)
+    );
 }
 
 #[test]

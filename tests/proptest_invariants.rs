@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use bloomrf::dyadic::canonical_decomposition;
 use bloomrf::traits::{ExclusiveOnlineFilter, PointRangeFilter};
-use bloomrf::{decode_f64, decode_i64, encode_f64, encode_i64, BloomRf, ShardedBloomRf};
+use bloomrf::{decode_f64, decode_i64, encode_f64, encode_i64, BloomRf};
 use bloomrf_filters::{
     BloomFilter, CuckooFilter, RosettaFilter, RosettaVariant, SurfFilter, SurfMode,
 };
@@ -188,7 +188,12 @@ proptest! {
         shards in 1usize..=16,
     ) {
         let sequential = BloomRf::basic(64, keys.len(), 12.0, 7).unwrap();
-        let sharded = ShardedBloomRf::basic_sharded(64, keys.len(), 12.0, 7, shards).unwrap();
+        let sharded = BloomRf::builder()
+            .expected_keys(keys.len())
+            .bits_per_key(12.0)
+            .sharded(shards)
+            .build()
+            .unwrap();
         for &k in &keys {
             sequential.insert(k);
         }
@@ -237,7 +242,11 @@ proptest! {
     ) {
         let tuned = bloomrf::TuningAdvisor::tune_for(64, keys.len().max(100), 18.0, 1e8).unwrap();
         let sequential = BloomRf::new(tuned.config.clone()).unwrap();
-        let sharded = ShardedBloomRf::new_sharded(tuned.config, shards).unwrap();
+        let sharded = BloomRf::builder()
+            .config(tuned.config)
+            .sharded(shards)
+            .build()
+            .unwrap();
         sequential.insert_batch(&keys);
         sharded.insert_batch(&keys);
         prop_assert_eq!(sequential.snapshot_bits(), sharded.snapshot_bits());

@@ -341,7 +341,9 @@ fn online_filter_split_allows_shared_trait_object_insertion() {
         filter.insert(42);
         filter.insert_all(&[7, 9, 11]);
         assert!(filter.may_contain(42) && filter.may_contain(11));
-        assert_eq!(filter.may_contain_batch(&[7, 8]), vec![true, false]);
+        let mut verdicts = Vec::new();
+        filter.may_contain_batch_into(&[7, 8], &mut verdicts);
+        assert_eq!(verdicts, vec![true, false]);
     }
     // Concurrent shared-reference insertion compiles for both.
     std::thread::scope(|s| {
