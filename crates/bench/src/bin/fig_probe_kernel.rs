@@ -10,7 +10,7 @@
 //! per-key probe. The sweep is the evidence for where the crossover constant
 //! sits: no point cell may have `batch` slower than `loop` by more than 10%.
 //!
-//! Four experiments in one binary:
+//! Three experiments in one binary:
 //!
 //! 1. **Probe sweep** — point and range batches across key counts, space
 //!    budgets, batch sizes and the two paths. This is the regression surface
@@ -18,10 +18,7 @@
 //! 2. **Layout A/B** — `WordLayout::Forward` vs `WordLayout::Alternating`
 //!    at the headline configuration, backing the measured default in
 //!    [`bloomrf::BloomRfConfig`].
-//! 3. **Insert threshold** — `insert_batch` with the sort+dedup path forced
-//!    on vs off across segment sizes, backing the measured
-//!    [`bloomrf::filter::SORT_THRESHOLD_BITS`] default.
-//! 4. **Headline** — loop vs batch at 64-key batches and 16 bits/key on the
+//! 3. **Headline** — loop vs batch at 64-key batches and 16 bits/key on the
 //!    largest filter, reported as a single speedup number.
 //!
 //! Run with: `cargo run --release --bin fig_probe_kernel`
@@ -44,8 +41,6 @@
 //!                     "ci95_ns": .., "outliers": .. }, .. ],
 //!   "layout_rows": [ { "layout": "forward|alternating", "path": ..,
 //!                      "skipped": false, "ns_per_op": .., .. }, .. ],
-//!   "insert_rows": [ { "segment_bits": .., "strategy": "sorted|unsorted",
-//!                      "skipped": false, "ns_per_key": .., .. }, .. ],
 //!   "headline": { "keys": .., "bits_per_key": 16, "batch": 64,
 //!                 "mode": "point", "loop_ns": .., "batch_ns": ..,
 //!                 "speedup": .. }
@@ -57,7 +52,7 @@
 
 use bloomrf::hashing::WordLayout;
 use bloomrf::{BloomRf, BloomRfConfig, ProbeScratch};
-use bloomrf_bench::{measure_ns_per_op, sig, ExpScale, Report, SampleStats};
+use bloomrf_bench::{sig, ExpScale, Report, SampleStats};
 use std::time::Instant;
 
 /// Deterministic multiplicative permutation: unique pseudo-random keys.
@@ -310,62 +305,16 @@ fn main() {
         }
     }
 
-    // Insert threshold sweep: force the sort+dedup path on (threshold 0) and
-    // off (threshold usize::MAX) across segment sizes; the crossover backs
-    // the SORT_THRESHOLD_BITS default. Fresh filter per timed run so no run
-    // writes into pre-set bits.
-    let mut insert_rows: Vec<String> = Vec::new();
-    let insert_samples = if scale.quick { 2 } else { 5 };
-    for shift in [18u32, 20, 22, 24, 26, 28] {
-        let segment_bits = 1usize << shift;
-        let n_keys = segment_bits / 16;
-        let measured = !scale.quick || shift <= 20;
-        for (strategy, threshold) in [("unsorted", usize::MAX), ("sorted", 0usize)] {
-            let tags = format!("\"segment_bits\": {segment_bits}, \"strategy\": \"{strategy}\"");
-            if !measured {
-                insert_rows.push(row_json(&tags, "ns_per_key", None));
-                continue;
-            }
-            let keys: Vec<u64> = (0..n_keys as u64).map(key_of).collect();
-            // Pre-build one filter per run (warm-up + samples) so only the
-            // insert itself is timed.
-            let mut fresh: Vec<BloomRf> = (0..insert_samples + 1)
-                .map(|_| {
-                    let config = BloomRfConfig::basic(64, n_keys, 16.0, DELTA).expect("config");
-                    BloomRf::new(config).expect("filter")
-                })
-                .collect();
-            let stats = measure_ns_per_op(keys.len(), insert_samples, || {
-                let filter = fresh.pop().expect("one filter per run");
-                filter.insert_batch_with_threshold(&keys, threshold);
-                std::hint::black_box(&filter);
-            });
-            report.push(&[
-                n_keys.to_string(),
-                "16".to_string(),
-                "-".to_string(),
-                format!("insert[{strategy}]"),
-                format!("seg=2^{shift}"),
-                sig(stats.mean_ns),
-                sig(stats.min_ns),
-                sig(stats.ci95_ns),
-            ]);
-            insert_rows.push(row_json(&tags, "ns_per_key", Some(&stats)));
-        }
-    }
-
     report.finish();
 
     let snapshot = format!(
         "{{\n  \"snapshot\": \"probe_kernel_v2\",\n  \"config\": {{ \
          \"samples\": {samples}, \"quick\": {}, \"queries_per_run\": {n_queries}, \
          \"range_width\": {RANGE_WIDTH} }},\n  \
-         \"probe_rows\": [\n{}\n  ],\n  \"layout_rows\": [\n{}\n  ],\n  \
-         \"insert_rows\": [\n{}\n  ],\n{}\n}}\n",
+         \"probe_rows\": [\n{}\n  ],\n  \"layout_rows\": [\n{}\n  ],\n{}\n}}\n",
         scale.quick,
         probe_rows.join(",\n"),
         layout_rows.join(",\n"),
-        insert_rows.join(",\n"),
         headline.unwrap_or_else(|| "  \"headline\": null".to_string()),
     );
     let path = std::env::var("BENCH_SNAPSHOT").unwrap_or_else(|_| "BENCH_probe_kernel.json".into());

@@ -11,7 +11,7 @@
 //! * results are printed as aligned tables on stdout *and* written as CSV into
 //!   `results/<experiment>.csv`;
 //! * experiments that feed a committed perf-trajectory snapshot (currently
-//!   `fig_fanin_scaling` → `BENCH_fanin.json`) additionally emit a versioned
+//!   `fig_probe_kernel` → `BENCH_probe_kernel.json`) additionally emit a versioned
 //!   JSON document; the schema lives in the emitting binary's module docs.
 
 use std::fmt::Write as _;
@@ -159,30 +159,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let result = f();
     (result, start.elapsed().as_secs_f64())
-}
-
-/// Robust per-operation timing: one untimed warm-up run, then `samples`
-/// timed runs of `routine` (each covering `total_ops` operations),
-/// summarized with the criterion shim's Tukey-fenced [`SampleStats`]
-/// (mean of inliers, global minimum, 95% CI, outlier count).
-///
-/// Use this for harness measurements that feed committed JSON snapshots —
-/// it applies the same outlier rejection as the shim's report path, so
-/// snapshot numbers and bench output stay comparable.
-pub fn measure_ns_per_op(
-    total_ops: usize,
-    samples: usize,
-    mut routine: impl FnMut(),
-) -> SampleStats {
-    routine();
-    let per_op: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            routine();
-            start.elapsed().as_nanos() as f64 / total_ops.max(1) as f64
-        })
-        .collect();
-    SampleStats::from_ns(&per_op).expect("at least one sample")
 }
 
 /// Millions of operations per second for `ops` operations taking `seconds`.

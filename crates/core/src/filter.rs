@@ -86,7 +86,11 @@ pub struct BloomRf<S: BitStore = AtomicBits> {
     key_count: AtomicU64,
     /// `memory_bits() >= KERNEL_MIN_FILTER_BITS`, fixed at construction:
     /// lookups overlap their probes (batch kernel, prefetched point probe,
-    /// range staging) instead of running the early-exit per-key loop.
+    /// range staging) instead of running the early-exit per-key loop. The
+    /// benchmark has a workload on each side of the choice: `filter_small`
+    /// (and every SST and tree-leaf filter of the `store_*` workloads) runs
+    /// the loop, `filter_large` (256 Mbit) runs the overlapped paths; the
+    /// cells behind each path are in `docs/probe-kernel.md`.
     overlap_probes: bool,
 }
 
@@ -286,22 +290,11 @@ impl<S: BitStore> BloomRf<S> {
 
     /// Insert a batch of keys, grouping the writes *per layer*: one pass
     /// computes and sets every position of a layer before the next layer is
-    /// touched, so each segment region stays hot for the whole batch. For
-    /// segments too large to sit in cache, the layer's positions are
-    /// additionally sorted and deduplicated, turning the random-per-key write
-    /// pattern into one ascending sweep.
+    /// touched, so each segment region stays hot for the whole batch.
     ///
     /// Equivalent to calling [`BloomRf::insert`] for every key. Panics if any
     /// key is outside the configured domain (checked before any bit is set).
     pub fn insert_batch(&self, keys: &[u64]) {
-        self.insert_batch_with_threshold(keys, SORT_THRESHOLD_BITS)
-    }
-
-    /// [`BloomRf::insert_batch`] with an explicit sort threshold, exposed so
-    /// the probe-kernel harness (`fig_probe_kernel`) can sweep the threshold
-    /// empirically; everything else should use `insert_batch` and the
-    /// measured default [`SORT_THRESHOLD_BITS`].
-    pub fn insert_batch_with_threshold(&self, keys: &[u64], sort_threshold_bits: usize) {
         for &key in keys {
             assert!(
                 key <= self.config.max_key(),
@@ -314,26 +307,11 @@ impl<S: BitStore> BloomRf<S> {
                 exact.set(shr(key, e) as usize);
             }
         }
-        let mut positions: Vec<u64> = Vec::new();
         for layer in &self.layers {
             let seg = &self.segments[layer.segment];
-            if seg.capacity_bits() < sort_threshold_bits {
-                for h in &layer.hashers {
-                    for &key in keys {
-                        seg.set(h.bit_position(key, layer.word_count) as usize);
-                    }
-                }
-            } else {
-                positions.clear();
-                for h in &layer.hashers {
-                    for &key in keys {
-                        positions.push(h.bit_position(key, layer.word_count));
-                    }
-                }
-                positions.sort_unstable();
-                positions.dedup();
-                for &pos in positions.iter() {
-                    seg.set(pos as usize);
+            for h in &layer.hashers {
+                for &key in keys {
+                    seg.set(h.bit_position(key, layer.word_count) as usize);
                 }
             }
         }
@@ -1130,21 +1108,6 @@ fn config_mismatch(a: &BloomRfConfig, b: &BloomRfConfig) -> Option<&'static str>
         None
     }
 }
-
-/// Segment capacity (in bits) above which [`BloomRf::insert_batch`] sorts
-/// and deduplicates a layer's positions before writing, turning the
-/// random-per-key write pattern into one ascending sweep.
-///
-/// Sorting pays for itself only once a segment clearly exceeds the cache
-/// hierarchy; below that, the per-layer grouping alone provides the locality
-/// and the O(n log n) sort is pure overhead. The default (2²⁷ bits = 16 MiB)
-/// was placed by the `insert_rows` sweep of the `fig_probe_kernel` harness
-/// when the sorted sweep still won at 2²⁸ bits (320 vs 467 ns/key). The
-/// committed `BENCH_probe_kernel.json` no longer shows that: on its host
-/// (260 MiB last-level cache) the unsorted path wins every size through 2²⁸
-/// (171 vs 253 ns/key). Unverified, therefore, whether the sorted path pays
-/// anywhere below last-level-cache size; the constant is left as it was.
-pub const SORT_THRESHOLD_BITS: usize = 1 << 27; // 16 MiB
 
 /// Magic bytes opening every serialized filter.
 pub const WIRE_MAGIC: &[u8; 4] = b"BLRF";

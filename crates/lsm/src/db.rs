@@ -11,6 +11,11 @@
 //! instead of rebuilding them. Recovery degrades gracefully — see
 //! [`Db::open_with`] for the exact rules.
 //!
+//! Every read — [`Db::get`], [`Db::get_batch`], [`Db::scan`],
+//! [`Db::range_is_possibly_non_empty`], [`Db::range_non_empty_batch`] — has
+//! the same three steps: answer what the memtable can, ask the table set
+//! which tables are candidates for the rest, probe only those.
+//!
 //! Deletes ([`Db::delete`]) buffer a tombstone in the memtable; the tombstone
 //! flushes into the SST like any put and shadows every older version of its
 //! key until compaction drops it. [`Db::compact`] merges a window of adjacent
@@ -22,6 +27,7 @@
 //! recoverable to exactly the pre- or post-compaction state, never a mix.
 //! See `docs/compaction.md` for the full protocol.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,9 +38,9 @@ use bloomrf_filters::FilterKind;
 
 use crate::io::{read_with_retry, RealIo, StorageIo};
 use crate::memtable::MemTable;
-use crate::persist::{self, PersistError};
+use crate::persist::{self, ManifestEntry, PersistError};
 use crate::ranks;
-use crate::sst::SsTable;
+use crate::sst::{SsTable, SstProbeScratch};
 use crate::stats::{IoModel, ReadStats, ReadStatsSnapshot};
 use crate::tree::{FilterTree, TreeOptions};
 use crate::value::Value;
@@ -64,7 +70,7 @@ pub struct DbOptions {
     pub bits_per_key: f64,
     /// Simulated storage cost model.
     pub io_model: IoModel,
-    /// How point and range reads select the SSTs to probe.
+    /// How reads select the SSTs to probe.
     pub routing: ReadRouting,
 }
 
@@ -81,12 +87,14 @@ impl Default for DbOptions {
     }
 }
 
-/// How [`Db::get`], [`Db::get_batch`], [`Db::range_is_possibly_non_empty`]
-/// and [`Db::range_non_empty_batch`] select the SSTs to probe.
+/// How [`Db::get`], [`Db::get_batch`], [`Db::scan`],
+/// [`Db::range_is_possibly_non_empty`] and [`Db::range_non_empty_batch`]
+/// select the SSTs to probe.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ReadRouting {
-    /// Probe every live SST newest-to-oldest — the pre-tree behaviour, kept
-    /// as the reference path for differential tests and benchmarks.
+    /// Every live SST is a candidate for every query — the pre-tree
+    /// behaviour, kept as the reference the differential tests compare tree
+    /// routing against.
     ScanAll,
     /// Descend a Bloofi-style [`FilterTree`] and probe only the surviving
     /// candidate SSTs (see `docs/filter-tree.md`). Routed reads return
@@ -123,43 +131,139 @@ pub struct CompactionStats {
     pub output_bytes: usize,
 }
 
-/// One slot of the durable file ledger: the persisted file backing `ssts[i]`,
-/// or `None` while that table is memory-only because its persist failed.
-#[derive(Clone, Debug)]
-struct Slot {
-    /// The file name (`NNNNNN.sst`).
-    name: String,
-    /// True for verified compaction outputs; sealed files are never
-    /// tail-skipped on recovery.
-    sealed: bool,
-}
-
 /// Durable-store state: where SSTs are persisted and through which I/O layer.
 struct Persistence {
     dir: PathBuf,
     io: Arc<dyn StorageIo>,
-    /// File ledger aligned 1:1 with `Db::ssts` (slot `i` ⇔ `ssts[i]`). The
-    /// MANIFEST only ever names the longest fully-persisted prefix — a gap
-    /// must not let a newer file resurrect past an unpersisted older table.
-    files: OrderedMutex<Vec<Option<Slot>>, { ranks::FILES }>,
     /// Number the next flushed SST file will get.
     next_file_no: AtomicU64,
 }
 
-/// The manifest view of a slot ledger: the longest `Some` prefix.
-fn manifest_entries(slots: &[Option<Slot>]) -> Vec<persist::ManifestEntry> {
-    slots
-        .iter()
-        .map_while(|s| {
-            s.as_ref().map(|slot| persist::ManifestEntry {
-                name: slot.name.clone(),
-                sealed: slot.sealed,
-            })
-        })
-        .collect()
+/// Which tables a read has to consult.
+enum Router {
+    /// Every table, for every query ([`ReadRouting::ScanAll`]).
+    All,
+    /// The tree's candidates; leaf `i` ⇔ `ssts[i]`.
+    Tree(FilterTree),
+}
+
+/// The live table set: the tables, the files backing them and the router
+/// over them. The three are index-aligned and only ever change together,
+/// under the one `Db::tables` write guard, so no reader observes a
+/// half-spliced store and a persisted TREE always matches the MANIFEST it
+/// was written with.
+struct TableSet {
+    /// Level-0 tables, oldest first. Compaction splices a window in place;
+    /// age order is always preserved.
+    ssts: Vec<SsTable>,
+    /// `files[i]` is the persisted file backing `ssts[i]`, as the MANIFEST
+    /// records it; `None` while that table is memory-only (every table of an
+    /// ephemeral store, or one whose persist failed).
+    files: Vec<Option<ManifestEntry>>,
+    router: Router,
+}
+
+impl TableSet {
+    /// The candidates step of every read: per query, the tables that may
+    /// answer it, ascending by age — the router's pick (`descend`), or every
+    /// table. A table that does hold a queried key is never missing (tree
+    /// filters and fences have no false negatives), so probing only the
+    /// candidates is answer-preserving. Counts the selected `(query, table)`
+    /// pairs in `ssts_probed`.
+    fn candidates(
+        &self,
+        n_queries: usize,
+        stats: &ReadStats,
+        descend: impl FnOnce(&FilterTree) -> Vec<Vec<usize>>,
+    ) -> Vec<Vec<usize>> {
+        let candidates = match &self.router {
+            Router::All => vec![(0..self.ssts.len()).collect(); n_queries],
+            Router::Tree(tree) => descend(tree),
+        };
+        stats.record_ssts_probed(candidates.iter().map(|c| c.len() as u64).sum());
+        candidates
+    }
+
+    /// Per key, the tables that may hold it.
+    fn candidates_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<Vec<usize>> {
+        self.candidates(keys.len(), stats, |t| t.candidates_points(keys, stats))
+    }
+
+    /// Per `[lo, hi]` range, the tables that may hold an entry — a tombstone
+    /// included — inside it. Reversed bounds select every table.
+    fn candidates_ranges(&self, ranges: &[(u64, u64)], stats: &ReadStats) -> Vec<Vec<usize>> {
+        self.candidates(ranges.len(), stats, |t| t.candidates_ranges(ranges, stats))
+    }
+
+    fn candidates_point(&self, key: u64, stats: &ReadStats) -> Vec<usize> {
+        self.candidates_points(&[key], stats)
+            .pop()
+            .unwrap_or_default()
+    }
+
+    fn candidates_range(&self, lo: u64, hi: u64, stats: &ReadStats) -> Vec<usize> {
+        self.candidates_ranges(&[(lo, hi)], stats)
+            .pop()
+            .unwrap_or_default()
+    }
+
+    /// Append a freshly flushed, not yet persisted table.
+    fn push(&mut self, sst: SsTable) {
+        self.ssts.push(sst);
+        self.files.push(None);
+        if let Router::Tree(tree) = &mut self.router {
+            tree.push_leaf(&self.ssts);
+        }
+    }
+
+    /// Replace the tables in `window` by `output` (the merged table, or
+    /// nothing when the merge dropped every entry), backed by `file`.
+    fn splice(
+        &mut self,
+        window: std::ops::Range<usize>,
+        output: Option<SsTable>,
+        file: Option<ManifestEntry>,
+        stats: &ReadStats,
+    ) {
+        let has_output = output.is_some();
+        self.files
+            .splice(window.clone(), has_output.then_some(file));
+        self.ssts.splice(window.clone(), output);
+        if let Router::Tree(tree) = &mut self.router {
+            let replacement = has_output.then(|| &self.ssts[window.start]);
+            tree.retire_and_splice(window, replacement, &self.ssts, stats);
+        }
+    }
+}
+
+/// The manifest view of a file ledger: its longest persisted prefix — a gap
+/// must not let a newer file resurrect past an unpersisted older table.
+fn manifest_entries(files: &[Option<ManifestEntry>]) -> Vec<ManifestEntry> {
+    files.iter().map_while(Clone::clone).collect()
+}
+
+/// Tables of a durable store that are still memory-only.
+fn unpersisted(files: &[Option<ManifestEntry>]) -> u64 {
+    files.iter().filter(|s| s.is_none()).count() as u64
+}
+
+/// Regroup per-query candidates by table: for each candidate table, oldest
+/// first, the queries routed to it.
+fn by_table(candidates: &[Vec<usize>]) -> BTreeMap<usize, Vec<usize>> {
+    let mut routed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (query, tables) in candidates.iter().enumerate() {
+        for &table in tables {
+            routed.entry(table).or_default().push(query);
+        }
+    }
+    routed
 }
 
 /// The LSM store.
+///
+/// Lock order is `flush` → `memtable` → `tables` → `io`, for writers and
+/// readers alike — machine-enforced in debug builds by the [`crate::ranks`]
+/// hierarchy.
 pub struct Db {
     options: DbOptions,
     memtable: MemTable,
@@ -169,18 +273,10 @@ pub struct Db {
     /// and the lock must be taken *before* any other store lock — hence the
     /// lowest rank in the hierarchy.
     flush_lock: OrderedMutex<(), { ranks::FLUSH }>,
-    /// Level-0 tables, oldest first. Compaction splices a window of this
-    /// vector in place; age order is always preserved.
-    ssts: OrderedRwLock<Vec<SsTable>, { ranks::SSTS }>,
-    /// Filter tree over `ssts` (leaf `i` ⇔ `ssts[i]`), present when routing
-    /// is [`ReadRouting::FilterTree`].
-    ///
-    /// Lock order is always `flush` → `memtable` → `ssts` → `persist.files`
-    /// → `tree` → `io`, for writers and readers alike — machine-enforced in
-    /// debug builds by the [`crate::ranks`] hierarchy. Flush and compaction
-    /// hold the `ssts` write lock across their whole commit so readers never
-    /// observe a half-spliced store.
-    tree: Option<OrderedRwLock<FilterTree, { ranks::TREE }>>,
+    /// The live tables, their files and their router. Flush and compaction
+    /// hold the write guard across their whole commit (table-set mutation,
+    /// MANIFEST, TREE).
+    tables: OrderedRwLock<TableSet, { ranks::SSTS }>,
     stats: ReadStats,
     /// Present for durable stores opened via [`Db::open`] / [`Db::open_with`].
     persist: Option<Persistence>,
@@ -200,20 +296,34 @@ impl Db {
         }
     }
 
-    /// Open an empty, ephemeral store (SSTs live only in memory).
-    pub fn new(options: DbOptions) -> Self {
-        let tree = Self::resolved_tree(&options).map(|(fanout, leaf_keys, bpk)| {
-            OrderedRwLock::new("db.tree", FilterTree::new(fanout, leaf_keys, bpk))
-        });
+    fn with_tables(
+        options: DbOptions,
+        tables: TableSet,
+        stats: ReadStats,
+        persist: Option<Persistence>,
+    ) -> Self {
         Self {
             options,
             memtable: MemTable::new(),
             flush_lock: OrderedMutex::new("db.flush", ()),
-            ssts: OrderedRwLock::new("db.ssts", Vec::new()),
-            tree,
-            stats: ReadStats::new(),
-            persist: None,
+            tables: OrderedRwLock::new("db.tables", tables),
+            stats,
+            persist,
         }
+    }
+
+    /// Open an empty, ephemeral store (SSTs live only in memory).
+    pub fn new(options: DbOptions) -> Self {
+        let router = Self::resolved_tree(&options)
+            .map_or(Router::All, |(fanout, leaf_keys, bpk)| {
+                Router::Tree(FilterTree::new(fanout, leaf_keys, bpk))
+            });
+        let tables = TableSet {
+            ssts: Vec::new(),
+            files: Vec::new(),
+            router,
+        };
+        Self::with_tables(options, tables, ReadStats::new(), None)
     }
 
     /// Open with default options but a specific filter family and budget.
@@ -323,7 +433,7 @@ impl Db {
         // Load every listed SST, oldest first. Only an unsealed tail may be
         // skipped.
         let mut ssts = Vec::new();
-        let mut kept: Vec<Slot> = Vec::new();
+        let mut files: Vec<Option<ManifestEntry>> = Vec::new();
         let mut skipped_tail = false;
         let last = listed.len().saturating_sub(1);
         for (i, entry) in listed.iter().enumerate() {
@@ -345,10 +455,10 @@ impl Db {
             match SsTable::from_bytes(&bytes, &stats) {
                 Ok(sst) => {
                     ssts.push(sst);
-                    kept.push(Slot {
+                    files.push(Some(ManifestEntry {
                         name: entry.name.clone(),
                         sealed: entry.sealed,
-                    });
+                    }));
                 }
                 Err(_) if tail_skippable => {
                     stats.record_tail_sst_skipped();
@@ -370,7 +480,7 @@ impl Db {
         // manifest loss would make the dir-scan fallback adopt it as newest).
         if let Ok(listing) = io.list(&dir) {
             let live: std::collections::HashSet<&str> =
-                kept.iter().map(|s| s.name.as_str()).collect();
+                files.iter().flatten().map(|s| s.name.as_str()).collect();
             for path in listing {
                 if path.extension().is_some_and(|e| e == "tmp") {
                     let _ = io.remove(&path);
@@ -385,71 +495,57 @@ impl Db {
             }
         }
 
-        // Recover the filter tree: load the persisted TREE file when it is
-        // intact and still describes exactly this table set, otherwise
-        // rebuild from the SSTs' keys and re-persist.
+        // Recover the router: load the persisted TREE file when it is intact
+        // and still describes exactly this table set, otherwise rebuild from
+        // the SSTs' keys and re-persist.
         let mut tree_dirty = false;
-        let tree = Self::resolved_tree(&options).map(|(fanout, leaf_keys, bpk)| {
-            let tree_path = dir.join(TREE_NAME);
-            let loaded = if io.exists(&tree_path) {
-                read_with_retry(&*io, &tree_path, READ_RETRY_ATTEMPTS, READ_RETRY_BACKOFF)
-                    .ok()
-                    .and_then(|(bytes, retries)| {
-                        stats.record_read_retries(retries);
-                        FilterTree::from_bytes(&bytes).ok()
-                    })
-                    .filter(|t| t.validate_against(&ssts, fanout, leaf_keys, bpk))
-            } else {
-                None
-            };
-            match loaded {
-                Some(tree) => tree,
-                None => {
-                    let tree = FilterTree::build_from_ssts(fanout, leaf_keys, bpk, &ssts);
+        let router =
+            Self::resolved_tree(&options).map_or(Router::All, |(fanout, leaf_keys, bpk)| {
+                let tree_path = dir.join(TREE_NAME);
+                let loaded = if io.exists(&tree_path) {
+                    read_with_retry(&*io, &tree_path, READ_RETRY_ATTEMPTS, READ_RETRY_BACKOFF)
+                        .ok()
+                        .and_then(|(bytes, retries)| {
+                            stats.record_read_retries(retries);
+                            FilterTree::from_bytes(&bytes).ok()
+                        })
+                        .filter(|t| t.validate_against(&ssts, fanout, leaf_keys, bpk))
+                } else {
+                    None
+                };
+                Router::Tree(loaded.unwrap_or_else(|| {
                     if !ssts.is_empty() {
                         stats.record_tree_rebuild();
+                        tree_dirty = true;
                     }
-                    tree_dirty = true;
-                    tree
-                }
-            }
-        });
+                    FilterTree::build_from_ssts(fanout, leaf_keys, bpk, &ssts)
+                }))
+            });
 
         let persistence = Persistence {
             dir,
             io,
-            files: OrderedMutex::new("db.files", kept.into_iter().map(Some).collect()),
             next_file_no: AtomicU64::new(next_file_no),
         };
         // If the tail was dropped or retirements were replayed, commit the
         // cleaned manifest right away so the next open starts consistent.
-        if skipped_tail || !retired.is_empty() {
-            let entries = manifest_entries(&persistence.files.lock());
-            if persistence.write_manifest_with(&entries, &[]).is_err() {
-                stats.record_persist_failure();
-            }
+        if (skipped_tail || !retired.is_empty())
+            && persistence
+                .write_manifest_with(&manifest_entries(&files), &[])
+                .is_err()
+        {
+            stats.record_persist_failure();
         }
         if tree_dirty {
-            if let Some(tree) = &tree {
-                if !ssts.is_empty()
-                    && persistence
-                        .write_atomic(TREE_NAME, &tree.to_bytes())
-                        .is_err()
-                {
-                    stats.record_persist_failure();
-                }
-            }
+            persistence.write_tree(&router, &stats);
         }
 
-        Ok(Self {
-            options,
-            memtable: MemTable::new(),
-            flush_lock: OrderedMutex::new("db.flush", ()),
-            ssts: OrderedRwLock::new("db.ssts", ssts),
-            tree: tree.map(|t| OrderedRwLock::new("db.tree", t)),
-            stats,
-            persist: Some(persistence),
-        })
+        let tables = TableSet {
+            ssts,
+            files,
+            router,
+        };
+        Ok(Self::with_tables(options, tables, stats, Some(persistence)))
     }
 
     /// Degraded manifest recovery: list `*.sst` files in number order. Every
@@ -458,7 +554,7 @@ impl Db {
     fn scan_dir(
         io: &dyn StorageIo,
         dir: &Path,
-    ) -> Result<(Vec<persist::ManifestEntry>, Vec<String>, u64), PersistError> {
+    ) -> Result<(Vec<ManifestEntry>, Vec<String>, u64), PersistError> {
         let listing = io.list(dir).map_err(|e| PersistError::Io {
             path: dir.to_path_buf(),
             source: e,
@@ -474,7 +570,7 @@ impl Db {
         let next = numbered.last().map_or(1, |&(n, _)| n + 1);
         let entries = numbered
             .into_iter()
-            .map(|(_, name)| persist::ManifestEntry {
+            .map(|(_, name)| ManifestEntry {
                 name,
                 sealed: false,
             })
@@ -506,6 +602,15 @@ impl Db {
         }
     }
 
+    fn build_table(&self, entries: &[(u64, Value)]) -> SsTable {
+        SsTable::build(
+            entries,
+            self.options.entries_per_block,
+            self.options.filter_kind,
+            self.options.bits_per_key,
+        )
+    }
+
     /// Force-flush the memtable into a new level-0 SST. For durable stores
     /// the SST is also serialized to disk (atomic write-then-rename) and
     /// committed to the MANIFEST; if persistence fails the flush degrades to
@@ -518,8 +623,9 @@ impl Db {
     /// Under tree routing the flush also appends the SST's leaf to the
     /// [`FilterTree`], re-unions its ancestors, and (durable stores) rewrites
     /// the checksummed `TREE` file. The table-set mutation, the MANIFEST
-    /// commit and the TREE write all happen under the `ssts` write lock, so
-    /// the persisted TREE always matches the manifest it was written with.
+    /// commit and the TREE write all happen under the one table-set write
+    /// guard, so the persisted TREE always matches the manifest it was
+    /// written with.
     ///
     /// Readers never lose sight of a key mid-flush: the memtable is
     /// *snapshotted* (not drained), the SST is built and published, and only
@@ -534,22 +640,20 @@ impl Db {
         if entries.is_empty() {
             return;
         }
-        let sst = SsTable::build(
-            &entries,
-            self.options.entries_per_block,
-            self.options.filter_kind,
-            self.options.bits_per_key,
-        );
-        let mut ssts = self.ssts.write();
-        ssts.push(sst);
+        let sst = self.build_table(&entries);
+        let mut tables = self.tables.write();
+        tables.push(sst);
         if let Some(p) = &self.persist {
-            let mut slots = p.files.lock();
-            slots.push(None);
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if slot.is_none() {
-                    match p.persist_sst(&ssts[i]) {
+            let TableSet {
+                ssts,
+                files,
+                router,
+            } = &mut *tables;
+            for (sst, file) in ssts.iter().zip(files.iter_mut()) {
+                if file.is_none() {
+                    match p.persist_sst(sst) {
                         Ok(name) => {
-                            *slot = Some(Slot {
+                            *file = Some(ManifestEntry {
                                 name,
                                 sealed: false,
                             })
@@ -558,26 +662,17 @@ impl Db {
                     }
                 }
             }
-            self.stats
-                .record_unpersisted_ssts(slots.iter().filter(|s| s.is_none()).count() as u64);
-            if p.write_manifest_with(&manifest_entries(&slots), &[])
+            self.stats.record_unpersisted_ssts(unpersisted(files));
+            if p.write_manifest_with(&manifest_entries(files), &[])
                 .is_err()
             {
                 self.stats.record_persist_failure();
             }
-        }
-        if let Some(tree) = &self.tree {
-            let mut tree = tree.write();
-            tree.push_leaf(&ssts);
-            if let Some(p) = &self.persist {
-                if p.write_atomic(TREE_NAME, &tree.to_bytes()).is_err() {
-                    self.stats.record_persist_failure();
-                }
-            }
+            p.write_tree(router, &self.stats);
         }
         // The SST is visible from here on; release the table-set lock before
         // re-entering the memtable (rank order) and drop the flushed entries.
-        drop(ssts);
+        drop(tables);
         self.memtable.forget(&entries);
     }
 
@@ -586,7 +681,7 @@ impl Db {
     /// are dropped. Returns `Ok(None)` when there was nothing to do. The
     /// memtable is not flushed first — only on-disk tables participate.
     pub fn compact(&self) -> Result<Option<CompactionStats>, PersistError> {
-        let len = self.ssts.read().len();
+        let len = self.num_ssts();
         self.compact_range(0..len)
     }
 
@@ -595,8 +690,8 @@ impl Db {
     /// Returns `Ok(None)` when no such run exists.
     pub fn maybe_compact(&self) -> Result<Option<CompactionStats>, PersistError> {
         let window = {
-            let ssts = self.ssts.read();
-            let sizes: Vec<usize> = ssts.iter().map(|s| s.num_entries()).collect();
+            let tables = self.tables.read();
+            let sizes: Vec<usize> = tables.ssts.iter().map(|s| s.num_entries()).collect();
             pick_tier(&sizes)
         };
         match window {
@@ -630,9 +725,9 @@ impl Db {
         &self,
         window: std::ops::Range<usize>,
     ) -> Result<Option<CompactionStats>, PersistError> {
-        let mut ssts = self.ssts.write();
+        let mut tables = self.tables.write();
         let start = window.start;
-        let end = window.end.min(ssts.len());
+        let end = window.end.min(tables.ssts.len());
         if start >= end {
             return Ok(None);
         }
@@ -641,13 +736,11 @@ impl Db {
         let input_tables = end - start;
         let mut input_entries = 0;
         let mut input_bytes = 0;
-        let mut merged: std::collections::BTreeMap<u64, Value> = std::collections::BTreeMap::new();
-        for sst in &ssts[start..end] {
+        let mut merged: BTreeMap<u64, Value> = BTreeMap::new();
+        for sst in &tables.ssts[start..end] {
             input_entries += sst.num_entries();
             input_bytes += sst.to_bytes().len();
-            for (k, v) in sst.entries() {
-                merged.insert(k, v);
-            }
+            merged.extend(sst.entries());
         }
         let shadowed_dropped = input_entries - merged.len();
         let mut tombstones_dropped = 0;
@@ -662,51 +755,37 @@ impl Db {
 
         let entries: Vec<(u64, Value)> = merged.into_iter().collect();
         let output_entries = entries.len();
-        let output = if entries.is_empty() {
-            None
-        } else {
-            Some(SsTable::build(
-                &entries,
-                self.options.entries_per_block,
-                self.options.filter_kind,
-                self.options.bits_per_key,
-            ))
-        };
+        let output = (!entries.is_empty()).then(|| self.build_table(&entries));
         let output_bytes = output.as_ref().map_or(0, |s| s.to_bytes().len());
 
+        let mut merged_file = None;
         if let Some(p) = &self.persist {
-            let mut slots = p.files.lock();
-            debug_assert_eq!(slots.len(), ssts.len(), "file ledger out of sync");
-            let merged_slot = match &output {
-                Some(sst) => match p.write_sst_verified(sst, &self.stats) {
-                    Ok(name) => Some(Slot { name, sealed: true }),
+            if let Some(sst) = &output {
+                match p.write_sst_verified(sst, &self.stats) {
+                    Ok(name) => merged_file = Some(ManifestEntry { name, sealed: true }),
                     Err(e) => {
                         self.stats.record_persist_failure();
                         return Err(e);
                     }
-                },
-                None => None,
-            };
-            let mut new_slots: Vec<Option<Slot>> = slots[..start].to_vec();
-            if let Some(slot) = &merged_slot {
-                new_slots.push(Some(slot.clone()));
+                }
             }
-            new_slots.extend_from_slice(&slots[end..]);
-            let retired: Vec<String> = slots[start..end]
+            let mut new_files = tables.files.clone();
+            new_files.splice(start..end, output.is_some().then(|| merged_file.clone()));
+            let retired: Vec<String> = tables.files[start..end]
                 .iter()
                 .flatten()
                 .map(|s| s.name.clone())
                 .collect();
             if let Err(e) =
-                p.write_manifest_verified(&manifest_entries(&new_slots), &retired, &self.stats)
+                p.write_manifest_verified(&manifest_entries(&new_files), &retired, &self.stats)
             {
                 // Abort: remove the merged file first (`remove` cannot be
                 // torn), then restore the previous manifest best-effort.
                 // Every recovery path now lands on the pre-compaction state.
-                if let Some(slot) = &merged_slot {
-                    let _ = p.io.remove(&p.dir.join(&slot.name));
+                if let Some(file) = &merged_file {
+                    let _ = p.io.remove(&p.dir.join(&file.name));
                 }
-                let _ = p.write_manifest_with(&manifest_entries(&slots), &[]);
+                let _ = p.write_manifest_with(&manifest_entries(&tables.files), &[]);
                 self.stats.record_persist_failure();
                 return Err(e);
             }
@@ -716,35 +795,20 @@ impl Db {
             for name in &retired {
                 let _ = p.io.remove(&p.dir.join(name));
             }
-            let _ = p.write_manifest_with(&manifest_entries(&new_slots), &[]);
-            *slots = new_slots;
-            self.stats
-                .record_unpersisted_ssts(slots.iter().filter(|s| s.is_none()).count() as u64);
+            let _ = p.write_manifest_with(&manifest_entries(&new_files), &[]);
+            self.stats.record_unpersisted_ssts(unpersisted(&new_files));
         }
 
         // Splice the in-memory table set the same way.
-        let has_output = output.is_some();
-        let tail = ssts.split_off(end);
-        ssts.truncate(start);
-        if let Some(sst) = output {
-            ssts.push(sst);
-        }
-        ssts.extend(tail);
-
-        if let Some(tree) = &self.tree {
-            let mut tree = tree.write();
-            let replacement = if has_output { Some(&ssts[start]) } else { None };
-            tree.retire_and_splice(start..end, replacement, &ssts, &self.stats);
-            if let Some(p) = &self.persist {
-                if p.write_atomic(TREE_NAME, &tree.to_bytes()).is_err() {
-                    self.stats.record_persist_failure();
-                }
-            }
+        let output_tables = output.is_some() as usize;
+        tables.splice(start..end, output, merged_file, &self.stats);
+        if let Some(p) = &self.persist {
+            p.write_tree(&tables.router, &self.stats);
         }
 
         Ok(Some(CompactionStats {
             input_tables,
-            output_tables: has_output as usize,
+            output_tables,
             input_entries,
             output_entries,
             shadowed_dropped,
@@ -754,55 +818,41 @@ impl Db {
         }))
     }
 
-    /// Point lookup: memtable first, then SSTs newest to oldest. Under tree
-    /// routing only the tree's candidate SSTs are probed (newest first, so
-    /// the freshest version still wins). A tombstone answers the lookup with
-    /// `None` — older tables are never consulted past it.
+    /// Point lookup: memtable first, then the candidate SSTs newest to
+    /// oldest, so the freshest version wins. A tombstone answers the lookup
+    /// with `None` — older tables are never consulted past it.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
         if let Some(v) = self.memtable.get(key) {
             return v.into_put();
         }
-        let ssts = self.ssts.read();
-        match &self.tree {
-            Some(tree) => {
-                let candidates = tree.read().candidates_point(key, &self.stats);
-                self.stats.record_ssts_probed(candidates.len() as u64);
-                for &i in candidates.iter().rev() {
-                    if let Some(v) = ssts[i].get(key, &self.options.io_model, &self.stats) {
-                        return v.into_put();
-                    }
-                }
-                None
-            }
-            None => {
-                self.stats.record_ssts_probed(ssts.len() as u64);
-                for sst in ssts.iter().rev() {
-                    if let Some(v) = sst.get(key, &self.options.io_model, &self.stats) {
-                        return v.into_put();
-                    }
-                }
-                None
-            }
-        }
+        let tables = self.tables.read();
+        tables
+            .candidates_point(key, &self.stats)
+            .into_iter()
+            .rev()
+            .find_map(|i| tables.ssts[i].get(key, &self.options.io_model, &self.stats))
+            .and_then(Value::into_put)
     }
 
     /// Range scan over `[lo, hi]`, returning up to `limit` entries in key
     /// order (newest version wins for duplicate keys; deleted keys are
-    /// absent). Each source is scanned without a limit internally — a
-    /// tombstone may shadow an entry a limited scan would have stopped at.
+    /// absent). Only the candidate SSTs for `[lo, hi]` are scanned; each
+    /// source is scanned without a limit internally — a tombstone may shadow
+    /// an entry a limited scan would have stopped at.
     pub fn scan(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
-        let mut merged: std::collections::BTreeMap<u64, Value> = std::collections::BTreeMap::new();
+        // Memtable before tables, like every read: a flush publishes the SST
+        // before it forgets the memtable entries, never the other way round.
+        let buffered = self.memtable.scan(lo, hi, usize::MAX);
+        let mut merged: BTreeMap<u64, Value> = BTreeMap::new();
         {
-            let ssts = self.ssts.read();
-            for sst in ssts.iter() {
-                for (k, v) in sst.scan(lo, hi, usize::MAX, &self.options.io_model, &self.stats) {
-                    merged.insert(k, v); // later (newer) tables overwrite
-                }
+            let io = &self.options.io_model;
+            let tables = self.tables.read();
+            // Oldest first: later (newer) tables overwrite.
+            for i in tables.candidates_range(lo, hi, &self.stats) {
+                merged.extend(tables.ssts[i].scan(lo, hi, usize::MAX, io, &self.stats));
             }
         }
-        for (k, v) in self.memtable.scan(lo, hi, usize::MAX) {
-            merged.insert(k, v);
-        }
+        merged.extend(buffered);
         merged
             .into_iter()
             .filter_map(|(k, v)| v.into_put().map(|v| (k, v)))
@@ -813,25 +863,11 @@ impl Db {
     /// Batched, multi-threaded point lookup: element `i` equals
     /// `self.get(keys[i])`. The batch is split across `threads` worker
     /// threads (`0` = one per available core); each worker consults the
-    /// memtable, then fans its still-unresolved keys across the SSTs newest
-    /// to oldest through [`SsTable::get_many`], so every SST filter is probed
-    /// once per batch instead of once per key.
+    /// memtable, routes its still-unresolved keys in one candidates step and
+    /// hands every candidate SST its keys through [`SsTable::get_many`], so
+    /// an SST filter is probed once per batch instead of once per key.
     pub fn get_batch(&self, keys: &[u64], threads: usize) -> Vec<Option<Vec<u8>>> {
-        let threads = effective_threads(threads, keys.len());
-        if threads <= 1 {
-            return self.get_chunk(keys);
-        }
-        let chunk = keys.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = keys
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || self.get_chunk(part)))
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("reader thread panicked"))
-                .collect()
-        })
+        fan_out(keys, threads, |part| self.get_chunk(part))
     }
 
     /// One worker's share of [`Db::get_batch`]. Tracks versioned values
@@ -839,62 +875,34 @@ impl Db {
     /// exactly like [`Db::get`].
     fn get_chunk(&self, keys: &[u64]) -> Vec<Option<Vec<u8>>> {
         let mut out: Vec<Option<Value>> = keys.iter().map(|&k| self.memtable.get(k)).collect();
-        let ssts = self.ssts.read();
+        // Memtable hits are already answered and skip routing entirely.
+        let open: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
+        let open_keys: Vec<u64> = open.iter().map(|&i| keys[i]).collect();
+        let tables = self.tables.read();
+        let routed = by_table(&tables.candidates_points(&open_keys, &self.stats));
         // One set of probe buffers per worker, reused across every SST.
-        let mut scratch = crate::sst::SstProbeScratch::default();
-        match &self.tree {
-            Some(tree) => {
-                // One tree descent for the whole chunk (memtable hits are
-                // already answered and skip the tree entirely), then each
-                // SST sees only the keys routed to it, newest first.
-                let open: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
-                let open_keys: Vec<u64> = open.iter().map(|&i| keys[i]).collect();
-                let candidates = tree.read().candidates_points(&open_keys, &self.stats);
-                self.stats
-                    .record_ssts_probed(candidates.iter().map(|c| c.len() as u64).sum());
-                for sst_idx in (0..ssts.len()).rev() {
-                    let routed: Vec<usize> = (0..open.len())
-                        .filter(|&j| {
-                            out[open[j]].is_none() && candidates[j].binary_search(&sst_idx).is_ok()
-                        })
-                        .collect();
-                    if routed.is_empty() {
-                        continue;
-                    }
-                    let sub_keys: Vec<u64> = routed.iter().map(|&j| open_keys[j]).collect();
-                    let found = ssts[sst_idx].get_many_with(
-                        &sub_keys,
-                        &self.options.io_model,
-                        &self.stats,
-                        &mut scratch,
-                    );
-                    for (&j, value) in routed.iter().zip(found) {
-                        if value.is_some() {
-                            out[open[j]] = value;
-                        }
-                    }
-                }
+        let mut scratch = SstProbeScratch::default();
+        // Newest table first; each sees only the keys routed to it that no
+        // newer table has answered.
+        for (&table, queries) in routed.iter().rev() {
+            let unresolved: Vec<usize> = queries
+                .iter()
+                .copied()
+                .filter(|&j| out[open[j]].is_none())
+                .collect();
+            if unresolved.is_empty() {
+                continue;
             }
-            None => {
-                for sst in ssts.iter().rev() {
-                    let unresolved: Vec<usize> =
-                        (0..keys.len()).filter(|&i| out[i].is_none()).collect();
-                    if unresolved.is_empty() {
-                        break;
-                    }
-                    self.stats.record_ssts_probed(unresolved.len() as u64);
-                    let sub_keys: Vec<u64> = unresolved.iter().map(|&i| keys[i]).collect();
-                    let found = sst.get_many_with(
-                        &sub_keys,
-                        &self.options.io_model,
-                        &self.stats,
-                        &mut scratch,
-                    );
-                    for (&i, value) in unresolved.iter().zip(found) {
-                        if value.is_some() {
-                            out[i] = value;
-                        }
-                    }
+            let sub_keys: Vec<u64> = unresolved.iter().map(|&j| open_keys[j]).collect();
+            let found = tables.ssts[table].get_many_with(
+                &sub_keys,
+                &self.options.io_model,
+                &self.stats,
+                &mut scratch,
+            );
+            for (&j, value) in unresolved.iter().zip(found) {
+                if value.is_some() {
+                    out[open[j]] = value;
                 }
             }
         }
@@ -905,83 +913,40 @@ impl Db {
 
     /// Batched, multi-threaded range-emptiness check: element `i` equals
     /// `self.range_is_possibly_non_empty(ranges[i])` (reversed bounds are an
-    /// empty interval). Same fan-out structure as [`Db::get_batch`], with
-    /// each SST filter probed once per batch via
-    /// [`SsTable::range_non_empty_many`].
+    /// empty interval). Same structure as [`Db::get_batch`], with each SST
+    /// filter probed once per batch via [`SsTable::range_non_empty_many`].
     pub fn range_non_empty_batch(&self, ranges: &[(u64, u64)], threads: usize) -> Vec<bool> {
-        let threads = effective_threads(threads, ranges.len());
-        if threads <= 1 {
-            return self.range_chunk(ranges);
-        }
-        let chunk = ranges.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = ranges
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || self.range_chunk(part)))
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("reader thread panicked"))
-                .collect()
-        })
+        fan_out(ranges, threads, |part| self.range_chunk(part))
     }
 
     /// One worker's share of [`Db::range_non_empty_batch`].
     fn range_chunk(&self, ranges: &[(u64, u64)]) -> Vec<bool> {
         let mut out: Vec<bool> = ranges
             .iter()
-            .map(|&(lo, hi)| lo <= hi && self.memtable.first_in_range(lo, hi).is_some())
+            .map(|&(lo, hi)| self.memtable.first_in_range(lo, hi).is_some())
             .collect();
-        let ssts = self.ssts.read();
+        let open: Vec<usize> = (0..ranges.len()).filter(|&i| !out[i]).collect();
+        let open_ranges: Vec<(u64, u64)> = open.iter().map(|&i| ranges[i]).collect();
+        let tables = self.tables.read();
+        let routed = by_table(&tables.candidates_ranges(&open_ranges, &self.stats));
         // One set of probe buffers per worker, reused across every SST.
-        let mut scratch = crate::sst::SstProbeScratch::default();
-        match &self.tree {
-            Some(tree) => {
-                let open: Vec<usize> = (0..ranges.len()).filter(|&i| !out[i]).collect();
-                let open_ranges: Vec<(u64, u64)> = open.iter().map(|&i| ranges[i]).collect();
-                let candidates = tree.read().candidates_ranges(&open_ranges, &self.stats);
-                self.stats
-                    .record_ssts_probed(candidates.iter().map(|c| c.len() as u64).sum());
-                for sst_idx in 0..ssts.len() {
-                    let routed: Vec<usize> = (0..open.len())
-                        .filter(|&j| !out[open[j]] && candidates[j].binary_search(&sst_idx).is_ok())
-                        .collect();
-                    if routed.is_empty() {
-                        continue;
-                    }
-                    let sub: Vec<(u64, u64)> = routed.iter().map(|&j| open_ranges[j]).collect();
-                    let verdicts = ssts[sst_idx].range_non_empty_many_with(
-                        &sub,
-                        &self.options.io_model,
-                        &self.stats,
-                        &mut scratch,
-                    );
-                    for (&j, hit) in routed.iter().zip(verdicts) {
-                        if hit {
-                            out[open[j]] = true;
-                        }
-                    }
-                }
+        let mut scratch = SstProbeScratch::default();
+        for (&table, queries) in &routed {
+            let unresolved: Vec<usize> =
+                queries.iter().copied().filter(|&j| !out[open[j]]).collect();
+            if unresolved.is_empty() {
+                continue;
             }
-            None => {
-                for sst in ssts.iter() {
-                    let unresolved: Vec<usize> = (0..ranges.len()).filter(|&i| !out[i]).collect();
-                    if unresolved.is_empty() {
-                        break;
-                    }
-                    self.stats.record_ssts_probed(unresolved.len() as u64);
-                    let sub: Vec<(u64, u64)> = unresolved.iter().map(|&i| ranges[i]).collect();
-                    let verdicts = sst.range_non_empty_many_with(
-                        &sub,
-                        &self.options.io_model,
-                        &self.stats,
-                        &mut scratch,
-                    );
-                    for (&i, hit) in unresolved.iter().zip(verdicts) {
-                        if hit {
-                            out[i] = true;
-                        }
-                    }
+            let sub: Vec<(u64, u64)> = unresolved.iter().map(|&j| open_ranges[j]).collect();
+            let verdicts = tables.ssts[table].range_non_empty_many_with(
+                &sub,
+                &self.options.io_model,
+                &self.stats,
+                &mut scratch,
+            );
+            for (&j, hit) in unresolved.iter().zip(verdicts) {
+                if hit {
+                    out[open[j]] = true;
                 }
             }
         }
@@ -990,7 +955,6 @@ impl Db {
 
     /// Range emptiness check (the filter-driven fast path the paper measures):
     /// like [`Db::scan`] with `limit = 1` but without materializing values.
-    /// Under tree routing only the tree's candidate SSTs are consulted.
     ///
     /// This is a *possibly*-non-empty verdict with no false negatives: any
     /// entry in the range — a tombstone included — counts as a possible hit,
@@ -1000,70 +964,57 @@ impl Db {
         if self.memtable.first_in_range(lo, hi).is_some() {
             return true;
         }
-        let ssts = self.ssts.read();
-        match &self.tree {
-            Some(tree) => {
-                let candidates = tree.read().candidates_range(lo, hi, &self.stats);
-                self.stats.record_ssts_probed(candidates.len() as u64);
-                for &i in &candidates {
-                    if !ssts[i]
-                        .scan(lo, hi, 1, &self.options.io_model, &self.stats)
-                        .is_empty()
-                    {
-                        return true;
-                    }
-                }
-                false
-            }
-            None => {
-                self.stats.record_ssts_probed(ssts.len() as u64);
-                for sst in ssts.iter() {
-                    if !sst
-                        .scan(lo, hi, 1, &self.options.io_model, &self.stats)
-                        .is_empty()
-                    {
-                        return true;
-                    }
-                }
-                false
-            }
-        }
+        let tables = self.tables.read();
+        tables
+            .candidates_range(lo, hi, &self.stats)
+            .into_iter()
+            .any(|i| {
+                let io = &self.options.io_model;
+                !tables.ssts[i].scan(lo, hi, 1, io, &self.stats).is_empty()
+            })
     }
 
     /// Number of level-0 SST files.
     pub fn num_ssts(&self) -> usize {
-        self.ssts.read().len()
+        self.tables.read().ssts.len()
     }
 
     /// Total number of entries across memtable and SSTs (tombstones
     /// included — they are entries until compaction drops them).
     pub fn num_entries(&self) -> usize {
-        self.memtable.len()
-            + self
-                .ssts
-                .read()
-                .iter()
-                .map(|s| s.num_entries())
-                .sum::<usize>()
+        let in_tables: usize = self
+            .tables
+            .read()
+            .ssts
+            .iter()
+            .map(|s| s.num_entries())
+            .sum();
+        self.memtable.len() + in_tables
     }
 
     /// Total size of all filter blocks in bits.
     pub fn total_filter_bits(&self) -> usize {
-        self.ssts.read().iter().map(|s| s.filter_bits()).sum()
+        self.tables
+            .read()
+            .ssts
+            .iter()
+            .map(|s| s.filter_bits())
+            .sum()
     }
 
     /// Sum of per-SST filter construction times (Fig. 12.C).
     pub fn total_filter_build_time(&self) -> std::time::Duration {
-        self.ssts.read().iter().map(|s| s.filter_build_time()).sum()
+        let tables = self.tables.read();
+        tables.ssts.iter().map(|s| s.filter_build_time()).sum()
     }
 
     /// Shape of the filter tree — `(levels, nodes, memory_bits)` — when tree
     /// routing is active.
     pub fn tree_shape(&self) -> Option<(usize, usize, usize)> {
-        self.tree.as_ref().map(|tree| {
-            let tree = tree.read();
-            (tree.depth(), tree.num_nodes(), tree.memory_bits())
-        })
+        match &self.tables.read().router {
+            Router::All => None,
+            Router::Tree(tree) => Some((tree.depth(), tree.num_nodes(), tree.memory_bits())),
+        }
     }
 
     /// Read-path statistics accumulated since the last reset.
@@ -1124,12 +1075,22 @@ impl Persistence {
             .map_err(|e| PersistError::Io { path, source: e })
     }
 
+    /// Rewrite the advisory `TREE` file when the router is a tree; a failure
+    /// is only counted — recovery rebuilds a missing or stale tree.
+    fn write_tree(&self, router: &Router, stats: &ReadStats) {
+        if let Router::Tree(tree) = router {
+            if self.write_atomic(TREE_NAME, &tree.to_bytes()).is_err() {
+                stats.record_persist_failure();
+            }
+        }
+    }
+
     /// Commit a manifest naming `entries` live and `retired` pending
     /// deletion (no read-back verification — flush-path commits accept the
     /// tail-skip recovery story instead).
     fn write_manifest_with(
         &self,
-        entries: &[persist::ManifestEntry],
+        entries: &[ManifestEntry],
         retired: &[String],
     ) -> Result<(), PersistError> {
         // ordering: counter only grows; persisting a slightly stale value is
@@ -1144,7 +1105,7 @@ impl Persistence {
     /// garbage *or* silently reverts to the dir-scan fallback.
     fn write_manifest_verified(
         &self,
-        entries: &[persist::ManifestEntry],
+        entries: &[ManifestEntry],
         retired: &[String],
         stats: &ReadStats,
     ) -> Result<(), PersistError> {
@@ -1236,17 +1197,33 @@ fn verify_failed(path: &Path, what: &str) -> PersistError {
     }
 }
 
-/// Resolve a requested worker count: `0` means one per available core, and a
-/// batch never gets more workers than items.
-fn effective_threads(requested: usize, items: usize) -> usize {
-    let requested = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    };
-    requested.clamp(1, items.max(1))
+/// Split `items` across `threads` scoped workers (`0` = one per available
+/// core, never more workers than items) and concatenate their answers in
+/// order.
+fn fan_out<Q: Sync, R: Send>(
+    items: &[Q],
+    threads: usize,
+    work: impl Fn(&[Q]) -> Vec<R> + Sync,
+) -> Vec<R> {
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+    .clamp(1, items.len().max(1));
+    if threads == 1 {
+        return work(items);
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = items
+            .chunks(items.len().div_ceil(threads))
+            .map(|part| scope.spawn(move || work(part)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("reader thread panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ pub mod value;
 /// execution that violates the documented hierarchy
 ///
 /// ```text
-/// flush → memtable → ssts → files → tree → io
+/// flush → memtable → tables → io
 /// ```
 ///
 /// panics immediately in debug builds instead of deadlocking some future run.
@@ -75,12 +75,9 @@ pub mod ranks {
     pub const FLUSH: u16 = 5;
     /// `MemTable::entries` — the write buffer's ordered map.
     pub const MEMTABLE: u16 = 10;
-    /// `Db::ssts` — the level-0 table set.
+    /// `Db::tables` — the live table set: the level-0 tables, the files
+    /// backing them and the router (filter tree) over them, one lock.
     pub const SSTS: u16 = 20;
-    /// `Persistence::files` — the durable file ledger aligned with `ssts`.
-    pub const FILES: u16 = 30;
-    /// `Db::tree` — the Bloofi-style filter tree over `ssts`.
-    pub const TREE: u16 = 40;
     /// `FaultyIo::transient` — innermost: I/O helpers may be called with any
     /// of the structural locks held.
     pub const IO: u16 = 50;

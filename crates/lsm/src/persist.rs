@@ -17,17 +17,14 @@
 //! | 3 | data   | the serialized data blocks, length-prefixed |
 //! | 4 | filter | the filter block bytes ([`bloomrf::BloomRf::to_bytes`]) or a rebuild marker |
 //!
-//! Format version 2 extends the block entry encoding with tombstones: an
-//! entry is `key (u64) | meta (u32) | payload`, where bit 31 of `meta`
-//! ([`TOMBSTONE_FLAG`]) marks a delete marker (no payload, length bits zero)
-//! and the low 31 bits are the payload length. Version 1 files — whose
-//! `meta` field was a plain length — decode unchanged; the tombstone bit is
-//! rejected as corruption in a v1 file.
+//! A block entry is `key (u64) | meta (u32) | payload`, where bit 31 of
+//! `meta` ([`TOMBSTONE_FLAG`]) marks a delete marker (no payload, length bits
+//! zero) and the low 31 bits are the payload length.
 //!
 //! The MANIFEST (magic `BMAN`) lists the live SST files in age order plus the
-//! next file number. Version 2 adds a per-file flags byte (bit 0 = *sealed*,
-//! set on verified compaction outputs, which are never tail-skippable during
-//! recovery) and a *retired* list: files whose deletion was committed but may
+//! next file number, a per-file flags byte (bit 0 = *sealed*, set on verified
+//! compaction outputs, which are never tail-skippable during recovery) and a
+//! *retired* list: files whose deletion was committed but may
 //! not have completed — a deletion redo log replayed on open so a crash
 //! between manifest commit and file removal cannot resurrect merged-away
 //! tables. Files are always written to a `.tmp` sibling and `rename`d into
@@ -45,18 +42,18 @@ use bytes::Bytes;
 
 /// Magic bytes opening every persisted SST file.
 pub const SST_MAGIC: &[u8; 4] = b"BSST";
-/// Version of the SST file format produced by this build. Version 1 (no
-/// tombstones) is still decoded.
+/// The one SST file format version this build writes and reads; any other
+/// stamp (the retired version 1 included) is rejected as unsupported.
 pub const SST_FORMAT_VERSION: u32 = 2;
 /// Magic bytes opening the MANIFEST.
 pub const MANIFEST_MAGIC: &[u8; 4] = b"BMAN";
-/// Version of the MANIFEST format produced by this build. Version 1 (no
-/// flags, no retired list) is still decoded.
+/// The one MANIFEST format version this build writes and reads; any other
+/// stamp (the retired version 1 included) is rejected as unsupported.
 pub const MANIFEST_FORMAT_VERSION: u32 = 2;
 
 /// Bit 31 of a block entry's `meta` field: the entry is a tombstone (delete
 /// marker). The low 31 bits are the payload length and must be zero for a
-/// tombstone. Only legal in SST format version ≥ 2.
+/// tombstone.
 pub const TOMBSTONE_FLAG: u32 = 1 << 31;
 
 const SECTION_META: u32 = 1;
@@ -155,7 +152,7 @@ impl std::error::Error for PersistError {
 pub struct DecodedSst {
     /// Total entry count (verified against the blocks).
     pub num_entries: usize,
-    /// How many of the entries are tombstones (0 for v1 files).
+    /// How many of the entries are tombstones.
     pub num_tombstones: usize,
     /// Smallest and largest key (verified against the blocks).
     pub key_range: (u64, u64),
@@ -396,14 +393,9 @@ pub(crate) fn encode_sst(
 
 /// Parse one data block, verifying every length against the input and that
 /// keys are strictly ascending. Returns the keys and how many entries are
-/// tombstones. Never panics and never allocates beyond the input size.
-/// Tombstone entries (meta bit 31 set, length bits zero, no payload) are only
-/// legal when `allow_tombstones` is set — i.e. in format version ≥ 2.
-fn check_block(
-    data: &[u8],
-    block_idx: usize,
-    allow_tombstones: bool,
-) -> Result<(Vec<u64>, usize), Corruption> {
+/// tombstones (meta bit 31 set, length bits zero, no payload). Never panics
+/// and never allocates beyond the input size.
+fn check_block(data: &[u8], block_idx: usize) -> Result<(Vec<u64>, usize), Corruption> {
     let mut cur = 0usize;
     let count = take_u32(data, &mut cur, "data")? as usize;
     // Each entry is at least 12 bytes (key + meta); reject counts the input
@@ -420,12 +412,6 @@ fn check_block(
         let key = take_u64(data, &mut cur, "data")?;
         let meta = take_u32(data, &mut cur, "data")?;
         if meta & TOMBSTONE_FLAG != 0 {
-            if !allow_tombstones {
-                return Err(Corruption::new(
-                    "data",
-                    format!("block {block_idx} has a tombstone in a v1 file"),
-                ));
-            }
             if meta != TOMBSTONE_FLAG {
                 return Err(Corruption::new(
                     "data",
@@ -460,7 +446,7 @@ fn check_block(
     Ok((keys, tombstones))
 }
 
-/// Decode and fully verify a `BSST` v1 or v2 file: magic, version, per-section
+/// Decode and fully verify a `BSST` file: magic, version, per-section
 /// CRCs, structural validity of every data block and consistency between
 /// meta, index and blocks. On success the returned [`DecodedSst`] is safe to
 /// serve reads from without further checks — except the filter, whose
@@ -478,13 +464,12 @@ pub fn decode_sst(bytes: &[u8]) -> Result<DecodedSst, Corruption> {
             .get(4..8)
             .ok_or_else(|| Corruption::new("magic", "file shorter than the version"))?,
     );
-    if !(1..=SST_FORMAT_VERSION).contains(&version) {
+    if version != SST_FORMAT_VERSION {
         return Err(Corruption::new(
             "magic",
             format!("unsupported SST format version {version}"),
         ));
     }
-    let allow_tombstones = version >= 2;
     let mut cur = 8usize;
 
     let meta = take_section(bytes, &mut cur, SECTION_META, "meta")?;
@@ -545,7 +530,7 @@ pub fn decode_sst(bytes: &[u8]) -> Result<DecodedSst, Corruption> {
         }
         let block = &data[d..d + len];
         d += len;
-        let (block_keys, block_tombstones) = check_block(block, block_idx, allow_tombstones)?;
+        let (block_keys, block_tombstones) = check_block(block, block_idx)?;
         num_tombstones += block_tombstones;
         let matches_index = block_keys.len() == count as usize
             && block_keys.first() == Some(&first)
@@ -656,7 +641,7 @@ pub(crate) struct ManifestData {
     /// Live SST files in age order (oldest first).
     pub files: Vec<ManifestEntry>,
     /// Files whose deletion was committed but may not have completed — a
-    /// deletion redo log the opener replays (empty in v1 manifests).
+    /// deletion redo log the opener replays.
     pub retired: Vec<String>,
     /// The next SST file number to allocate.
     pub next_file_no: u64,
@@ -664,7 +649,7 @@ pub(crate) struct ManifestData {
 
 const MANIFEST_FLAG_SEALED: u8 = 1;
 
-/// Serialize the MANIFEST (v2): live SST files in age order with their flags,
+/// Serialize the MANIFEST: live SST files in age order with their flags,
 /// the retired-file redo log and the next file number.
 pub(crate) fn encode_manifest(
     files: &[ManifestEntry],
@@ -699,8 +684,7 @@ pub(crate) fn encode_manifest(
     out
 }
 
-/// Decode and verify the MANIFEST (v1 or v2). A v1 manifest decodes with all
-/// flags clear and an empty retired list.
+/// Decode and verify the MANIFEST.
 pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<ManifestData, Corruption> {
     let section = "manifest";
     let magic = bytes
@@ -711,7 +695,7 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<ManifestData, Corruption> 
     }
     let mut cur = 4usize;
     let version = take_u32(bytes, &mut cur, section)?;
-    if !(1..=MANIFEST_FORMAT_VERSION).contains(&version) {
+    if version != MANIFEST_FORMAT_VERSION {
         return Err(Corruption::new(
             section,
             format!("unsupported manifest version {version}"),
@@ -759,32 +743,26 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<ManifestData, Corruption> 
     let mut files = Vec::with_capacity(count);
     for _ in 0..count {
         let name = take_name(&mut b)?;
-        let sealed = if version >= 2 {
-            let flags = take(body, &mut b, 1, section)?[0];
-            if flags & !MANIFEST_FLAG_SEALED != 0 {
-                return Err(Corruption::new(
-                    section,
-                    format!("unknown file flags {flags:#04x}"),
-                ));
-            }
-            flags & MANIFEST_FLAG_SEALED != 0
-        } else {
-            false
-        };
-        files.push(ManifestEntry { name, sealed });
-    }
-    let mut retired = Vec::new();
-    if version >= 2 {
-        let retired_count = take_u32(body, &mut b, section)? as usize;
-        if retired_count > (body.len() - b) / 2 {
+        let flags = take(body, &mut b, 1, section)?[0];
+        if flags & !MANIFEST_FLAG_SEALED != 0 {
             return Err(Corruption::new(
                 section,
-                format!("declares {retired_count} retired files, more than fit"),
+                format!("unknown file flags {flags:#04x}"),
             ));
         }
-        for _ in 0..retired_count {
-            retired.push(take_name(&mut b)?);
-        }
+        let sealed = flags & MANIFEST_FLAG_SEALED != 0;
+        files.push(ManifestEntry { name, sealed });
+    }
+    let retired_count = take_u32(body, &mut b, section)? as usize;
+    if retired_count > (body.len() - b) / 2 {
+        return Err(Corruption::new(
+            section,
+            format!("declares {retired_count} retired files, more than fit"),
+        ));
+    }
+    let mut retired = Vec::with_capacity(retired_count);
+    for _ in 0..retired_count {
+        retired.push(take_name(&mut b)?);
     }
     if b != body.len() {
         return Err(Corruption::new(section, "trailing bytes in the body"));
@@ -941,9 +919,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifest_still_decodes() {
+    fn v1_manifest_is_rejected_as_unsupported_version() {
         // Hand-rolled v1 body: next_file_no | count | (len | name)* — no
-        // flags byte, no retired list.
+        // flags byte, no retired list; magic, length and checksum all valid.
         let mut body = Vec::new();
         body.extend_from_slice(&5u64.to_le_bytes());
         body.extend_from_slice(&2u32.to_le_bytes());
@@ -957,26 +935,14 @@ mod tests {
         bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&body);
         bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-        let decoded = decode_manifest(&bytes).unwrap();
-        assert_eq!(decoded.next_file_no, 5);
-        assert_eq!(
-            decoded.files,
-            vec![
-                ManifestEntry {
-                    name: sst_file_name(1),
-                    sealed: false,
-                },
-                ManifestEntry {
-                    name: sst_file_name(2),
-                    sealed: false,
-                },
-            ]
-        );
-        assert!(decoded.retired.is_empty());
-        // An unsupported future version is rejected.
+        let err = decode_manifest(&bytes).unwrap_err();
+        assert_eq!(err.section, "manifest");
+        assert_eq!(err.detail, "unsupported manifest version 1");
+        // An unsupported future version is rejected the same way.
         let mut future = bytes.clone();
         future[4..8].copy_from_slice(&9u32.to_le_bytes());
-        assert!(decode_manifest(&future).is_err());
+        let err = decode_manifest(&future).unwrap_err();
+        assert_eq!(err.detail, "unsupported manifest version 9");
     }
 
     #[test]
@@ -1000,14 +966,7 @@ mod tests {
         assert_eq!(decoded.num_tombstones, 1);
         assert_eq!(decoded.keys, vec![10, 20, 30]);
 
-        // The same blocks stamped as format v1 are corrupt: v1 has no
-        // tombstone bit.
-        let mut v1 = bytes.clone();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let err = decode_sst(&v1).unwrap_err();
-        assert!(err.detail.contains("tombstone"), "{err}");
-
-        // A tombstone with non-zero length bits is corrupt in any version.
+        // A tombstone with non-zero length bits is corrupt.
         let mut bad_block = blocks[0].to_vec();
         // meta of the tombstone entry sits after count(4) + key(8) + meta(4)
         // + "aa"(2) + key(8) = offset 26.
@@ -1026,13 +985,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_sst_without_tombstones_still_decodes() {
+    fn v1_sst_is_rejected_as_unsupported_version() {
         let mut bytes = sample_sst_bytes();
         bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let decoded = decode_sst(&bytes).unwrap();
-        assert_eq!(decoded.num_entries, 4);
-        assert_eq!(decoded.num_tombstones, 0);
-        assert_eq!(decoded.keys, vec![10, 20, 30, 40]);
+        let err = decode_sst(&bytes).unwrap_err();
+        assert_eq!(err.section, "magic");
+        assert_eq!(err.detail, "unsupported SST format version 1");
     }
 
     #[test]

@@ -57,6 +57,24 @@ use crate::stats::ReadStats;
 /// output buffer.
 type FilterPass<'a> = dyn FnMut(&BloomRf, &[usize], &mut Vec<bool>) + 'a;
 
+/// State of one [`FilterTree::descend`]: the two passes, the output, and the
+/// buffers every visited node reuses, so a descent allocates per level, not
+/// per node.
+struct Walk<'a, 'b> {
+    fence_pass: &'a dyn Fn(&TreeNode, usize) -> bool,
+    filter_pass: &'a mut FilterPass<'b>,
+    /// `alive[h]`: the queries that survived the node being visited at
+    /// height `h` — what its children are probed with. The slot above the
+    /// root holds every query.
+    alive: Vec<Vec<usize>>,
+    /// One verdict per query handed to `filter_pass`.
+    verdicts: Vec<bool>,
+    /// Per query, the candidate leaves found so far.
+    out: Vec<Vec<usize>>,
+    /// `(node, query)` pairs visited.
+    probes: u64,
+}
+
 /// Magic number of the persisted tree file (`TREE`).
 pub const TREE_MAGIC: &[u8; 4] = b"BTRE";
 /// Version of the persisted tree format.
@@ -509,8 +527,9 @@ impl FilterTree {
         )
     }
 
-    /// Shared level-synchronous descent. `fence_pass` cheaply rejects a
-    /// query at a node; `filter_pass` batch-probes the survivors. Records
+    /// Shared descent. `fence_pass` cheaply rejects a query at a node;
+    /// `filter_pass` batch-probes the survivors, so every node is probed at
+    /// most once, with all the queries that reached it. Records
     /// `tree_probes` per `(node, query)` pair visited and `ssts_pruned` per
     /// `(query, live leaf)` pair the descent never reached.
     fn descend(
@@ -520,55 +539,64 @@ impl FilterTree {
         filter_pass: &mut FilterPass<'_>,
         stats: &ReadStats,
     ) -> Vec<Vec<usize>> {
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); n_queries];
+        let mut walk = Walk {
+            fence_pass,
+            filter_pass,
+            alive: vec![Vec::new(); self.levels.len() + 1],
+            verdicts: Vec::new(),
+            out: vec![Vec::new(); n_queries],
+            probes: 0,
+        };
         if self.num_leaves() == 0 || n_queries == 0 {
-            return out;
+            return walk.out;
         }
-        // Verdict buffer shared by every node probe in the descent.
-        let mut verdicts: Vec<bool> = Vec::new();
-        let top = self.levels.len() - 1;
         // The top level is a single root by construction.
-        let mut pending: Vec<(usize, Vec<usize>)> = vec![(0, (0..n_queries).collect())];
-        for height in (0..=top).rev() {
-            let level = &self.levels[height];
-            let mut next: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-            for (idx, queries) in pending {
-                let node = &level[idx];
-                stats.record_tree_probes(queries.len() as u64);
-                if height == 0 && !node.live {
-                    continue;
-                }
-                let fenced: Vec<usize> = queries
-                    .into_iter()
-                    .filter(|&q| fence_pass(node, q))
-                    .collect();
-                if fenced.is_empty() {
-                    continue;
-                }
-                filter_pass(&node.filter, &fenced, &mut verdicts);
-                for (&q, &keep) in fenced.iter().zip(verdicts.iter()) {
-                    if !keep {
-                        continue;
-                    }
-                    if height == 0 {
-                        out[q].push(idx);
-                    } else {
-                        let first = idx * self.fanout;
-                        let last = (first + self.fanout).min(self.levels[height - 1].len());
-                        for child in first..last {
-                            next.entry(child).or_default().push(q);
-                        }
-                    }
-                }
-            }
-            pending = next.into_iter().collect();
-        }
-        let pruned: u64 = out
+        let top = self.levels.len() - 1;
+        walk.alive[top + 1] = (0..n_queries).collect();
+        self.visit(top, 0, &mut walk);
+        stats.record_tree_probes(walk.probes);
+        let pruned: u64 = walk
+            .out
             .iter()
             .map(|candidates| (self.live_leaves - candidates.len()) as u64)
             .sum();
         stats.record_ssts_pruned(pruned);
-        out
+        walk.out
+    }
+
+    /// Probe node `idx` at `height` with the queries that survived its
+    /// parent, then its children (left to right, so candidates come out
+    /// ascending) with the queries that survived it.
+    fn visit(&self, height: usize, idx: usize, walk: &mut Walk<'_, '_>) {
+        let node = &self.levels[height][idx];
+        let (below, above) = walk.alive.split_at_mut(height + 1);
+        let (reached, alive) = (&above[0], &mut below[height]);
+        walk.probes += reached.len() as u64;
+        if height == 0 && !node.live {
+            return;
+        }
+        alive.clear();
+        alive.extend(reached.iter().filter(|&&q| (walk.fence_pass)(node, q)));
+        if alive.is_empty() {
+            return;
+        }
+        (walk.filter_pass)(&node.filter, alive, &mut walk.verdicts);
+        let mut verdicts = walk.verdicts.iter();
+        alive.retain(|_| *verdicts.next().expect("one verdict per probed query"));
+        if height == 0 {
+            for &q in alive.iter() {
+                walk.out[q].push(idx);
+            }
+            return;
+        }
+        if alive.is_empty() {
+            return;
+        }
+        let first = idx * self.fanout;
+        let last = (first + self.fanout).min(self.levels[height - 1].len());
+        for child in first..last {
+            self.visit(height - 1, child, walk);
+        }
     }
 
     /// Serialize the tree into the checksummed `TREE` wire format (see

@@ -1,26 +1,27 @@
-//! Lock-rank checker coverage: the `ssts → files → tree` hierarchy from
-//! `docs/concurrency.md` is machine-enforced in debug builds and must be
-//! zero-cost in release builds. CI runs this file in both profiles.
+//! Lock-rank checker coverage: the `flush → memtable → tables → io`
+//! hierarchy from `docs/concurrency.md` is machine-enforced in debug builds
+//! and must be zero-cost in release builds. CI runs this file in both
+//! profiles.
 
 use bloomrf::sync::{rank_checking_enabled, OrderedMutex, OrderedRwLock};
 use bloomrf_lsm::ranks;
 use std::panic::AssertUnwindSafe;
 
-/// A seeded inversion — taking the `tree`-ranked lock before the
-/// `ssts`-ranked lock — must panic immediately in debug builds, naming both
-/// locks, instead of waiting for a second thread to complete the deadlock.
+/// A seeded inversion — taking the `io`-ranked lock before the table-set
+/// lock — must panic immediately in debug builds, naming both locks, instead
+/// of waiting for a second thread to complete the deadlock.
 #[test]
-fn seeded_tree_before_ssts_inversion_panics_in_debug() {
+fn seeded_io_before_tables_inversion_panics_in_debug() {
     if !rank_checking_enabled() {
         // Release builds: ranks compile away; the inversion is not detected
         // (the release job asserts zero cost instead).
         return;
     }
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let tree = OrderedRwLock::<(), { ranks::TREE }>::new("db.tree", ());
-        let ssts = OrderedRwLock::<(), { ranks::SSTS }>::new("db.ssts", ());
-        let _tree_guard = tree.read();
-        let _ssts_guard = ssts.read(); // rank 20 after rank 40: inversion
+        let io = OrderedMutex::<(), { ranks::IO }>::new("faulty_io.transient", ());
+        let tables = OrderedRwLock::<(), { ranks::SSTS }>::new("db.tables", ());
+        let _io_guard = io.lock();
+        let _tables_guard = tables.read(); // rank 20 after rank 50: inversion
     }));
     let payload = result.expect_err("the seeded inversion must panic");
     let message = payload
@@ -32,60 +33,50 @@ fn seeded_tree_before_ssts_inversion_panics_in_debug() {
         message.contains("lock-order inversion"),
         "unexpected panic message: {message}"
     );
-    assert!(message.contains("db.ssts"), "message must name the lock");
+    assert!(message.contains("db.tables"), "message must name the lock");
     assert!(
-        message.contains("db.tree"),
+        message.contains("faulty_io.transient"),
         "message must name the held lock"
     );
 }
 
-/// The documented order — flush → memtable → ssts → files → tree → io — is
-/// accepted with every lock held simultaneously.
+/// The documented order — flush → memtable → tables → io — is accepted with
+/// every lock held simultaneously.
 #[test]
 fn full_documented_order_is_accepted() {
     let flush = OrderedMutex::<(), { ranks::FLUSH }>::new("db.flush", ());
     let memtable = OrderedRwLock::<(), { ranks::MEMTABLE }>::new("memtable.entries", ());
-    let ssts = OrderedRwLock::<(), { ranks::SSTS }>::new("db.ssts", ());
-    let files = OrderedMutex::<(), { ranks::FILES }>::new("db.files", ());
-    let tree = OrderedRwLock::<(), { ranks::TREE }>::new("db.tree", ());
+    let tables = OrderedRwLock::<(), { ranks::SSTS }>::new("db.tables", ());
     let io = OrderedMutex::<(), { ranks::IO }>::new("faulty_io.transient", ());
     let _f = flush.lock();
     let _m = memtable.write();
-    let _s = ssts.write();
-    let _l = files.lock();
-    let _t = tree.write();
+    let _t = tables.write();
     let _i = io.lock();
 }
 
-/// Skipping ranks is fine (a reader takes `ssts` then `tree` without the
-/// ledger in between), and re-acquiring after a full release is fine too.
+/// Skipping ranks is fine (a flush takes `flush` then `tables` without the
+/// memtable in between), and re-acquiring after a full release is fine too.
 #[test]
 fn partial_chains_and_reacquisition_are_accepted() {
-    let ssts = OrderedRwLock::<(), { ranks::SSTS }>::new("db.ssts", ());
-    let tree = OrderedRwLock::<(), { ranks::TREE }>::new("db.tree", ());
+    let flush = OrderedMutex::<(), { ranks::FLUSH }>::new("db.flush", ());
+    let tables = OrderedRwLock::<(), { ranks::SSTS }>::new("db.tables", ());
+    let io = OrderedMutex::<(), { ranks::IO }>::new("faulty_io.transient", ());
     {
-        let _s = ssts.read();
-        let _t = tree.read();
+        let _f = flush.lock();
+        let _t = tables.read();
     }
     {
-        // Fresh acquisition from rank zero: taking `tree` alone is legal.
-        let _t = tree.write();
+        // Fresh acquisition from rank zero: taking `io` alone is legal.
+        let _i = io.lock();
     }
-    let _s = ssts.write();
+    let _t = tables.write();
 }
 
 /// The rank constants themselves must encode the documented hierarchy —
 /// a refactor that reorders them should fail loudly here.
 #[test]
 fn rank_constants_are_strictly_increasing_along_the_hierarchy() {
-    let chain = [
-        ranks::FLUSH,
-        ranks::MEMTABLE,
-        ranks::SSTS,
-        ranks::FILES,
-        ranks::TREE,
-        ranks::IO,
-    ];
+    let chain = [ranks::FLUSH, ranks::MEMTABLE, ranks::SSTS, ranks::IO];
     assert!(
         chain.windows(2).all(|w| w[0] < w[1]),
         "lock ranks must strictly increase along flush → … → io: {chain:?}"
@@ -104,7 +95,7 @@ fn release_wrappers_are_zero_cost() {
         size_of::<bloomrf::sync::RwLock<Vec<u64>>>(),
     );
     assert_eq!(
-        size_of::<OrderedMutex<(), { ranks::FILES }>>(),
+        size_of::<OrderedMutex<(), { ranks::FLUSH }>>(),
         size_of::<bloomrf::sync::Mutex<()>>(),
     );
 }

@@ -5,7 +5,7 @@
 //! this cfg the vendored `shuttle_loom` checker instruments each acquisition
 //! and atomic op and explores the interleavings systematically. Lock-rank
 //! checking stays active inside the model (debug builds), so these runs also
-//! verify the `flush → memtable → ssts → files → tree` hierarchy on every
+//! verify the `flush → memtable → tables → io` hierarchy on every
 //! explored schedule. Preemption bound 2 is the CHESS bound: exhaustive over
 //! all schedules with at most two forced context switches.
 #![cfg(bloomrf_loom)]

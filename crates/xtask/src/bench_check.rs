@@ -1,5 +1,5 @@
 //! `bench-check`: schema validation and regression gating for the committed
-//! perf-trajectory snapshots (`BENCH_probe_kernel.json`, `BENCH_fanin.json`).
+//! perf-trajectory snapshot (`BENCH_probe_kernel.json`).
 //!
 //! Two modes:
 //!
@@ -22,8 +22,10 @@ use std::path::Path;
 /// Maximum tolerated slowdown of a timing cell: new ≤ baseline × 1.25.
 pub const REGRESSION_LIMIT: f64 = 1.25;
 
-/// Schemas bench-check understands, by their `"snapshot"` tag.
-const KNOWN_SCHEMAS: &[&str] = &["probe_kernel_v2", "fanin_scaling_v2"];
+/// The schema bench-check understands, by its `"snapshot"` tag.
+const SCHEMA: &str = "probe_kernel_v2";
+/// The committed snapshot of that schema, at the repo root.
+const COMMITTED: &str = "BENCH_probe_kernel.json";
 
 /// One array of timing rows in a snapshot: its name, the tags identifying a
 /// row (the row key), and the gated timing metrics.
@@ -33,30 +35,15 @@ type Section = (
     &'static [&'static str],
 );
 
-/// The timing sections of a known schema.
-fn sections_of(schema: &str) -> Option<&'static [Section]> {
-    match schema {
-        "probe_kernel_v2" => Some(&[
-            (
-                "probe_rows",
-                &["keys", "bits_per_key", "batch", "path", "mode"],
-                &["ns_per_op"],
-            ),
-            ("layout_rows", &["layout", "path"], &["ns_per_op"]),
-            (
-                "insert_rows",
-                &["segment_bits", "strategy"],
-                &["ns_per_key"],
-            ),
-        ]),
-        "fanin_scaling_v2" => Some(&[(
-            "rows",
-            &["segments", "routing"],
-            &["point_ns_per_lookup", "range_ns_per_lookup"],
-        )]),
-        _ => None,
-    }
-}
+/// The timing sections of [`SCHEMA`].
+const SECTIONS: &[Section] = &[
+    (
+        "probe_rows",
+        &["keys", "bits_per_key", "batch", "path", "mode"],
+        &["ns_per_op"],
+    ),
+    ("layout_rows", &["layout", "path"], &["ns_per_op"]),
+];
 
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -387,14 +374,14 @@ pub fn validate(file: &str, doc: &Json) -> Vec<BenchIssue> {
         issues.push(issue(file, "missing string field \"snapshot\""));
         return issues;
     };
-    let Some(sections) = sections_of(schema) else {
+    if schema != SCHEMA {
         issues.push(issue(
             file,
-            format!("unknown snapshot schema \"{schema}\" (known: {KNOWN_SCHEMAS:?})"),
+            format!("unknown snapshot schema \"{schema}\" (known: \"{SCHEMA}\")"),
         ));
         return issues;
-    };
-    for (section, tags, metrics) in sections {
+    }
+    for (section, tags, metrics) in SECTIONS {
         match doc.get(section).and_then(Json::as_arr) {
             Some(rows) if !rows.is_empty() => {
                 for (i, row) in rows.iter().enumerate() {
@@ -405,7 +392,7 @@ pub fn validate(file: &str, doc: &Json) -> Vec<BenchIssue> {
             _ => issues.push(issue(file, format!("missing or empty array \"{section}\""))),
         }
     }
-    if schema == "probe_kernel_v2" && doc.get("headline").is_none() {
+    if doc.get("headline").is_none() {
         issues.push(issue(file, "missing \"headline\""));
     }
     issues
@@ -432,9 +419,9 @@ fn row_key(section: &str, row: &Json, tags: &[&str]) -> String {
 /// report cells where `new > baseline * REGRESSION_LIMIT`.
 pub fn compare(file: &str, baseline: &Json, new: &Json) -> Vec<BenchIssue> {
     let mut issues = Vec::new();
-    let Some(sections) = schema_of(baseline).and_then(sections_of) else {
+    if schema_of(baseline) != Some(SCHEMA) {
         return vec![issue(file, "cannot compare: unknown baseline schema")];
-    };
+    }
     if schema_of(baseline) != schema_of(new) {
         return vec![issue(file, "cannot compare: schema mismatch")];
     }
@@ -460,7 +447,7 @@ pub fn compare(file: &str, baseline: &Json, new: &Json) -> Vec<BenchIssue> {
             )];
         }
     }
-    for (section, tags, metrics) in sections {
+    for (section, tags, metrics) in SECTIONS {
         let base_rows = baseline.get(section).and_then(Json::as_arr).unwrap_or(&[]);
         let new_rows = new.get(section).and_then(Json::as_arr).unwrap_or(&[]);
         for new_row in new_rows {
@@ -495,24 +482,19 @@ pub fn compare(file: &str, baseline: &Json, new: &Json) -> Vec<BenchIssue> {
 /// Entry point for the `bench-check` subcommand.
 pub fn run(root: &Path, new_snapshot: Option<&Path>) -> Result<(), Vec<BenchIssue>> {
     let mut issues = Vec::new();
-    let committed = ["BENCH_probe_kernel.json", "BENCH_fanin.json"];
-    let mut baselines: Vec<(String, Json)> = Vec::new();
-    for name in committed {
-        let path = root.join(name);
-        if !path.exists() {
-            issues.push(issue(name, "committed snapshot missing from repo root"));
-            continue;
-        }
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match parse(&text) {
-                Ok(doc) => {
-                    issues.extend(validate(name, &doc));
-                    baselines.push((name.to_string(), doc));
-                }
-                Err(e) => issues.push(issue(name, e.to_string())),
-            },
-            Err(e) => issues.push(issue(name, format!("read failed: {e}"))),
-        }
+    let mut baseline = None;
+    match std::fs::read_to_string(root.join(COMMITTED)) {
+        Ok(text) => match parse(&text) {
+            Ok(doc) => {
+                issues.extend(validate(COMMITTED, &doc));
+                baseline = Some(doc);
+            }
+            Err(e) => issues.push(issue(COMMITTED, e.to_string())),
+        },
+        Err(e) => issues.push(issue(
+            COMMITTED,
+            format!("committed snapshot unreadable at the repo root: {e}"),
+        )),
     }
     if let Some(new_path) = new_snapshot {
         let display = new_path.display().to_string();
@@ -520,15 +502,9 @@ pub fn run(root: &Path, new_snapshot: Option<&Path>) -> Result<(), Vec<BenchIssu
             Ok(text) => match parse(&text) {
                 Ok(doc) => {
                     issues.extend(validate(&display, &doc));
-                    match baselines
-                        .iter()
-                        .find(|(_, b)| schema_of(b) == schema_of(&doc))
-                    {
-                        Some((_, baseline)) => issues.extend(compare(&display, baseline, &doc)),
-                        None => issues.push(issue(
-                            &display,
-                            "no committed baseline with a matching schema",
-                        )),
+                    match &baseline {
+                        Some(baseline) => issues.extend(compare(&display, baseline, &doc)),
+                        None => issues.push(issue(&display, "no committed baseline to compare to")),
                     }
                 }
                 Err(e) => issues.push(issue(&display, e.to_string())),
@@ -561,8 +537,6 @@ mod tests {
                                     "skipped": {flag}, "ns_per_op": {metric} }} ],
                  "layout_rows": [ {{ "layout": "forward", "path": "batch",
                                      "skipped": {flag}, "ns_per_op": {metric} }} ],
-                 "insert_rows": [ {{ "segment_bits": 1024, "strategy": "sorted",
-                                     "skipped": {flag}, "ns_per_key": {metric} }} ],
                  "headline": null }}"#
         )
     }
@@ -611,31 +585,11 @@ mod tests {
         // 30% slower: gated.
         let bad = parse(&probe_doc(130.0, false)).unwrap();
         let issues = compare("t", &base, &bad);
-        assert_eq!(issues.len(), 3, "{issues:?}"); // probe + layout + insert rows
+        assert_eq!(issues.len(), 2, "{issues:?}"); // probe + layout rows
         assert!(issues[0].message.contains("regressed"));
         // Skipped rows are never gated (QUICK vs full snapshots).
         let quick = parse(&probe_doc(0.0, true)).unwrap();
         assert!(compare("t", &base, &quick).is_empty());
-    }
-
-    #[test]
-    fn fanin_v2_rows_validate_and_compare() {
-        let mk = |ns: f64| {
-            format!(
-                r#"{{ "snapshot": "fanin_scaling_v2",
-                     "rows": [ {{ "segments": 10, "routing": "tree", "skipped": false,
-                                  "point_ns_per_lookup": {ns},
-                                  "range_ns_per_lookup": {ns} }},
-                               {{ "segments": 10000, "routing": "tree", "skipped": true,
-                                  "point_ns_per_lookup": null,
-                                  "range_ns_per_lookup": null }} ] }}"#
-            )
-        };
-        let base = parse(&mk(1000.0)).unwrap();
-        assert!(validate("t", &base).is_empty());
-        let bad = parse(&mk(1300.0)).unwrap();
-        let issues = compare("t", &base, &bad);
-        assert_eq!(issues.len(), 2, "{issues:?}"); // point + range metric
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! reads must be byte-identical to the scan-all reference path — for every
 //! read API, for every fan-out, with data split across memtable and SSTs,
 //! and after fault-injected recovery rebuilt the tree and quarantined
-//! filters. Plus the headline acceptance check: at 1 000 SSTs a point get
-//! probes O(fan-out · depth) filters, not 1 000.
+//! filters. `Db::scan` is additionally held to a `BTreeMap` model across
+//! put / overwrite / delete / flush / compact streams and a durable reopen.
+//! Plus the headline acceptance checks: at 1 000 SSTs a point get probes
+//! O(fan-out · depth) filters, not 1 000, and a narrow scan visits only the
+//! tables the router selects.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -177,6 +181,62 @@ fn thousand_ssts_point_gets_probe_fanout_times_depth_not_one_thousand() {
     assert!(stats.effective_fpr() < 0.05);
 }
 
+/// `Db::scan` goes through the router like every other read: on a
+/// many-table store a narrow scan selects a handful of tables under tree
+/// routing and every table under scan-all, with identical rows.
+#[test]
+fn narrow_scan_probes_only_routed_tables() {
+    let routed = Db::new(options(8, tree_routing(8)));
+    let scan = Db::new(options(8, ReadRouting::ScanAll));
+    for i in 0..1_600u64 {
+        for db in [&routed, &scan] {
+            db.put(i * 1_000, value_for(i * 1_000, 0));
+        }
+    }
+    assert_eq!(routed.num_ssts(), 200);
+    assert_eq!(scan.num_ssts(), 200);
+
+    routed.reset_stats();
+    scan.reset_stats();
+    // 21 keys straddling three adjacent tables.
+    let rows = routed.scan(795_000, 815_000, 100);
+    assert_eq!(rows.len(), 21);
+    assert_eq!(rows, scan.scan(795_000, 815_000, 100));
+    let probed = routed.stats().ssts_probed;
+    assert!(
+        (3..=12).contains(&probed),
+        "a narrow scan must visit the owners plus rare false positives, \
+         got {probed} of 200 tables"
+    );
+    assert!(routed.stats().ssts_pruned >= 188);
+    assert_eq!(scan.stats().ssts_probed, 200, "scan-all visits every table");
+    assert_eq!(scan.stats().ssts_pruned, 0);
+}
+
+/// A tombstone in a newer table shadows the older table's entry even when
+/// `limit` would have stopped a per-table scan before reaching it, under
+/// both routings.
+#[test]
+fn scan_limit_counts_live_rows_after_tombstone_shadowing() {
+    for routing in [ReadRouting::ScanAll, tree_routing(2)] {
+        let db = Db::new(options(100, routing));
+        for k in 1..=5u64 {
+            db.put(k * 10, value_for(k, 0));
+        }
+        db.flush();
+        db.delete(20);
+        db.put(30, value_for(3, 1));
+        db.flush();
+        db.delete(10); // still in the memtable
+        let keys = |rows: Vec<(u64, Vec<u8>)>| rows.into_iter().map(|(k, _)| k).collect::<Vec<_>>();
+        assert_eq!(keys(db.scan(0, 100, 2)), vec![30, 40], "{routing:?}");
+        assert_eq!(db.scan(0, 100, 1), vec![(30, value_for(3, 1))]);
+        assert_eq!(keys(db.scan(0, u64::MAX, usize::MAX)), vec![30, 40, 50]);
+        assert!(db.scan(100, 0, 10).is_empty(), "reversed bounds");
+        assert!(db.scan(0, 100, 0).is_empty(), "zero limit");
+    }
+}
+
 proptest! {
     /// Tree-routed `get`/`get_batch`/`range_non_empty{,_batch}`/`scan` are
     /// byte-identical to the scan-all path across random keyspaces,
@@ -218,6 +278,94 @@ proptest! {
         let mut all_ranges = ranges.clone();
         all_ranges.extend(keys.iter().map(|&k| (k.saturating_add(10), k.saturating_sub(10))));
         assert_reads_identical(&scan, &routed, &probes, &all_ranges, "in-memory");
+    }
+
+    /// `Db::scan` under tree routing ≡ scan-all ≡ a `BTreeMap` model on a
+    /// put / overwrite / delete / flush / compact stream — for limits below
+    /// and above the hit count, reversed bounds and the full domain — and
+    /// again after both durable stores are reopened.
+    #[test]
+    fn routed_scan_matches_scan_all_and_model(
+        raw_ops in proptest::collection::vec((0u64..200, any::<u8>(), 0u8..12), 20..200),
+        raw_ranges in proptest::collection::vec((0u64..200, 0u64..48, 0usize..4), 1..24),
+        fanout in 2usize..6,
+    ) {
+        // Sparse keys, so ranges fall between tables as well as across them.
+        let spread = |k: u64| k * 0x0101_0101_0101;
+        let scan_dir = TempDir::new("scan-all");
+        let routed_dir = TempDir::new("scan-routed");
+        let open = |dir: &TempDir, routing| {
+            Db::open_with(dir.path(), options(16, routing), Arc::new(RealIo)).unwrap()
+        };
+        let mut scan = open(&scan_dir, ReadRouting::ScanAll);
+        let mut routed = open(&routed_dir, tree_routing(fanout));
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        // Weights: 0..=5 put (overwrites whenever the key repeats), 6..=8
+        // delete, 9 flush, 10 partial compaction, 11 full compaction.
+        for &(k, v, w) in &raw_ops {
+            let key = spread(k);
+            for db in [&scan, &routed] {
+                match w {
+                    0..=5 => db.put(key, vec![v]),
+                    6..=8 => db.delete(key),
+                    9 => db.flush(),
+                    10 => {
+                        let n = db.num_ssts();
+                        db.compact_range(n / 2..n).unwrap();
+                    }
+                    _ => {
+                        db.compact().unwrap();
+                    }
+                }
+            }
+            match w {
+                0..=5 => {
+                    model.insert(key, vec![v]);
+                }
+                6..=8 => {
+                    model.remove(&key);
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(scan.num_ssts(), routed.num_ssts());
+
+        let mut queries: Vec<(u64, u64, usize)> = raw_ranges
+            .iter()
+            .map(|&(a, width, l)| {
+                let lo = spread(a).saturating_sub(l as u64);
+                (lo, spread(a + width) + 1, [1, 3, 40, usize::MAX][l])
+            })
+            .collect();
+        queries.push((0, u64::MAX, usize::MAX)); // the full domain
+        queries.push((0, u64::MAX, 5));
+        queries.push((spread(150), spread(20), usize::MAX)); // reversed
+        for reopened in [false, true] {
+            if reopened {
+                // The memtable is volatile: flush so the model still holds.
+                scan.flush();
+                routed.flush();
+                drop(scan);
+                drop(routed);
+                scan = open(&scan_dir, ReadRouting::ScanAll);
+                routed = open(&routed_dir, tree_routing(fanout));
+            }
+            for &(lo, hi, limit) in &queries {
+                let expected: Vec<(u64, Vec<u8>)> = if lo > hi {
+                    Vec::new()
+                } else {
+                    model.range(lo..=hi).take(limit).map(|(&k, v)| (k, v.clone())).collect()
+                };
+                prop_assert_eq!(
+                    &routed.scan(lo, hi, limit), &expected,
+                    "routed scan [{}, {}] limit {} reopened={}", lo, hi, limit, reopened
+                );
+                prop_assert_eq!(
+                    &scan.scan(lo, hi, limit), &expected,
+                    "scan-all scan [{}, {}] limit {} reopened={}", lo, hi, limit, reopened
+                );
+            }
+        }
     }
 }
 
