@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for four of the filter's design choices:
 //!
 //! * basic vs advisor-tuned (extended) bloomRF at equal bits/key;
 //! * exact range policy vs the conservative word-budget policy;
@@ -17,7 +17,7 @@ const N_KEYS: usize = 50_000;
 const BITS_PER_KEY: f64 = 18.0;
 
 fn loaded(config: BloomRfConfig, keys: &[u64]) -> BloomRf {
-    let filter = BloomRf::new(config).unwrap();
+    let filter = BloomRf::builder().config(config).build().unwrap();
     for &k in keys {
         filter.insert(k);
     }

@@ -22,7 +22,11 @@ fn bench_insert(c: &mut Criterion) {
     group.throughput(Throughput::Elements(keys.len() as u64));
     group.bench_function("bloomRF_basic", |b| {
         b.iter(|| {
-            let filter = BloomRf::basic(64, keys.len(), BITS_PER_KEY, 7).unwrap();
+            let filter = BloomRf::builder()
+                .expected_keys(keys.len())
+                .bits_per_key(BITS_PER_KEY)
+                .build()
+                .unwrap();
             for &k in &keys {
                 filter.insert(black_box(k));
             }

@@ -47,7 +47,11 @@ fn main() {
         let keys = Sampler::new(dist, 64, 5_2023).sample_many(n_keys);
 
         // --- bloomRF (basic, Δ = 7 → 64-bit words) --------------------------
-        let filter = BloomRf::basic(64, n_keys, bits_per_key, 7).expect("config");
+        let filter = BloomRf::builder()
+            .expected_keys(n_keys)
+            .bits_per_key(bits_per_key)
+            .build()
+            .expect("config");
         for &k in &keys {
             filter.insert(k);
         }

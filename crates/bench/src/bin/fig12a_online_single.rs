@@ -19,7 +19,11 @@ fn main() {
 
     for lookup_pct in (10..=100).step_by(10) {
         for (mode, is_range) in [("point", false), ("range", true)] {
-            let filter = BloomRf::basic(64, n_ops, 14.0, 7).expect("config");
+            let filter = BloomRf::builder()
+                .expected_keys(n_ops)
+                .bits_per_key(14.0)
+                .build()
+                .expect("config");
             let mut rng = Rng::new(lookup_pct as u64);
             let (_, secs) = timed(|| {
                 let mut inserted = 0usize;
@@ -46,7 +50,11 @@ fn main() {
             // (Measured separately to keep the loop bodies branch-free.)
             if is_range {
                 // Recompute the point number for the same pct to pair them.
-                let filter = BloomRf::basic(64, n_ops, 14.0, 7).expect("config");
+                let filter = BloomRf::builder()
+                    .expected_keys(n_ops)
+                    .bits_per_key(14.0)
+                    .build()
+                    .expect("config");
                 let mut rng = Rng::new(lookup_pct as u64);
                 let (_, point_secs) = timed(|| {
                     let mut inserted = 0usize;

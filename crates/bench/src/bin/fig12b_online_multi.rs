@@ -34,7 +34,13 @@ fn main() {
 
     for lookup_threads in [1usize, 2, 4] {
         for insert_threads in [0usize, 1, 2, 4] {
-            let filter = Arc::new(BloomRf::basic(64, n_keys, 14.0, 7).expect("config"));
+            let filter = Arc::new(
+                BloomRf::builder()
+                    .expected_keys(n_keys)
+                    .bits_per_key(14.0)
+                    .build()
+                    .expect("config"),
+            );
             // Preload half of the keys so lookups have something to find.
             for &k in keys.iter().take(n_keys / 2) {
                 filter.insert(k);

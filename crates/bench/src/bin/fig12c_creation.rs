@@ -47,7 +47,11 @@ fn main() {
             // Serialization: measured for bloomRF (the paper implements its own
             // ser/deserialization); other baselines report 0 here.
             let serialize = if matches!(kind, FilterKind::BloomRf { .. }) {
-                let filter = BloomRf::basic(64, n_keys, bpk, 7).expect("config");
+                let filter = BloomRf::builder()
+                    .expected_keys(n_keys)
+                    .bits_per_key(bpk)
+                    .build()
+                    .expect("config");
                 for &k in &keys {
                     filter.insert(k);
                 }

@@ -1,13 +1,13 @@
-//! Concurrent scaling: throughput of the sharded bloomRF filter and the
+//! Concurrent scaling: throughput of one shared bloomRF filter and the
 //! batched LSM read path under 1–16 worker threads.
 //!
 //! This experiment is not a figure of the paper — it measures the serving
-//! layer this reproduction adds on top of it (`ShardedBloomRf` + the batched
-//! probe engine + `Db::get_batch`). Two sweeps are reported:
+//! layer this reproduction adds on top of it (the online `BloomRf` + the
+//! batched probe engine + `Db::get_batch`). Two sweeps are reported:
 //!
 //! * `filter_mixed` — worker threads replay deterministic mixed
 //!   insert/read/scan streams (from `bloomrf_workloads::concurrent`) against
-//!   one shared `ShardedBloomRf`, flushing operations through the batch APIs
+//!   one shared `BloomRf`, flushing operations through the batch APIs
 //!   in fixed-size groups.
 //! * `lsm_points` — `Db::get_batch` fans one fixed probe batch across
 //!   1–16 reader threads over a multi-SST store.
@@ -15,7 +15,7 @@
 //! Output: ops/s per thread count plus the speedup over the single-threaded
 //! row, as `results/fig_concurrent_scaling_*.csv`.
 
-use bloomrf::{BloomRf, ShardedBloomRf};
+use bloomrf::BloomRf;
 use bloomrf_bench::{mops, sig, timed, ExpScale, Report};
 use bloomrf_filters::FilterKind;
 use bloomrf_lsm::{Db, DbOptions};
@@ -30,17 +30,16 @@ fn main() {
     let total_ops = scale.queries(400_000);
     let thread_counts = [1usize, 2, 4, 8, 16];
 
-    // --- Sweep 1: mixed workload against one shared sharded filter --------
+    // --- Sweep 1: mixed workload against one shared filter ----------------
     let mut filter_report = Report::new(
         "fig_concurrent_scaling_filter",
-        &["threads", "shards", "ops", "secs", "mops_per_s", "speedup"],
+        &["threads", "ops", "secs", "mops_per_s", "speedup"],
     );
     let mut baseline_mops = 0.0f64;
     for &threads in &thread_counts {
         let filter = BloomRf::builder()
             .expected_keys(n_keys)
             .bits_per_key(14.0)
-            .sharded(16)
             .build()
             .expect("config");
         // Pre-load half of the keys so reads and scans hit realistic occupancy.
@@ -73,7 +72,6 @@ fn main() {
         }
         filter_report.push(&[
             threads.to_string(),
-            filter.shard_count().to_string(),
             ops.to_string(),
             sig(secs),
             sig(throughput),
@@ -133,7 +131,7 @@ fn main() {
 
 /// Replay one thread's operation stream against the shared filter, grouping
 /// operations into fixed-size batches for the batched probe engine.
-fn run_stream(filter: &ShardedBloomRf, stream: &[Operation]) -> (usize, usize) {
+fn run_stream(filter: &BloomRf, stream: &[Operation]) -> (usize, usize) {
     let mut inserts: Vec<u64> = Vec::with_capacity(BATCH);
     let mut reads: Vec<u64> = Vec::with_capacity(BATCH);
     let mut scans: Vec<(u64, u64)> = Vec::with_capacity(BATCH);

@@ -74,7 +74,7 @@ fn build_filter(n_keys: usize, bits_per_key: f64, layout: WordLayout) -> BloomRf
     let config = BloomRfConfig::basic(64, n_keys, bits_per_key, DELTA)
         .expect("basic config")
         .with_word_layout(layout);
-    let filter = BloomRf::new(config).expect("filter");
+    let filter = BloomRf::builder().config(config).build().expect("filter");
     let keys: Vec<u64> = (0..n_keys as u64).map(key_of).collect();
     filter.insert_batch(&keys);
     filter

@@ -26,7 +26,12 @@ fn main() {
     );
 
     let keys = Sampler::new(Distribution::Uniform, 64, 6).sample_distinct(n_measured);
-    let filter17 = BloomRf::basic(64, n_measured, 17.0, delta).expect("config");
+    let filter17 = BloomRf::builder()
+        .expected_keys(n_measured)
+        .bits_per_key(17.0)
+        .delta(delta)
+        .build()
+        .expect("config");
     for &k in &keys {
         filter17.insert(k);
     }

@@ -1,6 +1,6 @@
 //! Shared infrastructure for the experiment binaries that regenerate every
-//! table and figure of the bloomRF evaluation (see DESIGN.md for the
-//! experiment index and EXPERIMENTS.md for recorded results).
+//! table and figure of the bloomRF evaluation (the index is the README's
+//! "Benchmarks and figure reproduction" section).
 //!
 //! Every binary in `src/bin/` follows the same conventions:
 //!

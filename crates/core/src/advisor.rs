@@ -324,7 +324,10 @@ mod tests {
     #[test]
     fn tuned_config_builds_a_working_filter() {
         let tuned = TuningAdvisor::tune_for(64, 100_000, 16.0, 1e6).unwrap();
-        let filter = BloomRf::new(tuned.config.clone()).unwrap();
+        let filter = BloomRf::builder()
+            .config(tuned.config.clone())
+            .build()
+            .unwrap();
         let keys: Vec<u64> = (0..100_000u64).map(crate::hashing::mix64).collect();
         for &k in &keys {
             filter.insert(k);

@@ -1,94 +1,21 @@
 //! Bit-array primitives used by bloomRF and the baseline filters.
 //!
-//! Three flavours are provided:
+//! Two flavours are provided:
 //!
 //! * [`BitVec`] — a plain, single-threaded bit vector with word-granular access.
-//!   Used for exact-layer bitmaps, baseline filters and succinct structures.
+//!   Used for snapshots and serialization, baseline filters and succinct
+//!   structures.
 //! * [`AtomicBits`] — a lock-free bit array backed by `AtomicU64`. bloomRF is an
 //!   *online* filter (Problem 2 in the paper): keys can be inserted while queries
-//!   run concurrently, so the probabilistic segments use atomic words.
-//! * [`ShardedAtomicBits`] — the same logical bit array striped into
-//!   independently allocated shards, routed by the prefix of the physical word
-//!   index and written with a CAS loop. The striping changes the memory layout
-//!   (separate allocations, no cross-shard cache-line sharing), *not* the
-//!   logical addressing, so a filter built on it answers bit-identically to
-//!   one built on [`AtomicBits`].
+//!   run concurrently, so every segment of a [`crate::BloomRf`] — and its
+//!   exact-layer bitmap — is one flat `AtomicBits`.
 //!
-//! The concurrent flavours share the [`BitStore`] trait, which is what the
-//! generic [`crate::BloomRf`] probes against.
-//!
-//! All types address sub-words of `1..=64` bits. bloomRF's piecewise-monotone
+//! Both types address sub-words of `1..=64` bits. bloomRF's piecewise-monotone
 //! hash functions read and write *words* of `2^(Δ-1)` bits; because every
 //! supported word size divides 64 and segments are 64-bit aligned, a logical
 //! word never straddles two physical `u64` words.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-
-/// Concurrent bit storage that bloomRF's probe engine runs against.
-///
-/// `false`-returning reads may race with in-flight `set`s (same relaxed
-/// semantics as [`AtomicBits`]); once a write call has returned, it is visible
-/// to every subsequent read on the same thread and to any thread synchronized
-/// with the writer (e.g. via `join`).
-pub trait BitStore: Send + Sync + std::fmt::Debug {
-    /// Create a zeroed store with room for `bits` bits.
-    fn with_bits(bits: usize) -> Self
-    where
-        Self: Sized;
-
-    /// Atomically set bit `idx`.
-    fn set(&self, idx: usize);
-
-    /// Read bit `idx`.
-    fn get(&self, idx: usize) -> bool;
-
-    /// Best-effort hint that bit `idx` will be read soon: request the cache
-    /// line holding its physical word. Purely a scheduling hint — no memory
-    /// is accessed architecturally, nothing synchronizes, and the default is
-    /// a no-op; backends with addressable storage override it. Sound to call
-    /// concurrently with writers for the same reason `get` is.
-    #[inline]
-    fn prefetch_bit(&self, idx: usize) {
-        let _ = idx;
-    }
-
-    /// Load a logical word of `width` bits (1..=64, dividing 64) at the
-    /// `width`-aligned bit position `start`.
-    fn load_word(&self, start: usize, width: u32) -> u64;
-
-    /// OR a logical word of `width` bits into the store at aligned `start`.
-    fn or_word(&self, start: usize, width: u32, value: u64);
-
-    /// True if any bit in the inclusive bit range `[lo, hi]` is set.
-    fn any_set_in(&self, lo: usize, hi: usize) -> bool;
-
-    /// Count of set bits.
-    fn count_ones(&self) -> usize;
-
-    /// Total payload bits (multiple of 64).
-    fn capacity_bits(&self) -> usize;
-
-    /// Copy the current contents into a plain [`BitVec`].
-    fn snapshot(&self) -> BitVec;
-
-    /// OR every set bit of `other` into this store (set union of the two bit
-    /// sets). Both stores must have the same capacity. Zero words of the
-    /// source are skipped, so unioning a sparse snapshot touches only the
-    /// words that carry bits; concurrent readers may observe the union
-    /// partially applied (the same relaxed visibility as [`BitStore::set`]).
-    fn union_from(&self, other: &BitVec) {
-        assert_eq!(
-            other.capacity_bits(),
-            self.capacity_bits(),
-            "bit-store union requires equal capacities"
-        );
-        for (i, word) in other.words().iter().enumerate() {
-            if *word != 0 {
-                self.or_word(i * 64, 64, *word);
-            }
-        }
-    }
-}
 
 /// Round a bit count up to a whole number of 64-bit words.
 #[inline]
@@ -374,6 +301,20 @@ impl AtomicBits {
         (self.words[idx / 64].load(Ordering::Relaxed) >> (idx % 64)) & 1 == 1
     }
 
+    /// Best-effort hint that bit `idx` will be read soon: request the cache
+    /// line holding its physical word. Purely a scheduling hint — no memory
+    /// is accessed architecturally and nothing synchronizes — so it is sound
+    /// to call concurrently with writers for the same reason `get` is.
+    #[inline]
+    pub fn prefetch_bit(&self, idx: usize) {
+        debug_assert!(
+            idx < self.bits,
+            "bit index {idx} out of range {}",
+            self.bits
+        );
+        crate::kernel::prefetch_read(&self.words[idx / 64]);
+    }
+
     /// Load a logical word of `width` bits (1..=64, dividing 64) at the aligned
     /// bit position `start`.
     #[inline]
@@ -454,6 +395,24 @@ impl AtomicBits {
         }
     }
 
+    /// OR every set bit of `other` into this array (set union of the two bit
+    /// sets). Both must have the same capacity. Zero words of the source are
+    /// skipped, so unioning a sparse snapshot touches only the words that
+    /// carry bits; concurrent readers may observe the union partially applied
+    /// (the same relaxed visibility as [`AtomicBits::set`]).
+    pub fn union_from(&self, other: &BitVec) {
+        assert_eq!(
+            other.capacity_bits(),
+            self.capacity_bits(),
+            "bit-store union requires equal capacities"
+        );
+        for (i, word) in other.words().iter().enumerate() {
+            if *word != 0 {
+                self.or_word(i * 64, 64, *word);
+            }
+        }
+    }
+
     /// Restore an atomic array from a plain snapshot.
     pub fn from_bitvec(bv: &BitVec) -> Self {
         let mut words = Vec::with_capacity(bv.words.len());
@@ -470,267 +429,6 @@ impl AtomicBits {
 impl Clone for AtomicBits {
     fn clone(&self) -> Self {
         Self::from_bitvec(&self.snapshot())
-    }
-}
-
-impl BitStore for AtomicBits {
-    fn with_bits(bits: usize) -> Self {
-        Self::new(bits)
-    }
-    #[inline]
-    fn set(&self, idx: usize) {
-        AtomicBits::set(self, idx);
-    }
-    #[inline]
-    fn get(&self, idx: usize) -> bool {
-        AtomicBits::get(self, idx)
-    }
-    #[inline]
-    fn prefetch_bit(&self, idx: usize) {
-        debug_assert!(
-            idx < self.bits,
-            "bit index {idx} out of range {}",
-            self.bits
-        );
-        crate::kernel::prefetch_read(&self.words[idx / 64]);
-    }
-    #[inline]
-    fn load_word(&self, start: usize, width: u32) -> u64 {
-        AtomicBits::load_word(self, start, width)
-    }
-    #[inline]
-    fn or_word(&self, start: usize, width: u32, value: u64) {
-        AtomicBits::or_word(self, start, width, value);
-    }
-    fn any_set_in(&self, lo: usize, hi: usize) -> bool {
-        AtomicBits::any_set_in(self, lo, hi)
-    }
-    fn count_ones(&self) -> usize {
-        AtomicBits::count_ones(self)
-    }
-    fn capacity_bits(&self) -> usize {
-        AtomicBits::capacity_bits(self)
-    }
-    fn snapshot(&self) -> BitVec {
-        AtomicBits::snapshot(self)
-    }
-}
-
-/// A lock-free bit array striped into independently allocated shards.
-///
-/// The logical address space is identical to [`AtomicBits`]: bit `idx` lives
-/// in physical 64-bit word `idx / 64`. Words are routed to shards by the
-/// *prefix* of the word index (word `w` belongs to shard `w /
-/// words_per_shard`), so each shard owns one contiguous stripe of the logical
-/// array in its own allocation. Concurrent writers touching different stripes
-/// never share a cache line, and each write is a `compare_exchange` loop that
-/// skips the store entirely when every requested bit is already set — the
-/// common case once a filter segment fills up.
-///
-/// Because routing is a pure function of the bit index, a bloomRF filter built
-/// over `ShardedAtomicBits` sets and probes exactly the same logical bits as
-/// one built over [`AtomicBits`]; the differential property tests assert this
-/// end to end.
-#[derive(Debug)]
-pub struct ShardedAtomicBits {
-    /// One contiguous stripe of physical words per shard, separately boxed so
-    /// stripes never share an allocation.
-    shards: Vec<Box<[AtomicU64]>>,
-    words_per_shard: usize,
-    bits: usize,
-}
-
-/// Default shard count used by [`ShardedAtomicBits::with_bits`] (via the
-/// [`BitStore`] constructor, where no explicit count can be passed).
-pub const DEFAULT_SHARDS: usize = 8;
-
-impl ShardedAtomicBits {
-    /// Create a zeroed sharded array with room for `bits` bits, striped into
-    /// (at most) `shards` shards. A shard never holds less than one word, so
-    /// tiny arrays get fewer shards than requested.
-    pub fn new(bits: usize, shards: usize) -> Self {
-        let total_words = words_for_bits(bits);
-        let shards = shards.clamp(1, total_words.max(1));
-        let words_per_shard = total_words.div_ceil(shards).max(1);
-        let mut stripes = Vec::with_capacity(shards);
-        let mut remaining = total_words;
-        while remaining > 0 {
-            let n = remaining.min(words_per_shard);
-            stripes.push((0..n).map(|_| AtomicU64::new(0)).collect());
-            remaining -= n;
-        }
-        if stripes.is_empty() {
-            stripes.push(Vec::new().into_boxed_slice());
-        }
-        Self {
-            shards: stripes,
-            words_per_shard,
-            bits,
-        }
-    }
-
-    /// Number of shards the array is striped into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Route a physical word index to its shard and in-shard slot.
-    #[inline(always)]
-    fn locate(&self, word_idx: usize) -> &AtomicU64 {
-        &self.shards[word_idx / self.words_per_shard][word_idx % self.words_per_shard]
-    }
-
-    /// OR `mask` into physical word `word_idx` with a CAS loop, skipping the
-    /// store when the bits are already present.
-    #[inline]
-    fn fetch_or_word(&self, word_idx: usize, mask: u64) {
-        let word = self.locate(word_idx);
-        // ordering: the CAS loop only needs atomicity of each word update,
-        // not inter-word ordering — the loop re-reads on failure, the OR is
-        // idempotent, and publication to readers goes through the caller's
-        // synchronization (model-checked in tests/loom_model.rs: no schedule
-        // loses an update).
-        let mut current = word.load(Ordering::Relaxed);
-        while current & mask != mask {
-            match word.compare_exchange_weak(
-                current,
-                current | mask,
-                // ordering: relaxed success/failure, per the CAS-loop
-                // argument above.
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Number of addressable bits.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bits
-    }
-
-    /// True if the array holds zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
-    }
-}
-
-impl BitStore for ShardedAtomicBits {
-    fn with_bits(bits: usize) -> Self {
-        Self::new(bits, DEFAULT_SHARDS)
-    }
-
-    #[inline]
-    fn set(&self, idx: usize) {
-        debug_assert!(
-            idx < self.bits,
-            "bit index {idx} out of range {}",
-            self.bits
-        );
-        self.fetch_or_word(idx / 64, 1u64 << (idx % 64));
-    }
-
-    #[inline]
-    fn get(&self, idx: usize) -> bool {
-        debug_assert!(
-            idx < self.bits,
-            "bit index {idx} out of range {}",
-            self.bits
-        );
-        // ordering: stale reads only produce the documented false negative
-        // for concurrently-inserted keys.
-        (self.locate(idx / 64).load(Ordering::Relaxed) >> (idx % 64)) & 1 == 1
-    }
-
-    #[inline]
-    fn prefetch_bit(&self, idx: usize) {
-        debug_assert!(
-            idx < self.bits,
-            "bit index {idx} out of range {}",
-            self.bits
-        );
-        crate::kernel::prefetch_read(self.locate(idx / 64));
-    }
-
-    #[inline]
-    fn load_word(&self, start: usize, width: u32) -> u64 {
-        debug_assert!((1..=64).contains(&width) && 64 % width == 0);
-        debug_assert_eq!(start % width as usize, 0, "unaligned word load");
-        // ordering: stale probe reads tolerated (see type contract).
-        let word = self.locate(start / 64).load(Ordering::Relaxed);
-        let shift = (start % 64) as u32;
-        if width == 64 {
-            word
-        } else {
-            (word >> shift) & ((1u64 << width) - 1)
-        }
-    }
-
-    #[inline]
-    fn or_word(&self, start: usize, width: u32, value: u64) {
-        debug_assert!((1..=64).contains(&width) && 64 % width == 0);
-        debug_assert_eq!(start % width as usize, 0, "unaligned word store");
-        let shift = (start % 64) as u32;
-        self.fetch_or_word(start / 64, value << shift);
-    }
-
-    fn any_set_in(&self, lo: usize, hi: usize) -> bool {
-        if lo > hi {
-            return false;
-        }
-        debug_assert!(hi < self.bits);
-        let (lw, hw) = (lo / 64, hi / 64);
-        // ordering: range probes tolerate stale words — a miss on a
-        // concurrently-set bit is the documented false-negative case.
-        if lw == hw {
-            let mask = mask_between(lo % 64, hi % 64);
-            return self.locate(lw).load(Ordering::Relaxed) & mask != 0;
-        }
-        // ordering: same stale-read tolerance as above.
-        if self.locate(lw).load(Ordering::Relaxed) & mask_between(lo % 64, 63) != 0 {
-            return true;
-        }
-        for w in lw + 1..hw {
-            // ordering: same stale-read tolerance as above.
-            if self.locate(w).load(Ordering::Relaxed) != 0 {
-                return true;
-            }
-        }
-        // ordering: same stale-read tolerance as above.
-        self.locate(hw).load(Ordering::Relaxed) & mask_between(0, hi % 64) != 0
-    }
-
-    fn count_ones(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.iter())
-            // ordering: diagnostic census; exactness under concurrent writes
-            // is not promised.
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
-    }
-
-    fn capacity_bits(&self) -> usize {
-        self.shards.iter().map(|s| s.len() * 64).sum()
-    }
-
-    fn snapshot(&self) -> BitVec {
-        let words: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.iter())
-            // ordering: callers snapshot quiescent or externally-synchronized
-            // arrays; a torn-across-words view is acceptable otherwise.
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect();
-        BitVec {
-            words,
-            bits: self.bits,
-        }
     }
 }
 
@@ -836,6 +534,34 @@ mod tests {
         assert_eq!(snap.count_ones(), ab.count_ones());
         let back = AtomicBits::from_bitvec(&snap);
         assert_eq!(back.count_ones(), ab.count_ones());
+
+        // Every operation the filter performs agrees with the plain BitVec.
+        let atomic = AtomicBits::new(4096);
+        let mut plain = BitVec::new(4096);
+        for i in 0..4096u64 {
+            let bit = (crate::hashing::mix64(i) % 4096) as usize;
+            atomic.set(bit);
+            plain.set(bit);
+        }
+        atomic.or_word(128, 8, 0xA5);
+        plain.or_word(128, 8, 0xA5);
+        assert_eq!((atomic.len(), atomic.capacity_bits()), (4096, 4096));
+        assert!(!atomic.is_empty());
+        assert_eq!(atomic.count_ones(), plain.count_ones());
+        for i in 0..4096usize {
+            assert_eq!(atomic.get(i), plain.get(i), "bit {i}");
+        }
+        for start in (0..4096).step_by(64) {
+            assert_eq!(atomic.load_word(start, 64), plain.load_word(start, 64));
+        }
+        for (lo, hi) in [(0usize, 4095usize), (100, 100), (63, 64), (1000, 3000)] {
+            assert_eq!(
+                atomic.any_set_in(lo, hi),
+                plain.any_set_in(lo, hi),
+                "range [{lo},{hi}]"
+            );
+        }
+        assert_eq!(atomic.snapshot(), plain);
     }
 
     #[test]
@@ -848,119 +574,37 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..1000usize {
                     ab.set((t as usize * 1000 + i) % ab.len());
+                    // Every thread also races the others on the same 500
+                    // bits, so concurrent sets of one word must not lose any.
+                    if i % 2 == 0 {
+                        ab.set(8000 + i / 2);
+                    }
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(ab.count_ones(), 4000);
+        assert_eq!(ab.count_ones(), 4500);
     }
 
     #[test]
-    fn sharded_bits_mirror_atomic_bits() {
-        // The sharded store must be logically indistinguishable from the flat
-        // atomic store for every operation the filter performs.
-        for shards in [1usize, 2, 3, 8, 64] {
-            let flat = AtomicBits::new(4096);
-            let sharded = ShardedAtomicBits::new(4096, shards);
-            for i in 0..4096usize {
-                let bit = (crate::hashing::mix64(i as u64) % 4096) as usize;
-                flat.set(bit);
-                BitStore::set(&sharded, bit);
-            }
-            sharded.or_word(128, 8, 0xA5);
-            flat.or_word(128, 8, 0xA5);
-            assert_eq!(flat.count_ones(), BitStore::count_ones(&sharded));
-            for i in 0..4096usize {
-                assert_eq!(flat.get(i), BitStore::get(&sharded, i), "bit {i}");
-            }
-            for start in (0..4096).step_by(64) {
-                assert_eq!(
-                    flat.load_word(start, 64),
-                    BitStore::load_word(&sharded, start, 64)
-                );
-            }
-            for (lo, hi) in [(0usize, 4095usize), (100, 100), (63, 64), (1000, 3000)] {
-                assert_eq!(
-                    flat.any_set_in(lo, hi),
-                    BitStore::any_set_in(&sharded, lo, hi),
-                    "range [{lo},{hi}] shards={shards}"
-                );
-            }
-            assert_eq!(flat.snapshot(), BitStore::snapshot(&sharded));
-        }
-    }
-
-    #[test]
-    fn sharded_bits_geometry() {
-        let s = ShardedAtomicBits::new(64 * 10, 4);
-        assert_eq!(s.shard_count(), 4);
-        assert_eq!(s.len(), 640);
-        assert_eq!(BitStore::capacity_bits(&s), 640);
-        assert!(!s.is_empty());
-        // A tiny array cannot be split below one word per shard.
-        let tiny = ShardedAtomicBits::new(64, 16);
-        assert_eq!(tiny.shard_count(), 1);
-        // Shard count 0 is clamped to 1.
-        let one = ShardedAtomicBits::new(256, 0);
-        assert_eq!(one.shard_count(), 1);
-    }
-
-    #[test]
-    fn sharded_bits_concurrent_cas_inserts() {
-        use std::sync::Arc;
-        let bits = Arc::new(ShardedAtomicBits::new(64 * 1024, 8));
-        let mut handles = Vec::new();
-        for t in 0..8u64 {
-            let bits = Arc::clone(&bits);
-            handles.push(std::thread::spawn(move || {
-                // Threads deliberately overlap on half of their positions to
-                // exercise the CAS retry path.
-                for i in 0..4000u64 {
-                    let idx = if i % 2 == 0 {
-                        (i * 7) % (64 * 1024)
-                    } else {
-                        (t * 8000 + i) % (64 * 1024)
-                    };
-                    BitStore::set(&*bits, idx as usize);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Every position written by any thread must be visible after join.
-        for i in (0..4000u64).step_by(2) {
-            assert!(BitStore::get(&*bits, ((i * 7) % (64 * 1024)) as usize));
-        }
-    }
-
-    #[test]
-    fn union_from_merges_bits_on_both_backends() {
-        let src_flat = AtomicBits::new(1024);
-        let src_sharded = ShardedAtomicBits::new(1024, 4);
+    fn union_from_merges_bits() {
+        let src = AtomicBits::new(1024);
         for i in (0..1024).step_by(13) {
-            src_flat.set(i);
-            BitStore::set(&src_sharded, i);
+            src.set(i);
         }
-        let snap = src_flat.snapshot();
-        assert_eq!(snap, BitStore::snapshot(&src_sharded));
-
-        let dst_flat = AtomicBits::new(1024);
-        dst_flat.set(5);
-        let dst_sharded = ShardedAtomicBits::new(1024, 4);
-        BitStore::set(&dst_sharded, 5);
-        dst_flat.union_from(&snap);
-        dst_sharded.union_from(&snap);
+        let snap = src.snapshot();
+        let dst = AtomicBits::new(1024);
+        dst.set(5);
+        dst.union_from(&snap);
         for i in 0..1024usize {
-            let want = i == 5 || i % 13 == 0;
-            assert_eq!(dst_flat.get(i), want, "flat bit {i}");
-            assert_eq!(BitStore::get(&dst_sharded, i), want, "sharded bit {i}");
+            assert_eq!(dst.get(i), i == 5 || i % 13 == 0, "bit {i}");
         }
         // Union is idempotent.
-        dst_flat.union_from(&snap);
-        assert_eq!(dst_flat.snapshot(), BitStore::snapshot(&dst_sharded));
+        let before = dst.snapshot();
+        dst.union_from(&snap);
+        assert_eq!(dst.snapshot(), before);
     }
 
     #[test]

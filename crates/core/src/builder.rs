@@ -1,18 +1,17 @@
 //! One unified construction surface for every bloomRF variant.
 //!
 //! [`BloomRfBuilder`] collapses the constructor matrix — basic vs.
-//! advisor-tuned, flat vs. sharded storage, `u64` vs. typed keys, fresh vs.
-//! deserialized — behind a single fluent chain:
+//! advisor-tuned, `u64` vs. typed keys, fresh vs. deserialized — behind a
+//! single fluent chain:
 //!
 //! ```
 //! use bloomrf::BloomRf;
 //!
-//! // Advisor-tuned, shard-striped, typed over f64 — one chain.
+//! // Advisor-tuned, typed over f64 — one chain.
 //! let filter = BloomRf::builder()
 //!     .expected_keys(100_000)
 //!     .bits_per_key(18.0)
 //!     .max_range(1e8)
-//!     .sharded(8)
 //!     .key_type::<f64>()
 //!     .build()
 //!     .unwrap();
@@ -20,13 +19,12 @@
 //! assert!(filter.contains_range(&0.0, &2.0));
 //! ```
 //!
-//! [`BloomRf::new`], [`BloomRf::basic`] and [`BloomRf::from_bytes`] remain as
-//! thin delegates for the flat backend; sharded filters are built here only.
+//! [`BloomRf::from_bytes`] remains as a thin delegate of
+//! [`BloomRfBuilder::from_bytes`].
 
 use std::marker::PhantomData;
 
 use crate::advisor::TuningAdvisor;
-use crate::bitarray::{AtomicBits, BitStore, ShardedAtomicBits, DEFAULT_SHARDS};
 use crate::config::{BloomRfConfig, RangePolicy};
 use crate::encode::RangeKey;
 use crate::error::{ConfigError, DecodeError, MergeError};
@@ -35,35 +33,8 @@ use crate::hashing::WordLayout;
 use crate::traits::FilterBuilder;
 use crate::typed::TypedBloomRf;
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for crate::bitarray::AtomicBits {}
-    impl Sealed for crate::bitarray::ShardedAtomicBits {}
-}
-
-/// Storage backends the builder knows how to instantiate (sealed: the flat
-/// [`AtomicBits`] and the shard-striped [`ShardedAtomicBits`]).
-pub trait BuildStore: BitStore + sealed::Sealed {
-    /// Create a zeroed store of `bits` bits; `shards` is honoured only by
-    /// sharded backends.
-    fn make(bits: usize, shards: usize) -> Self;
-}
-
-impl BuildStore for AtomicBits {
-    fn make(bits: usize, _shards: usize) -> Self {
-        AtomicBits::new(bits)
-    }
-}
-
-impl BuildStore for ShardedAtomicBits {
-    fn make(bits: usize, shards: usize) -> Self {
-        ShardedAtomicBits::new(bits, shards)
-    }
-}
-
-/// Builder for [`BloomRf`] filters over raw `u64` keys; switch the storage
-/// backend with [`BloomRfBuilder::sharded`] and the key type with
-/// [`BloomRfBuilder::key_type`]. Obtain one via [`BloomRf::builder`].
+/// Builder for [`BloomRf`] filters over raw `u64` keys; switch the key type
+/// with [`BloomRfBuilder::key_type`]. Obtain one via [`BloomRf::builder`].
 ///
 /// Unless overridden, the builder produces the tuning-free basic filter
 /// (Sect. 3) for 1 M expected keys at 14 bits/key over the full 64-bit
@@ -71,7 +42,7 @@ impl BuildStore for ShardedAtomicBits {
 /// advisor-tuned extended configuration (Sect. 7); setting
 /// [`BloomRfBuilder::config`] uses an explicit configuration verbatim.
 #[derive(Clone, Debug)]
-pub struct BloomRfBuilder<S: BuildStore = AtomicBits> {
+pub struct BloomRfBuilder {
     domain_bits: Option<u32>,
     expected_keys: usize,
     bits_per_key: f64,
@@ -81,17 +52,15 @@ pub struct BloomRfBuilder<S: BuildStore = AtomicBits> {
     seed: Option<u64>,
     range_policy: Option<RangePolicy>,
     word_layout: Option<WordLayout>,
-    shards: usize,
-    _store: PhantomData<fn() -> S>,
 }
 
-impl Default for BloomRfBuilder<AtomicBits> {
+impl Default for BloomRfBuilder {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl BloomRfBuilder<AtomicBits> {
+impl BloomRfBuilder {
     /// A builder with the defaults documented on [`BloomRfBuilder`].
     pub fn new() -> Self {
         Self {
@@ -104,13 +73,9 @@ impl BloomRfBuilder<AtomicBits> {
             seed: None,
             range_policy: None,
             word_layout: None,
-            shards: DEFAULT_SHARDS,
-            _store: PhantomData,
         }
     }
-}
 
-impl<S: BuildStore> BloomRfBuilder<S> {
     /// Width of the key domain in bits (default: 64, or the key type's
     /// [`RangeKey::DOMAIN_BITS`] after [`BloomRfBuilder::key_type`]).
     pub fn domain_bits(mut self, bits: u32) -> Self {
@@ -170,29 +135,10 @@ impl<S: BuildStore> BloomRfBuilder<S> {
         self
     }
 
-    /// Stripe every memory segment into (at most) `shards` lock-free shards
-    /// ([`ShardedAtomicBits`]); answers stay bit-identical to the flat
-    /// filter.
-    pub fn sharded(self, shards: usize) -> BloomRfBuilder<ShardedAtomicBits> {
-        BloomRfBuilder {
-            domain_bits: self.domain_bits,
-            expected_keys: self.expected_keys,
-            bits_per_key: self.bits_per_key,
-            delta: self.delta,
-            max_range: self.max_range,
-            config: self.config,
-            seed: self.seed,
-            range_policy: self.range_policy,
-            word_layout: self.word_layout,
-            shards,
-            _store: PhantomData,
-        }
-    }
-
     /// Build a typed filter over keys of type `K` ([`TypedBloomRf`]); the
     /// domain width defaults to `K::DOMAIN_BITS` unless
     /// [`BloomRfBuilder::domain_bits`] was set explicitly.
-    pub fn key_type<K: RangeKey>(self) -> TypedBloomRfBuilder<K, S> {
+    pub fn key_type<K: RangeKey>(self) -> TypedBloomRfBuilder<K> {
         TypedBloomRfBuilder {
             inner: self,
             _key: PhantomData,
@@ -232,54 +178,47 @@ impl<S: BuildStore> BloomRfBuilder<S> {
     }
 
     /// Instantiate an empty filter from a resolved configuration.
-    fn build_with_domain(&self, default_domain: u32) -> Result<BloomRf<S>, ConfigError> {
-        let cfg = self.resolve_config(default_domain)?;
-        let shards = self.shards;
-        BloomRf::with_store(cfg, |bits| S::make(bits, shards))
+    fn build_with_domain(&self, default_domain: u32) -> Result<BloomRf, ConfigError> {
+        BloomRf::with_config(self.resolve_config(default_domain)?)
     }
 
     /// Build the empty filter.
-    pub fn build(self) -> Result<BloomRf<S>, ConfigError> {
+    pub fn build(self) -> Result<BloomRf, ConfigError> {
         self.build_with_domain(64)
     }
 
-    /// Reconstruct a filter from [`BloomRf::to_bytes`] output onto this
-    /// builder's storage backend. The serialized configuration wins over the
-    /// builder's geometry and seed knobs (the bits were written under them).
+    /// Reconstruct a filter from [`BloomRf::to_bytes`] output. The serialized
+    /// configuration wins over the builder's geometry and seed knobs (the
+    /// bits were written under them).
     ///
     /// The stream persists the complete configuration: the serialized
     /// `word_layout` is authoritative (a conflicting builder layout is
     /// ignored — the bits were written under the serialized one) and the
     /// builder's [`BloomRfBuilder::range_policy`] acts as a run-time
     /// override.
-    pub fn from_bytes(self, bytes: &[u8]) -> Result<BloomRf<S>, DecodeError> {
-        let shards = self.shards;
-        BloomRf::from_bytes_with(bytes, self.range_policy, |bits| S::make(bits, shards))
+    pub fn from_bytes(self, bytes: &[u8]) -> Result<BloomRf, DecodeError> {
+        BloomRf::from_bytes_with(bytes, self.range_policy)
     }
 
     /// Aggregate constructor: build one filter holding the union of `parts`
     /// (a Bloofi-style inner node — it answers *maybe* for every key and
     /// range any part answers *maybe* for). All parts must share the same
-    /// configuration, which the aggregate adopts verbatim; the builder
-    /// contributes only the storage backend (flat or
-    /// [`BloomRfBuilder::sharded`]). The parts' backend may differ from the
-    /// aggregate's.
+    /// configuration, which the aggregate adopts verbatim.
     ///
     /// ```
     /// use bloomrf::BloomRf;
     ///
     /// let cfg = bloomrf::BloomRfConfig::basic(64, 1000, 14.0, 7).unwrap();
-    /// let a = BloomRf::new(cfg.clone()).unwrap();
-    /// let b = BloomRf::new(cfg).unwrap();
+    /// let a = BloomRf::builder().config(cfg.clone()).build().unwrap();
+    /// let b = BloomRf::builder().config(cfg).build().unwrap();
     /// a.insert(7);
     /// b.insert(4711);
     /// let node = BloomRf::builder().union_of(&[&a, &b]).unwrap();
     /// assert!(node.contains_point(7) && node.contains_point(4711));
     /// ```
-    pub fn union_of<S2: BitStore>(self, parts: &[&BloomRf<S2>]) -> Result<BloomRf<S>, MergeError> {
+    pub fn union_of(self, parts: &[&BloomRf]) -> Result<BloomRf, MergeError> {
         let first = parts.first().ok_or(MergeError::EmptyAggregate)?;
-        let shards = self.shards;
-        let aggregate = BloomRf::with_store(first.config().clone(), |bits| S::make(bits, shards))
+        let aggregate = BloomRf::with_config(first.config().clone())
             .expect("the configuration of an existing filter is always valid");
         for part in parts {
             aggregate.merge_from(part)?;
@@ -291,12 +230,12 @@ impl<S: BuildStore> BloomRfBuilder<S> {
 /// [`BloomRfBuilder`] specialized to a [`RangeKey`] key type; produced by
 /// [`BloomRfBuilder::key_type`], builds a [`TypedBloomRf`].
 #[derive(Clone, Debug)]
-pub struct TypedBloomRfBuilder<K: RangeKey, S: BuildStore = AtomicBits> {
-    inner: BloomRfBuilder<S>,
+pub struct TypedBloomRfBuilder<K: RangeKey> {
+    inner: BloomRfBuilder,
     _key: PhantomData<fn(K) -> K>,
 }
 
-impl<K: RangeKey, S: BuildStore> TypedBloomRfBuilder<K, S> {
+impl<K: RangeKey> TypedBloomRfBuilder<K> {
     /// See [`BloomRfBuilder::domain_bits`].
     pub fn domain_bits(mut self, bits: u32) -> Self {
         self.inner = self.inner.domain_bits(bits);
@@ -351,16 +290,8 @@ impl<K: RangeKey, S: BuildStore> TypedBloomRfBuilder<K, S> {
         self
     }
 
-    /// See [`BloomRfBuilder::sharded`].
-    pub fn sharded(self, shards: usize) -> TypedBloomRfBuilder<K, ShardedAtomicBits> {
-        TypedBloomRfBuilder {
-            inner: self.inner.sharded(shards),
-            _key: PhantomData,
-        }
-    }
-
     /// Re-target the builder to a different key type.
-    pub fn key_type<K2: RangeKey>(self) -> TypedBloomRfBuilder<K2, S> {
+    pub fn key_type<K2: RangeKey>(self) -> TypedBloomRfBuilder<K2> {
         TypedBloomRfBuilder {
             inner: self.inner,
             _key: PhantomData,
@@ -369,7 +300,7 @@ impl<K: RangeKey, S: BuildStore> TypedBloomRfBuilder<K, S> {
 
     /// Build the empty typed filter; the domain width defaults to
     /// `K::DOMAIN_BITS`.
-    pub fn build(self) -> Result<TypedBloomRf<K, S>, ConfigError> {
+    pub fn build(self) -> Result<TypedBloomRf<K>, ConfigError> {
         Ok(TypedBloomRf::wrap(
             self.inner.build_with_domain(K::DOMAIN_BITS)?,
         ))
@@ -377,14 +308,14 @@ impl<K: RangeKey, S: BuildStore> TypedBloomRfBuilder<K, S> {
 
     /// Reconstruct a typed filter from [`BloomRf::to_bytes`] /
     /// [`TypedBloomRf::to_bytes`] output (see [`BloomRfBuilder::from_bytes`]).
-    pub fn from_bytes(self, bytes: &[u8]) -> Result<TypedBloomRf<K, S>, DecodeError> {
+    pub fn from_bytes(self, bytes: &[u8]) -> Result<TypedBloomRf<K>, DecodeError> {
         Ok(TypedBloomRf::wrap(self.inner.from_bytes(bytes)?))
     }
 }
 
 impl BloomRf {
-    /// Start a [`BloomRfBuilder`] chain — the unified construction surface
-    /// for basic / advisor-tuned, flat / sharded and raw / typed filters.
+    /// Start a [`BloomRfBuilder`] chain — the one construction surface for
+    /// basic / advisor-tuned and raw / typed filters.
     ///
     /// ```
     /// use bloomrf::BloomRf;
@@ -397,7 +328,7 @@ impl BloomRf {
     /// filter.insert(42);
     /// assert!(filter.contains_range(40, 50));
     /// ```
-    pub fn builder() -> BloomRfBuilder<AtomicBits> {
+    pub fn builder() -> BloomRfBuilder {
         BloomRfBuilder::new()
     }
 }
@@ -406,7 +337,7 @@ impl BloomRf {
 /// over a key set with a space budget goes through the same [`FilterBuilder`]
 /// trait as every baseline family. Falls back to the basic filter when the
 /// advisor cannot tune for the requested range.
-impl FilterBuilder for BloomRfBuilder<AtomicBits> {
+impl FilterBuilder for BloomRfBuilder {
     type Filter = BloomRf;
 
     fn family(&self) -> &'static str {
@@ -449,13 +380,23 @@ mod tests {
             .bits_per_key(12.0)
             .build()
             .unwrap();
-        let basic = BloomRf::basic(64, 5000, 12.0, 7).unwrap();
-        assert_eq!(built.config(), basic.config());
+        let cfg = BloomRfConfig::basic(64, 5000, 12.0, 7).unwrap();
+        assert_eq!(built.config(), &cfg);
+        let explicit = BloomRf::builder()
+            .domain_bits(64)
+            .expected_keys(5000)
+            .bits_per_key(12.0)
+            .delta(7)
+            .build()
+            .unwrap();
+        let verbatim = BloomRf::builder().config(cfg).build().unwrap();
         for k in [1u64, 99, 1 << 40] {
             built.insert(k);
-            basic.insert(k);
+            explicit.insert(k);
+            verbatim.insert(k);
         }
-        assert_eq!(built.snapshot_bits(), basic.snapshot_bits());
+        assert_eq!(built.snapshot_bits(), explicit.snapshot_bits());
+        assert_eq!(built.snapshot_bits(), verbatim.snapshot_bits());
     }
 
     #[test]
@@ -468,34 +409,6 @@ mod tests {
             .unwrap();
         let tuned = TuningAdvisor::tune_for(64, 50_000, 18.0, 1e8).unwrap();
         assert_eq!(built.config(), &tuned.config);
-    }
-
-    #[test]
-    fn builder_sharded_and_from_bytes_round_trip() {
-        let flat = BloomRf::builder()
-            .expected_keys(2000)
-            .bits_per_key(14.0)
-            .build()
-            .unwrap();
-        let sharded = BloomRf::builder()
-            .expected_keys(2000)
-            .bits_per_key(14.0)
-            .sharded(4)
-            .build()
-            .unwrap();
-        let keys: Vec<u64> = (0..2000).map(crate::hashing::mix64).collect();
-        flat.insert_batch(&keys);
-        sharded.insert_batch(&keys);
-        assert_eq!(flat.snapshot_bits(), sharded.snapshot_bits());
-        assert!(sharded.shard_count() > 1);
-
-        let restored = BloomRf::builder().from_bytes(&flat.to_bytes()).unwrap();
-        assert_eq!(restored.snapshot_bits(), flat.snapshot_bits());
-        let restored_sharded = BloomRf::builder()
-            .sharded(4)
-            .from_bytes(&flat.to_bytes())
-            .unwrap();
-        assert_eq!(restored_sharded.snapshot_bits(), flat.snapshot_bits());
     }
 
     #[test]
@@ -554,19 +467,20 @@ mod tests {
             .unwrap();
         assert_eq!(wide.config().domain_bits, 64);
 
-        // key_type composes with sharded in either order.
+        // key_type composes with the geometry setters in either order.
         let a = BloomRf::builder()
             .expected_keys(1000)
-            .sharded(4)
+            .bits_per_key(12.0)
             .key_type::<i64>()
             .build()
             .unwrap();
         let b = BloomRf::builder()
-            .expected_keys(1000)
             .key_type::<i64>()
-            .sharded(4)
+            .expected_keys(1000)
+            .bits_per_key(12.0)
             .build()
             .unwrap();
+        assert_eq!(a.config(), b.config());
         a.insert(&-7);
         b.insert(&-7);
         assert_eq!(a.inner().snapshot_bits(), b.inner().snapshot_bits());
@@ -589,6 +503,7 @@ mod tests {
         filter.insert_batch(&keys);
         let restored = BloomRf::builder().from_bytes(&filter.to_bytes()).unwrap();
         assert_eq!(restored.config(), filter.config());
+        assert_eq!(restored.snapshot_bits(), filter.snapshot_bits());
         assert_eq!(restored.config().word_layout, WordLayout::Alternating);
         for &k in &keys {
             assert!(restored.contains_point(k), "false negative for {k}");
@@ -618,7 +533,7 @@ mod tests {
         let cfg = BloomRfConfig::basic(64, 1000, 14.0, 7).unwrap();
         let parts: Vec<BloomRf> = (0..4u64)
             .map(|p| {
-                let f = BloomRf::new(cfg.clone()).unwrap();
+                let f = BloomRf::builder().config(cfg.clone()).build().unwrap();
                 let keys: Vec<u64> = (0..500)
                     .map(|i| crate::hashing::mix64(p * 1000 + i))
                     .collect();
@@ -635,17 +550,16 @@ mod tests {
                 assert!(node.contains_point(crate::hashing::mix64(p * 1000 + i)));
             }
         }
-        // The sharded aggregate is bit-identical to the flat one.
-        let sharded = BloomRf::builder().sharded(4).union_of(&refs).unwrap();
-        assert_eq!(sharded.snapshot_bits(), node.snapshot_bits());
-
         // Empty input and mismatched configs are typed errors.
         let none: Vec<&BloomRf> = Vec::new();
         assert_eq!(
             BloomRf::builder().union_of(&none).unwrap_err(),
             crate::error::MergeError::EmptyAggregate
         );
-        let other = BloomRf::new(cfg.with_seed(12345)).unwrap();
+        let other = BloomRf::builder()
+            .config(cfg.with_seed(12345))
+            .build()
+            .unwrap();
         assert!(matches!(
             BloomRf::builder()
                 .union_of(&[&parts[0], &other])

@@ -539,7 +539,11 @@ mod tests {
 
     #[test]
     fn string_filter_end_to_end() {
-        let filter = BloomRf::basic(64, 1000, 16.0, 7).unwrap();
+        let filter = BloomRf::builder()
+            .expected_keys(1000)
+            .bits_per_key(16.0)
+            .build()
+            .unwrap();
         let keys: Vec<String> = (0..500).map(|i| format!("user_{i:05}_suffix")).collect();
         for k in &keys {
             filter.insert(encode_string_point(k.as_bytes()));
@@ -561,7 +565,11 @@ mod tests {
 
     #[test]
     fn multi_attribute_filter_answers_conjunctive_predicates() {
-        let inner = BloomRf::basic(64, 20_000, 18.0, 7).unwrap();
+        let inner = BloomRf::builder()
+            .expected_keys(20_000)
+            .bits_per_key(18.0)
+            .build()
+            .unwrap();
         let filter = MultiAttrBloomRf::new(inner, 32);
         // Insert tuples (run, object_id) with run < 1000 and clustered object ids.
         let tuples: Vec<(u64, u64)> = (0..5_000u64)
@@ -583,7 +591,11 @@ mod tests {
 
     #[test]
     fn multi_attribute_rejects_most_nonexistent_combinations() {
-        let inner = BloomRf::basic(64, 4_000, 20.0, 7).unwrap();
+        let inner = BloomRf::builder()
+            .expected_keys(4_000)
+            .bits_per_key(20.0)
+            .build()
+            .unwrap();
         let filter = MultiAttrBloomRf::new(inner, 32);
         for i in 0..1_000u64 {
             filter.insert(i << 40, (i + 7) << 40);

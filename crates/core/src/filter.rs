@@ -12,15 +12,11 @@
 //! with lookups (the bit arrays are atomic), which is the property Experiment
 //! 4 of the paper evaluates.
 //!
-//! ## Storage backends and the batched probe engine
+//! ## Storage and the batched probe engine
 //!
-//! `BloomRf` is generic over a [`BitStore`]: the default [`AtomicBits`]
-//! backend keeps each segment in one flat atomic array, while
-//! [`ShardedBloomRf`] (= `BloomRf<ShardedAtomicBits>`) stripes every segment
-//! into independently allocated shards routed by the prefix of the physical
-//! word index and written with a CAS loop. The logical bit addressing is the
-//! same for every backend, so the two filters are answer-for-answer
-//! identical — only the concurrency behaviour differs.
+//! Every memory segment, and the exact-layer bitmap, is one flat
+//! [`AtomicBits`] array: the paper's single logical bit array split into
+//! per-layer segments. Construct filters with [`BloomRf::builder`].
 //!
 //! Because the PMHF probes of different dyadic levels are independent, the
 //! probe engine also exposes batched entry points —
@@ -38,7 +34,7 @@
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
-use crate::bitarray::{mask_between, AtomicBits, BitStore, BitVec, ShardedAtomicBits};
+use crate::bitarray::{mask_between, AtomicBits, BitVec};
 use crate::config::{BloomRfConfig, RangePolicy};
 use crate::crc32::crc32;
 use crate::error::{ConfigError, DecodeError, MergeError};
@@ -73,16 +69,13 @@ struct LayerRuntime {
     hashers: Vec<Pmhf>,
 }
 
-/// The bloomRF filter, generic over its concurrent bit storage.
-///
-/// The default backend is the flat [`AtomicBits`]; see [`ShardedBloomRf`] for
-/// the shard-striped variant. All probe logic is shared across backends.
+/// The bloomRF filter. Build one with [`BloomRf::builder`].
 #[derive(Debug)]
-pub struct BloomRf<S: BitStore = AtomicBits> {
+pub struct BloomRf {
     config: BloomRfConfig,
     layers: Vec<LayerRuntime>,
-    segments: Vec<S>,
-    exact: Option<S>,
+    segments: Vec<AtomicBits>,
+    exact: Option<AtomicBits>,
     key_count: AtomicU64,
     /// `memory_bits() >= KERNEL_MIN_FILTER_BITS`, fixed at construction:
     /// lookups overlap their probes (batch kernel, prefetched point probe,
@@ -93,13 +86,6 @@ pub struct BloomRf<S: BitStore = AtomicBits> {
     /// cells behind each path are in `docs/probe-kernel.md`.
     overlap_probes: bool,
 }
-
-/// bloomRF over [`ShardedAtomicBits`]: every memory segment is striped into
-/// lock-free shards (routed by the prefix of the physical word index, written
-/// by CAS), which removes allocation-level sharing between concurrent writer
-/// threads. Construct with [`BloomRf::builder`]`()….sharded(n)`; answers are
-/// bit-identical to the equivalent [`BloomRf`].
-pub type ShardedBloomRf = BloomRf<ShardedAtomicBits>;
 
 /// State of one two-path range lookup between layer steps.
 ///
@@ -128,69 +114,27 @@ enum RangeInit {
 }
 
 impl BloomRf {
-    /// Build an empty filter from a validated configuration, backed by flat
-    /// atomic bit arrays.
-    ///
-    /// Thin delegate kept for compatibility; prefer
-    /// [`BloomRf::builder`]`().config(..).build()`.
-    pub fn new(config: BloomRfConfig) -> Result<Self, ConfigError> {
-        Self::with_store(config, AtomicBits::new)
-    }
-
-    /// Convenience constructor for the basic, tuning-free filter (Sect. 3).
-    ///
-    /// Thin delegate kept for compatibility; prefer [`BloomRf::builder`]
-    /// (`BloomRf::builder().domain_bits(..).expected_keys(..).bits_per_key(..).build()`).
-    pub fn basic(
-        domain_bits: u32,
-        n_keys: usize,
-        bits_per_key: f64,
-        delta: u32,
-    ) -> Result<Self, ConfigError> {
-        Self::new(BloomRfConfig::basic(
-            domain_bits,
-            n_keys,
-            bits_per_key,
-            delta,
-        )?)
-    }
-
     /// Reconstruct a filter from [`BloomRf::to_bytes`] output.
     ///
     /// Thin delegate kept for compatibility; prefer
     /// [`BloomRf::builder`]`().from_bytes(..)`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        Self::from_bytes_with(bytes, None, AtomicBits::new)
+        Self::from_bytes_with(bytes, None)
     }
-}
 
-impl ShardedBloomRf {
-    /// Shard count of the first probabilistic segment (segments smaller than
-    /// one word per shard are striped less finely).
-    pub fn shard_count(&self) -> usize {
-        self.segments[0].shard_count()
-    }
-}
-
-impl<S: BitStore> BloomRf<S> {
-    /// Build an empty filter whose bit arrays are produced by `make_store`
-    /// (called once per segment and once for the exact-layer bitmap). Every
-    /// construction path — build, decode, union — ends here, so this is
-    /// where the filter picks its probe path from its own size.
-    pub(crate) fn with_store(
-        config: BloomRfConfig,
-        make_store: impl Fn(usize) -> S,
-    ) -> Result<Self, ConfigError> {
+    /// Build an empty filter from a configuration. Every construction path —
+    /// build, decode, union — ends here, so this is where the filter picks
+    /// its probe path from its own size.
+    pub(crate) fn with_config(config: BloomRfConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let segments: Vec<S> = config
+        let segments: Vec<AtomicBits> = config
             .segment_bits
             .iter()
-            .map(|&bits| make_store(bits))
+            .map(|&bits| AtomicBits::new(bits))
             .collect();
-        let exact = config.exact_level.map(|e| {
-            let bits = 1usize << (config.domain_bits - e).min(63);
-            make_store(bits)
-        });
+        let exact = config
+            .exact_level
+            .map(|e| AtomicBits::new(1usize << (config.domain_bits - e).min(63)));
         let seeds = derive_seeds(config.hash_seed, config.layers.len() * 8);
         let mut layers = Vec::with_capacity(config.layers.len());
         for (i, spec) in config.layers.iter().enumerate() {
@@ -225,21 +169,19 @@ impl<S: BitStore> BloomRf<S> {
         Ok(filter)
     }
 
-    /// Reconstruct a filter from [`BloomRf::to_bytes`] output onto the
-    /// storage backend produced by `make_store` (the serialized format is
-    /// backend-independent). The stream persists the full configuration, so
-    /// only `range_policy` — a pure run-time knob — can be overridden.
+    /// Reconstruct a filter from [`BloomRf::to_bytes`] output. The stream
+    /// persists the full configuration, so only `range_policy` — a pure
+    /// run-time knob — can be overridden.
     pub(crate) fn from_bytes_with(
         bytes: &[u8],
         range_policy: Option<RangePolicy>,
-        make_store: impl Fn(usize) -> S,
     ) -> Result<Self, DecodeError> {
         let decoded = decode_parts(bytes)?;
         let mut config = decoded.config;
         if let Some(policy) = range_policy {
             config = config.with_range_policy(policy);
         }
-        let filter = Self::with_store(config, make_store)?;
+        let filter = Self::with_config(config)?;
         filter.restore_arrays(&decoded.arrays)?;
         // ordering: single-threaded construction; the filter is published to
         // other threads by whatever hands out the reference.
@@ -959,8 +901,7 @@ impl<S: BitStore> BloomRf<S> {
     }
 
     /// Serialize the filter (configuration + bit arrays) into a byte buffer,
-    /// as the LSM substrate stores it in an SST filter block. The format is
-    /// independent of the storage backend.
+    /// as the LSM substrate stores it in an SST filter block.
     ///
     /// Writes wire format **v2** (see `docs/wire-format.md`): a magic +
     /// version prelude followed by self-describing, length-prefixed sections
@@ -1033,15 +974,11 @@ impl<S: BitStore> BloomRf<S> {
                 index: arrays.len(),
             });
         }
-        let or_into = |store: &S, bv: &BitVec, index: usize| -> Result<(), DecodeError> {
-            if bv.words().len() * 64 != store.capacity_bits() {
+        let or_into = |store: &AtomicBits, bv: &BitVec, index: usize| {
+            if bv.capacity_bits() != store.capacity_bits() {
                 return Err(DecodeError::BitArrayCorrupted { index });
             }
-            for (i, word) in bv.words().iter().enumerate() {
-                if *word != 0 {
-                    store.or_word(i * 64, 64, *word);
-                }
-            }
+            store.union_from(bv);
             Ok(())
         };
         for (i, (seg, bv)) in self.segments.iter().zip(arrays.iter()).enumerate() {
@@ -1067,9 +1004,8 @@ impl<S: BitStore> BloomRf<S> {
     /// sizes, hash seed, word layout — checked field by field, reported via
     /// [`MergeError::ConfigMismatch`]); otherwise the same key would map to
     /// different bit positions and the union would silently produce false
-    /// negatives. The storage backends may differ (e.g. merging a flat
-    /// filter into a sharded one).
-    pub fn merge_from<S2: BitStore>(&self, other: &BloomRf<S2>) -> Result<(), MergeError> {
+    /// negatives.
+    pub fn merge_from(&self, other: &BloomRf) -> Result<(), MergeError> {
         if let Some(field) = config_mismatch(&self.config, &other.config) {
             return Err(MergeError::ConfigMismatch { field });
         }
@@ -1340,7 +1276,7 @@ fn di_end(prefix: u64, level: u32) -> u64 {
     }
 }
 
-impl<S: BitStore> PointRangeFilter for BloomRf<S> {
+impl PointRangeFilter for BloomRf {
     fn name(&self) -> &'static str {
         "bloomRF"
     }
@@ -1364,7 +1300,7 @@ impl<S: BitStore> PointRangeFilter for BloomRf<S> {
     }
 }
 
-impl<S: BitStore> OnlineFilter for BloomRf<S> {
+impl OnlineFilter for BloomRf {
     fn insert(&self, key: u64) {
         BloomRf::insert(self, key);
     }
@@ -1379,7 +1315,13 @@ mod tests {
     use crate::config::LayerSpec;
 
     fn basic_filter(keys: &[u64], domain_bits: u32, bits_per_key: f64, delta: u32) -> BloomRf {
-        let f = BloomRf::basic(domain_bits, keys.len(), bits_per_key, delta).unwrap();
+        let f = BloomRf::builder()
+            .domain_bits(domain_bits)
+            .expected_keys(keys.len())
+            .bits_per_key(bits_per_key)
+            .delta(delta)
+            .build()
+            .unwrap();
         for &k in keys {
             f.insert(k);
         }
@@ -1458,7 +1400,7 @@ mod tests {
             let cfg = BloomRfConfig::basic(64, keys.len(), 18.0, 7)
                 .unwrap()
                 .with_word_layout(layout);
-            let f = BloomRf::new(cfg).unwrap();
+            let f = BloomRf::builder().config(cfg).build().unwrap();
             for &k in &keys {
                 f.insert(k);
             }
@@ -1503,7 +1445,11 @@ mod tests {
 
     #[test]
     fn empty_filter_rejects_everything() {
-        let f = BloomRf::basic(64, 100, 10.0, 7).unwrap();
+        let f = BloomRf::builder()
+            .expected_keys(100)
+            .bits_per_key(10.0)
+            .build()
+            .unwrap();
         assert!(!f.contains_point(42));
         assert!(!f.contains_range(0, u64::MAX));
         assert!(!f.contains_range(5, 5));
@@ -1580,7 +1526,7 @@ mod tests {
             .with_range_policy(RangePolicy::Conservative {
                 max_words_per_layer: 2,
             });
-        let f = BloomRf::new(cfg).unwrap();
+        let f = BloomRf::builder().config(cfg).build().unwrap();
         for &k in &keys {
             f.insert(k);
         }
@@ -1602,7 +1548,7 @@ mod tests {
             LayerSpec::new(28, 4, 2, 0),
         ];
         let cfg = BloomRfConfig::new(48, layers, vec![1 << 16, 1 << 18], Some(32), 77).unwrap();
-        let f = BloomRf::new(cfg).unwrap();
+        let f = BloomRf::builder().config(cfg).build().unwrap();
         let keys: Vec<u64> = (0..20_000u64)
             .map(|i| crate::hashing::mix64(i) >> 16)
             .collect();
@@ -1786,7 +1732,7 @@ mod tests {
             (KERNEL_MIN_FILTER_BITS, true),
         ] {
             let cfg = BloomRfConfig::new(64, layers.clone(), vec![bits], None, 7).unwrap();
-            let f = BloomRf::new(cfg).unwrap();
+            let f = BloomRf::builder().config(cfg).build().unwrap();
             assert_eq!(f.memory_bits(), bits);
             assert_eq!(f.overlap_probes, overlap);
             // Decode and union recompute the same answer from the same size.
@@ -1794,69 +1740,9 @@ mod tests {
             let bytes = f.to_bytes();
             let decoded = BloomRf::from_bytes(&bytes).unwrap();
             assert_eq!(decoded.overlap_probes, overlap);
-            let sharded = BloomRf::builder().sharded(4).from_bytes(&bytes).unwrap();
-            assert_eq!(
-                sharded.overlap_probes,
-                sharded.memory_bits() >= KERNEL_MIN_FILTER_BITS
-            );
             let union = BloomRf::builder().union_of(&[&f, &decoded]).unwrap();
             assert_eq!(union.overlap_probes, overlap);
             assert!(union.contains_point(42) && union.contains_point_batch(&[42])[0]);
-        }
-    }
-
-    #[test]
-    fn sharded_from_bytes_roundtrip() {
-        let keys: Vec<u64> = (0..3000u64).map(crate::hashing::mix64).collect();
-        let f = basic_filter(&keys, 64, 14.0, 7);
-        let sharded = BloomRf::builder()
-            .sharded(4)
-            .from_bytes(&f.to_bytes())
-            .expect("roundtrip");
-        assert_eq!(sharded.key_count(), f.key_count());
-        assert!(sharded.shard_count() >= 1);
-        for i in 0..1000u64 {
-            let probe = crate::hashing::mix64(i ^ 0xBEEF);
-            assert_eq!(f.contains_point(probe), sharded.contains_point(probe));
-            assert_eq!(
-                f.contains_range(probe, probe.saturating_add(1 << 24)),
-                sharded.contains_range(probe, probe.saturating_add(1 << 24))
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_filter_matches_sequential_answers() {
-        // The sharded store changes the physical layout only: every answer
-        // must be bit-identical to the flat filter built from the same keys.
-        let keys: Vec<u64> = (0..4000u64).map(crate::hashing::mix64).collect();
-        for shards in [1usize, 2, 4, 8] {
-            let flat = BloomRf::basic(64, keys.len(), 14.0, 7).unwrap();
-            let sharded = BloomRf::builder()
-                .expected_keys(keys.len())
-                .bits_per_key(14.0)
-                .sharded(shards)
-                .build()
-                .unwrap();
-            for &k in &keys {
-                flat.insert(k);
-                sharded.insert(k);
-            }
-            for i in 0..2000u64 {
-                let probe = crate::hashing::mix64(i ^ 0x5EED);
-                assert_eq!(
-                    flat.contains_point(probe),
-                    sharded.contains_point(probe),
-                    "point {probe} shards={shards}"
-                );
-                let hi = probe.saturating_add(1 << (i % 40));
-                assert_eq!(
-                    flat.contains_range(probe, hi),
-                    sharded.contains_range(probe, hi),
-                    "range [{probe},{hi}] shards={shards}"
-                );
-            }
-            assert_eq!(flat.snapshot_bits(), sharded.snapshot_bits());
         }
     }
 
@@ -1865,8 +1751,16 @@ mod tests {
         let keys: Vec<u64> = (0..3000u64)
             .map(|i| crate::hashing::mix64(i * 3 + 1))
             .collect();
-        let single = BloomRf::basic(64, keys.len(), 14.0, 7).unwrap();
-        let batched = BloomRf::basic(64, keys.len(), 14.0, 7).unwrap();
+        let single = BloomRf::builder()
+            .expected_keys(keys.len())
+            .bits_per_key(14.0)
+            .build()
+            .unwrap();
+        let batched = BloomRf::builder()
+            .expected_keys(keys.len())
+            .bits_per_key(14.0)
+            .build()
+            .unwrap();
         for &k in &keys {
             single.insert(k);
         }
@@ -1918,31 +1812,32 @@ mod tests {
             LayerSpec::new(28, 4, 2, 0),
         ];
         let cfg = BloomRfConfig::new(48, layers, vec![1 << 16, 1 << 18], Some(32), 77).unwrap();
-        let f = BloomRf::new(cfg.clone()).unwrap();
-        let g = BloomRf::builder().config(cfg).sharded(4).build().unwrap();
+        let f = BloomRf::builder().config(cfg).build().unwrap();
         let keys: Vec<u64> = (0..8000u64)
             .map(|i| crate::hashing::mix64(i) >> 16)
             .collect();
         f.insert_batch(&keys);
-        g.insert_batch(&keys);
         let ranges: Vec<(u64, u64)> = (0..1500u64)
             .map(|i| {
                 let lo = crate::hashing::mix64(i) >> 16;
                 (lo, lo.saturating_add(1 << (i % 34)))
             })
             .collect();
-        let ff = f.contains_range_batch(&ranges);
-        let gg = g.contains_range_batch(&ranges);
+        let batch = f.contains_range_batch(&ranges);
         for (i, &(lo, hi)) in ranges.iter().enumerate() {
-            let want = f.contains_range(lo, hi);
-            assert_eq!(ff[i], want, "flat batch [{lo},{hi}]");
-            assert_eq!(gg[i], want, "sharded batch [{lo},{hi}]");
+            assert_eq!(batch[i], f.contains_range(lo, hi), "batch [{lo},{hi}]");
         }
     }
 
     #[test]
     fn insert_batch_rejects_out_of_domain_keys_before_writing() {
-        let f = BloomRf::basic(16, 100, 10.0, 4).unwrap();
+        let f = BloomRf::builder()
+            .domain_bits(16)
+            .expected_keys(100)
+            .bits_per_key(10.0)
+            .delta(4)
+            .build()
+            .unwrap();
         let caught = std::panic::catch_unwind(|| f.insert_batch(&[1, 2, 1 << 16]));
         assert!(caught.is_err(), "out-of-domain key must panic");
         // The batch was validated up front: nothing was inserted.
@@ -1953,7 +1848,13 @@ mod tests {
     #[test]
     fn concurrent_online_inserts_and_queries() {
         use std::sync::Arc;
-        let f = Arc::new(BloomRf::basic(64, 100_000, 12.0, 7).unwrap());
+        let f = Arc::new(
+            BloomRf::builder()
+                .expected_keys(100_000)
+                .bits_per_key(12.0)
+                .build()
+                .unwrap(),
+        );
         let writer = {
             let f = Arc::clone(&f);
             std::thread::spawn(move || {
@@ -1984,7 +1885,13 @@ mod tests {
 
     #[test]
     fn out_of_domain_keys() {
-        let f = BloomRf::basic(16, 100, 10.0, 4).unwrap();
+        let f = BloomRf::builder()
+            .domain_bits(16)
+            .expected_keys(100)
+            .bits_per_key(10.0)
+            .delta(4)
+            .build()
+            .unwrap();
         f.insert(65535);
         assert!(f.contains_point(65535));
         assert!(
@@ -2017,12 +1924,12 @@ mod tests {
             .collect();
         let cfg = BloomRfConfig::basic(64, 4000, 14.0, 7).unwrap();
 
-        let a = BloomRf::new(cfg.clone()).unwrap();
+        let a = BloomRf::builder().config(cfg.clone()).build().unwrap();
         a.insert_batch(&keys_a);
-        let b = BloomRf::new(cfg.clone()).unwrap();
+        let b = BloomRf::builder().config(cfg.clone()).build().unwrap();
         b.insert_batch(&keys_b);
         // Reference: both key sets inserted into one filter.
-        let both = BloomRf::new(cfg.clone()).unwrap();
+        let both = BloomRf::builder().config(cfg.clone()).build().unwrap();
         both.insert_batch(&keys_a);
         both.insert_batch(&keys_b);
 
@@ -2038,30 +1945,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_crosses_storage_backends() {
-        let cfg = BloomRfConfig::basic(64, 1000, 14.0, 7).unwrap();
-        let flat = BloomRf::new(cfg.clone()).unwrap();
-        let sharded = BloomRf::builder()
-            .config(cfg.clone())
-            .sharded(4)
-            .build()
-            .unwrap();
-        let keys: Vec<u64> = (0..1000u64).map(crate::hashing::mix64).collect();
-        flat.insert_batch(&keys);
-        sharded.merge_from(&flat).unwrap();
-        assert_eq!(sharded.snapshot_bits(), flat.snapshot_bits());
-        for &k in &keys {
-            assert!(sharded.contains_point(k));
-        }
-    }
-
-    #[test]
     fn merge_from_unions_the_exact_bitmap() {
         // Advisor-tuned configs carry an exactly-stored level; the union must
         // OR it like any other array.
         let tuned = crate::advisor::TuningAdvisor::tune_for(64, 5000, 18.0, 1e8).unwrap();
-        let a = BloomRf::new(tuned.config.clone()).unwrap();
-        let b = BloomRf::new(tuned.config.clone()).unwrap();
+        let a = BloomRf::builder()
+            .config(tuned.config.clone())
+            .build()
+            .unwrap();
+        let b = BloomRf::builder()
+            .config(tuned.config.clone())
+            .build()
+            .unwrap();
         let keys_a: Vec<u64> = (0..2500u64).map(crate::hashing::mix64).collect();
         let keys_b: Vec<u64> = (0..2500u64)
             .map(|i| crate::hashing::mix64(i + 9999))
@@ -2079,7 +1974,7 @@ mod tests {
     fn merge_from_rejects_config_mismatches_field_by_field() {
         use crate::error::MergeError;
         let base = BloomRfConfig::basic(64, 1000, 14.0, 7).unwrap();
-        let a = BloomRf::new(base.clone()).unwrap();
+        let a = BloomRf::builder().config(base.clone()).build().unwrap();
 
         let cases: Vec<(BloomRfConfig, &str)> = vec![
             (
@@ -2104,7 +1999,7 @@ mod tests {
             ),
         ];
         for (cfg, field) in cases {
-            let b = BloomRf::new(cfg).unwrap();
+            let b = BloomRf::builder().config(cfg).build().unwrap();
             assert_eq!(
                 a.merge_from(&b),
                 Err(MergeError::ConfigMismatch { field }),

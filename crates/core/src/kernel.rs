@@ -15,8 +15,7 @@
 //! The kernel never changes *which* logical bits are probed — only the order
 //! and grouping of the (pure) reads — so it is answer-identical to the
 //! per-key calls; `tests/kernel_differential.rs` proves this on both sides
-//! of the crossover for every `WordLayout` × backend × query-shape
-//! combination.
+//! of the crossover for every `WordLayout` × query-shape combination.
 
 /// Filter size (`memory_bits()`) at and above which every lookup overlaps its
 /// probes — the phase-split batch kernel, the prefetched single-point probe
@@ -37,8 +36,8 @@ pub(crate) const KERNEL_MIN_FILTER_BITS: usize = 1 << 25;
 
 /// Request the cache line holding `*p` into L1, if the target has a prefetch
 /// instruction. A pure scheduling hint: no memory is accessed architecturally,
-/// no fault can be raised, and nothing synchronizes — which is why the
-/// [`crate::bitarray::BitStore::prefetch_bit`] hook is sound to call
+/// no fault can be raised, and nothing synchronizes — which is why
+/// [`crate::bitarray::AtomicBits::prefetch_bit`] is sound to call
 /// concurrently with writers.
 ///
 /// Under `--cfg bloomrf_loom` the atomics are the model checker's

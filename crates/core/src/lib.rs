@@ -32,7 +32,11 @@
 //! use bloomrf::BloomRf;
 //!
 //! // 1M keys, ~14 bits/key, tuning-free basic filter.
-//! let filter = BloomRf::basic(64, 1_000_000, 14.0, 7).unwrap();
+//! let filter = BloomRf::builder()
+//!     .expected_keys(1_000_000)
+//!     .bits_per_key(14.0)
+//!     .build()
+//!     .unwrap();
 //! filter.insert(42);
 //! filter.insert(4711);
 //!
@@ -43,14 +47,18 @@
 //! let _maybe = filter.contains_range(100_000, 200_000);
 //! ```
 //!
-//! For large query ranges, let the advisor pick an extended configuration:
+//! For large query ranges, let the advisor pick an extended configuration
+//! (`max_range` runs [`advisor::TuningAdvisor::tune_for`]):
 //!
 //! ```
-//! use bloomrf::advisor::TuningAdvisor;
 //! use bloomrf::BloomRf;
 //!
-//! let tuned = TuningAdvisor::tune_for(64, 100_000, 16.0, 1e8).unwrap();
-//! let filter = BloomRf::new(tuned.config).unwrap();
+//! let filter = BloomRf::builder()
+//!     .expected_keys(100_000)
+//!     .bits_per_key(16.0)
+//!     .max_range(1e8)
+//!     .build()
+//!     .unwrap();
 //! filter.insert(123_456_789);
 //! assert!(filter.contains_range(0, 1_000_000_000));
 //! ```
@@ -59,7 +67,7 @@
 //!
 //! The Sect. 8 datatype codings are packaged as the [`encode::RangeKey`]
 //! trait; [`BloomRf::builder`] is the single construction surface for
-//! basic / advisor-tuned, flat / sharded and raw / typed filters:
+//! basic / advisor-tuned and raw / typed filters:
 //!
 //! ```
 //! use bloomrf::BloomRf;
@@ -94,12 +102,12 @@ pub mod traits;
 pub mod typed;
 
 pub use advisor::{AdvisorParams, TunedConfig, TuningAdvisor};
-pub use bitarray::{AtomicBits, BitStore, ShardedAtomicBits};
-pub use builder::{BloomRfBuilder, BuildStore, TypedBloomRfBuilder};
+pub use bitarray::AtomicBits;
+pub use builder::{BloomRfBuilder, TypedBloomRfBuilder};
 pub use config::{BloomRfConfig, LayerSpec, RangePolicy};
 pub use encode::{decode_f64, decode_i64, encode_f64, encode_i64, MultiAttrBloomRf, RangeKey};
 pub use error::{ConfigError, DecodeError, MergeError};
-pub use filter::{BloomRf, ProbeStats, ShardedBloomRf, WIRE_FORMAT_VERSION, WIRE_MAGIC};
+pub use filter::{BloomRf, ProbeStats, WIRE_FORMAT_VERSION, WIRE_MAGIC};
 pub use kernel::ProbeScratch;
 pub use traits::{ExclusiveOnlineFilter, FilterBuilder, Locked, OnlineFilter, PointRangeFilter};
-pub use typed::{TypedBloomRf, TypedShardedBloomRf};
+pub use typed::TypedBloomRf;

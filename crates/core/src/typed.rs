@@ -11,12 +11,11 @@
 
 use std::marker::PhantomData;
 
-use crate::bitarray::{AtomicBits, BitStore, ShardedAtomicBits};
 use crate::config::BloomRfConfig;
 use crate::encode::RangeKey;
 use crate::filter::BloomRf;
 
-/// A bloomRF filter over keys of type `K`, backed by any [`BitStore`].
+/// A bloomRF filter over keys of type `K`.
 ///
 /// Construct one with [`crate::BloomRfBuilder::key_type`]
 /// (`BloomRf::builder().key_type::<f64>().build()`) or wrap an existing
@@ -39,23 +38,18 @@ use crate::filter::BloomRf;
 /// assert!(filter.contains_range(&-10.0, &0.0)); // contains -7.5
 /// ```
 #[derive(Debug)]
-pub struct TypedBloomRf<K: RangeKey, S: BitStore = AtomicBits> {
-    inner: BloomRf<S>,
+pub struct TypedBloomRf<K: RangeKey> {
+    inner: BloomRf,
     _key: PhantomData<fn(K) -> K>,
 }
 
-/// Typed facade over the shard-striped concurrent filter
-/// (= `TypedBloomRf<K, ShardedAtomicBits>`); answers are bit-identical to
-/// the flat `TypedBloomRf<K>` with the same configuration.
-pub type TypedShardedBloomRf<K> = TypedBloomRf<K, ShardedAtomicBits>;
-
-impl<K: RangeKey, S: BitStore> TypedBloomRf<K, S> {
+impl<K: RangeKey> TypedBloomRf<K> {
     /// Wrap an existing `u64` filter in the typed facade.
     ///
     /// The caller is responsible for the filter's domain being wide enough
     /// for the codec (`K::DOMAIN_BITS`); [`crate::BloomRfBuilder::key_type`]
     /// picks the right width automatically.
-    pub fn wrap(inner: BloomRf<S>) -> Self {
+    pub fn wrap(inner: BloomRf) -> Self {
         Self {
             inner,
             _key: PhantomData,
@@ -63,12 +57,12 @@ impl<K: RangeKey, S: BitStore> TypedBloomRf<K, S> {
     }
 
     /// The underlying `u64` filter.
-    pub fn inner(&self) -> &BloomRf<S> {
+    pub fn inner(&self) -> &BloomRf {
         &self.inner
     }
 
     /// Unwrap back into the underlying `u64` filter.
-    pub fn into_inner(self) -> BloomRf<S> {
+    pub fn into_inner(self) -> BloomRf {
         self.inner
     }
 
@@ -141,8 +135,18 @@ mod tests {
 
     #[test]
     fn typed_f64_matches_manual_encoding_bit_for_bit() {
-        let manual = BloomRf::basic(64, 1000, 14.0, 7).unwrap();
-        let typed = TypedBloomRf::<f64>::wrap(BloomRf::basic(64, 1000, 14.0, 7).unwrap());
+        let manual = BloomRf::builder()
+            .expected_keys(1000)
+            .bits_per_key(14.0)
+            .build()
+            .unwrap();
+        let typed = TypedBloomRf::<f64>::wrap(
+            BloomRf::builder()
+                .expected_keys(1000)
+                .bits_per_key(14.0)
+                .build()
+                .unwrap(),
+        );
         for i in 0..1000 {
             let v = (i as f64 - 500.0) * 1.75;
             manual.insert(encode_f64(v));
@@ -166,7 +170,13 @@ mod tests {
 
     #[test]
     fn typed_bytes_use_prefix_range_semantics() {
-        let typed = TypedBloomRf::<&[u8]>::wrap(BloomRf::basic(64, 1000, 16.0, 7).unwrap());
+        let typed = TypedBloomRf::<&[u8]>::wrap(
+            BloomRf::builder()
+                .expected_keys(1000)
+                .bits_per_key(16.0)
+                .build()
+                .unwrap(),
+        );
         let keys: Vec<String> = (0..500).map(|i| format!("user_{i:05}_x")).collect();
         for k in &keys {
             typed.insert(&k.as_bytes());
@@ -187,7 +197,13 @@ mod tests {
 
     #[test]
     fn typed_batches_delegate_to_the_batch_engine() {
-        let typed = TypedBloomRf::<i64>::wrap(BloomRf::basic(64, 2000, 14.0, 7).unwrap());
+        let typed = TypedBloomRf::<i64>::wrap(
+            BloomRf::builder()
+                .expected_keys(2000)
+                .bits_per_key(14.0)
+                .build()
+                .unwrap(),
+        );
         let keys: Vec<i64> = (-1000..1000).map(|i| i * 7919).collect();
         typed.insert_batch(&keys);
         let points = typed.contains_point_batch(&keys);

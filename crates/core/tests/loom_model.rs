@@ -11,18 +11,19 @@
 //! `docs/concurrency.md`).
 #![cfg(bloomrf_loom)]
 
-use bloomrf::bitarray::{BitStore, ShardedAtomicBits};
+use bloomrf::bitarray::AtomicBits;
 use bloomrf::{BloomRf, ProbeScratch};
 use shuttle_loom::{thread, Builder};
 use std::sync::Arc;
 
-/// Two threads set different bits of the *same* word through the sharded
-/// store's CAS loop. Every interleaving must keep both updates — the classic
-/// lost-update bug (plain read-modify-write) fails this under the checker.
+/// Two threads set different bits of the *same* word through
+/// `AtomicBits::set`'s atomic `fetch_or`. Every interleaving must keep both
+/// updates — the classic lost-update bug (plain read-modify-write) fails
+/// this under the checker.
 #[test]
-fn cas_word_set_loses_no_update_across_two_threads() {
+fn word_set_loses_no_update_across_two_threads() {
     let report = Builder::default().check(|| {
-        let bits = Arc::new(ShardedAtomicBits::new(64, 1));
+        let bits = Arc::new(AtomicBits::new(64));
         let handles: Vec<_> = [1usize, 5]
             .into_iter()
             .map(|idx| {
@@ -33,7 +34,7 @@ fn cas_word_set_loses_no_update_across_two_threads() {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(bits.get(1) && bits.get(5), "a CAS update was lost");
+        assert!(bits.get(1) && bits.get(5), "a word update was lost");
         assert_eq!(bits.count_ones(), 2);
     });
     assert!(report.exhausted, "exploration must be exhaustive");
@@ -43,19 +44,18 @@ fn cas_word_set_loses_no_update_across_two_threads() {
     );
 }
 
-/// Three threads, two of them racing on the *same* bit — this drives the CAS
-/// loop's already-set fast path (`current & mask == mask` skips the CAS) in
-/// some schedules and the retry path in others. No schedule may lose the
+/// Three threads on one word, two of them racing on the *same* bit (the
+/// second `fetch_or` of that bit changes nothing). No schedule may lose the
 /// third thread's neighbouring-bit update. Full DFS over three writers is
 /// combinatorially infeasible, so this explores every schedule with at most
 /// two preemptions — the CHESS bound that catches virtually all real
 /// interleaving bugs.
 #[test]
-fn cas_word_set_three_threads_with_already_set_skip() {
+fn word_set_three_threads_with_same_bit_race() {
     let mut builder = Builder::default();
     builder.preemption_bound = Some(2);
     let report = builder.check(|| {
-        let bits = Arc::new(ShardedAtomicBits::new(64, 1));
+        let bits = Arc::new(AtomicBits::new(64));
         let handles: Vec<_> = [3usize, 3, 9]
             .into_iter()
             .map(|idx| {
@@ -85,7 +85,13 @@ fn insert_batch_vs_point_queries_never_lose_settled_keys() {
     let mut builder = Builder::default();
     builder.preemption_bound = Some(2);
     let report = builder.check(|| {
-        let filter = Arc::new(BloomRf::basic(64, 16, 12.0, 7).unwrap());
+        let filter = Arc::new(
+            BloomRf::builder()
+                .expected_keys(16)
+                .bits_per_key(12.0)
+                .build()
+                .unwrap(),
+        );
         filter.insert(42);
         let writer = {
             let filter = Arc::clone(&filter);
@@ -125,7 +131,13 @@ fn batch_kernel_adds_no_synchronization() {
         let mut builder = Builder::default();
         builder.preemption_bound = Some(2);
         let report = builder.check(move || {
-            let filter = Arc::new(BloomRf::basic(64, 1 << 21, 16.0, 7).unwrap());
+            let filter = Arc::new(
+                BloomRf::builder()
+                    .expected_keys(1 << 21)
+                    .bits_per_key(16.0)
+                    .build()
+                    .unwrap(),
+            );
             assert!(
                 filter.memory_bits() >= 1 << 25,
                 "filter must run the kernel"

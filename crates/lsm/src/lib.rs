@@ -37,7 +37,7 @@
 //!   (torn tail writes, bit flips, transient read errors) to exercise the
 //!   recovery path.
 //!
-//! Substitution note (see DESIGN.md): *query-path* I/O stays simulated — SST
+//! Substitution note: *query-path* I/O stays simulated — SST
 //! blocks are served from memory and block reads are charged a configurable
 //! latency instead of hitting a disk, so the decision structure of the read
 //! path (filter probe → index → block reads) is identical to RocksDB's while

@@ -123,7 +123,10 @@ struct TreeNode {
 impl TreeNode {
     fn empty(config: BloomRfConfig) -> Self {
         Self {
-            filter: BloomRf::new(config).expect("tree level configs are always valid"),
+            filter: BloomRf::builder()
+                .config(config)
+                .build()
+                .expect("tree level configs are always valid"),
             lo: u64::MAX,
             hi: 0,
             live: true,

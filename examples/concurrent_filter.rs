@@ -1,34 +1,32 @@
-//! Concurrent serving with `ShardedBloomRf` and the batched probe engine:
-//! writer threads insert disjoint key partitions through `insert_batch`
-//! while reader threads issue batched point and range probes, then the
-//! answers are differentially checked against a sequential `BloomRf`.
+//! Concurrent serving with one shared `Arc<BloomRf>` and the batched probe
+//! engine: writer threads insert disjoint key partitions through
+//! `insert_batch` while reader threads issue batched point probes, then the
+//! answers are differentially checked against a filter loaded on one thread.
 //!
 //! Run with `cargo run --release --example concurrent_filter`.
 
 use std::sync::Arc;
 
-use bloomrf::{BloomRf, ShardedBloomRf};
+use bloomrf::BloomRf;
 
 fn main() {
     let writers = 4usize;
     let keys_per_writer = 100_000usize;
     let n_keys = writers * keys_per_writer;
 
-    // A sharded filter stripes every segment into lock-free shards; answers
-    // are bit-identical to the flat `BloomRf` with the same configuration.
-    // `.sharded(16)` on the unified builder selects the striped backend.
-    let filter: Arc<ShardedBloomRf> = Arc::new(
+    // `insert` and `insert_batch` take `&self` (every write is an atomic OR
+    // into the filter's bit array), so one `Arc<BloomRf>` is shared by all
+    // threads without a lock.
+    let filter = Arc::new(
         BloomRf::builder()
             .expected_keys(n_keys)
             .bits_per_key(14.0)
-            .sharded(16)
             .build()
             .expect("config"),
     );
     println!(
-        "sharded filter: {} keys budgeted, {} shards, {:.1} KiB",
+        "shared filter: {} keys budgeted, {:.1} KiB",
         n_keys,
-        filter.shard_count(),
         filter.memory_bits() as f64 / 8.0 / 1024.0
     );
 
@@ -83,12 +81,17 @@ fn main() {
     }
     println!("zero false negatives after join");
 
-    // Differential check: the sequential filter built from the same inserts
-    // answers identically, point and range, single and batched.
-    let sequential = BloomRf::basic(64, n_keys, 14.0, 7).expect("config");
+    // Differential check: a filter loaded on one thread from the same keys
+    // holds the same bits and answers identically, point and range.
+    let sequential = BloomRf::builder()
+        .expected_keys(n_keys)
+        .bits_per_key(14.0)
+        .build()
+        .expect("config");
     for w in 0..writers {
         sequential.insert_batch(&keys_of(w));
     }
+    assert_eq!(sequential.snapshot_bits(), filter.snapshot_bits());
     let probes: Vec<u64> = (0..20_000u64)
         .map(|i| bloomrf::hashing::mix64(i + 7))
         .collect();
@@ -104,5 +107,5 @@ fn main() {
         sequential.contains_range_batch(&ranges),
         filter.contains_range_batch(&ranges)
     );
-    println!("sharded answers are bit-identical to the sequential filter");
+    println!("concurrent answers are bit-identical to the sequential filter");
 }

@@ -11,7 +11,13 @@ use std::time::{Duration, Instant};
 
 fn main() {
     let n_keys = 2_000_000u64;
-    let filter = Arc::new(BloomRf::basic(64, n_keys as usize, 14.0, 7).expect("config"));
+    let filter = Arc::new(
+        BloomRf::builder()
+            .expected_keys(n_keys as usize)
+            .bits_per_key(14.0)
+            .build()
+            .expect("config"),
+    );
     let stop = Arc::new(AtomicBool::new(false));
     let lookups_done = Arc::new(AtomicUsize::new(0));
 

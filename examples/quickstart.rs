@@ -10,7 +10,11 @@ use bloomrf::BloomRf;
 fn main() {
     // --- 1. The tuning-free basic filter --------------------------------
     let n_keys = 1_000_000usize;
-    let filter = BloomRf::basic(64, n_keys, 14.0, 7).expect("valid configuration");
+    let filter = BloomRf::builder()
+        .expected_keys(n_keys)
+        .bits_per_key(14.0)
+        .build()
+        .expect("valid configuration");
 
     // bloomRF is an online filter: inserts take &self and can run while
     // queries are in flight.
@@ -51,7 +55,7 @@ fn main() {
     // --- 2. Advisor-tuned filter for large ranges ------------------------
     // The unified builder is the one construction surface: `.max_range(..)`
     // switches to the advisor-tuned extended configuration (Sect. 7), and
-    // the same chain takes `.sharded(..)` / `.key_type::<f64>()` when needed.
+    // the same chain takes `.key_type::<f64>()` when needed.
     let tuned = TuningAdvisor::tune_for(64, 200_000, 18.0, 1e9).expect("tunable");
     println!(
         "advisor picked {} layers, Δ = {:?}, exact level = {:?}, predicted point FPR = {:.4}",

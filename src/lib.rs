@@ -22,7 +22,6 @@ pub mod prelude {
     pub use bloomrf::{
         advisor::TuningAdvisor, BloomRf, BloomRfBuilder, BloomRfConfig, ExclusiveOnlineFilter,
         LayerSpec, Locked, OnlineFilter, PointRangeFilter, RangeKey, RangePolicy, TypedBloomRf,
-        TypedShardedBloomRf,
     };
     pub use bloomrf_filters::FilterKind;
     pub use bloomrf_lsm::{Db, DbOptions, TypedDb};
@@ -36,7 +35,11 @@ mod tests {
     #[test]
     fn prelude_exposes_the_main_types() {
         use crate::prelude::*;
-        let filter = BloomRf::basic(64, 10, 10.0, 7).unwrap();
+        let filter = BloomRf::builder()
+            .expected_keys(10)
+            .bits_per_key(10.0)
+            .build()
+            .unwrap();
         filter.insert(1);
         assert!(filter.contains_point(1));
         let _ = FilterKind::Bloom.label();

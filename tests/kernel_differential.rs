@@ -1,9 +1,8 @@
 //! Differential tests for the batched probe engine: every batch entry point
 //! must be *bit-identical* to the per-key `contains_point` /
 //! `contains_range` call — same verdict for every query — across every
-//! combination of word layout, storage backend (flat / sharded), query kind
-//! (point / range) and configuration family (basic / advisor-tuned /
-//! exact-layer / replicated).
+//! combination of word layout, query kind (point / range) and configuration
+//! family (basic / advisor-tuned / exact-layer / replicated).
 //!
 //! A filter picks its probe path from its own size at construction, so every
 //! property runs on two filters of the same shape: one sized just below the
@@ -30,10 +29,10 @@ const SIZES: [(usize, bool); 2] = [
 ];
 
 /// Assert the batch entry points answer the per-key calls exactly, for
-/// points and ranges, on any `BloomRf` backend, and that the filter sits on
-/// the intended side of the crossover.
-fn assert_batch_matches_per_key<S: bloomrf::BitStore>(
-    filter: &BloomRf<S>,
+/// points and ranges, and that the filter sits on the intended side of the
+/// crossover.
+fn assert_batch_matches_per_key(
+    filter: &BloomRf,
     above: bool,
     points: &[u64],
     ranges: &[(u64, u64)],
@@ -99,7 +98,7 @@ fn layout_of(alternating: bool) -> WordLayout {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Basic filter, flat backend, both word layouts.
+    /// Basic filter, both word layouts.
     #[test]
     fn kernel_matches_scalar_basic_flat(
         keys in prop::collection::vec(any::<u64>(), 1..300),
@@ -113,32 +112,7 @@ proptest! {
             .unwrap()
             .with_word_layout(layout_of(alternating));
         for (bits, above) in SIZES {
-            let filter = BloomRf::new(sized(&config, bits)).unwrap();
-            filter.insert_batch(&keys);
-            assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
-        }
-    }
-
-    /// Basic filter, sharded (CAS-striped) backend, both word layouts.
-    #[test]
-    fn kernel_matches_scalar_basic_sharded(
-        keys in prop::collection::vec(any::<u64>(), 1..300),
-        extra in prop::collection::vec(any::<u64>(), 1..100),
-        widths in prop::collection::vec(0u64..1 << 45, 1..8),
-        shards in 1usize..8,
-        alternating in any::<bool>(),
-    ) {
-        let points = probes(&keys, &extra);
-        let ranges = ranges_around(&points, &widths);
-        let config = BloomRfConfig::basic(64, keys.len(), 14.0, 7)
-            .unwrap()
-            .with_word_layout(layout_of(alternating));
-        for (bits, above) in SIZES {
-            let filter = BloomRf::builder()
-                .config(sized(&config, bits))
-                .sharded(shards)
-                .build()
-                .unwrap();
+            let filter = BloomRf::builder().config(sized(&config, bits)).build().unwrap();
             filter.insert_batch(&keys);
             assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
         }
@@ -157,7 +131,7 @@ proptest! {
         let ranges = ranges_around(&points, &widths);
         let tuned = bloomrf::TuningAdvisor::tune_for(64, keys.len().max(100), 18.0, 1e8).unwrap();
         for (bits, above) in SIZES {
-            let filter = BloomRf::new(sized(&tuned.config, bits)).unwrap();
+            let filter = BloomRf::builder().config(sized(&tuned.config, bits)).build().unwrap();
             filter.insert_batch(&keys);
             assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
         }
@@ -187,7 +161,7 @@ proptest! {
         let config = BloomRfConfig::new(32, layers, vec![1 << 12, 1 << 10], Some(18), seed)
             .unwrap();
         for (bits, above) in SIZES {
-            let filter = BloomRf::new(sized(&config, bits)).unwrap();
+            let filter = BloomRf::builder().config(sized(&config, bits)).build().unwrap();
             filter.insert_batch(&keys);
             assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
         }
@@ -209,7 +183,7 @@ proptest! {
             .collect();
         let config = BloomRfConfig::basic(64, seed_keys.len(), 16.0, 7).unwrap();
         for (bits, above) in SIZES {
-            let filter = BloomRf::new(sized(&config, bits)).unwrap();
+            let filter = BloomRf::builder().config(sized(&config, bits)).build().unwrap();
             filter.insert_batch(&seed_keys);
             assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
         }
@@ -221,7 +195,10 @@ proptest! {
 fn into_variants_clear_previous_contents() {
     let config = BloomRfConfig::basic(64, 100, 16.0, 7).unwrap();
     for (bits, _) in SIZES {
-        let filter = BloomRf::new(sized(&config, bits)).unwrap();
+        let filter = BloomRf::builder()
+            .config(sized(&config, bits))
+            .build()
+            .unwrap();
         filter.insert_batch(&[1, 2, 3]);
         let mut out = vec![true; 17];
         filter.contains_point_batch_into(&[1, 999_999], &mut out, &mut ProbeScratch::new());
@@ -242,7 +219,10 @@ fn scratch_reuse_across_filters() {
     let mut filters = Vec::new();
     for (bits, _) in SIZES {
         for config in [&small, &tuned] {
-            let filter = BloomRf::new(sized(config, bits)).unwrap();
+            let filter = BloomRf::builder()
+                .config(sized(config, bits))
+                .build()
+                .unwrap();
             filter.insert_batch(&[10, 20, 30]);
             filters.push(filter);
         }

@@ -11,7 +11,13 @@ use bloomrf::BloomRf;
 #[test]
 fn section3_introductory_example() {
     let keys = [42u64, 1414, 50000];
-    let filter = BloomRf::basic(16, keys.len(), 20.0, 4).unwrap();
+    let filter = BloomRf::builder()
+        .domain_bits(16)
+        .expected_keys(keys.len())
+        .bits_per_key(20.0)
+        .delta(4)
+        .build()
+        .unwrap();
     for &k in &keys {
         filter.insert(k);
     }
@@ -76,7 +82,11 @@ fn section6_space_numbers() {
 #[test]
 fn constant_time_range_lookups() {
     let n = 100_000usize;
-    let filter = BloomRf::basic(64, n, 16.0, 7).unwrap();
+    let filter = BloomRf::builder()
+        .expected_keys(n)
+        .bits_per_key(16.0)
+        .build()
+        .unwrap();
     for i in 0..n as u64 {
         filter.insert(bloomrf::hashing::mix64(i));
     }

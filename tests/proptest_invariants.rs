@@ -23,7 +23,7 @@ proptest! {
         probes in prop::collection::vec(any::<u64>(), 1..50),
         widths in prop::collection::vec(0u64..1 << 40, 1..50),
     ) {
-        let filter = BloomRf::basic(64, keys.len(), 12.0, 7).unwrap();
+        let filter = BloomRf::builder().expected_keys(keys.len()).bits_per_key(12.0).build().unwrap();
         for &k in &keys {
             filter.insert(k);
         }
@@ -48,7 +48,7 @@ proptest! {
         width in 0u64..1 << 35,
     ) {
         let tuned = bloomrf::TuningAdvisor::tune_for(64, keys.len().max(100), 18.0, 1e8).unwrap();
-        let filter = BloomRf::new(tuned.config).unwrap();
+        let filter = BloomRf::builder().config(tuned.config).build().unwrap();
         for &k in &keys {
             filter.insert(k);
         }
@@ -131,7 +131,7 @@ proptest! {
         keys in prop::collection::vec(any::<u64>(), 1..200),
         probes in prop::collection::vec(any::<u64>(), 1..100),
     ) {
-        let filter = BloomRf::basic(64, keys.len(), 14.0, 7).unwrap();
+        let filter = BloomRf::builder().expected_keys(keys.len()).bits_per_key(14.0).build().unwrap();
         for &k in &keys {
             filter.insert(k);
         }
@@ -154,7 +154,7 @@ proptest! {
         flip_pos in any::<u64>(),
         flip_mask in 1u8..=255,
     ) {
-        let filter = BloomRf::basic(64, keys.len(), 14.0, 7).unwrap();
+        let filter = BloomRf::builder().expected_keys(keys.len()).bits_per_key(14.0).build().unwrap();
         for &k in &keys {
             filter.insert(k);
         }
@@ -176,34 +176,36 @@ proptest! {
         }
     }
 
-    /// Differential: a sharded filter and the sequential filter built from
-    /// identical inserts return identical answers for every point and range
-    /// probe, for every shard count — and the batch APIs agree element-wise
-    /// with the one-at-a-time APIs on both backends.
+    /// Differential: a filter loaded through `insert_batch` and one loaded
+    /// key by key hold identical bits, and the batch probe APIs agree
+    /// element-wise with the one-at-a-time APIs — on the basic filter and on
+    /// advisor-tuned (extended) configurations with replicated hashes,
+    /// segments and an exact layer.
     #[test]
-    fn sharded_and_batched_match_sequential(
+    fn batched_matches_sequential(
         keys in prop::collection::vec(any::<u64>(), 1..400),
         probes in prop::collection::vec(any::<u64>(), 1..60),
         spans in prop::collection::vec(any::<u64>(), 1..60),
-        shards in 1usize..=16,
+        tuned in any::<bool>(),
     ) {
-        let sequential = BloomRf::basic(64, keys.len(), 12.0, 7).unwrap();
-        let sharded = BloomRf::builder()
-            .expected_keys(keys.len())
-            .bits_per_key(12.0)
-            .sharded(shards)
-            .build()
-            .unwrap();
+        let builder = if tuned {
+            BloomRf::builder()
+                .expected_keys(keys.len().max(100))
+                .bits_per_key(18.0)
+                .max_range(1e8)
+        } else {
+            BloomRf::builder().expected_keys(keys.len()).bits_per_key(12.0)
+        };
+        let sequential = builder.clone().build().unwrap();
+        let batched = builder.build().unwrap();
         for &k in &keys {
             sequential.insert(k);
         }
-        // The sharded filter is loaded through the batch path on purpose:
-        // the comparison then covers sharding *and* batched insertion.
-        sharded.insert_batch(&keys);
-        prop_assert_eq!(sequential.key_count(), sharded.key_count());
+        batched.insert_batch(&keys);
+        prop_assert_eq!(sequential.key_count(), batched.key_count());
 
         // Bit-identical storage contents...
-        prop_assert_eq!(sequential.snapshot_bits(), sharded.snapshot_bits());
+        prop_assert_eq!(sequential.snapshot_bits(), batched.snapshot_bits());
 
         // ...and answer-identical probes, including degenerate and reversed
         // ranges and ranges clamped at the domain boundary.
@@ -213,51 +215,19 @@ proptest! {
             .map(|(&p, &s)| (p, p.saturating_add(s)))
             .chain(probes.iter().map(|&p| (p, p)))
             .chain(probes.iter().map(|&p| (p, p.wrapping_sub(1))))
+            .chain(probes.iter().map(|&p| (p, p.saturating_add(1 << 33))))
             .collect();
-        let seq_points = sequential.contains_point_batch(&probes);
-        let shard_points = sharded.contains_point_batch(&probes);
+        let batch_points = batched.contains_point_batch(&probes);
         for (i, &p) in probes.iter().enumerate() {
             let want = sequential.contains_point(p);
-            prop_assert_eq!(seq_points[i], want, "sequential batch point {}", p);
-            prop_assert_eq!(shard_points[i], want, "sharded batch point {}", p);
-            prop_assert_eq!(sharded.contains_point(p), want, "sharded point {}", p);
+            prop_assert_eq!(batch_points[i], want, "batch point {}", p);
+            prop_assert_eq!(batched.contains_point(p), want, "point {}", p);
         }
-        let seq_ranges = sequential.contains_range_batch(&ranges);
-        let shard_ranges = sharded.contains_range_batch(&ranges);
+        let batch_ranges = batched.contains_range_batch(&ranges);
         for (i, &(lo, hi)) in ranges.iter().enumerate() {
             let want = sequential.contains_range(lo, hi);
-            prop_assert_eq!(seq_ranges[i], want, "sequential batch range [{},{}]", lo, hi);
-            prop_assert_eq!(shard_ranges[i], want, "sharded batch range [{},{}]", lo, hi);
-            prop_assert_eq!(sharded.contains_range(lo, hi), want, "sharded range [{},{}]", lo, hi);
-        }
-    }
-
-    /// The differential invariant also holds for advisor-tuned (extended)
-    /// configurations with replicated hashes, segments and an exact layer.
-    #[test]
-    fn sharded_matches_sequential_on_tuned_configs(
-        keys in prop::collection::vec(any::<u64>(), 1..250),
-        probes in prop::collection::vec(any::<u64>(), 1..50),
-        shards in 1usize..=8,
-    ) {
-        let tuned = bloomrf::TuningAdvisor::tune_for(64, keys.len().max(100), 18.0, 1e8).unwrap();
-        let sequential = BloomRf::new(tuned.config.clone()).unwrap();
-        let sharded = BloomRf::builder()
-            .config(tuned.config)
-            .sharded(shards)
-            .build()
-            .unwrap();
-        sequential.insert_batch(&keys);
-        sharded.insert_batch(&keys);
-        prop_assert_eq!(sequential.snapshot_bits(), sharded.snapshot_bits());
-        for &p in &probes {
-            prop_assert_eq!(sequential.contains_point(p), sharded.contains_point(p));
-            let hi = p.saturating_add(1 << 33);
-            prop_assert_eq!(
-                sequential.contains_range(p, hi),
-                sharded.contains_range(p, hi),
-                "range [{},{}]", p, hi
-            );
+            prop_assert_eq!(batch_ranges[i], want, "batch range [{},{}]", lo, hi);
+            prop_assert_eq!(batched.contains_range(lo, hi), want, "range [{},{}]", lo, hi);
         }
     }
 

@@ -5,15 +5,15 @@
 //! * **Codec laws** — every [`RangeKey`] impl is order-preserving
 //!   (`a < b ⇔ to_domain(a) < to_domain(b)` under the type's documented total
 //!   order) and round-trips through `from_domain` where invertible.
-//! * **Differential facade tests** — `TypedBloomRf`, `TypedShardedBloomRf`
-//!   and `TypedDb` (single-key *and* batch paths) answer **identically** to
+//! * **Differential facade tests** — `TypedBloomRf` and `TypedDb`
+//!   (single-key *and* batch paths) answer **identically** to
 //!   the manual `encode_* + u64` path, because they delegate to the same
 //!   core through the codec.
 
 use proptest::prelude::*;
 
 use bloomrf::encode::{encode_string_point, string_range_bounds, RangeKey};
-use bloomrf::{encode_f64, encode_i64, BloomRf, TypedBloomRf, TypedShardedBloomRf};
+use bloomrf::{encode_f64, encode_i64, BloomRf, TypedBloomRf};
 use bloomrf_lsm::{Db, DbOptions, TypedDb};
 
 proptest! {
@@ -117,7 +117,7 @@ proptest! {
         probes in prop::collection::vec(any::<f64>(), 1..60),
         spans in prop::collection::vec(0.0f64..1e12, 1..60),
     ) {
-        let manual = BloomRf::basic(64, keys.len(), 14.0, 7).unwrap();
+        let manual = BloomRf::builder().expected_keys(keys.len()).bits_per_key(14.0).build().unwrap();
         let typed = BloomRf::builder()
             .expected_keys(keys.len())
             .bits_per_key(14.0)
@@ -138,6 +138,12 @@ proptest! {
             .unwrap();
         typed_batch.insert_batch(&keys);
         prop_assert_eq!(manual.snapshot_bits(), typed_batch.inner().snapshot_bits());
+        // Serialization round-trips through the typed builder.
+        let restored = BloomRf::builder()
+            .key_type::<f64>()
+            .from_bytes(&typed.to_bytes())
+            .unwrap();
+        prop_assert_eq!(restored.inner().snapshot_bits(), typed.inner().snapshot_bits());
 
         let ranges: Vec<(f64, f64)> = probes
             .iter()
@@ -159,60 +165,6 @@ proptest! {
         for &k in &keys {
             prop_assert!(typed.contains_point(&k), "false negative for {}", k);
         }
-    }
-
-    /// The sharded typed facade agrees with the flat typed facade (and hence
-    /// with the manual path) bit for bit.
-    #[test]
-    fn typed_sharded_filter_matches_flat(
-        keys in prop::collection::vec(any::<i64>(), 1..300),
-        probes in prop::collection::vec(any::<i64>(), 1..50),
-        shards in 1usize..=8,
-    ) {
-        let flat: TypedBloomRf<i64> = BloomRf::builder()
-            .expected_keys(keys.len())
-            .bits_per_key(12.0)
-            .key_type::<i64>()
-            .build()
-            .unwrap();
-        let sharded: TypedShardedBloomRf<i64> = BloomRf::builder()
-            .expected_keys(keys.len())
-            .bits_per_key(12.0)
-            .key_type::<i64>()
-            .sharded(shards)
-            .build()
-            .unwrap();
-        flat.insert_batch(&keys);
-        sharded.insert_batch(&keys);
-        prop_assert_eq!(flat.inner().snapshot_bits(), sharded.inner().snapshot_bits());
-        let ranges: Vec<(i64, i64)> = probes
-            .iter()
-            .map(|&p| (p, p.saturating_add(1 << 30)))
-            .collect();
-        prop_assert_eq!(
-            flat.contains_point_batch(&probes),
-            sharded.contains_point_batch(&probes)
-        );
-        prop_assert_eq!(
-            flat.contains_range_batch(&ranges),
-            sharded.contains_range_batch(&ranges)
-        );
-        // Serialization round-trips through the typed builder, onto either
-        // backend.
-        let restored = BloomRf::builder()
-            .key_type::<i64>()
-            .from_bytes(&flat.to_bytes())
-            .unwrap();
-        prop_assert_eq!(restored.inner().snapshot_bits(), flat.inner().snapshot_bits());
-        let restored_sharded = BloomRf::builder()
-            .key_type::<i64>()
-            .sharded(shards)
-            .from_bytes(&flat.to_bytes())
-            .unwrap();
-        prop_assert_eq!(
-            restored_sharded.inner().snapshot_bits(),
-            flat.inner().snapshot_bits()
-        );
     }
 
     /// `TypedDb<i64>` answers identically to the manual `encode_i64 + Db`
@@ -284,7 +236,11 @@ fn typed_byte_string_filter_matches_manual_recipe() {
         .key_type::<Vec<u8>>()
         .build()
         .unwrap();
-    let manual = BloomRf::basic(64, 2000, 16.0, 7).unwrap();
+    let manual = BloomRf::builder()
+        .expected_keys(2000)
+        .bits_per_key(16.0)
+        .build()
+        .unwrap();
     let keys: Vec<Vec<u8>> = (0..2000)
         .map(|i| format!("order_{i:06}_item").into_bytes())
         .collect();
@@ -333,7 +289,13 @@ fn online_filter_split_allows_shared_trait_object_insertion() {
     use std::sync::Arc;
 
     let filters: Vec<Arc<dyn OnlineFilter>> = vec![
-        Arc::new(BloomRf::basic(64, 1000, 14.0, 7).unwrap()),
+        Arc::new(
+            BloomRf::builder()
+                .expected_keys(1000)
+                .bits_per_key(14.0)
+                .build()
+                .unwrap(),
+        ),
         Arc::new(Locked::new(BloomFilter::with_bits_per_key(1000, 14.0))),
     ];
     for filter in &filters {
