@@ -113,6 +113,38 @@ enum RangeInit {
     Go(RangeState),
 }
 
+/// Bit positions a [`PointProbe`] holds inline. Every basic configuration
+/// (at most ⌈64 / Δ⌉ single-replica layers) fits; positions past the window —
+/// only heavily replicated configurations have them — are recomputed from
+/// the key when tested, so they are probed but never prefetched.
+const PROBE_WINDOW: usize = 16;
+
+/// One key's probe positions under one filter configuration:
+/// [`BloomRf::contains_point`] split into its hashing
+/// ([`BloomRf::point_probe_into`]), prefetching ([`BloomRf::prefetch_probe`])
+/// and testing ([`BloomRf::contains_probe`]) steps, so that a caller probing
+/// one key against many filters of the *same* configuration — the sibling
+/// nodes of a filter-tree level — hashes it once and requests every filter's
+/// cache lines before testing any. Plain data meant for the stack; reuse one
+/// across keys.
+///
+/// The positions are meaningful only for filters whose configuration equals
+/// (`==`) the one that computed them. Testing a probe against any other
+/// filter reads unrelated bits — a false negative — or panics on a position
+/// beyond its segment.
+#[derive(Clone, Debug, Default)]
+pub struct PointProbe {
+    key: u64,
+    /// `false` for a key outside the domain: the probe misses everywhere.
+    in_domain: bool,
+    /// Exact-layer bit; read only when the configuration has an exact layer.
+    exact: u64,
+    /// Slots filled, layer by layer and replica by replica.
+    len: usize,
+    /// `(segment, bit)` per position: testing needs no walk of the layers.
+    slots: [(usize, usize); PROBE_WINDOW],
+}
+
 impl BloomRf {
     /// Reconstruct a filter from [`BloomRf::to_bytes`] output.
     ///
@@ -326,6 +358,77 @@ impl BloomRf {
             rest = &rest[staged..];
         }
         true
+    }
+
+    /// Compute `key`'s probe positions under this filter's configuration into
+    /// `probe`, overwriting it: the hashing step of
+    /// [`BloomRf::contains_point`]. See [`PointProbe`] for which filters may
+    /// test the result.
+    pub fn point_probe_into(&self, key: u64, probe: &mut PointProbe) {
+        probe.key = key;
+        probe.in_domain = key <= self.config.max_key();
+        probe.len = 0;
+        if !probe.in_domain {
+            return;
+        }
+        if let Some(e) = self.config.exact_level {
+            probe.exact = shr(key, e);
+        }
+        let hashers = self
+            .layers
+            .iter()
+            .flat_map(|layer| layer.hashers.iter().map(move |h| (layer, h)));
+        for ((layer, h), slot) in hashers.zip(&mut probe.slots) {
+            *slot = (
+                layer.segment,
+                h.bit_position(key, layer.word_count) as usize,
+            );
+            probe.len += 1;
+        }
+    }
+
+    /// Request the cache line of every position `probe` holds, exact-layer
+    /// bit first, without reading any: a scheduling hint for a following
+    /// [`BloomRf::contains_probe`].
+    pub fn prefetch_probe(&self, probe: &PointProbe) {
+        if !probe.in_domain {
+            return;
+        }
+        if let Some(exact) = &self.exact {
+            exact.prefetch_bit(probe.exact as usize);
+        }
+        for &(segment, bit) in &probe.slots[..probe.len] {
+            self.segments[segment].prefetch_bit(bit);
+        }
+    }
+
+    /// Test the positions in `probe`: the verdict
+    /// [`BloomRf::contains_point`] gives for the key `probe` was computed
+    /// from, on any filter whose configuration computed it.
+    pub fn contains_probe(&self, probe: &PointProbe) -> bool {
+        if !probe.in_domain {
+            return false;
+        }
+        if let Some(exact) = &self.exact {
+            if !exact.get(probe.exact as usize) {
+                return false;
+            }
+        }
+        let inline = probe.slots[..probe.len]
+            .iter()
+            .all(|&(segment, bit)| self.segments[segment].get(bit));
+        // A full window may have positions past it: compute and test those.
+        inline
+            && (probe.len < PROBE_WINDOW
+                || self
+                    .layers
+                    .iter()
+                    .flat_map(|layer| layer.hashers.iter().map(move |h| (layer, h)))
+                    .skip(PROBE_WINDOW)
+                    .all(|(layer, h)| {
+                        let bit = h.bit_position(probe.key, layer.word_count) as usize;
+                        self.segments[layer.segment].get(bit)
+                    }))
     }
 
     /// Batched point membership: answers element-wise identical to

@@ -265,7 +265,7 @@ pub(crate) fn take<'a>(
     section: &'static str,
 ) -> Result<&'a [u8], Corruption> {
     let out = body
-        .get(*cur..*cur + n)
+        .get(*cur..cur.saturating_add(n))
         .ok_or_else(|| Corruption::new(section, format!("field truncated at offset {}", *cur)))?;
     *cur += n;
     Ok(out)
@@ -787,6 +787,16 @@ pub(crate) fn parse_sst_file_name(name: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn take_rejects_a_length_past_the_end_of_the_address_space() {
+        // A file-declared length near usize::MAX (the TREE decoder's
+        // `filter_len`) must be a typed error, not an overflow panic.
+        let mut cur = 2;
+        let err = take(&[0u8; 4], &mut cur, usize::MAX, "tree-nodes").unwrap_err();
+        assert_eq!(err.section, "tree-nodes");
+        assert_eq!(cur, 2);
+    }
 
     fn sample_sst_bytes() -> Vec<u8> {
         // Two blocks of two entries each.

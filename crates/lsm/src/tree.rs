@@ -11,10 +11,18 @@
 //!
 //! [`FilterTree`] is that structure over bloomRF filters, so pruning works
 //! for **range predicates too**: descent probes each node with
-//! [`BloomRf::contains_range`], which reuses the paper's two-path dyadic
-//! decomposition, and the batch entry points route whole query batches
-//! through the filter's batch calls ([`BloomRf::contains_point_batch`] /
-//! [`BloomRf::contains_range_batch`]).
+//! [`BloomRf::contains_range_batch_into`], which reuses the paper's two-path
+//! dyadic decomposition, once per node with every range that reached it.
+//!
+//! The descent is **level-synchronous**. It keeps a frontier of
+//! `(node, query)` pairs and walks it one level at a time, root first. Every
+//! node of a level shares one configuration (`level_config(h)`), which is
+//! the property Bloofi's flat variant rests on, so a point query's PMHF probe
+//! positions are computed once per level ([`BloomRf::point_probe_into`]), the
+//! cache lines of every sibling that passed its fence are requested
+//! ([`BloomRf::prefetch_probe`]) and only then is each sibling tested
+//! ([`BloomRf::contains_probe`]). The misses of one level overlap instead of
+//! queueing one after another.
 //!
 //! Two deliberate deviations from textbook Bloofi, both documented in
 //! `docs/filter-tree.md`:
@@ -35,44 +43,43 @@
 //! rejection).
 //!
 //! Maintenance mirrors Bloofi: a flush appends a leaf and folds its keys
-//! into the ancestors on the root path ([`FilterTree::push_leaf`]); because
-//! Bloom bits cannot be deleted, retiring or quarantining an SST rebuilds
-//! the ancestor path from the surviving leaves' keys
-//! ([`FilterTree::retire_leaf`]), and compaction — which replaces a
-//! contiguous window of tables with one merged table, shifting every later
-//! slot — rebuilds the inner levels around the spliced leaf row
-//! ([`FilterTree::retire_and_splice`]). The tree persists as the checksummed
-//! `TREE` file next to the MANIFEST ([`FilterTree::to_bytes`]) and recovery
-//! falls back to [`FilterTree::build_from_ssts`] when that file is missing,
-//! corrupt or stale.
+//! into the ancestors on the root path ([`FilterTree::push_leaf`]).
+//! Compaction — which replaces a contiguous window of tables with one merged
+//! table, shifting every later slot — is the only way a table leaves the
+//! set, and because Bloom bits cannot be deleted it rebuilds the inner
+//! levels around the spliced leaf row ([`FilterTree::retire_and_splice`]).
+//! The tree persists as the checksummed `TREE` file next to the MANIFEST
+//! ([`FilterTree::to_bytes`]) and recovery falls back to
+//! [`FilterTree::build_from_ssts`] when that file is missing, corrupt or
+//! stale.
 
-use bloomrf::{BloomRf, BloomRfConfig};
+use bloomrf::{BloomRf, BloomRfConfig, ConfigError, PointProbe};
 
 use crate::persist::{self, Corruption};
 use crate::sst::SsTable;
 use crate::stats::ReadStats;
 
-/// Batch filter probe used by the shared descent: given a node's filter and
-/// the surviving query slots, write one verdict per slot into the reused
-/// output buffer.
-type FilterPass<'a> = dyn FnMut(&BloomRf, &[usize], &mut Vec<bool>) + 'a;
+/// One entry of the descent frontier: (node index within the level being
+/// visited, query index within the caller's batch).
+type Pair = (usize, usize);
 
-/// State of one [`FilterTree::descend`]: the two passes, the output, and the
-/// buffers every visited node reuses, so a descent allocates per level, not
-/// per node.
-struct Walk<'a, 'b> {
-    fence_pass: &'a dyn Fn(&TreeNode, usize) -> bool,
-    filter_pass: &'a mut FilterPass<'b>,
-    /// `alive[h]`: the queries that survived the node being visited at
-    /// height `h` — what its children are probed with. The slot above the
-    /// root holds every query.
-    alive: Vec<Vec<usize>>,
-    /// One verdict per query handed to `filter_pass`.
-    verdicts: Vec<bool>,
-    /// Per query, the candidate leaves found so far.
-    out: Vec<Vec<usize>>,
-    /// `(node, query)` pairs visited.
-    probes: u64,
+/// A point query's probe positions at the level being descended, and the
+/// height they were computed for.
+#[derive(Clone, Default)]
+struct Lane {
+    probe: PointProbe,
+    height: Option<usize>,
+}
+
+/// The frontier cut into runs of pairs that share a node.
+fn node_runs(frontier: &[Pair]) -> impl Iterator<Item = &[Pair]> {
+    let mut rest = frontier;
+    std::iter::from_fn(move || {
+        let node = rest.first()?.0;
+        let (run, tail) = rest.split_at(rest.iter().take_while(|p| p.0 == node).count());
+        rest = tail;
+        Some(run)
+    })
 }
 
 /// Magic number of the persisted tree file (`TREE`).
@@ -116,31 +123,17 @@ struct TreeNode {
     lo: u64,
     /// Largest key in the span (`0` while empty).
     hi: u64,
-    /// Leaves only: `false` once the SST has been retired/quarantined.
-    live: bool,
 }
 
 impl TreeNode {
-    fn empty(config: BloomRfConfig) -> Self {
-        Self {
-            filter: BloomRf::builder()
-                .config(config)
-                .build()
-                .expect("tree level configs are always valid"),
-            lo: u64::MAX,
-            hi: 0,
-            live: true,
-        }
-    }
-
     /// Fold a sorted key run into the node (filter bits + fences).
     fn absorb(&mut self, sorted_keys: &[u64]) {
-        if sorted_keys.is_empty() {
+        let (Some(&first), Some(&last)) = (sorted_keys.first(), sorted_keys.last()) else {
             return;
-        }
+        };
         self.filter.insert_batch(sorted_keys);
-        self.lo = self.lo.min(sorted_keys[0]);
-        self.hi = self.hi.max(*sorted_keys.last().unwrap());
+        self.lo = self.lo.min(first);
+        self.hi = self.hi.max(last);
     }
 }
 
@@ -165,7 +158,6 @@ pub struct FilterTree {
     /// `levels[0]` are the leaves; `levels[h][i]` covers leaves
     /// `[i·F^h, (i+1)·F^h)`. The top level is always a single root.
     levels: Vec<Vec<TreeNode>>,
-    live_leaves: usize,
 }
 
 impl FilterTree {
@@ -177,32 +169,51 @@ impl FilterTree {
             leaf_keys: leaf_keys.max(1),
             bits_per_key: bits_per_key.max(1.0),
             levels: Vec::new(),
-            live_leaves: 0,
         }
     }
 
+    /// Keys a node at height `h` is provisioned for: `leaf_keys · F^h`.
+    fn capacity(&self, height: usize) -> usize {
+        self.leaf_keys
+            .saturating_mul(self.fanout.saturating_pow(height as u32))
+    }
+
     /// The filter configuration shared by every node at height `h`:
-    /// basic bloomRF provisioned for `leaf_keys · F^h` keys.
-    fn level_config(&self, height: usize) -> BloomRfConfig {
-        let capacity = self
-            .leaf_keys
-            .saturating_mul(self.fanout.saturating_pow(height as u32));
-        BloomRfConfig::basic(64, capacity, self.bits_per_key, 7)
-            .expect("basic configs for positive capacities are always valid")
+    /// basic bloomRF provisioned for [`Self::capacity`] keys.
+    fn level_config(&self, height: usize) -> Result<BloomRfConfig, ConfigError> {
+        BloomRfConfig::basic(64, self.capacity(height), self.bits_per_key, 7)
     }
 
+    /// Does `filter` have exactly the configuration of height `h`? The size
+    /// test runs first, so a decoded geometry whose level filter could not
+    /// fit in the filter at hand never reaches the config arithmetic.
+    fn has_level_config(&self, filter: &BloomRf, height: usize) -> bool {
+        self.capacity(height) as f64 * self.bits_per_key <= filter.memory_bits() as f64
+            && self
+                .level_config(height)
+                .is_ok_and(|config| config == *filter.config())
+    }
+
+    /// An empty node for height `h`.
     fn empty_node(&self, height: usize) -> TreeNode {
-        TreeNode::empty(self.level_config(height))
+        match self
+            .level_config(height)
+            .and_then(|config| BloomRf::builder().config(config).build())
+        {
+            Ok(filter) => TreeNode {
+                filter,
+                lo: u64::MAX,
+                hi: 0,
+            },
+            // `basic` rejects only a domain outside 1..=64 or a gap outside
+            // 1..=7, and this file passes the constants 64 and 7.
+            Err(e) => unreachable!("filter tree level {height} config rejected: {e}"),
+        }
     }
 
-    /// Number of leaves (live + retired slots).
+    /// Number of leaves, one per SST.
     pub fn num_leaves(&self) -> usize {
         self.levels.first().map_or(0, Vec::len)
-    }
-
-    /// Number of leaves still routed to.
-    pub fn live_leaves(&self) -> usize {
-        self.live_leaves
     }
 
     /// Number of levels, leaves included (0 while empty).
@@ -233,12 +244,12 @@ impl FilterTree {
     /// into every ancestor on the root path (Bloofi's insert). `ssts` must
     /// be the full live table set in age order — the earlier tables are only
     /// consulted when the tree grows a new root level, whose node spans
-    /// leaves that predate it.
+    /// leaves that predate it. An empty `ssts` has no newest SST: no-op.
     pub fn push_leaf(&mut self, ssts: &[SsTable]) {
-        let sst = ssts
-            .last()
-            .expect("push_leaf needs the freshly flushed SST");
-        let prior = ssts.len() - 1;
+        let Some((sst, older)) = ssts.split_last() else {
+            return;
+        };
+        let prior = older.len();
         assert_eq!(
             self.num_leaves(),
             prior,
@@ -250,17 +261,13 @@ impl FilterTree {
         }
         let leaf = self.make_leaf(sst, &keys);
         self.levels[0].push(leaf);
-        self.live_leaves += 1;
         // Grow a new root when the leaf count exceeds the current top's
-        // span. The fresh level is seeded from every live leaf already
-        // present; the new leaf itself is folded in by the ancestor pass.
+        // span. The fresh level is seeded from every leaf already present;
+        // the new leaf itself is folded in by the ancestor pass.
         while self.levels.len() < required_levels(prior + 1, self.fanout) {
-            let height = self.levels.len();
-            let mut node = self.empty_node(height);
-            for (i, older) in ssts.iter().take(prior).enumerate() {
-                if self.levels[0][i].live {
-                    node.absorb(&older.keys());
-                }
+            let mut node = self.empty_node(self.levels.len());
+            for older in older {
+                node.absorb(&older.keys());
             }
             self.levels.push(vec![node]);
         }
@@ -304,13 +311,6 @@ impl FilterTree {
             }),
             "inner level width must be ceil(leaves / fanout^height)"
         );
-        debug_assert_eq!(
-            self.live_leaves,
-            self.levels
-                .first()
-                .map_or(0, |l| l.iter().filter(|n| n.live).count()),
-            "live-leaf count out of step with the leaf level"
-        );
     }
 
     /// Build the leaf node for one SST. When the SST's own filter block is a
@@ -318,53 +318,20 @@ impl FilterTree {
     /// bit-for-bit union via [`BloomRf::merge_from`]; otherwise the keys are
     /// re-hashed into a fresh filter.
     fn make_leaf(&self, sst: &SsTable, keys: &[u64]) -> TreeNode {
-        let config = self.level_config(0);
-        if let Some(bytes) = sst.filter().serialize() {
-            if let Ok(persisted) = BloomRf::from_bytes(&bytes) {
-                if *persisted.config() == config {
-                    let mut node = TreeNode::empty(config);
-                    if node.filter.merge_from(&persisted).is_ok() {
-                        node.lo = keys.first().copied().unwrap_or(u64::MAX);
-                        node.hi = keys.last().copied().unwrap_or(0);
-                        return node;
-                    }
-                }
-            }
-        }
         let mut node = self.empty_node(0);
-        node.absorb(keys);
+        let adopted = sst
+            .filter()
+            .serialize()
+            .and_then(|bytes| BloomRf::from_bytes(&bytes).ok())
+            .filter(|persisted| self.has_level_config(persisted, 0))
+            .is_some_and(|persisted| node.filter.merge_from(&persisted).is_ok());
+        if adopted {
+            node.lo = keys.first().copied().unwrap_or(u64::MAX);
+            node.hi = keys.last().copied().unwrap_or(0);
+        } else {
+            node.absorb(keys);
+        }
         node
-    }
-
-    /// Retire leaf `leaf` (SST retired or quarantined at runtime): the leaf
-    /// stops being routed to and — because Bloom bits cannot be deleted —
-    /// every ancestor on its root path is rebuilt from the surviving leaves'
-    /// keys. `ssts` must be the same age-ordered table set the tree was
-    /// built over (slot positions are stable; the retired slot itself is no
-    /// longer read). Counted as one rebuild event in `tree_rebuilds`.
-    pub fn retire_leaf(&mut self, leaf: usize, ssts: &[SsTable], stats: &ReadStats) {
-        assert!(leaf < self.num_leaves(), "retire_leaf out of bounds");
-        if !self.levels[0][leaf].live {
-            return;
-        }
-        let mut dead = self.empty_node(0);
-        dead.live = false;
-        self.levels[0][leaf] = dead;
-        self.live_leaves -= 1;
-        for height in 1..self.levels.len() {
-            let span = self.fanout.saturating_pow(height as u32);
-            let idx = leaf / span;
-            let mut node = self.empty_node(height);
-            let first = idx * span;
-            let last = ((idx + 1) * span).min(self.num_leaves());
-            for (leaf_node, sst) in self.levels[0][first..last].iter().zip(&ssts[first..last]) {
-                if leaf_node.live {
-                    node.absorb(&sst.keys());
-                }
-            }
-            self.levels[height][idx] = node;
-        }
-        stats.record_tree_rebuild();
     }
 
     /// Compaction maintenance: replace the contiguous leaf window `window`
@@ -373,8 +340,7 @@ impl FilterTree {
     /// that was spliced the same way. `ssts` is the **post-splice** table set
     /// in age order. Because Bloom bits cannot be deleted, every inner level
     /// is rebuilt from the surviving leaves' keys — positions shift across a
-    /// splice, so ancestor spans change wholesale and the per-path rebuild of
-    /// [`FilterTree::retire_leaf`] does not apply. Surviving leaf nodes are
+    /// splice, so ancestor spans change wholesale. Surviving leaf nodes are
     /// reused bit-for-bit (no re-hash); counted as one rebuild event in
     /// `tree_rebuilds`.
     pub fn retire_and_splice(
@@ -405,28 +371,23 @@ impl FilterTree {
             "filter tree out of sync with the spliced SST set"
         );
         let n = leaves.len();
-        self.live_leaves = leaves.iter().filter(|l| l.live).count();
-        if n == 0 {
-            self.levels = Vec::new();
-        } else {
-            let mut levels = vec![leaves];
+        self.levels = Vec::new();
+        if n > 0 {
+            self.levels.push(leaves);
             for height in 1..required_levels(n, self.fanout) {
                 let span = self.fanout.saturating_pow(height as u32);
-                let mut level = Vec::with_capacity(n.div_ceil(span));
-                for idx in 0..n.div_ceil(span) {
-                    let mut node = self.empty_node(height);
-                    let first = idx * span;
-                    let last = ((idx + 1) * span).min(n);
-                    for (leaf, sst) in levels[0][first..last].iter().zip(&ssts[first..last]) {
-                        if leaf.live {
+                let level = ssts
+                    .chunks(span)
+                    .map(|spanned| {
+                        let mut node = self.empty_node(height);
+                        for sst in spanned {
                             node.absorb(&sst.keys());
                         }
-                    }
-                    level.push(node);
-                }
-                levels.push(level);
+                        node
+                    })
+                    .collect();
+                self.levels.push(level);
             }
-            self.levels = levels;
         }
         debug_assert_eq!(
             self.num_leaves(),
@@ -463,23 +424,32 @@ impl FilterTree {
     }
 
     /// Batched [`FilterTree::candidates_point`]: element `i` answers
-    /// `keys[i]`. Each node probes its surviving queries in one batch call.
+    /// `keys[i]`. Per level, each surviving key is hashed once; every
+    /// `(node, key)` pair that passes its fence is prefetched before any is
+    /// tested.
     pub fn candidates_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<Vec<usize>> {
-        // One probe buffer and one kernel scratch for the whole descent: the
-        // tree probes thousands of per-node batches per lookup wave, so the
-        // steady state must not allocate.
-        let mut probe: Vec<u64> = Vec::new();
-        let mut scratch = bloomrf::ProbeScratch::new();
-        self.descend(
-            keys.len(),
-            &|node, q| node.lo <= keys[q] && keys[q] <= node.hi,
-            &mut |filter, queries, verdicts| {
-                probe.clear();
-                probe.extend(queries.iter().map(|&q| keys[q]));
-                filter.contains_point_batch_into(&probe, verdicts, &mut scratch);
-            },
-            stats,
-        )
+        // A lone key (every `Db::get`) keeps its probe on the stack.
+        let mut one = [Lane::default()];
+        let mut many = Vec::new();
+        let lanes: &mut [Lane] = if keys.len() == 1 {
+            &mut one
+        } else {
+            many.resize(keys.len(), Lane::default());
+            &mut many
+        };
+        self.descend(keys.len(), stats, |height, nodes, frontier| {
+            frontier.retain(|&(n, q)| (nodes[n].lo..=nodes[n].hi).contains(&keys[q]));
+            for &(n, q) in frontier.iter() {
+                let lane = &mut lanes[q];
+                let filter = &nodes[n].filter;
+                if lane.height != Some(height) {
+                    filter.point_probe_into(keys[q], &mut lane.probe);
+                    lane.height = Some(height);
+                }
+                filter.prefetch_probe(&lane.probe);
+            }
+            frontier.retain(|&(n, q)| nodes[n].filter.contains_probe(&lanes[q].probe));
+        })
     }
 
     /// Candidate SSTs for one range-emptiness check over `[lo, hi]`,
@@ -492,126 +462,102 @@ impl FilterTree {
     }
 
     /// Batched [`FilterTree::candidates_range`]: element `i` answers
-    /// `ranges[i]`. Node probes reuse the two-path dyadic range lookup via
-    /// [`BloomRf::contains_range_batch`].
+    /// `ranges[i]`. Each node is probed once, with every range that reached
+    /// it, through [`BloomRf::contains_range_batch_into`].
     pub fn candidates_ranges(&self, ranges: &[(u64, u64)], stats: &ReadStats) -> Vec<Vec<usize>> {
-        // Reused across every node the descent visits, like the point path.
-        let mut forward: Vec<(usize, (u64, u64))> = Vec::new();
+        // Reused across every node the descent visits.
         let mut probe: Vec<(u64, u64)> = Vec::new();
-        let mut fwd_verdicts: Vec<bool> = Vec::new();
-        self.descend(
-            ranges.len(),
-            &|node, q| {
+        let mut verdicts: Vec<bool> = Vec::new();
+        let mut keep: Vec<bool> = Vec::new();
+        let reversed = |q: usize| ranges[q].0 > ranges[q].1;
+        self.descend(ranges.len(), stats, |_, nodes, frontier| {
+            // Reversed bounds never prune: mirror the scan-all path.
+            frontier.retain(|&(n, q)| {
                 let (lo, hi) = ranges[q];
-                // Reversed bounds: never prune, mirror the scan-all path.
-                lo > hi || (lo <= node.hi && hi >= node.lo)
-            },
-            &mut |filter, queries, verdicts| {
+                reversed(q) || (lo <= nodes[n].hi && hi >= nodes[n].lo)
+            });
+            keep.clear();
+            for run in node_runs(frontier) {
+                probe.clear();
+                probe.extend(run.iter().filter(|p| !reversed(p.1)).map(|p| ranges[p.1]));
                 verdicts.clear();
-                verdicts.resize(queries.len(), true);
-                forward.clear();
-                forward.extend(
-                    queries
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &q)| ranges[q].0 <= ranges[q].1)
-                        .map(|(slot, &q)| (slot, ranges[q])),
-                );
-                if !forward.is_empty() {
-                    probe.clear();
-                    probe.extend(forward.iter().map(|&(_, r)| r));
-                    filter.contains_range_batch_into(&probe, &mut fwd_verdicts);
-                    for (&(slot, _), &verdict) in forward.iter().zip(fwd_verdicts.iter()) {
-                        verdicts[slot] = verdict;
-                    }
+                if !probe.is_empty() {
+                    nodes[run[0].0]
+                        .filter
+                        .contains_range_batch_into(&probe, &mut verdicts);
                 }
-            },
-            stats,
-        )
+                let mut forward = verdicts.iter();
+                keep.extend(
+                    run.iter()
+                        .map(|p| reversed(p.1) || forward.next() == Some(&true)),
+                );
+            }
+            let mut keep = keep.iter();
+            frontier.retain(|_| keep.next() == Some(&true));
+        })
     }
 
-    /// Shared descent. `fence_pass` cheaply rejects a query at a node;
-    /// `filter_pass` batch-probes the survivors, so every node is probed at
-    /// most once, with all the queries that reached it. Records
-    /// `tree_probes` per `(node, query)` pair visited and `ssts_pruned` per
-    /// `(query, live leaf)` pair the descent never reached.
+    /// The one descent behind every candidates call, level-synchronous from
+    /// the root down. The frontier holds the `(node, query)` pairs that
+    /// reached the level, grouped by node in ascending order; `level_pass`
+    /// drops the pairs whose node rejects the query (fence, then filter), and
+    /// each surviving pair sends its query on to every child of its node.
+    /// Surviving leaves are the candidates, so each list comes out ascending.
+    /// Records `tree_probes` per pair that reached a level and `ssts_pruned`
+    /// per `(query, leaf)` pair never reached.
     fn descend(
         &self,
         n_queries: usize,
-        fence_pass: &dyn Fn(&TreeNode, usize) -> bool,
-        filter_pass: &mut FilterPass<'_>,
         stats: &ReadStats,
+        mut level_pass: impl FnMut(usize, &[TreeNode], &mut Vec<Pair>),
     ) -> Vec<Vec<usize>> {
-        let mut walk = Walk {
-            fence_pass,
-            filter_pass,
-            alive: vec![Vec::new(); self.levels.len() + 1],
-            verdicts: Vec::new(),
-            out: vec![Vec::new(); n_queries],
-            probes: 0,
-        };
+        let mut out = vec![Vec::new(); n_queries];
         if self.num_leaves() == 0 || n_queries == 0 {
-            return walk.out;
+            return out;
         }
         // The top level is a single root by construction.
-        let top = self.levels.len() - 1;
-        walk.alive[top + 1] = (0..n_queries).collect();
-        self.visit(top, 0, &mut walk);
-        stats.record_tree_probes(walk.probes);
-        let pruned: u64 = walk
-            .out
+        let mut frontier: Vec<Pair> = (0..n_queries).map(|q| (0, q)).collect();
+        let mut next: Vec<Pair> = Vec::new();
+        let mut probes = 0u64;
+        for height in (0..self.levels.len()).rev() {
+            probes += frontier.len() as u64;
+            level_pass(height, &self.levels[height], &mut frontier);
+            if height == 0 {
+                for &(leaf, q) in &frontier {
+                    out[q].push(leaf);
+                }
+                break;
+            }
+            let children = self.levels[height - 1].len();
+            next.clear();
+            for run in node_runs(&frontier) {
+                let first = run[0].0 * self.fanout;
+                for child in first..(first + self.fanout).min(children) {
+                    next.extend(run.iter().map(|&(_, q)| (child, q)));
+                }
+            }
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        stats.record_tree_probes(probes);
+        let pruned: u64 = out
             .iter()
-            .map(|candidates| (self.live_leaves - candidates.len()) as u64)
+            .map(|candidates| (self.num_leaves() - candidates.len()) as u64)
             .sum();
         stats.record_ssts_pruned(pruned);
-        walk.out
-    }
-
-    /// Probe node `idx` at `height` with the queries that survived its
-    /// parent, then its children (left to right, so candidates come out
-    /// ascending) with the queries that survived it.
-    fn visit(&self, height: usize, idx: usize, walk: &mut Walk<'_, '_>) {
-        let node = &self.levels[height][idx];
-        let (below, above) = walk.alive.split_at_mut(height + 1);
-        let (reached, alive) = (&above[0], &mut below[height]);
-        walk.probes += reached.len() as u64;
-        if height == 0 && !node.live {
-            return;
-        }
-        alive.clear();
-        alive.extend(reached.iter().filter(|&&q| (walk.fence_pass)(node, q)));
-        if alive.is_empty() {
-            return;
-        }
-        (walk.filter_pass)(&node.filter, alive, &mut walk.verdicts);
-        let mut verdicts = walk.verdicts.iter();
-        alive.retain(|_| *verdicts.next().expect("one verdict per probed query"));
-        if height == 0 {
-            for &q in alive.iter() {
-                walk.out[q].push(idx);
-            }
-            return;
-        }
-        if alive.is_empty() {
-            return;
-        }
-        let first = idx * self.fanout;
-        let last = (first + self.fanout).min(self.levels[height - 1].len());
-        for child in first..last {
-            self.visit(height - 1, child, walk);
-        }
+        out
     }
 
     /// Serialize the tree into the checksummed `TREE` wire format (see
     /// `docs/wire-format.md`): magic + version, then v2-style
     /// `tag | length | body | crc32(body)` sections for the geometry and the
-    /// node payloads.
+    /// node payloads. The live-leaf count and every node's live flag are
+    /// written as "all live" — no leaf is ever tombstoned.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut meta = Vec::new();
         meta.extend_from_slice(&(self.fanout as u32).to_le_bytes());
         meta.extend_from_slice(&(self.leaf_keys as u64).to_le_bytes());
         meta.extend_from_slice(&self.bits_per_key.to_bits().to_le_bytes());
-        meta.extend_from_slice(&(self.live_leaves as u64).to_le_bytes());
+        meta.extend_from_slice(&(self.num_leaves() as u64).to_le_bytes());
         meta.extend_from_slice(&(self.levels.len() as u32).to_le_bytes());
         for level in &self.levels {
             meta.extend_from_slice(&(level.len() as u64).to_le_bytes());
@@ -622,7 +568,7 @@ impl FilterTree {
             for node in level {
                 nodes.extend_from_slice(&node.lo.to_le_bytes());
                 nodes.extend_from_slice(&node.hi.to_le_bytes());
-                nodes.push(node.live as u8);
+                nodes.push(1);
                 let filter = node.filter.to_bytes();
                 nodes.extend_from_slice(&(filter.len() as u64).to_le_bytes());
                 nodes.extend_from_slice(&filter);
@@ -637,21 +583,25 @@ impl FilterTree {
         out
     }
 
-    /// Decode a persisted tree, verifying magic, version and every section
-    /// checksum. Structural staleness against the live SST set is the
-    /// caller's check ([`FilterTree::validate_against`]).
+    /// Decode a persisted tree, verifying magic, version, every section
+    /// checksum, the geometry, and that every node filter has its level's
+    /// configuration (the descent tests one level's shared probe positions
+    /// against every node of that level). A tombstoned leaf — which no
+    /// current writer produces — is corruption, so recovery rebuilds.
+    /// Structural staleness against the live SST set is the caller's check
+    /// ([`FilterTree::validate_against`]).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, Corruption> {
-        if bytes.len() < 8 || &bytes[0..4] != TREE_MAGIC {
+        let mut cursor = 0usize;
+        if persist::take(bytes, &mut cursor, 4, "tree-header")? != TREE_MAGIC {
             return Err(Corruption::new("tree-header", "bad magic number"));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+        let version = persist::take_u32(bytes, &mut cursor, "tree-header")?;
         if version != TREE_FORMAT_VERSION {
             return Err(Corruption::new(
                 "tree-header",
                 format!("unsupported format version {version}"),
             ));
         }
-        let mut cursor = 8usize;
         let meta = persist::take_section(bytes, &mut cursor, SECTION_META, "tree-meta")?;
         let mut at = 0usize;
         let fanout = persist::take_u32(meta, &mut at, "tree-meta")? as usize;
@@ -699,46 +649,41 @@ impl FilterTree {
                 ));
             }
         }
-        if live_leaves > n_leaves {
-            return Err(Corruption::new("tree-meta", "more live leaves than leaves"));
+        if live_leaves != n_leaves {
+            return Err(Corruption::new("tree-meta", "tombstoned leaves"));
         }
 
+        let mut tree = Self {
+            fanout,
+            leaf_keys,
+            bits_per_key,
+            levels: Vec::with_capacity(n_levels),
+        };
         let nodes = persist::take_section(bytes, &mut cursor, SECTION_NODES, "tree-nodes")?;
         let mut at = 0usize;
-        let mut levels = Vec::with_capacity(n_levels);
-        let mut live_seen = 0usize;
         for (height, &len) in level_lens.iter().enumerate() {
             let mut level = Vec::with_capacity(len.min(1 << 20));
             for _ in 0..len {
                 let lo = persist::take_u64(nodes, &mut at, "tree-nodes")?;
                 let hi = persist::take_u64(nodes, &mut at, "tree-nodes")?;
-                let live = persist::take(nodes, &mut at, 1, "tree-nodes")?[0] != 0;
+                if persist::take(nodes, &mut at, 1, "tree-nodes")? != [1] {
+                    return Err(Corruption::new("tree-nodes", "tombstoned node"));
+                }
                 let filter_len = persist::take_u64(nodes, &mut at, "tree-nodes")? as usize;
                 let filter_bytes = persist::take(nodes, &mut at, filter_len, "tree-nodes")?;
                 let filter = BloomRf::from_bytes(filter_bytes)
                     .map_err(|e| Corruption::new("tree-nodes", format!("node filter: {e}")))?;
-                if height == 0 && live {
-                    live_seen += 1;
+                if !tree.has_level_config(&filter, height) {
+                    return Err(Corruption::new(
+                        "tree-nodes",
+                        format!("node filter at height {height} has a foreign configuration"),
+                    ));
                 }
-                level.push(TreeNode {
-                    filter,
-                    lo,
-                    hi,
-                    live,
-                });
+                level.push(TreeNode { filter, lo, hi });
             }
-            levels.push(level);
+            tree.levels.push(level);
         }
-        if live_seen != live_leaves {
-            return Err(Corruption::new("tree-nodes", "live-leaf count mismatch"));
-        }
-        Ok(Self {
-            fanout,
-            leaf_keys,
-            bits_per_key,
-            levels,
-            live_leaves,
-        })
+        Ok(tree)
     }
 
     /// Does a decoded tree still describe this SST set under these options?
@@ -756,12 +701,11 @@ impl FilterTree {
             && self.leaf_keys == leaf_keys.max(1)
             && self.bits_per_key == bits_per_key.max(1.0)
             && self.num_leaves() == ssts.len()
-            && self.live_leaves == ssts.len()
             && self.levels.first().map_or(true, |leaves| {
                 leaves
                     .iter()
                     .zip(ssts)
-                    .all(|(leaf, sst)| leaf.live && (leaf.lo, leaf.hi) == sst.key_range())
+                    .all(|(leaf, sst)| (leaf.lo, leaf.hi) == sst.key_range())
             })
     }
 }
@@ -801,7 +745,6 @@ mod tests {
             tree.push_leaf(&ssts);
             let n = ssts.len();
             assert_eq!(tree.num_leaves(), n);
-            assert_eq!(tree.live_leaves(), n);
             assert_eq!(tree.depth(), required_levels(n, 3));
             // Every present key routes to its SST at every size.
             for (j, sst) in ssts.iter().enumerate() {
@@ -876,27 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_leaf_stops_routing_and_rebuilds_ancestors() {
-        let (ssts, mut tree) = build_fixture(FilterKind::BloomRfBasic);
-        let stats = ReadStats::new();
-        tree.retire_leaf(5, &ssts, &stats);
-        assert_eq!(tree.live_leaves(), 11);
-        assert_eq!(stats.snapshot().tree_rebuilds, 1);
-        // The retired SST is never a candidate again...
-        assert!(!tree.candidates_point(5020, &stats).contains(&5));
-        // ...its sibling under the same rebuilt ancestors still is...
-        assert!(tree.candidates_point(4020, &stats).contains(&4));
-        // ...and retiring twice is a no-op.
-        tree.retire_leaf(5, &ssts, &stats);
-        assert_eq!(stats.snapshot().tree_rebuilds, 1);
-        // Pruning accounting uses the live count.
-        stats.reset();
-        let c = tree.candidates_point(u64::MAX / 2, &stats);
-        assert!(c.is_empty());
-        assert_eq!(stats.snapshot().ssts_pruned, 11);
-    }
-
-    #[test]
     fn retire_and_splice_replaces_a_window_with_one_leaf() {
         let (mut ssts, mut tree) = build_fixture(FilterKind::BloomRfBasic);
         let stats = ReadStats::new();
@@ -915,7 +837,6 @@ mod tests {
         assert_eq!(ssts.len(), 9);
         tree.retire_and_splice(3..7, Some(&ssts[3]), &ssts, &stats);
         assert_eq!(tree.num_leaves(), 9);
-        assert_eq!(tree.live_leaves(), 9);
         assert_eq!(tree.depth(), required_levels(9, 3));
         assert_eq!(stats.snapshot().tree_rebuilds, 1);
         // Every key still routes to the table now holding it.
@@ -948,7 +869,6 @@ mod tests {
         ssts.extend(tail);
         tree.retire_and_splice(2..4, None, &ssts, &stats);
         assert_eq!(tree.num_leaves(), 10);
-        assert_eq!(tree.live_leaves(), 10);
         assert!(tree.validate_against(&ssts, 3, 4, 14.0));
         for (i, sst) in ssts.iter().enumerate() {
             for &k in &sst.keys() {
@@ -1037,5 +957,109 @@ mod tests {
         assert_eq!(stats.snapshot().tree_probes, 0);
         let decoded = FilterTree::from_bytes(&tree.to_bytes()).expect("empty roundtrip");
         assert!(decoded.validate_against(&[], 16, 8, 14.0));
+    }
+
+    #[test]
+    fn descent_visits_exactly_the_pinned_pairs() {
+        // Candidates, `tree_probes` and `ssts_pruned` per query, pinned from
+        // the depth-first descent this level-synchronous one replaced: the
+        // same (node, query) pairs are visited, only in another order.
+        let (_ssts, tree) = build_fixture(FilterKind::BloomRfBasic);
+        let stats = ReadStats::new();
+        let probed = |f: &dyn Fn() -> Vec<Vec<usize>>| {
+            stats.reset();
+            let candidates = f();
+            let snap = stats.snapshot();
+            (candidates, snap.tree_probes, snap.ssts_pruned)
+        };
+        // (query, candidates, tree_probes, ssts_pruned)
+        type Pinned<Q> = (Q, &'static [usize], u64, u64);
+        let points: [Pinned<u64>; 9] = [
+            (0, &[0], 9, 11),
+            (20, &[0], 9, 11),
+            (3010, &[3], 9, 11),
+            (5020, &[5], 9, 11),
+            (11030, &[11], 7, 11),
+            (999, &[], 1, 12),
+            (7777, &[], 1, 12),
+            (4015, &[], 1, 12),
+            (u64::MAX / 2, &[], 1, 12),
+        ];
+        for &(key, want, probes, pruned) in &points {
+            let got = probed(&|| vec![tree.candidates_point(key, &stats)]);
+            assert_eq!(got, (vec![want.to_vec()], probes, pruned), "point {key}");
+        }
+        let ranges: [Pinned<(u64, u64)>; 9] = [
+            ((0, 5), &[0], 9, 11),
+            ((995, 1005), &[1], 9, 11),
+            ((3005, 3008), &[], 1, 12),
+            ((11030, 11030), &[11], 7, 11),
+            ((500, 520), &[], 1, 12),
+            ((20_000, 30_000), &[], 1, 12),
+            ((2000, 8030), &[2, 3, 4, 5, 6, 7, 8], 15, 5),
+            ((10, 5), &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 19, 0),
+            ((4031, 4999), &[], 9, 12),
+        ];
+        for &((lo, hi), want, probes, pruned) in &ranges {
+            let got = probed(&|| vec![tree.candidates_range(lo, hi, &stats)]);
+            assert_eq!(
+                got,
+                (vec![want.to_vec()], probes, pruned),
+                "range {lo}..={hi}"
+            );
+        }
+        // Batches visit the union of their members' pairs.
+        let keys: Vec<u64> = points.iter().map(|p| p.0).collect();
+        let want: Vec<Vec<usize>> = points.iter().map(|p| p.1.to_vec()).collect();
+        let got = probed(&|| tree.candidates_points(&keys, &stats));
+        assert_eq!(got, (want, 47, 103));
+        let bounds: Vec<(u64, u64)> = ranges.iter().map(|r| r.0).collect();
+        let want: Vec<Vec<usize>> = ranges.iter().map(|r| r.1.to_vec()).collect();
+        let got = probed(&|| tree.candidates_ranges(&bounds, &stats));
+        assert_eq!(got, (want, 71, 86));
+    }
+
+    #[test]
+    fn foreign_config_and_tombstoned_nodes_fail_to_decode() {
+        let decode_err = |tree: &FilterTree| {
+            FilterTree::from_bytes(&tree.to_bytes())
+                .err()
+                .expect("a node off its level config must not decode")
+        };
+        // A leaf holding an inner level's (larger) configuration.
+        let (ssts, mut tree) = build_fixture(FilterKind::BloomRfBasic);
+        let mut foreign = tree.empty_node(1);
+        foreign.absorb(&ssts[4].keys());
+        tree.levels[0][4] = foreign;
+        assert_eq!(decode_err(&tree).section, "tree-nodes");
+        // A leaf of the same size under another hash seed.
+        let (ssts, mut tree) = build_fixture(FilterKind::BloomRfBasic);
+        let config = tree.level_config(0).unwrap().with_seed(99);
+        let filter = BloomRf::builder().config(config).build().unwrap();
+        filter.insert_batch(&ssts[7].keys());
+        tree.levels[0][7].filter = filter;
+        assert_eq!(decode_err(&tree).section, "tree-nodes");
+        // An inner node with the leaf configuration.
+        let (_ssts, mut tree) = build_fixture(FilterKind::BloomRfBasic);
+        tree.levels[1][0].filter = tree.empty_node(0).filter;
+        assert_eq!(decode_err(&tree).section, "tree-nodes");
+
+        // A tombstoned leaf: flip the first node's live flag (the byte after
+        // its two fences) and re-seal the section.
+        let (_ssts, tree) = build_fixture(FilterKind::BloomRfBasic);
+        let good = tree.to_bytes();
+        let mut cursor = 8;
+        let meta = persist::take_section(&good, &mut cursor, SECTION_META, "m").unwrap();
+        let nodes = persist::take_section(&good, &mut cursor, SECTION_NODES, "n").unwrap();
+        let mut tombstoned = nodes.to_vec();
+        assert_eq!(tombstoned[16], 1);
+        tombstoned[16] = 0;
+        let mut bad = good[..8].to_vec();
+        persist::push_section(&mut bad, SECTION_META, meta);
+        persist::push_section(&mut bad, SECTION_NODES, &tombstoned);
+        let err = FilterTree::from_bytes(&bad)
+            .err()
+            .expect("tombstone decoded");
+        assert_eq!(err.section, "tree-nodes");
     }
 }

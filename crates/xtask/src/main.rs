@@ -21,8 +21,9 @@
 //!   `// ordering:` justification comment (same line or within the five
 //!   preceding lines).
 //! - **recovery-unwrap** — no `.unwrap()` / `.expect(` in the crash-recovery
-//!   paths (`crates/lsm/src/persist.rs`, `crates/lsm/src/io.rs`): corrupted
-//!   input must surface as typed errors, never panics.
+//!   paths (`crates/lsm/src/persist.rs`, `crates/lsm/src/io.rs`, and
+//!   `crates/lsm/src/tree.rs`, whose `FilterTree::from_bytes` decodes the
+//!   `TREE` file): corrupted input must surface as typed errors, never panics.
 //!
 //! Code after a `#[cfg(test)]` marker is exempt (repo convention keeps unit
 //! tests at the bottom of each file). The lint is intentionally regex-free
@@ -39,7 +40,11 @@ mod bench_check;
 const RAW_LOCK_ALLOWLIST: &[&str] = &["crates/core/src/sync.rs"];
 
 /// Files where `.unwrap()` / `.expect(` are forbidden outside tests.
-const RECOVERY_PATHS: &[&str] = &["crates/lsm/src/persist.rs", "crates/lsm/src/io.rs"];
+const RECOVERY_PATHS: &[&str] = &[
+    "crates/lsm/src/persist.rs",
+    "crates/lsm/src/io.rs",
+    "crates/lsm/src/tree.rs",
+];
 
 /// How many preceding lines may carry the `// ordering:` justification.
 const ORDERING_COMMENT_WINDOW: usize = 5;
@@ -335,6 +340,14 @@ fn f(x: &AtomicU64) {
         assert_eq!(v.len(), 1, "one violation per line: {v:?}");
         assert_eq!(v[0].rule, "recovery-unwrap");
         assert!(lint_source("crates/lsm/src/db.rs", src).is_empty());
+    }
+
+    #[test]
+    fn flags_unwrap_in_the_tree_decoder() {
+        let src = "fn from_bytes(b: &[u8]) { u32::from_le_bytes(b[4..8].try_into().unwrap()); }\n";
+        let v = lint_source("crates/lsm/src/tree.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "recovery-unwrap");
     }
 
     #[test]

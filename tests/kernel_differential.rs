@@ -10,6 +10,10 @@
 //! (phase-split kernel, prefetched point probe, range staging). The kernel
 //! only regroups pure bit reads, so any divergence from the per-key call is a
 //! bug by construction — there is no tolerance in these assertions.
+//!
+//! The split point probe (`point_probe_into` → `prefetch_probe` →
+//! `contains_probe`, which the filter tree's descent uses) is held to
+//! `contains_point` the same way.
 
 use proptest::prelude::*;
 
@@ -186,6 +190,89 @@ proptest! {
             let filter = BloomRf::builder().config(sized(&config, bits)).build().unwrap();
             filter.insert_batch(&seed_keys);
             assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
+        }
+    }
+}
+
+/// The four configuration families of the split-probe property, sized to
+/// land on the wanted side of the crossover.
+fn split_probe_configs(n_keys: usize, seed: u64, above: bool) -> Vec<BloomRfConfig> {
+    let total_bits = SIZES[usize::from(above)].0;
+    let basic = BloomRfConfig::basic(64, n_keys, 14.0, 7).unwrap();
+    let tuned = bloomrf::TuningAdvisor::tune_for(64, n_keys.max(100), 18.0, 1e8)
+        .unwrap()
+        .config;
+    // Exact layer over saturated 64-bit segments: the exact bitmap decides
+    // almost every verdict, and its size (2^(64-e) bits) picks the side.
+    let top_gap = if above { 3 } else { 5 };
+    let exact_level = 35 + top_gap;
+    let mut layers: Vec<LayerSpec> = (0..5).map(|i| LayerSpec::new(i * 7, 7, 1, 0)).collect();
+    layers.push(LayerSpec::new(35, top_gap, 1, 0));
+    let exact = BloomRfConfig::new(64, layers, vec![64], Some(exact_level), seed).unwrap();
+    // Replicated hashers on a 32-bit domain (probe keys above 2^32 are out
+    // of it), top layer stored exactly. 17 positions overflow the probe's
+    // inline window, so the last one, the top layer's, is recomputed when
+    // tested; the layers below it share a saturated 64-bit segment, so that
+    // position decides whenever the exact bitmap passes.
+    let replicated = BloomRfConfig::new(
+        32,
+        vec![
+            LayerSpec::new(0, 6, 8, 0),
+            LayerSpec::new(6, 6, 8, 0),
+            LayerSpec::new(12, 6, 1, 0),
+        ],
+        vec![64],
+        Some(18),
+        seed,
+    )
+    .unwrap();
+    vec![
+        sized(&basic, total_bits),
+        sized(&tuned.with_seed(seed), total_bits),
+        exact,
+        sized(&replicated, total_bits),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `point_probe_into` → (`prefetch_probe`) → `contains_probe` is
+    /// `contains_point`, including on a second filter of the same
+    /// configuration holding other keys — the way the filter tree shares one
+    /// level's probe across sibling nodes.
+    #[test]
+    fn split_probe_matches_contains_point(
+        keys in prop::collection::vec(any::<u64>(), 1..200),
+        extra in prop::collection::vec(any::<u64>(), 1..80),
+        seed in any::<u64>(),
+    ) {
+        let half = keys.len() / 2;
+        let mut probe = bloomrf::PointProbe::default(); // reused, dirty
+        for (_, above) in SIZES {
+            for config in split_probe_configs(keys.len(), seed, above) {
+                let max_key = config.max_key();
+                let owned: Vec<u64> = keys.iter().map(|&k| k & max_key).collect();
+                let filter = BloomRf::builder().config(config.clone()).build().unwrap();
+                let sibling = BloomRf::builder().config(config).build().unwrap();
+                prop_assert_eq!(filter.memory_bits() >= CROSSOVER_BITS, above);
+                filter.insert_batch(&owned[..half]);
+                sibling.insert_batch(&owned[half..]);
+                // Inserted keys, absent keys, neighbours on either side of
+                // an exact level, and keys outside a narrow domain.
+                let points = owned.iter().chain(&extra).flat_map(|&k| {
+                    [k, k ^ (1 << 12), k.wrapping_add(1 << 18), k ^ (1 << 40)]
+                });
+                for k in points {
+                    for f in [&filter, &sibling] {
+                        let expected = f.contains_point(k);
+                        filter.point_probe_into(k, &mut probe);
+                        prop_assert_eq!(f.contains_probe(&probe), expected, "key {}", k);
+                        f.prefetch_probe(&probe);
+                        prop_assert_eq!(f.contains_probe(&probe), expected, "key {}", k);
+                    }
+                }
+            }
         }
     }
 }
