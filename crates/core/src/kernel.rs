@@ -73,10 +73,13 @@ pub(crate) fn prefetch_read<T>(p: *const T) {
 
 /// Reusable buffers for the batched point kernel.
 ///
-/// [`crate::BloomRf::contains_point_batch_into`] takes one so that hot paths
-/// probing thousands of batches — the LSM tree descent — hold it across
-/// calls and the steady state is allocation-free. Filters below the
-/// crossover never touch it.
+/// [`crate::BloomRf::contains_point_batch_into`] takes one so that a caller
+/// probing many batches can hold it across calls and keep the steady state
+/// allocation-free (`fig_probe_kernel` does; the batch conveniences such as
+/// `may_contain_batch_into` build a fresh one per call). The LSM tree
+/// descent does not use it: it probes one key per node with
+/// [`crate::BloomRf::point_probe_into`]. Filters below the crossover never
+/// touch it.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// Indices (into the caller's key slice) of queries still alive.

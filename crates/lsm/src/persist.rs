@@ -40,6 +40,8 @@ use bloomrf::crc32::crc32;
 use bloomrf_filters::FilterKind;
 use bytes::Bytes;
 
+use crate::sst::Records;
+
 /// Magic bytes opening every persisted SST file.
 pub const SST_MAGIC: &[u8; 4] = b"BSST";
 /// The one SST file format version this build writes and reads; any other
@@ -391,57 +393,40 @@ pub(crate) fn encode_sst(
     out
 }
 
-/// Parse one data block, verifying every length against the input and that
-/// keys are strictly ascending. Returns the keys and how many entries are
-/// tombstones (meta bit 31 set, length bits zero, no payload). Never panics
-/// and never allocates beyond the input size.
+/// Parse one data block through the readers' own cursor ([`Records`]),
+/// verifying every length against the input and that keys are strictly
+/// ascending. Returns the keys and how many entries are tombstones (meta
+/// bit 31 set, length bits zero, no payload). Never panics and never
+/// allocates beyond the input size.
 fn check_block(data: &[u8], block_idx: usize) -> Result<(Vec<u64>, usize), Corruption> {
-    let mut cur = 0usize;
-    let count = take_u32(data, &mut cur, "data")? as usize;
+    let corrupt = |what: String| Corruption::new("data", format!("block {block_idx} {what}"));
+    let mut records = Records::new(data);
+    let count = records.left as usize;
     // Each entry is at least 12 bytes (key + meta); reject counts the input
-    // cannot possibly hold before touching them.
-    if count > (data.len() - cur) / 12 {
-        return Err(Corruption::new(
-            "data",
-            format!("block {block_idx} declares {count} entries, more than fit"),
-        ));
+    // cannot possibly hold before sizing anything by them.
+    if count > records.rest.len() / 12 {
+        return Err(corrupt(format!("declares {count} entries, more than fit")));
     }
     let mut keys = Vec::with_capacity(count);
     let mut tombstones = 0usize;
-    for _ in 0..count {
-        let key = take_u64(data, &mut cur, "data")?;
-        let meta = take_u32(data, &mut cur, "data")?;
-        if meta & TOMBSTONE_FLAG != 0 {
-            if meta != TOMBSTONE_FLAG {
-                return Err(Corruption::new(
-                    "data",
-                    format!("block {block_idx} tombstone has non-zero length bits"),
-                ));
-            }
-            tombstones += 1;
-        } else {
-            let len = meta as usize;
-            if len > data.len() - cur {
-                return Err(Corruption::new(
-                    "data",
-                    format!("block {block_idx} value length {len} exceeds block"),
-                ));
-            }
-            cur += len;
-        }
+    for (key, payload) in records.by_ref() {
         if keys.last().is_some_and(|&prev| prev >= key) {
-            return Err(Corruption::new(
-                "data",
-                format!("block {block_idx} keys are not strictly ascending"),
-            ));
+            return Err(corrupt("keys are not strictly ascending".into()));
         }
+        tombstones += usize::from(payload.is_none());
         keys.push(key);
     }
-    if cur != data.len() {
-        return Err(Corruption::new(
-            "data",
-            format!("block {block_idx} has {} trailing bytes", data.len() - cur),
-        ));
+    if records.left != 0 {
+        return Err(corrupt(format!(
+            "record {} is truncated or is a tombstone with non-zero length bits",
+            keys.len()
+        )));
+    }
+    if !records.rest.is_empty() {
+        return Err(corrupt(format!(
+            "has {} trailing bytes",
+            records.rest.len()
+        )));
     }
     Ok((keys, tombstones))
 }

@@ -21,8 +21,55 @@ use bytes::{BufMut, Bytes, BytesMut};
 use std::time::Instant;
 
 use crate::persist::{self, Corruption, TOMBSTONE_FLAG};
-use crate::stats::{IoModel, ReadStats};
+use crate::stats::{Clock, IoModel, ReadStats, SampledClock};
 use crate::value::Value;
+
+/// The one parser of the block layout: a borrowing cursor over `count (u32)
+/// | (key | meta | payload)*` that yields `(key, None)` for a tombstone and
+/// `(key, Some(payload))` for a put, copying nothing. It stops early, with
+/// `left > 0`, at a truncated record or a tombstone with length bits.
+pub(crate) struct Records<'a> {
+    /// The bytes after the last yielded record.
+    pub(crate) rest: &'a [u8],
+    /// Records the block declares that have not been yielded.
+    pub(crate) left: u32,
+}
+
+impl<'a> Records<'a> {
+    /// A truncated count reads its missing bytes as zero.
+    pub(crate) fn new(block: &'a [u8]) -> Self {
+        let (count, rest) = block.split_at(block.len().min(4));
+        let left = persist::le_u32(count);
+        Self { rest, left }
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (u64, Option<&'a [u8]>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        let key = persist::le_u64(self.rest.get(..8)?);
+        let (payload, end) = match persist::le_u32(self.rest.get(8..12)?) {
+            TOMBSTONE_FLAG => (None, 12),
+            len if len < TOMBSTONE_FLAG => {
+                let end = 12 + len as usize;
+                (Some(self.rest.get(12..end)?), end)
+            }
+            _ => return None,
+        };
+        self.rest = self.rest.get(end..)?;
+        self.left -= 1;
+        Some((key, payload))
+    }
+}
+
+/// The owned [`Value`] of a record [`Records`] yielded.
+fn to_value(payload: Option<&[u8]>) -> Value {
+    payload.map_or(Value::Tombstone, |bytes| Value::Put(bytes.to_vec()))
+}
 
 /// Reusable probe buffers for the batched SST read paths
 /// ([`SsTable::get_many_with`], [`SsTable::range_non_empty_many_with`]).
@@ -122,7 +169,7 @@ impl SsTable {
             blocks,
             index,
             filter,
-            key_range: (keys[0], *keys.last().unwrap()),
+            key_range: (entries[0].0, entries[entries.len() - 1].0),
             num_entries: entries.len(),
             num_tombstones,
             filter_kind,
@@ -228,58 +275,21 @@ impl SsTable {
         self.filter.as_ref()
     }
 
-    /// Every key in the table, ascending (tombstones included). Walks the
-    /// in-memory block bytes without materializing values; the filter tree
-    /// uses this to (re)build its per-SST leaf and ancestor filters from the
-    /// authoritative key set.
+    /// Every key in the table, ascending (tombstones included), without
+    /// copying any value; the filter tree (re)builds its per-SST leaf and
+    /// ancestor filters from this authoritative key set.
     pub(crate) fn keys(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.num_entries);
-        for data in &self.blocks {
-            let count = u32::from_le_bytes(data[0..4].try_into().unwrap()) as usize;
-            let mut cursor = 4usize;
-            for _ in 0..count {
-                out.push(u64::from_le_bytes(
-                    data[cursor..cursor + 8].try_into().unwrap(),
-                ));
-                cursor += 8;
-                let meta = u32::from_le_bytes(data[cursor..cursor + 4].try_into().unwrap());
-                cursor += 4 + (meta & !TOMBSTONE_FLAG) as usize;
-            }
-        }
-        out
+        self.records_in(0, u64::MAX, &mut 0)
+            .map(|(key, _)| key)
+            .collect()
     }
 
     /// Every entry of the table in key order (tombstones included) — the
     /// compaction merge input.
     pub(crate) fn entries(&self) -> Vec<(u64, Value)> {
-        let mut out = Vec::with_capacity(self.num_entries);
-        for block_idx in 0..self.blocks.len() {
-            out.extend(self.decode_block(block_idx));
-        }
-        out
-    }
-
-    /// Decode a block into its entries (counts as residual CPU, not I/O).
-    fn decode_block(&self, block_idx: usize) -> Vec<(u64, Value)> {
-        let data = &self.blocks[block_idx];
-        let mut out = Vec::new();
-        let mut cursor = 0usize;
-        let count = u32::from_le_bytes(data[0..4].try_into().unwrap()) as usize;
-        cursor += 4;
-        for _ in 0..count {
-            let key = u64::from_le_bytes(data[cursor..cursor + 8].try_into().unwrap());
-            cursor += 8;
-            let meta = u32::from_le_bytes(data[cursor..cursor + 4].try_into().unwrap());
-            cursor += 4;
-            if meta & TOMBSTONE_FLAG != 0 {
-                out.push((key, Value::Tombstone));
-            } else {
-                let len = meta as usize;
-                out.push((key, Value::Put(data[cursor..cursor + len].to_vec())));
-                cursor += len;
-            }
-        }
-        out
+        self.records_in(0, u64::MAX, &mut 0)
+            .map(|(key, payload)| (key, to_value(payload)))
+            .collect()
     }
 
     /// Point lookup through the filter, index and data blocks. A hit on a
@@ -289,31 +299,26 @@ impl SsTable {
         if key < self.key_range.0 || key > self.key_range.1 {
             return None;
         }
-        let start = Instant::now();
+        let clock = SampledClock::start(Clock::FilterProbe);
         let positive = self.filter.may_contain(key);
-        stats.record_filter_probe(positive, start.elapsed().as_nanos() as u64);
+        stats.record_filter_probe(positive, clock.estimate_ns());
         if !positive {
             return None;
         }
         self.lookup_after_filter(key, io, stats)
     }
 
-    /// Index walk + block read for a key the filter answered positively.
+    /// Fence walk + in-place block search for a key the filter answered
+    /// positively; only a matching payload is copied.
     fn lookup_after_filter(&self, key: u64, io: &IoModel, stats: &ReadStats) -> Option<Value> {
-        // Locate the candidate block via the index (fence pointers).
-        let block_idx = self.index.partition_point(|&(_, last, _)| last < key);
-        if block_idx >= self.index.len() || self.index[block_idx].0 > key {
-            stats.record_false_positive();
-            return None;
-        }
-        stats.record_block_reads(1, io);
-        let cpu_start = Instant::now();
-        let entries = self.decode_block(block_idx);
-        let result = entries
-            .binary_search_by_key(&key, |(k, _)| *k)
-            .ok()
-            .map(|i| entries[i].1.clone());
-        stats.record_cpu(cpu_start.elapsed().as_nanos() as u64);
+        let clock = SampledClock::start(Clock::Cpu);
+        let mut blocks_read = 0u64;
+        let result = self
+            .records_in(key, key, &mut blocks_read)
+            .next()
+            .map(|(_, payload)| to_value(payload));
+        stats.record_block_reads(blocks_read, io);
+        stats.record_cpu(clock.estimate_ns());
         if result.is_none() {
             // A found tombstone is a *true* positive — the key is present,
             // its version just happens to be a delete marker.
@@ -351,13 +356,12 @@ impl SsTable {
         scratch
             .probe_keys
             .extend(scratch.selected.iter().map(|&i| keys[i]));
-        let start = Instant::now();
+        let clock = SampledClock::start(Clock::FilterProbe);
         self.filter
             .may_contain_batch_into(&scratch.probe_keys, &mut scratch.verdicts);
         // Charge the batch probe time evenly across its probes so the
         // per-probe statistics stay comparable with the sequential path.
-        let per_probe_ns =
-            (start.elapsed().as_nanos() as u64) / scratch.probe_keys.len().max(1) as u64;
+        let per_probe_ns = clock.estimate_ns() / scratch.probe_keys.len().max(1) as u64;
         for (&i, &positive) in scratch.selected.iter().zip(scratch.verdicts.iter()) {
             stats.record_filter_probe(positive, per_probe_ns);
             if positive {
@@ -405,37 +409,21 @@ impl SsTable {
         scratch
             .probe_ranges
             .extend(scratch.selected.iter().map(|&i| ranges[i]));
-        let start = Instant::now();
+        let clock = SampledClock::start(Clock::FilterProbe);
         self.filter
             .may_contain_range_batch_into(&scratch.probe_ranges, &mut scratch.verdicts);
-        let per_probe_ns =
-            (start.elapsed().as_nanos() as u64) / scratch.probe_ranges.len().max(1) as u64;
+        let per_probe_ns = clock.estimate_ns() / scratch.probe_ranges.len().max(1) as u64;
         for (&i, &positive) in scratch.selected.iter().zip(scratch.verdicts.iter()) {
             stats.record_filter_probe(positive, per_probe_ns);
             if !positive {
                 continue;
             }
             let (lo, hi) = ranges[i];
-            let cpu_start = Instant::now();
+            let clock = SampledClock::start(Clock::Cpu);
             let mut blocks_read = 0u64;
-            let mut found = false;
-            let first_block = self.index.partition_point(|&(_, last, _)| last < lo);
-            for block_idx in first_block..self.index.len() {
-                if self.index[block_idx].0 > hi {
-                    break;
-                }
-                blocks_read += 1;
-                if self
-                    .decode_block(block_idx)
-                    .iter()
-                    .any(|&(key, _)| key >= lo && key <= hi)
-                {
-                    found = true;
-                    break;
-                }
-            }
+            let found = self.records_in(lo, hi, &mut blocks_read).next().is_some();
             stats.record_block_reads(blocks_read, io);
-            stats.record_cpu(cpu_start.elapsed().as_nanos() as u64);
+            stats.record_cpu(clock.estimate_ns());
             if !found {
                 stats.record_false_positive();
             }
@@ -459,36 +447,48 @@ impl SsTable {
         if hi < self.key_range.0 || lo > self.key_range.1 || lo > hi {
             return Vec::new();
         }
-        let start = Instant::now();
+        let clock = SampledClock::start(Clock::FilterProbe);
         let positive = self.filter.may_contain_range(lo, hi);
-        stats.record_filter_probe(positive, start.elapsed().as_nanos() as u64);
+        stats.record_filter_probe(positive, clock.estimate_ns());
         if !positive {
             return Vec::new();
         }
-        let mut out = Vec::new();
-        let first_block = self.index.partition_point(|&(_, last, _)| last < lo);
-        let cpu_start = Instant::now();
+        let clock = SampledClock::start(Clock::Cpu);
         let mut blocks_read = 0u64;
-        for block_idx in first_block..self.index.len() {
-            if self.index[block_idx].0 > hi || out.len() >= limit {
-                break;
-            }
-            blocks_read += 1;
-            for (key, value) in self.decode_block(block_idx) {
-                if key >= lo && key <= hi {
-                    out.push((key, value));
-                    if out.len() >= limit {
-                        break;
-                    }
-                }
-            }
-        }
+        let out: Vec<(u64, Value)> = self
+            .records_in(lo, hi, &mut blocks_read)
+            .take(limit)
+            .map(|(key, payload)| (key, to_value(payload)))
+            .collect();
         stats.record_block_reads(blocks_read, io);
-        stats.record_cpu(cpu_start.elapsed().as_nanos() as u64);
+        stats.record_cpu(clock.estimate_ns());
         if out.is_empty() {
             stats.record_false_positive();
         }
         out
+    }
+
+    /// The records with keys in `[lo, hi]`, ascending, read in place from
+    /// the blocks the fences admit; `blocks_read` counts the blocks reached.
+    /// Callers charge it after the search: an atomic add ahead of the block
+    /// loads would hold them back.
+    fn records_in<'a>(
+        &'a self,
+        lo: u64,
+        hi: u64,
+        blocks_read: &'a mut u64,
+    ) -> impl Iterator<Item = (u64, Option<&'a [u8]>)> + 'a {
+        let first = self.index.partition_point(|&(_, last, _)| last < lo);
+        self.index[first..]
+            .iter()
+            .zip(&self.blocks[first..])
+            .take_while(move |&(&(first_key, _, _), _)| first_key <= hi)
+            .flat_map(move |(_, block)| {
+                *blocks_read += 1;
+                Records::new(block)
+            })
+            .skip_while(move |&(key, _)| key < lo)
+            .take_while(move |&(key, _)| key <= hi)
     }
 
     /// Total serialized size of the data blocks in bytes.
@@ -500,6 +500,8 @@ impl SsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn put_entries(entries: &[(u64, Vec<u8>)]) -> Vec<(u64, Value)> {
         entries
@@ -714,5 +716,92 @@ mod tests {
         let sst = SsTable::build(&put_entries(&raw), 8, FilterKind::Bloom, 12.0);
         assert_eq!(sst.num_tombstones(), 0);
         assert_eq!(sst.num_entries(), 50);
+    }
+
+    /// The model of a generated table: `(key, kind, len)` triples, kind 0 a
+    /// tombstone, the last triple of a key winning.
+    fn model_of(raw: &[(u64, u8, u16)]) -> BTreeMap<u64, Value> {
+        let value = |key: u64, kind: u8, len: u16| match kind {
+            0 => Value::Tombstone,
+            _ => Value::Put(vec![key as u8 ^ kind; len as usize]),
+        };
+        raw.iter()
+            .map(|&(key, kind, len)| (key, value(key, kind, len)))
+            .collect()
+    }
+
+    /// Every in-place reader of `sst` answers what `model` does.
+    fn agrees_with_model(
+        sst: &SsTable,
+        model: &BTreeMap<u64, Value>,
+        probes: &[u64],
+        ranges: &[(u64, u64)],
+    ) -> Result<(), TestCaseError> {
+        let (io, stats) = (IoModel::default(), ReadStats::new());
+        let entries: Vec<(u64, Value)> = model.iter().map(|(&k, v)| (k, v.clone())).collect();
+        prop_assert_eq!(sst.entries(), entries);
+        prop_assert_eq!(sst.keys(), model.keys().copied().collect::<Vec<_>>());
+        let tombstones = model.values().filter(|v| v.is_tombstone()).count();
+        prop_assert_eq!(sst.num_tombstones(), tombstones);
+
+        let keys: Vec<u64> = model.keys().chain(probes).copied().collect();
+        let expected: Vec<Option<Value>> = keys.iter().map(|k| model.get(k).cloned()).collect();
+        for (&key, want) in keys.iter().zip(&expected) {
+            prop_assert_eq!(&sst.get(key, &io, &stats), want, "get({})", key);
+        }
+        prop_assert_eq!(sst.get_many(&keys, &io, &stats), expected);
+
+        let in_range = |lo: u64, hi: u64| -> Vec<(u64, Value)> {
+            if lo > hi {
+                return Vec::new();
+            }
+            model.range(lo..=hi).map(|(&k, v)| (k, v.clone())).collect()
+        };
+        for &(lo, hi) in ranges {
+            let rows = in_range(lo, hi);
+            for limit in [1, 3, usize::MAX] {
+                let want = &rows[..rows.len().min(limit)];
+                let got = sst.scan(lo, hi, limit, &io, &stats);
+                prop_assert_eq!(got.as_slice(), want, "scan({}, {}, {})", lo, hi, limit);
+            }
+        }
+        let non_empty: Vec<bool> = ranges
+            .iter()
+            .map(|&(lo, hi)| !in_range(lo, hi).is_empty())
+            .collect();
+        prop_assert_eq!(sst.range_non_empty_many(ranges, &io, &stats), non_empty);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `get`, `get_many`, `scan`, `range_non_empty_many`, `keys` and
+        /// `entries` read blocks in place and must equal a `BTreeMap` model
+        /// — tombstones, zero-length and up-to-300-byte values, one to 64
+        /// entries per block — before and after a `to_bytes` round trip.
+        #[test]
+        fn in_place_readers_equal_a_model(
+            raw in prop::collection::vec((0u64..3000, 0u8..4, 0u16..=300), 1..160),
+            epb in 0usize..4,
+            probes in prop::collection::vec(0u64..3100, 0..40),
+            spans in prop::collection::vec((0u64..3100, 0u64..200, 0u8..4), 0..24),
+        ) {
+            let model = model_of(&raw);
+            let entries: Vec<(u64, Value)> = model.iter().map(|(&k, v)| (k, v.clone())).collect();
+            let epb = [1, 3, 8, 64][epb];
+            // One span in four has its bounds reversed.
+            let ranges: Vec<(u64, u64)> = spans
+                .iter()
+                .map(|&(lo, width, flip)| match flip {
+                    0 => (lo + width, lo),
+                    _ => (lo, lo + width),
+                })
+                .collect();
+            let sst = SsTable::build(&entries, epb, FilterKind::BloomRf { max_range: 1e4 }, 12.0);
+            agrees_with_model(&sst, &model, &probes, &ranges)?;
+            let restored = SsTable::from_bytes(&sst.to_bytes(), &ReadStats::new()).unwrap();
+            agrees_with_model(&restored, &model, &probes, &ranges)?;
+        }
     }
 }

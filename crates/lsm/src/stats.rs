@@ -6,9 +6,58 @@
 //! and *simulates* the I/O component: every block read is counted and charged
 //! a configurable latency, so the cost breakdown has the same structure while
 //! remaining deterministic and laptop-friendly.
+//!
+//! The two clocks of the read path (`filter_probe_ns`, `cpu_ns`) are read
+//! on one call in 64 per thread and the sample is scaled up, so they are
+//! estimates; every count is exact.
 
 use bloomrf::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::cell::Cell;
+use std::time::{Duration, Instant};
+
+/// One call in this many, per thread and per [`Clock`], reads the time.
+pub(crate) const CLOCK_SAMPLE_PERIOD: u32 = 64;
+
+/// The read-path clocks. Each keeps its own per-thread call counter, so a
+/// call that reads both (a point hit) cannot alias one onto the other's
+/// samples.
+#[derive(Clone, Copy)]
+pub(crate) enum Clock {
+    /// Time inside SST filter probes (`filter_probe_ns`).
+    FilterProbe,
+    /// Time searching data blocks (`cpu_ns`).
+    Cpu,
+}
+
+thread_local! {
+    static CLOCK_CALLS: [Cell<u32>; 2] = const { [Cell::new(0), Cell::new(0)] };
+}
+
+/// A 1-in-[`CLOCK_SAMPLE_PERIOD`] sampled stopwatch: the only reader of the
+/// time on the SST read path. Unsampled calls cost one thread-local
+/// increment; sampled ones report their duration × the period, an unbiased
+/// estimate of the time all calls of the period took.
+pub(crate) struct SampledClock(Option<Instant>);
+
+impl SampledClock {
+    /// Count one call of `clock` on this thread; start timing if it is due.
+    pub(crate) fn start(clock: Clock) -> Self {
+        let due = CLOCK_CALLS.with(|calls| {
+            let calls = &calls[clock as usize];
+            let n = calls.get();
+            calls.set(n.wrapping_add(1));
+            n % CLOCK_SAMPLE_PERIOD == 0
+        });
+        Self(due.then(Instant::now))
+    }
+
+    /// Nanoseconds to record: the scaled sample, or 0 when not sampled.
+    pub(crate) fn estimate_ns(self) -> u64 {
+        self.0.map_or(0, |start| {
+            start.elapsed().as_nanos() as u64 * u64::from(CLOCK_SAMPLE_PERIOD)
+        })
+    }
+}
 
 /// Cost model for simulated storage accesses.
 #[derive(Clone, Copy, Debug)]
@@ -31,6 +80,10 @@ impl Default for IoModel {
 
 /// Aggregated read-path counters. All counters are atomic so that concurrent
 /// readers can share one instance.
+///
+/// Every count is exact. The two durations the SST read path records,
+/// `filter_probe_ns` and `cpu_ns`, are 1-in-64 sampled estimates: one call
+/// in 64 per thread is timed and counted 64 times.
 #[derive(Debug, Default)]
 pub struct ReadStats {
     /// Number of filter probes executed (point + range).
@@ -44,11 +97,12 @@ pub struct ReadStats {
     pub false_positives: AtomicU64,
     /// Data blocks read (and charged simulated I/O latency).
     pub blocks_read: AtomicU64,
-    /// Nanoseconds spent inside filter probes (wall clock).
+    /// Nanoseconds spent inside filter probes (wall clock, sampled estimate).
     pub filter_probe_ns: AtomicU64,
-    /// Nanoseconds of simulated I/O wait.
+    /// Nanoseconds of simulated I/O wait (exact: blocks × latency).
     pub io_wait_ns: AtomicU64,
-    /// Nanoseconds spent searching/deserializing data blocks (CPU residual).
+    /// Nanoseconds spent searching data blocks and copying the values they
+    /// return (CPU residual, sampled estimate).
     pub cpu_ns: AtomicU64,
     /// Filter blocks whose persisted bytes failed verification on recovery
     /// and were set aside (each one is also counted in `filters_rebuilt`
@@ -243,7 +297,8 @@ impl ReadStats {
     }
 }
 
-/// A plain copy of [`ReadStats`] counters.
+/// A plain copy of [`ReadStats`] counters. Counts are exact;
+/// `filter_probe_ns` and `cpu_ns` are 1-in-64 sampled estimates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReadStatsSnapshot {
     /// Number of filter probes executed.
@@ -256,11 +311,11 @@ pub struct ReadStatsSnapshot {
     pub false_positives: u64,
     /// Data blocks read.
     pub blocks_read: u64,
-    /// Time in filter probes (ns).
+    /// Time in filter probes (ns, 1-in-64 sampled estimate).
     pub filter_probe_ns: u64,
     /// Simulated I/O wait (ns).
     pub io_wait_ns: u64,
-    /// Residual CPU time (ns).
+    /// Residual CPU time (ns, 1-in-64 sampled estimate).
     pub cpu_ns: u64,
     /// Filter blocks quarantined on recovery.
     pub filters_quarantined: u64,
@@ -454,6 +509,25 @@ mod tests {
         stats.record_unpersisted_ssts(2);
         stats.reset();
         assert_eq!(stats.snapshot(), ReadStatsSnapshot::default());
+    }
+
+    #[test]
+    fn each_clock_times_one_call_in_the_period() {
+        // Two clocks read alternately, as a point hit does: each still
+        // samples its own first call and then one in every period.
+        let calls = 4 * CLOCK_SAMPLE_PERIOD as usize;
+        let (mut probes, mut cpu) = (0, 0);
+        for _ in 0..calls {
+            probes += usize::from(SampledClock::start(Clock::FilterProbe).0.is_some());
+            cpu += usize::from(SampledClock::start(Clock::Cpu).0.is_some());
+        }
+        assert_eq!((probes, cpu), (4, 4));
+        let first = std::thread::spawn(|| SampledClock::start(Clock::Cpu).0.is_some());
+        assert!(first.join().unwrap(), "a fresh thread times its first call");
+        // The loop ended on a period boundary: the next call is timed, the
+        // one after it is not.
+        assert!(SampledClock::start(Clock::Cpu).0.is_some());
+        assert_eq!(SampledClock::start(Clock::Cpu).estimate_ns(), 0);
     }
 
     #[test]

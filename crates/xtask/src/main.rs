@@ -21,9 +21,11 @@
 //!   `// ordering:` justification comment (same line or within the five
 //!   preceding lines).
 //! - **recovery-unwrap** — no `.unwrap()` / `.expect(` in the crash-recovery
-//!   paths (`crates/lsm/src/persist.rs`, `crates/lsm/src/io.rs`, and
+//!   paths (`crates/lsm/src/persist.rs`, `crates/lsm/src/io.rs`,
 //!   `crates/lsm/src/tree.rs`, whose `FilterTree::from_bytes` decodes the
-//!   `TREE` file): corrupted input must surface as typed errors, never panics.
+//!   `TREE` file, and `crates/lsm/src/sst.rs`, whose block parser reads
+//!   blocks that came from file bytes): corrupted input must surface as
+//!   typed errors, never panics.
 //!
 //! Code after a `#[cfg(test)]` marker is exempt (repo convention keeps unit
 //! tests at the bottom of each file). The lint is intentionally regex-free
@@ -44,6 +46,7 @@ const RECOVERY_PATHS: &[&str] = &[
     "crates/lsm/src/persist.rs",
     "crates/lsm/src/io.rs",
     "crates/lsm/src/tree.rs",
+    "crates/lsm/src/sst.rs",
 ];
 
 /// How many preceding lines may carry the `// ordering:` justification.
@@ -348,6 +351,15 @@ fn f(x: &AtomicU64) {
         let v = lint_source("crates/lsm/src/tree.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "recovery-unwrap");
+    }
+
+    #[test]
+    fn flags_unwrap_in_the_sst_block_parser() {
+        let src = "fn next(b: &[u8]) -> u64 { u64::from_le_bytes(b[0..8].try_into().unwrap()) }\n\
+                   fn count(b: &[u8]) -> u32 { u32::from_le_bytes(b[..4].try_into().expect(\"4\")) }\n";
+        let v = lint_source("crates/lsm/src/sst.rs", src);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "recovery-unwrap"), "{v:?}");
     }
 
     #[test]
