@@ -1116,8 +1116,9 @@ impl BloomRf {
         for (seg, bv) in self.segments.iter().zip(arrays.iter()) {
             seg.union_from(bv);
         }
-        if let Some(exact) = &self.exact {
-            exact.union_from(arrays.last().expect("exact bitmap snapshot present"));
+        // Equal configs give `other` an exact bitmap too, snapshotted last.
+        if let (Some(exact), Some(bits)) = (&self.exact, arrays.last()) {
+            exact.union_from(bits);
         }
         self.key_count
             // ordering: monotonic statistics counter; merge runs under the
@@ -1176,12 +1177,19 @@ fn take<'a>(bytes: &'a [u8], cur: &mut usize, n: usize) -> Result<&'a [u8], Deco
     Ok(s)
 }
 
+/// Consume `N` bytes from `bytes` at `*cur` as an array.
+fn take_array<const N: usize>(bytes: &[u8], cur: &mut usize) -> Result<[u8; N], DecodeError> {
+    let mut out = [0u8; N];
+    out.copy_from_slice(take(bytes, cur, N)?);
+    Ok(out)
+}
+
 fn take_u32(bytes: &[u8], cur: &mut usize) -> Result<u32, DecodeError> {
-    Ok(u32::from_le_bytes(take(bytes, cur, 4)?.try_into().unwrap()))
+    take_array(bytes, cur).map(u32::from_le_bytes)
 }
 
 fn take_u64(bytes: &[u8], cur: &mut usize) -> Result<u64, DecodeError> {
-    Ok(u64::from_le_bytes(take(bytes, cur, 8)?.try_into().unwrap()))
+    take_array(bytes, cur).map(u64::from_le_bytes)
 }
 
 /// Read the section with the expected `tag` at `*cur` and return its
@@ -1263,16 +1271,15 @@ fn decode_parts(bytes: &[u8]) -> Result<DecodedFilter, DecodeError> {
     while cur != bytes.len() {
         let remaining = bytes.len() - cur;
         let mut probe = cur;
-        if take_u32(bytes, &mut probe).is_err() {
+        let Ok(tag) = take_u32(bytes, &mut probe) else {
             return Err(DecodeError::TrailingBytes { remaining });
-        }
+        };
         let Ok(len) = take_u64(bytes, &mut probe) else {
             return Err(DecodeError::TrailingBytes { remaining });
         };
         if (len as u128) + 4 > (bytes.len() - probe) as u128 {
             return Err(DecodeError::TrailingBytes { remaining });
         }
-        let tag = u32::from_le_bytes(bytes[cur..cur + 4].try_into().unwrap());
         take_section(bytes, &mut cur, tag, "extension")?;
     }
     Ok(DecodedFilter {
@@ -1304,7 +1311,7 @@ fn decode_config(body: &[u8], input_len: usize, at: usize) -> Result<BloomRfConf
     for _ in 0..n_segments {
         segment_bits.push(take_u64(body, &mut cur)? as usize);
     }
-    let exact_level_raw = i64::from_le_bytes(take(body, &mut cur, 8)?.try_into().unwrap());
+    let exact_level_raw = i64::from_le_bytes(take_array(body, &mut cur)?);
     let exact_level = if exact_level_raw < 0 {
         None
     } else {

@@ -8,8 +8,8 @@
 //! serializes the new SST to the store directory with an atomic
 //! write-then-rename and commits it to a MANIFEST, and reopening the
 //! directory recovers the table set, restoring persisted filter blocks
-//! instead of rebuilding them. Recovery degrades gracefully — see
-//! [`Db::open_with`] for the exact rules.
+//! instead of rebuilding them, and builds the read router from those tables.
+//! Recovery degrades gracefully — see [`Db::open_with`] for the exact rules.
 //!
 //! Every read — [`Db::get`], [`Db::get_batch`], [`Db::scan`],
 //! [`Db::range_is_possibly_non_empty`], [`Db::range_non_empty_batch`] — has
@@ -47,8 +47,6 @@ use crate::value::Value;
 
 /// Name of the manifest file inside a store directory.
 const MANIFEST_NAME: &str = "MANIFEST";
-/// Name of the persisted filter-tree file inside a store directory.
-const TREE_NAME: &str = "TREE";
 /// Retry budget for transient read errors during recovery.
 const READ_RETRY_ATTEMPTS: u32 = 4;
 /// Base backoff between read retries (linear: 1·b, 2·b, …).
@@ -150,8 +148,8 @@ enum Router {
 /// The live table set: the tables, the files backing them and the router
 /// over them. The three are index-aligned and only ever change together,
 /// under the one `Db::tables` write guard, so no reader observes a
-/// half-spliced store and a persisted TREE always matches the MANIFEST it
-/// was written with.
+/// half-spliced store. The router is derived from the tables and never
+/// persisted.
 struct TableSet {
     /// Level-0 tables, oldest first. Compaction splices a window in place;
     /// age order is always preserved.
@@ -274,8 +272,8 @@ pub struct Db {
     /// lowest rank in the hierarchy.
     flush_lock: OrderedMutex<(), { ranks::FLUSH }>,
     /// The live tables, their files and their router. Flush and compaction
-    /// hold the write guard across their whole commit (table-set mutation,
-    /// MANIFEST, TREE).
+    /// hold the write guard across their whole commit (table-set mutation
+    /// and MANIFEST).
     tables: OrderedRwLock<TableSet, { ranks::SSTS }>,
     stats: ReadStats,
     /// Present for durable stores opened via [`Db::open`] / [`Db::open_with`].
@@ -283,30 +281,36 @@ pub struct Db {
 }
 
 impl Db {
-    /// Resolve the tree knobs against the store options; `None` when routing
-    /// is scan-all.
-    fn resolved_tree(options: &DbOptions) -> Option<(usize, usize, f64)> {
-        match options.routing {
-            ReadRouting::ScanAll => None,
-            ReadRouting::FilterTree(t) => Some((
-                t.fanout,
-                t.leaf_keys.unwrap_or(options.memtable_flush_entries),
-                t.bits_per_key.unwrap_or(options.bits_per_key),
-            )),
-        }
-    }
-
+    /// A store over `ssts` (backed by `files`), with the router the options
+    /// ask for built from those tables.
     fn with_tables(
         options: DbOptions,
-        tables: TableSet,
+        ssts: Vec<SsTable>,
+        files: Vec<Option<ManifestEntry>>,
         stats: ReadStats,
         persist: Option<Persistence>,
     ) -> Self {
+        let router = match options.routing {
+            ReadRouting::ScanAll => Router::All,
+            ReadRouting::FilterTree(t) => Router::Tree(FilterTree::build_from_ssts(
+                t.fanout,
+                t.leaf_keys.unwrap_or(options.memtable_flush_entries),
+                t.bits_per_key.unwrap_or(options.bits_per_key),
+                &ssts,
+            )),
+        };
         Self {
             options,
             memtable: MemTable::new(),
             flush_lock: OrderedMutex::new("db.flush", ()),
-            tables: OrderedRwLock::new("db.tables", tables),
+            tables: OrderedRwLock::new(
+                "db.tables",
+                TableSet {
+                    ssts,
+                    files,
+                    router,
+                },
+            ),
             stats,
             persist,
         }
@@ -314,16 +318,7 @@ impl Db {
 
     /// Open an empty, ephemeral store (SSTs live only in memory).
     pub fn new(options: DbOptions) -> Self {
-        let router = Self::resolved_tree(&options)
-            .map_or(Router::All, |(fanout, leaf_keys, bpk)| {
-                Router::Tree(FilterTree::new(fanout, leaf_keys, bpk))
-            });
-        let tables = TableSet {
-            ssts: Vec::new(),
-            files: Vec::new(),
-            router,
-        };
-        Self::with_tables(options, tables, ReadStats::new(), None)
+        Self::with_tables(options, Vec::new(), Vec::new(), ReadStats::new(), None)
     }
 
     /// Open with default options but a specific filter family and budget.
@@ -369,11 +364,9 @@ impl Db {
     ///   `*.sst` files it does not name (e.g. a merged output whose commit
     ///   never landed) are removed. After a directory-scan fallback nothing
     ///   is removed — the scan adopted everything it found.
-    /// * The persisted filter tree (`TREE`) is best-effort: if it is
-    ///   missing, fails its checksums, or is stale against the recovered
-    ///   table set, the tree is rebuilt from the SSTs' keys (counted in
-    ///   `tree_rebuilds`) and re-persisted. Opening never fails because of
-    ///   the TREE file.
+    ///
+    /// The filter tree is not persisted: it is built from the recovered
+    /// tables. A `TREE` file left by an older build is removed.
     pub fn open_with(
         dir: impl AsRef<Path>,
         options: DbOptions,
@@ -474,15 +467,16 @@ impl Db {
             }
         }
 
-        // Remove leftover temporaries from interrupted writes, and — when the
-        // MANIFEST was authoritative — orphaned SSTs it does not name (a
-        // merged output whose commit never landed must not linger: a later
-        // manifest loss would make the dir-scan fallback adopt it as newest).
+        // Remove leftover temporaries from interrupted writes, a `TREE` file
+        // from a build that persisted the router, and — when the MANIFEST was
+        // authoritative — orphaned SSTs it does not name (a merged output
+        // whose commit never landed must not linger: a later manifest loss
+        // would make the dir-scan fallback adopt it as newest).
         if let Ok(listing) = io.list(&dir) {
             let live: std::collections::HashSet<&str> =
                 files.iter().flatten().map(|s| s.name.as_str()).collect();
             for path in listing {
-                if path.extension().is_some_and(|e| e == "tmp") {
+                if path.extension().is_some_and(|e| e == "tmp") || path.ends_with("TREE") {
                     let _ = io.remove(&path);
                 } else if authoritative {
                     let orphan_sst = path.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
@@ -494,33 +488,6 @@ impl Db {
                 }
             }
         }
-
-        // Recover the router: load the persisted TREE file when it is intact
-        // and still describes exactly this table set, otherwise rebuild from
-        // the SSTs' keys and re-persist.
-        let mut tree_dirty = false;
-        let router =
-            Self::resolved_tree(&options).map_or(Router::All, |(fanout, leaf_keys, bpk)| {
-                let tree_path = dir.join(TREE_NAME);
-                let loaded = if io.exists(&tree_path) {
-                    read_with_retry(&*io, &tree_path, READ_RETRY_ATTEMPTS, READ_RETRY_BACKOFF)
-                        .ok()
-                        .and_then(|(bytes, retries)| {
-                            stats.record_read_retries(retries);
-                            FilterTree::from_bytes(&bytes).ok()
-                        })
-                        .filter(|t| t.validate_against(&ssts, fanout, leaf_keys, bpk))
-                } else {
-                    None
-                };
-                Router::Tree(loaded.unwrap_or_else(|| {
-                    if !ssts.is_empty() {
-                        stats.record_tree_rebuild();
-                        tree_dirty = true;
-                    }
-                    FilterTree::build_from_ssts(fanout, leaf_keys, bpk, &ssts)
-                }))
-            });
 
         let persistence = Persistence {
             dir,
@@ -536,16 +503,13 @@ impl Db {
         {
             stats.record_persist_failure();
         }
-        if tree_dirty {
-            persistence.write_tree(&router, &stats);
-        }
-
-        let tables = TableSet {
+        Ok(Self::with_tables(
+            options,
             ssts,
             files,
-            router,
-        };
-        Ok(Self::with_tables(options, tables, stats, Some(persistence)))
+            stats,
+            Some(persistence),
+        ))
     }
 
     /// Degraded manifest recovery: list `*.sst` files in number order. Every
@@ -621,11 +585,9 @@ impl Db {
     /// so a newer file can never commit past an unpersisted older one.
     ///
     /// Under tree routing the flush also appends the SST's leaf to the
-    /// [`FilterTree`], re-unions its ancestors, and (durable stores) rewrites
-    /// the checksummed `TREE` file. The table-set mutation, the MANIFEST
-    /// commit and the TREE write all happen under the one table-set write
-    /// guard, so the persisted TREE always matches the manifest it was
-    /// written with.
+    /// in-memory [`FilterTree`] and folds its keys into the ancestors. The
+    /// table-set mutation and the MANIFEST commit happen under the one
+    /// table-set write guard.
     ///
     /// Readers never lose sight of a key mid-flush: the memtable is
     /// *snapshotted* (not drained), the SST is built and published, and only
@@ -644,11 +606,7 @@ impl Db {
         let mut tables = self.tables.write();
         tables.push(sst);
         if let Some(p) = &self.persist {
-            let TableSet {
-                ssts,
-                files,
-                router,
-            } = &mut *tables;
+            let TableSet { ssts, files, .. } = &mut *tables;
             for (sst, file) in ssts.iter().zip(files.iter_mut()) {
                 if file.is_none() {
                     match p.persist_sst(sst) {
@@ -668,7 +626,6 @@ impl Db {
             {
                 self.stats.record_persist_failure();
             }
-            p.write_tree(router, &self.stats);
         }
         // The SST is visible from here on; release the table-set lock before
         // re-entering the memtable (rank order) and drop the flushed entries.
@@ -802,9 +759,6 @@ impl Db {
         // Splice the in-memory table set the same way.
         let output_tables = output.is_some() as usize;
         tables.splice(start..end, output, merged_file, &self.stats);
-        if let Some(p) = &self.persist {
-            p.write_tree(&tables.router, &self.stats);
-        }
 
         Ok(Some(CompactionStats {
             input_tables,
@@ -1073,16 +1027,6 @@ impl Persistence {
         self.io
             .rename(&tmp, &path)
             .map_err(|e| PersistError::Io { path, source: e })
-    }
-
-    /// Rewrite the advisory `TREE` file when the router is a tree; a failure
-    /// is only counted — recovery rebuilds a missing or stale tree.
-    fn write_tree(&self, router: &Router, stats: &ReadStats) {
-        if let Router::Tree(tree) = router {
-            if self.write_atomic(TREE_NAME, &tree.to_bytes()).is_err() {
-                stats.record_persist_failure();
-            }
-        }
     }
 
     /// Commit a manifest naming `entries` live and `retired` pending

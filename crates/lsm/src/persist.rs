@@ -217,7 +217,7 @@ pub(crate) fn push_section(out: &mut Vec<u8>, tag: u32, body: &[u8]) {
 /// Read `tag | len | body | crc` at `*cur`, verifying the tag, that the
 /// declared length fits the remaining input (the bounded-allocation check)
 /// and the CRC. Returns the body slice.
-pub(crate) fn take_section<'a>(
+fn take_section<'a>(
     bytes: &'a [u8],
     cur: &mut usize,
     want_tag: u32,
@@ -260,7 +260,7 @@ pub(crate) fn take_section<'a>(
     Ok(body)
 }
 
-pub(crate) fn take<'a>(
+fn take<'a>(
     body: &'a [u8],
     cur: &mut usize,
     n: usize,
@@ -273,19 +273,11 @@ pub(crate) fn take<'a>(
     Ok(out)
 }
 
-pub(crate) fn take_u32(
-    body: &[u8],
-    cur: &mut usize,
-    section: &'static str,
-) -> Result<u32, Corruption> {
+fn take_u32(body: &[u8], cur: &mut usize, section: &'static str) -> Result<u32, Corruption> {
     Ok(le_u32(take(body, cur, 4, section)?))
 }
 
-pub(crate) fn take_u64(
-    body: &[u8],
-    cur: &mut usize,
-    section: &'static str,
-) -> Result<u64, Corruption> {
+fn take_u64(body: &[u8], cur: &mut usize, section: &'static str) -> Result<u64, Corruption> {
     Ok(le_u64(take(body, cur, 8, section)?))
 }
 
@@ -775,11 +767,11 @@ mod tests {
 
     #[test]
     fn take_rejects_a_length_past_the_end_of_the_address_space() {
-        // A file-declared length near usize::MAX (the TREE decoder's
-        // `filter_len`) must be a typed error, not an overflow panic.
+        // A file-declared length near usize::MAX (a manifest entry's name
+        // length, say) must be a typed error, not an overflow panic.
         let mut cur = 2;
-        let err = take(&[0u8; 4], &mut cur, usize::MAX, "tree-nodes").unwrap_err();
-        assert_eq!(err.section, "tree-nodes");
+        let err = take(&[0u8; 4], &mut cur, usize::MAX, "manifest").unwrap_err();
+        assert_eq!(err.section, "manifest");
         assert_eq!(cur, 2);
     }
 

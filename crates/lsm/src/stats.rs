@@ -128,8 +128,9 @@ pub struct ReadStats {
     /// `(query, SST)` probe pairs the router selected for probing (tree
     /// routing: the surviving candidates; scan-all: every live SST).
     pub ssts_probed: AtomicU64,
-    /// Filter-tree rebuild events: recovery fallbacks (missing, corrupt or
-    /// stale `TREE` file) and subtree rebuilds after a leaf retirement.
+    /// Filter-tree rebuild events: one per compaction splice, which rebuilds
+    /// the inner levels around the merged leaf. Building the tree when a
+    /// store opens is not counted.
     pub tree_rebuilds: AtomicU64,
     /// Gauge (not a counter): SSTs currently serving reads from memory whose
     /// persistence failed — they would be missing after a reopen until a
@@ -333,7 +334,7 @@ pub struct ReadStatsSnapshot {
     pub ssts_pruned: u64,
     /// `(query, SST)` probe pairs the router selected for probing.
     pub ssts_probed: u64,
-    /// Filter-tree rebuild events (recovery fallback / subtree rebuild).
+    /// Filter-tree rebuild events (one per compaction splice).
     pub tree_rebuilds: u64,
     /// SSTs currently serving reads from memory only (persistence failed).
     pub unpersisted_ssts: u64,

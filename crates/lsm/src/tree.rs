@@ -48,14 +48,12 @@
 //! table, shifting every later slot — is the only way a table leaves the
 //! set, and because Bloom bits cannot be deleted it rebuilds the inner
 //! levels around the spliced leaf row ([`FilterTree::retire_and_splice`]).
-//! The tree persists as the checksummed `TREE` file next to the MANIFEST
-//! ([`FilterTree::to_bytes`]) and recovery falls back to
-//! [`FilterTree::build_from_ssts`] when that file is missing, corrupt or
-//! stale.
+//! The tree is derived state and is never persisted: opening a store builds
+//! it from the recovered tables ([`FilterTree::build_from_ssts`]).
 
 use bloomrf::{BloomRf, BloomRfConfig, ConfigError, PointProbe};
 
-use crate::persist::{self, Corruption};
+use crate::persist;
 use crate::sst::SsTable;
 use crate::stats::ReadStats;
 
@@ -82,10 +80,10 @@ fn node_runs(frontier: &[Pair]) -> impl Iterator<Item = &[Pair]> {
     })
 }
 
-/// Magic number of the persisted tree file (`TREE`).
-pub const TREE_MAGIC: &[u8; 4] = b"BTRE";
-/// Version of the persisted tree format.
-pub const TREE_FORMAT_VERSION: u32 = 1;
+/// Magic number of [`FilterTree::to_bytes`].
+const TREE_MAGIC: &[u8; 4] = b"BTRE";
+/// Version of [`FilterTree::to_bytes`].
+const TREE_FORMAT_VERSION: u32 = 1;
 /// Section tag: tree geometry and options.
 const SECTION_META: u32 = 1;
 /// Section tag: serialized node payloads, leaves first.
@@ -185,8 +183,8 @@ impl FilterTree {
     }
 
     /// Does `filter` have exactly the configuration of height `h`? The size
-    /// test runs first, so a decoded geometry whose level filter could not
-    /// fit in the filter at hand never reaches the config arithmetic.
+    /// test runs first, so a level filter that could not fit in the filter
+    /// at hand never reaches the config arithmetic.
     fn has_level_config(&self, filter: &BloomRf, height: usize) -> bool {
         self.capacity(height) as f64 * self.bits_per_key <= filter.memory_bits() as f64
             && self
@@ -398,8 +396,8 @@ impl FilterTree {
         stats.record_tree_rebuild();
     }
 
-    /// Full rebuild from the live SST set — the recovery fallback when the
-    /// persisted `TREE` file is missing, corrupt or stale.
+    /// Build the tree over the live SST set, one [`FilterTree::push_leaf`]
+    /// per table — how opening a durable store derives its router.
     pub fn build_from_ssts(
         fanout: usize,
         leaf_keys: usize,
@@ -547,11 +545,11 @@ impl FilterTree {
         out
     }
 
-    /// Serialize the tree into the checksummed `TREE` wire format (see
-    /// `docs/wire-format.md`): magic + version, then v2-style
+    /// Encode the tree: magic + version, then
     /// `tag | length | body | crc32(body)` sections for the geometry and the
-    /// node payloads. The live-leaf count and every node's live flag are
-    /// written as "all live" — no leaf is ever tombstoned.
+    /// node payloads. Nothing reads these bytes back; the encoding stays only
+    /// for the benchmark adapter, which reports their length as the tree's
+    /// encoded size and times the call.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut meta = Vec::new();
         meta.extend_from_slice(&(self.fanout as u32).to_le_bytes());
@@ -582,132 +580,6 @@ impl FilterTree {
         persist::push_section(&mut out, SECTION_NODES, &nodes);
         out
     }
-
-    /// Decode a persisted tree, verifying magic, version, every section
-    /// checksum, the geometry, and that every node filter has its level's
-    /// configuration (the descent tests one level's shared probe positions
-    /// against every node of that level). A tombstoned leaf — which no
-    /// current writer produces — is corruption, so recovery rebuilds.
-    /// Structural staleness against the live SST set is the caller's check
-    /// ([`FilterTree::validate_against`]).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, Corruption> {
-        let mut cursor = 0usize;
-        if persist::take(bytes, &mut cursor, 4, "tree-header")? != TREE_MAGIC {
-            return Err(Corruption::new("tree-header", "bad magic number"));
-        }
-        let version = persist::take_u32(bytes, &mut cursor, "tree-header")?;
-        if version != TREE_FORMAT_VERSION {
-            return Err(Corruption::new(
-                "tree-header",
-                format!("unsupported format version {version}"),
-            ));
-        }
-        let meta = persist::take_section(bytes, &mut cursor, SECTION_META, "tree-meta")?;
-        let mut at = 0usize;
-        let fanout = persist::take_u32(meta, &mut at, "tree-meta")? as usize;
-        if fanout < 2 {
-            return Err(Corruption::new(
-                "tree-meta",
-                format!("fan-out {fanout} < 2"),
-            ));
-        }
-        let leaf_keys = persist::take_u64(meta, &mut at, "tree-meta")? as usize;
-        let bits_per_key = f64::from_bits(persist::take_u64(meta, &mut at, "tree-meta")?);
-        if !(bits_per_key.is_finite() && bits_per_key >= 1.0) {
-            return Err(Corruption::new(
-                "tree-meta",
-                format!("implausible bits/key {bits_per_key}"),
-            ));
-        }
-        let live_leaves = persist::take_u64(meta, &mut at, "tree-meta")? as usize;
-        let n_levels = persist::take_u32(meta, &mut at, "tree-meta")? as usize;
-        if n_levels > 64 {
-            return Err(Corruption::new(
-                "tree-meta",
-                format!("implausible level count {n_levels}"),
-            ));
-        }
-        let mut level_lens = Vec::with_capacity(n_levels);
-        for _ in 0..n_levels {
-            level_lens.push(persist::take_u64(meta, &mut at, "tree-meta")? as usize);
-        }
-        // The level geometry must be the complete fan-out-F shape push_leaf
-        // maintains; anything else is corruption or a foreign file.
-        let n_leaves = level_lens.first().copied().unwrap_or(0);
-        if n_levels != 0 && n_levels != required_levels(n_leaves, fanout) {
-            return Err(Corruption::new("tree-meta", "level count mismatch"));
-        }
-        let mut span = 1usize;
-        for (height, &len) in level_lens.iter().enumerate() {
-            if height > 0 {
-                span = span.saturating_mul(fanout);
-            }
-            if len != n_leaves.div_ceil(span.max(1)) {
-                return Err(Corruption::new(
-                    "tree-meta",
-                    format!("level {height} has {len} nodes, geometry disagrees"),
-                ));
-            }
-        }
-        if live_leaves != n_leaves {
-            return Err(Corruption::new("tree-meta", "tombstoned leaves"));
-        }
-
-        let mut tree = Self {
-            fanout,
-            leaf_keys,
-            bits_per_key,
-            levels: Vec::with_capacity(n_levels),
-        };
-        let nodes = persist::take_section(bytes, &mut cursor, SECTION_NODES, "tree-nodes")?;
-        let mut at = 0usize;
-        for (height, &len) in level_lens.iter().enumerate() {
-            let mut level = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                let lo = persist::take_u64(nodes, &mut at, "tree-nodes")?;
-                let hi = persist::take_u64(nodes, &mut at, "tree-nodes")?;
-                if persist::take(nodes, &mut at, 1, "tree-nodes")? != [1] {
-                    return Err(Corruption::new("tree-nodes", "tombstoned node"));
-                }
-                let filter_len = persist::take_u64(nodes, &mut at, "tree-nodes")? as usize;
-                let filter_bytes = persist::take(nodes, &mut at, filter_len, "tree-nodes")?;
-                let filter = BloomRf::from_bytes(filter_bytes)
-                    .map_err(|e| Corruption::new("tree-nodes", format!("node filter: {e}")))?;
-                if !tree.has_level_config(&filter, height) {
-                    return Err(Corruption::new(
-                        "tree-nodes",
-                        format!("node filter at height {height} has a foreign configuration"),
-                    ));
-                }
-                level.push(TreeNode { filter, lo, hi });
-            }
-            tree.levels.push(level);
-        }
-        Ok(tree)
-    }
-
-    /// Does a decoded tree still describe this SST set under these options?
-    /// Checked on recovery: a `false` answer (e.g. the TREE file survived a
-    /// crash the MANIFEST did not, or tuning changed) falls back to
-    /// [`FilterTree::build_from_ssts`].
-    pub fn validate_against(
-        &self,
-        ssts: &[SsTable],
-        fanout: usize,
-        leaf_keys: usize,
-        bits_per_key: f64,
-    ) -> bool {
-        self.fanout == fanout.max(2)
-            && self.leaf_keys == leaf_keys.max(1)
-            && self.bits_per_key == bits_per_key.max(1.0)
-            && self.num_leaves() == ssts.len()
-            && self.levels.first().map_or(true, |leaves| {
-                leaves
-                    .iter()
-                    .zip(ssts)
-                    .all(|(leaf, sst)| (leaf.lo, leaf.hi) == sst.key_range())
-            })
-    }
 }
 
 #[cfg(test)]
@@ -733,6 +605,32 @@ mod tests {
             .collect();
         let tree = FilterTree::build_from_ssts(3, 4, 14.0, &ssts);
         (ssts, tree)
+    }
+
+    /// `tree` must route every probe exactly like a tree built afresh over
+    /// `ssts` with the same knobs: each point in `0..=13_000` and each range
+    /// of widths 0, 7 and 600 starting there, every 5th key.
+    fn assert_routes_like_a_fresh_build(tree: &FilterTree, ssts: &[SsTable]) {
+        let fresh =
+            FilterTree::build_from_ssts(tree.fanout, tree.leaf_keys, tree.bits_per_key, ssts);
+        assert_eq!(tree.num_leaves(), fresh.num_leaves());
+        assert_eq!(tree.depth(), fresh.depth());
+        let stats = ReadStats::new();
+        for k in (0..=13_000u64).step_by(5) {
+            assert_eq!(
+                tree.candidates_point(k, &stats),
+                fresh.candidates_point(k, &stats),
+                "point {k}"
+            );
+            for w in [0, 7, 600] {
+                assert_eq!(
+                    tree.candidates_range(k, k + w, &stats),
+                    fresh.candidates_range(k, k + w, &stats),
+                    "range {k}..={}",
+                    k + w
+                );
+            }
+        }
     }
 
     #[test]
@@ -848,15 +746,13 @@ mod tests {
                 );
             }
         }
-        // The spliced tree stays compatible with validation, persistence and
-        // further growth.
-        assert!(tree.validate_against(&ssts, 3, 4, 14.0));
-        let decoded = FilterTree::from_bytes(&tree.to_bytes()).expect("roundtrip");
-        assert!(decoded.validate_against(&ssts, 3, 4, 14.0));
+        // The spliced tree routes like a fresh build and keeps growing.
+        assert_routes_like_a_fresh_build(&tree, &ssts);
         ssts.push(sst_of(&[90_000, 90_001], FilterKind::BloomRfBasic));
         tree.push_leaf(&ssts);
         assert_eq!(tree.num_leaves(), 10);
         assert!(tree.candidates_point(90_000, &stats).contains(&9));
+        assert_routes_like_a_fresh_build(&tree, &ssts);
     }
 
     #[test]
@@ -869,7 +765,7 @@ mod tests {
         ssts.extend(tail);
         tree.retire_and_splice(2..4, None, &ssts, &stats);
         assert_eq!(tree.num_leaves(), 10);
-        assert!(tree.validate_against(&ssts, 3, 4, 14.0));
+        assert_routes_like_a_fresh_build(&tree, &ssts);
         for (i, sst) in ssts.iter().enumerate() {
             for &k in &sst.keys() {
                 assert!(tree.candidates_point(k, &stats).contains(&i));
@@ -881,10 +777,12 @@ mod tests {
         assert_eq!(tree.num_leaves(), 0);
         assert_eq!(tree.depth(), 0);
         assert!(tree.candidates_point(1000, &stats).is_empty());
+        assert_routes_like_a_fresh_build(&tree, &none);
         // An emptied tree accepts fresh leaves again.
         let fresh = vec![sst_of(&[5, 6], FilterKind::BloomRfBasic)];
         tree.push_leaf(&fresh);
         assert!(tree.candidates_point(5, &stats).contains(&0));
+        assert_routes_like_a_fresh_build(&tree, &fresh);
     }
 
     #[test]
@@ -908,45 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_roundtrip_and_validation() {
-        let (ssts, tree) = build_fixture(FilterKind::BloomRfBasic);
-        let stats = ReadStats::new();
-        let bytes = tree.to_bytes();
-        let decoded = FilterTree::from_bytes(&bytes).expect("roundtrip");
-        assert!(decoded.validate_against(&ssts, 3, 4, 14.0));
-        assert_eq!(decoded.num_leaves(), 12);
-        assert_eq!(decoded.depth(), tree.depth());
-        // The decoded tree routes identically.
-        for i in 0..12u64 {
-            assert_eq!(
-                decoded.candidates_point(i * 1000, &stats),
-                tree.candidates_point(i * 1000, &stats)
-            );
-        }
-        // Stale against a different SST set or different tuning.
-        assert!(!decoded.validate_against(&ssts[..11], 3, 4, 14.0));
-        assert!(!decoded.validate_against(&ssts, 4, 4, 14.0));
-        assert!(!decoded.validate_against(&ssts, 3, 4, 18.0));
-    }
-
-    #[test]
-    fn wire_corruption_is_detected() {
-        let (_ssts, tree) = build_fixture(FilterKind::BloomRfBasic);
-        let good = tree.to_bytes();
-        assert!(FilterTree::from_bytes(&good[..6]).is_err(), "truncation");
-        let mut bad_magic = good.clone();
-        bad_magic[0] ^= 0xFF;
-        assert!(FilterTree::from_bytes(&bad_magic).is_err(), "magic");
-        // Flip one byte in every 97th position: each flip must surface as a
-        // checksum/structure error, never a silently different tree.
-        for at in (8..good.len()).step_by(97) {
-            let mut bad = good.clone();
-            bad[at] ^= 0x40;
-            assert!(FilterTree::from_bytes(&bad).is_err(), "flip at {at}");
-        }
-    }
-
-    #[test]
     fn empty_tree_is_inert() {
         let tree = FilterTree::new(16, 8, 14.0);
         let stats = ReadStats::new();
@@ -955,8 +814,7 @@ mod tests {
         assert!(tree.candidates_point(7, &stats).is_empty());
         assert!(tree.candidates_range(0, 100, &stats).is_empty());
         assert_eq!(stats.snapshot().tree_probes, 0);
-        let decoded = FilterTree::from_bytes(&tree.to_bytes()).expect("empty roundtrip");
-        assert!(decoded.validate_against(&[], 16, 8, 14.0));
+        assert_routes_like_a_fresh_build(&tree, &[]);
     }
 
     #[test]
@@ -1017,49 +875,5 @@ mod tests {
         let want: Vec<Vec<usize>> = ranges.iter().map(|r| r.1.to_vec()).collect();
         let got = probed(&|| tree.candidates_ranges(&bounds, &stats));
         assert_eq!(got, (want, 71, 86));
-    }
-
-    #[test]
-    fn foreign_config_and_tombstoned_nodes_fail_to_decode() {
-        let decode_err = |tree: &FilterTree| {
-            FilterTree::from_bytes(&tree.to_bytes())
-                .err()
-                .expect("a node off its level config must not decode")
-        };
-        // A leaf holding an inner level's (larger) configuration.
-        let (ssts, mut tree) = build_fixture(FilterKind::BloomRfBasic);
-        let mut foreign = tree.empty_node(1);
-        foreign.absorb(&ssts[4].keys());
-        tree.levels[0][4] = foreign;
-        assert_eq!(decode_err(&tree).section, "tree-nodes");
-        // A leaf of the same size under another hash seed.
-        let (ssts, mut tree) = build_fixture(FilterKind::BloomRfBasic);
-        let config = tree.level_config(0).unwrap().with_seed(99);
-        let filter = BloomRf::builder().config(config).build().unwrap();
-        filter.insert_batch(&ssts[7].keys());
-        tree.levels[0][7].filter = filter;
-        assert_eq!(decode_err(&tree).section, "tree-nodes");
-        // An inner node with the leaf configuration.
-        let (_ssts, mut tree) = build_fixture(FilterKind::BloomRfBasic);
-        tree.levels[1][0].filter = tree.empty_node(0).filter;
-        assert_eq!(decode_err(&tree).section, "tree-nodes");
-
-        // A tombstoned leaf: flip the first node's live flag (the byte after
-        // its two fences) and re-seal the section.
-        let (_ssts, tree) = build_fixture(FilterKind::BloomRfBasic);
-        let good = tree.to_bytes();
-        let mut cursor = 8;
-        let meta = persist::take_section(&good, &mut cursor, SECTION_META, "m").unwrap();
-        let nodes = persist::take_section(&good, &mut cursor, SECTION_NODES, "n").unwrap();
-        let mut tombstoned = nodes.to_vec();
-        assert_eq!(tombstoned[16], 1);
-        tombstoned[16] = 0;
-        let mut bad = good[..8].to_vec();
-        persist::push_section(&mut bad, SECTION_META, meta);
-        persist::push_section(&mut bad, SECTION_NODES, &tombstoned);
-        let err = FilterTree::from_bytes(&bad)
-            .err()
-            .expect("tombstone decoded");
-        assert_eq!(err.section, "tree-nodes");
     }
 }

@@ -22,10 +22,11 @@
 //!   preceding lines).
 //! - **recovery-unwrap** — no `.unwrap()` / `.expect(` in the crash-recovery
 //!   paths (`crates/lsm/src/persist.rs`, `crates/lsm/src/io.rs`,
-//!   `crates/lsm/src/tree.rs`, whose `FilterTree::from_bytes` decodes the
-//!   `TREE` file, and `crates/lsm/src/sst.rs`, whose block parser reads
-//!   blocks that came from file bytes): corrupted input must surface as
-//!   typed errors, never panics.
+//!   `crates/lsm/src/tree.rs`, which builds the router from recovered
+//!   tables at open, `crates/lsm/src/sst.rs`, whose block parser reads
+//!   blocks that came from file bytes, and `crates/core/src/filter.rs`,
+//!   whose `BLRF` decoder reads every SST filter block): corrupted input
+//!   must surface as typed errors, never panics.
 //!
 //! Code after a `#[cfg(test)]` marker is exempt (repo convention keeps unit
 //! tests at the bottom of each file). The lint is intentionally regex-free
@@ -47,6 +48,7 @@ const RECOVERY_PATHS: &[&str] = &[
     "crates/lsm/src/io.rs",
     "crates/lsm/src/tree.rs",
     "crates/lsm/src/sst.rs",
+    "crates/core/src/filter.rs",
 ];
 
 /// How many preceding lines may carry the `// ordering:` justification.
@@ -347,7 +349,7 @@ fn f(x: &AtomicU64) {
 
     #[test]
     fn flags_unwrap_in_the_tree_decoder() {
-        let src = "fn from_bytes(b: &[u8]) { u32::from_le_bytes(b[4..8].try_into().unwrap()); }\n";
+        let src = "fn make_leaf(b: &[u8]) { BloomRf::from_bytes(b).unwrap(); }\n";
         let v = lint_source("crates/lsm/src/tree.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "recovery-unwrap");
@@ -360,6 +362,15 @@ fn f(x: &AtomicU64) {
         let v = lint_source("crates/lsm/src/sst.rs", src);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|v| v.rule == "recovery-unwrap"), "{v:?}");
+    }
+
+    #[test]
+    fn flags_unwrap_in_the_filter_decoder() {
+        let src =
+            "fn take_u32(b: &[u8]) -> u32 { u32::from_le_bytes(b[..4].try_into().unwrap()) }\n";
+        let v = lint_source("crates/core/src/filter.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "recovery-unwrap");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Differential tests for Bloofi-style filter-tree routing: tree-routed
 //! reads must be byte-identical to the scan-all reference path — for every
 //! read API, for every fan-out, with data split across memtable and SSTs,
-//! and after fault-injected recovery rebuilt the tree and quarantined
-//! filters. `Db::scan` is additionally held to a `BTreeMap` model across
-//! put / overwrite / delete / flush / compact streams and a durable reopen.
+//! after fault-injected recovery quarantined filters, and after open removed
+//! a leftover `TREE` file. `Db::scan` is additionally held to a `BTreeMap`
+//! model across put / overwrite / delete / flush / compact streams and a
+//! durable reopen.
 //! Plus the headline acceptance checks: at 1 000 SSTs a point get probes
 //! O(fan-out · depth) filters, not 1 000, and a narrow scan visits only the
 //! tables the router selects.
@@ -370,10 +371,9 @@ proptest! {
 }
 
 /// Fault-injected recovery: persist a tree-routed store, flip a bit inside
-/// a committed SST's filter block (quarantine + rebuild) and corrupt the
-/// TREE file (rebuild-from-SSTs fallback), then reopen under a sweep of
-/// `FaultyIo` transient-read seeds — once per routing — and require the two
-/// recovered stores to answer every read identically.
+/// a committed SST's filter block (quarantine + rebuild), then reopen under
+/// a sweep of `FaultyIo` transient-read seeds — once per routing — and
+/// require the two recovered stores to answer every read identically.
 #[test]
 fn faulty_recovery_keeps_tree_and_scan_all_identical() {
     let base_seed = fault_seed(0xD1FF);
@@ -387,7 +387,10 @@ fn faulty_recovery_keeps_tree_and_scan_all_identical() {
         }
         db.flush();
         assert_eq!(db.num_ssts(), 12);
-        assert!(dir.path().join("TREE").exists(), "tree must be persisted");
+        assert!(
+            !dir.path().join("TREE").exists(),
+            "the router is never persisted"
+        );
     }
 
     // Flip one bit deep inside the oldest SST's serialized filter block —
@@ -414,15 +417,6 @@ fn faulty_recovery_keeps_tree_and_scan_all_identical() {
         .collect();
 
     for salt in 0..3u64 {
-        // Corrupt the persisted TREE so recovery exercises the
-        // rebuild-from-SSTs fallback — every iteration, because a recovered
-        // store re-persists the repaired tree.
-        let tree_path = dir.path().join("TREE");
-        let mut tree_bytes = std::fs::read(&tree_path).unwrap();
-        let mid = tree_bytes.len() / 2;
-        tree_bytes[mid] ^= 0xFF;
-        std::fs::write(&tree_path, &tree_bytes).unwrap();
-
         let seed = base_seed.wrapping_add(salt.wrapping_mul(0x9E37_79B9));
         let faulty = || {
             Arc::new(FaultyIo::new(
@@ -438,10 +432,6 @@ fn faulty_recovery_keeps_tree_and_scan_all_identical() {
         let routed = Db::open_with(dir.path(), options(100, tree_routing(4)), faulty()).unwrap();
 
         let routed_stats = routed.stats();
-        assert_eq!(
-            routed_stats.tree_rebuilds, 1,
-            "corrupt TREE must trigger exactly one rebuild-from-SSTs (seed {seed:#x})"
-        );
         assert_eq!(routed_stats.filters_quarantined, 1, "flipped filter block");
         assert_eq!(routed_stats.filters_rebuilt, 1);
         assert_eq!(scan.num_ssts(), 12);
@@ -456,13 +446,54 @@ fn faulty_recovery_keeps_tree_and_scan_all_identical() {
             );
         }
     }
+}
 
-    // The rebuilt tree was re-persisted: a clean reopen validates it and
-    // does not rebuild again.
-    let clean = Db::open_with(dir.path(), options(100, tree_routing(4)), Arc::new(RealIo)).unwrap();
-    assert_eq!(
-        clean.stats().tree_rebuilds,
-        0,
-        "rebuilt TREE was re-persisted"
+/// A `TREE` file left by a build that persisted the router is garbage to
+/// this one: open removes it, and the tree it builds from the tables routes
+/// every read exactly like `ScanAll`.
+#[test]
+fn leftover_tree_file_is_removed_at_open() {
+    let dir = TempDir::new("leftover-tree");
+    let keys: Vec<u64> = (0..600u64).map(|i| i * 104_729).collect();
+    {
+        let db =
+            Db::open_with(dir.path(), options(100, tree_routing(4)), Arc::new(RealIo)).unwrap();
+        for &k in &keys {
+            db.put(k, value_for(k, 1));
+        }
+        db.flush();
+    }
+    let tree_path = dir.path().join("TREE");
+    std::fs::write(&tree_path, b"BTRE\x01\x00\x00\x00 not a tree").unwrap();
+
+    let routed =
+        Db::open_with(dir.path(), options(100, tree_routing(4)), Arc::new(RealIo)).unwrap();
+    assert!(
+        !tree_path.exists(),
+        "open must remove the leftover TREE file"
     );
+    let scan = Db::open_with(
+        dir.path(),
+        options(100, ReadRouting::ScanAll),
+        Arc::new(RealIo),
+    )
+    .unwrap();
+    assert_eq!(routed.num_ssts(), 6);
+    assert_eq!(
+        routed.stats().tree_rebuilds,
+        0,
+        "building the router at open is not a rebuild"
+    );
+
+    let probes: Vec<u64> = keys.iter().flat_map(|&k| [k, k + 1]).collect();
+    let ranges: Vec<(u64, u64)> = keys
+        .iter()
+        .step_by(11)
+        .map(|&k| (k.saturating_sub(5), k + 5))
+        .chain([(10_000, 20_000), (500, 400)])
+        .collect();
+    assert_reads_identical(&scan, &routed, &probes, &ranges, "leftover TREE");
+    for &k in &keys {
+        assert_eq!(routed.get(k), Some(value_for(k, 1)), "key {k}");
+    }
 }
