@@ -143,17 +143,6 @@ impl BitVec {
         &self.words
     }
 
-    /// Mutable access to the raw backing words.
-    #[inline]
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Reset every bit to zero.
-    pub fn clear_all(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
     /// Iterate over the lengths of maximal runs of zero bits, as used by the
     /// PMHF random-scatter analysis (Fig. 5.B of the paper).
     pub fn zero_run_lengths(&self) -> Vec<usize> {

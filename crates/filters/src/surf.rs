@@ -150,11 +150,6 @@ impl SurfFilter {
         self.mode
     }
 
-    /// Number of trie labels (edges).
-    pub fn num_labels(&self) -> usize {
-        self.labels.len()
-    }
-
     #[inline]
     fn num_nodes(&self) -> usize {
         self.louds.count_ones()

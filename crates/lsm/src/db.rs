@@ -27,6 +27,7 @@
 //! recoverable to exactly the pre- or post-compaction state, never a mix.
 //! See `docs/compaction.md` for the full protocol.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -40,7 +41,7 @@ use crate::io::{read_with_retry, RealIo, StorageIo};
 use crate::memtable::MemTable;
 use crate::persist::{self, ManifestEntry, PersistError};
 use crate::ranks;
-use crate::sst::{SsTable, SstProbeScratch};
+use crate::sst::{merge, Record, SsTable, SstProbeScratch};
 use crate::stats::{IoModel, ReadStats, ReadStatsSnapshot};
 use crate::tree::{FilterTree, TreeOptions};
 use crate::value::Value;
@@ -123,9 +124,9 @@ pub struct CompactionStats {
     /// Tombstones dropped because the window included the oldest table, so
     /// nothing older could resurrect the key.
     pub tombstones_dropped: usize,
-    /// Serialized size of the input tables, in bytes.
+    /// Data and filter blocks of the input tables, in bytes.
     pub input_bytes: usize,
-    /// Serialized size of the output table, in bytes (0 when empty).
+    /// Data and filter blocks of the output table, in bytes (0 when empty).
     pub output_bytes: usize,
 }
 
@@ -566,9 +567,11 @@ impl Db {
         }
     }
 
-    fn build_table(&self, entries: &[(u64, Value)]) -> SsTable {
-        SsTable::build(
-            entries,
+    /// Stream ascending, unique records into a table with the store's
+    /// options; `None` when there are none.
+    fn build_table<'a>(&self, records: impl IntoIterator<Item = Record<'a>>) -> Option<SsTable> {
+        SsTable::from_records(
+            records,
             self.options.entries_per_block,
             self.options.filter_kind,
             self.options.bits_per_key,
@@ -599,10 +602,10 @@ impl Db {
     pub fn flush(&self) {
         let _flushing = self.flush_lock.lock();
         let entries = self.memtable.snapshot_sorted();
-        if entries.is_empty() {
+        let records = entries.iter().map(|(key, value)| (*key, value.as_put()));
+        let Some(sst) = self.build_table(records) else {
             return;
-        }
-        let sst = self.build_table(&entries);
+        };
         let mut tables = self.tables.write();
         tables.push(sst);
         if let Some(p) = &self.persist {
@@ -659,9 +662,12 @@ impl Db {
 
     /// Merge the adjacent tables `ssts[window]` into at most one table,
     /// spliced back at the window's position (age order is preserved).
-    /// Shadowed versions are always dropped; tombstones are dropped only when
-    /// `window.start == 0` (nothing older remains that they could be
-    /// shadowing). A single-table window with nothing to drop is a no-op.
+    /// The inputs stream through the store's one newest-wins merge straight
+    /// into the new table's blocks. Shadowed versions are always dropped;
+    /// tombstones are dropped only when `window.start == 0` (nothing older
+    /// remains that they could be shadowing). A single table has no shadowed
+    /// versions, so a one-table window is a no-op unless it is the oldest
+    /// table and holds tombstones.
     ///
     /// Durable stores commit the merge crash-safely:
     ///
@@ -689,31 +695,28 @@ impl Db {
             return Ok(None);
         }
 
-        // Merge oldest→newest so later (newer) versions overwrite older ones.
-        let input_tables = end - start;
-        let mut input_entries = 0;
-        let mut input_bytes = 0;
-        let mut merged: BTreeMap<u64, Value> = BTreeMap::new();
-        for sst in &tables.ssts[start..end] {
-            input_entries += sst.num_entries();
-            input_bytes += sst.to_bytes().len();
-            merged.extend(sst.entries());
-        }
-        let shadowed_dropped = input_entries - merged.len();
-        let mut tombstones_dropped = 0;
-        if start == 0 {
-            let before = merged.len();
-            merged.retain(|_, v| !v.is_tombstone());
-            tombstones_dropped = before - merged.len();
-        }
-        if input_tables == 1 && shadowed_dropped == 0 && tombstones_dropped == 0 {
+        let inputs = &tables.ssts[start..end];
+        if inputs.len() == 1 && (start > 0 || inputs[0].num_tombstones() == 0) {
             return Ok(None);
         }
-
-        let entries: Vec<(u64, Value)> = merged.into_iter().collect();
-        let output_entries = entries.len();
-        let output = (!entries.is_empty()).then(|| self.build_table(&entries));
-        let output_bytes = output.as_ref().map_or(0, |s| s.to_bytes().len());
+        let mut winners = 0;
+        let merged = merge(inputs.iter().map(SsTable::records)).inspect(|_| winners += 1);
+        // A tombstone expires only once nothing older is left to shadow.
+        let output =
+            self.build_table(merged.filter(|&(_, payload)| start > 0 || payload.is_some()));
+        let input_entries: usize = inputs.iter().map(SsTable::num_entries).sum();
+        let output_entries = output.as_ref().map_or(0, SsTable::num_entries);
+        let table_bytes = |sst: &SsTable| sst.data_bytes() + sst.filter_bits().div_ceil(8);
+        let compaction = CompactionStats {
+            input_tables: inputs.len(),
+            output_tables: output.is_some() as usize,
+            input_entries,
+            output_entries,
+            shadowed_dropped: input_entries - winners,
+            tombstones_dropped: winners - output_entries,
+            input_bytes: inputs.iter().map(table_bytes).sum(),
+            output_bytes: output.as_ref().map_or(0, table_bytes),
+        };
 
         let mut merged_file = None;
         if let Some(p) = &self.persist {
@@ -757,19 +760,8 @@ impl Db {
         }
 
         // Splice the in-memory table set the same way.
-        let output_tables = output.is_some() as usize;
         tables.splice(start..end, output, merged_file, &self.stats);
-
-        Ok(Some(CompactionStats {
-            input_tables,
-            output_tables,
-            input_entries,
-            output_entries,
-            shadowed_dropped,
-            tombstones_dropped,
-            input_bytes,
-            output_bytes,
-        }))
+        Ok(Some(compaction))
     }
 
     /// Point lookup: memtable first, then the candidate SSTs newest to
@@ -790,28 +782,31 @@ impl Db {
 
     /// Range scan over `[lo, hi]`, returning up to `limit` entries in key
     /// order (newest version wins for duplicate keys; deleted keys are
-    /// absent). Only the candidate SSTs for `[lo, hi]` are scanned; each
-    /// source is scanned without a limit internally — a tombstone may shadow
-    /// an entry a limited scan would have stopped at.
+    /// absent). The candidate SSTs whose filter passes `[lo, hi]` and the
+    /// memtable's rows are read in place through the store's one
+    /// newest-wins merge, which stops after `limit` live rows: only those
+    /// are copied.
     pub fn scan(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
         // Memtable before tables, like every read: a flush publishes the SST
         // before it forgets the memtable entries, never the other way round.
         let buffered = self.memtable.scan(lo, hi, usize::MAX);
-        let mut merged: BTreeMap<u64, Value> = BTreeMap::new();
-        {
-            let io = &self.options.io_model;
-            let tables = self.tables.read();
-            // Oldest first: later (newer) tables overwrite.
-            for i in tables.candidates_range(lo, hi, &self.stats) {
-                merged.extend(tables.ssts[i].scan(lo, hi, usize::MAX, io, &self.stats));
+        let tables = self.tables.read();
+        let blocks_read = Cell::new(0);
+        // Oldest first: the memtable is the newest source.
+        let mut sources: Vec<Box<dyn Iterator<Item = Record> + '_>> = Vec::new();
+        for i in tables.candidates_range(lo, hi, &self.stats) {
+            if let Some(rows) = tables.ssts[i].rows_in(lo, hi, &blocks_read, &self.stats) {
+                sources.push(Box::new(rows));
             }
         }
-        merged.extend(buffered);
-        merged
-            .into_iter()
-            .filter_map(|(k, v)| v.into_put().map(|v| (k, v)))
-            .take(limit)
-            .collect()
+        sources.push(Box::new(
+            buffered.iter().map(|(key, value)| (*key, value.as_put())),
+        ));
+        let live = merge(sources).filter_map(|(key, payload)| Some((key, payload?.to_vec())));
+        let rows = live.take(limit).collect();
+        self.stats
+            .record_block_reads(blocks_read.get(), &self.options.io_model);
+        rows
     }
 
     /// Batched, multi-threaded point lookup: element `i` equals
@@ -868,7 +863,7 @@ impl Db {
     /// Batched, multi-threaded range-emptiness check: element `i` equals
     /// `self.range_is_possibly_non_empty(ranges[i])` (reversed bounds are an
     /// empty interval). Same structure as [`Db::get_batch`], with each SST
-    /// filter probed once per batch via [`SsTable::range_non_empty_many`].
+    /// filter probed once per batch via [`SsTable::range_non_empty_many_with`].
     pub fn range_non_empty_batch(&self, ranges: &[(u64, u64)], threads: usize) -> Vec<bool> {
         fan_out(ranges, threads, |part| self.range_chunk(part))
     }
@@ -919,13 +914,18 @@ impl Db {
             return true;
         }
         let tables = self.tables.read();
-        tables
+        let blocks_read = Cell::new(0);
+        let found = tables
             .candidates_range(lo, hi, &self.stats)
             .into_iter()
             .any(|i| {
-                let io = &self.options.io_model;
-                !tables.ssts[i].scan(lo, hi, 1, io, &self.stats).is_empty()
-            })
+                tables.ssts[i]
+                    .rows_in(lo, hi, &blocks_read, &self.stats)
+                    .is_some()
+            });
+        self.stats
+            .record_block_reads(blocks_read.get(), &self.options.io_model);
+        found
     }
 
     /// Number of level-0 SST files.
@@ -1056,30 +1056,7 @@ impl Persistence {
         // ordering: same stale-counter tolerance as `write_manifest_with`.
         let manifest =
             persist::encode_manifest(entries, retired, self.next_file_no.load(Ordering::Relaxed));
-        let path = self.dir.join(MANIFEST_NAME);
-        let mut last_err = None;
-        for _ in 0..COMMIT_VERIFY_ATTEMPTS {
-            if let Err(e) = self.write_atomic(MANIFEST_NAME, &manifest) {
-                last_err = Some(e);
-                continue;
-            }
-            match read_with_retry(&*self.io, &path, READ_RETRY_ATTEMPTS, READ_RETRY_BACKOFF) {
-                Ok((bytes, retries)) => {
-                    stats.record_read_retries(retries);
-                    if bytes == manifest {
-                        return Ok(());
-                    }
-                    last_err = Some(verify_failed(&path, "manifest"));
-                }
-                Err(e) => {
-                    last_err = Some(PersistError::Io {
-                        path: path.clone(),
-                        source: e,
-                    })
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| verify_failed(&path, "manifest")))
+        self.write_verified(MANIFEST_NAME, &manifest, stats)
     }
 
     /// Persist a freshly flushed SST under the next file number. The caller
@@ -1099,23 +1076,36 @@ impl Persistence {
     /// verify before committing. On exhaustion the file is removed.
     fn write_sst_verified(&self, sst: &SsTable, stats: &ReadStats) -> Result<String, PersistError> {
         // ordering: unique-ticket fetch_add, as in `persist_sst`.
-        let n = self.next_file_no.fetch_add(1, Ordering::Relaxed);
-        let name = persist::sst_file_name(n);
-        let bytes = sst.to_bytes();
-        let path = self.dir.join(&name);
+        let name = persist::sst_file_name(self.next_file_no.fetch_add(1, Ordering::Relaxed));
+        let written = self.write_verified(&name, &sst.to_bytes(), stats);
+        if written.is_err() {
+            let _ = self.io.remove(&self.dir.join(&name));
+        }
+        written.map(|()| name)
+    }
+
+    /// Write `data` to `name` atomically and read it back until the bytes
+    /// verify, at most [`COMMIT_VERIFY_ATTEMPTS`] times.
+    fn write_verified(
+        &self,
+        name: &str,
+        data: &[u8],
+        stats: &ReadStats,
+    ) -> Result<(), PersistError> {
+        let path = self.dir.join(name);
         let mut last_err = None;
         for _ in 0..COMMIT_VERIFY_ATTEMPTS {
-            if let Err(e) = self.write_atomic(&name, &bytes) {
+            if let Err(e) = self.write_atomic(name, data) {
                 last_err = Some(e);
                 continue;
             }
             match read_with_retry(&*self.io, &path, READ_RETRY_ATTEMPTS, READ_RETRY_BACKOFF) {
                 Ok((got, retries)) => {
                     stats.record_read_retries(retries);
-                    if got == bytes {
-                        return Ok(name);
+                    if got == data {
+                        return Ok(());
                     }
-                    last_err = Some(verify_failed(&path, "merged SST"));
+                    last_err = Some(verify_failed(&path));
                 }
                 Err(e) => {
                     last_err = Some(PersistError::Io {
@@ -1125,18 +1115,17 @@ impl Persistence {
                 }
             }
         }
-        let _ = self.io.remove(&path);
-        Err(last_err.unwrap_or_else(|| verify_failed(&path, "merged SST")))
+        Err(last_err.unwrap_or_else(|| verify_failed(&path)))
     }
 }
 
 /// Typed error for a write whose read-back never matched.
-fn verify_failed(path: &Path, what: &str) -> PersistError {
+fn verify_failed(path: &Path) -> PersistError {
     PersistError::Io {
         path: path.to_path_buf(),
         source: std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("{what} failed read-back verification"),
+            "written bytes failed read-back verification",
         ),
     }
 }

@@ -11,7 +11,6 @@
 //! real entry (it flushes into the SST like any put) that shadows every older
 //! version of its key until compaction drops it.
 
-use bloomrf::sync::atomic::{AtomicUsize, Ordering};
 use bloomrf::sync::OrderedRwLock;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -23,14 +22,12 @@ use crate::value::Value;
 #[derive(Debug)]
 pub struct MemTable {
     entries: OrderedRwLock<BTreeMap<u64, Value>, { ranks::MEMTABLE }>,
-    approximate_bytes: AtomicUsize,
 }
 
 impl Default for MemTable {
     fn default() -> Self {
         Self {
             entries: OrderedRwLock::new("memtable.entries", BTreeMap::new()),
-            approximate_bytes: AtomicUsize::new(0),
         }
     }
 }
@@ -43,27 +40,13 @@ impl MemTable {
 
     /// Insert or overwrite a key.
     pub fn put(&self, key: u64, value: Vec<u8>) {
-        self.insert(key, Value::Put(value));
+        self.entries.write().insert(key, Value::Put(value));
     }
 
     /// Record a delete for `key`: a tombstone entry that shadows every older
     /// version of the key in the SSTs below.
     pub fn delete(&self, key: u64) {
-        self.insert(key, Value::Tombstone);
-    }
-
-    fn insert(&self, key: u64, value: Value) {
-        let added = 8 + value.payload_len();
-        let mut map = self.entries.write();
-        // ordering: approximate_bytes is an advisory gauge only ever read
-        // for flush heuristics and tests; it is always adjusted under the
-        // entries write lock, so relaxed RMWs cannot race each other.
-        if let Some(old) = map.insert(key, value) {
-            self.approximate_bytes
-                .fetch_sub(8 + old.payload_len(), Ordering::Relaxed);
-        }
-        // ordering: same advisory-gauge reasoning as above.
-        self.approximate_bytes.fetch_add(added, Ordering::Relaxed);
+        self.entries.write().insert(key, Value::Tombstone);
     }
 
     /// Point lookup. `Some(Value::Tombstone)` means the key was deleted here
@@ -108,25 +91,11 @@ impl MemTable {
         self.entries.read().is_empty()
     }
 
-    /// Approximate payload size in bytes (keys + values).
-    pub fn approximate_bytes(&self) -> usize {
-        // ordering: advisory gauge, callers tolerate a slightly stale value.
-        self.approximate_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Drain every entry in key order.
-    pub fn drain_sorted(&self) -> Vec<(u64, Value)> {
-        let mut map = self.entries.write();
-        // ordering: reset under the entries write lock; advisory gauge.
-        self.approximate_bytes.store(0, Ordering::Relaxed);
-        std::mem::take(&mut *map).into_iter().collect()
-    }
-
     /// Clone every entry in key order *without* draining. The flush path
     /// snapshots, builds and publishes the SST, and only then calls
     /// [`MemTable::forget`] — so readers see every key in the memtable or the
-    /// table set at all times (never in neither, which
-    /// [`MemTable::drain_sorted`]-then-publish allowed).
+    /// table set at all times (never in neither, which draining before the
+    /// publish would allow).
     pub fn snapshot_sorted(&self) -> Vec<(u64, Value)> {
         let map = self.entries.read();
         map.iter().map(|(k, v)| (*k, v.clone())).collect()
@@ -142,10 +111,6 @@ impl MemTable {
         for (key, value) in snapshot {
             if map.get(key) == Some(value) {
                 map.remove(key);
-                // ordering: adjusted under the entries write lock; advisory
-                // gauge (see `insert`).
-                self.approximate_bytes
-                    .fetch_sub(8 + value.payload_len(), Ordering::Relaxed);
             }
         }
     }
@@ -164,22 +129,18 @@ mod tests {
         assert_eq!(mt.get(5), Some(Value::Put(vec![1, 2, 3])));
         assert_eq!(mt.get(11), None);
         assert_eq!(mt.len(), 2);
-        let before = mt.approximate_bytes();
         mt.put(5, vec![9; 100]);
         assert_eq!(mt.get(5), Some(Value::Put(vec![9; 100])));
         assert_eq!(mt.len(), 2);
-        assert!(mt.approximate_bytes() > before);
     }
 
     #[test]
     fn deletes_leave_tombstones() {
         let mt = MemTable::new();
         mt.put(7, vec![1; 64]);
-        let with_value = mt.approximate_bytes();
         mt.delete(7);
         assert_eq!(mt.get(7), Some(Value::Tombstone));
         assert_eq!(mt.len(), 1, "a tombstone is an entry, not an absence");
-        assert!(mt.approximate_bytes() < with_value);
         // Deleting an absent key still records the tombstone (it may shadow
         // an older SST version the memtable cannot see).
         mt.delete(8);
@@ -208,23 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_sorted_and_empties() {
-        let mt = MemTable::new();
-        for k in [30u64, 10, 20] {
-            mt.put(k, vec![]);
-        }
-        mt.delete(15);
-        let drained = mt.drain_sorted();
-        assert_eq!(
-            drained.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![10, 15, 20, 30]
-        );
-        assert_eq!(drained[1].1, Value::Tombstone);
-        assert!(mt.is_empty());
-        assert_eq!(mt.approximate_bytes(), 0);
-    }
-
-    #[test]
     fn forget_keeps_entries_that_changed_after_the_snapshot() {
         let mt = MemTable::new();
         mt.put(1, vec![1]);
@@ -241,11 +185,10 @@ mod tests {
         assert_eq!(mt.get(2), Some(Value::Put(vec![99])));
         assert_eq!(mt.get(3), Some(Value::Tombstone));
         assert_eq!(mt.len(), 2);
-        // Forgetting everything zeroes the gauge.
+        // Forgetting everything empties the table.
         let rest = mt.snapshot_sorted();
         mt.forget(&rest);
         assert!(mt.is_empty());
-        assert_eq!(mt.approximate_bytes(), 0);
     }
 
     #[test]

@@ -17,12 +17,20 @@
 
 use bloomrf::traits::PointRangeFilter;
 use bloomrf_filters::FilterKind;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::iter::Peekable;
 use std::time::Instant;
 
 use crate::persist::{self, Corruption, TOMBSTONE_FLAG};
 use crate::stats::{Clock, IoModel, ReadStats, SampledClock};
 use crate::value::Value;
+
+/// One version of a key, borrowed: `(key, Some(payload))` for a put and
+/// `(key, None)` for a tombstone.
+pub(crate) type Record<'a> = (u64, Option<&'a [u8]>);
 
 /// The one parser of the block layout: a borrowing cursor over `count (u32)
 /// | (key | meta | payload)*` that yields `(key, None)` for a tombstone and
@@ -45,7 +53,7 @@ impl<'a> Records<'a> {
 }
 
 impl<'a> Iterator for Records<'a> {
-    type Item = (u64, Option<&'a [u8]>);
+    type Item = Record<'a>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.left == 0 {
@@ -69,6 +77,36 @@ impl<'a> Iterator for Records<'a> {
 /// The owned [`Value`] of a record [`Records`] yielded.
 fn to_value(payload: Option<&[u8]>) -> Value {
     payload.map_or(Value::Tombstone, |bytes| Value::Put(bytes.to_vec()))
+}
+
+/// The one k-way newest-wins merge, behind [`crate::Db::scan`] and
+/// compaction: over sources given oldest first, each ascending with unique
+/// keys, it yields every key once, ascending, in the newest source's
+/// version. Tombstones pass through; each caller decides what they mean.
+/// A max-heap holds each source's next record keyed by `(Reverse(key),
+/// source index)`: the smallest key comes first and, among equal keys, the
+/// newest source. O(log k) per record read.
+pub(crate) fn merge<'a, I>(sources: impl IntoIterator<Item = I>) -> impl Iterator<Item = Record<'a>>
+where
+    I: Iterator<Item = Record<'a>>,
+{
+    let head = |source: usize, (key, payload): Record<'a>| (Reverse(key), source, payload);
+    let mut sources: Vec<I> = sources.into_iter().collect();
+    let mut heads: BinaryHeap<_> = (sources.iter_mut().enumerate())
+        .filter_map(|(i, source)| Some(head(i, source.next()?)))
+        .collect();
+    std::iter::from_fn(move || {
+        let (Reverse(key), _, payload) = *heads.peek()?;
+        // Move every source holding `key`, the winner first, to its next key.
+        while let Some(mut top) = heads.peek_mut().filter(|top| top.0 == Reverse(key)) {
+            let source = top.1;
+            match sources[source].next() {
+                Some(record) => *top = head(source, record),
+                None => drop(PeekMut::pop(top)),
+            }
+        }
+        Some((key, payload))
+    })
 }
 
 /// Reusable probe buffers for the batched SST read paths
@@ -123,26 +161,38 @@ impl SsTable {
         filter_kind: FilterKind,
         bits_per_key: f64,
     ) -> Self {
-        assert!(
-            !entries.is_empty(),
-            "an SST must contain at least one entry"
-        );
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "entries must be sorted"
-        );
-        let epb = entries_per_block.max(1);
+        let records = entries.iter().map(|(key, value)| (*key, value.as_put()));
+        Self::from_records(records, entries_per_block, filter_kind, bits_per_key)
+            .unwrap_or_else(|| panic!("an SST must contain at least one entry"))
+    }
 
-        let mut blocks = Vec::new();
-        let mut index = Vec::new();
+    /// Stream ascending, unique records into a table, or `None` when there
+    /// are none. Each block is filled in one reused buffer and sealed every
+    /// `entries_per_block` records, so each payload is copied into exactly
+    /// one block; the keys are collected for the filter.
+    pub(crate) fn from_records<'a>(
+        records: impl IntoIterator<Item = Record<'a>>,
+        entries_per_block: usize,
+        filter_kind: FilterKind,
+        bits_per_key: f64,
+    ) -> Option<Self> {
+        let mut records = records.into_iter().peekable();
+        let mut keys: Vec<u64> = Vec::with_capacity(records.size_hint().0);
+        let (mut blocks, mut index, mut block) = (Vec::new(), Vec::new(), Vec::new());
         let mut num_tombstones = 0usize;
-        for chunk in entries.chunks(epb) {
-            let mut block = BytesMut::new();
-            block.put_u32_le(chunk.len() as u32);
-            for (key, value) in chunk {
-                block.put_u64_le(*key);
-                match value {
-                    Value::Put(bytes) => {
+        while let Some(&(first, _)) = records.peek() {
+            block.clear();
+            block.put_u32_le(0);
+            let mut count = 0u32;
+            for (key, payload) in records.by_ref().take(entries_per_block.max(1)) {
+                debug_assert!(
+                    keys.last().map_or(true, |&last| last < key),
+                    "records must be sorted and unique"
+                );
+                keys.push(key);
+                block.put_u64_le(key);
+                match payload {
+                    Some(bytes) => {
                         assert!(
                             (bytes.len() as u64) < TOMBSTONE_FLAG as u64,
                             "value too large for the 31-bit length field"
@@ -150,32 +200,32 @@ impl SsTable {
                         block.put_u32_le(bytes.len() as u32);
                         block.put_slice(bytes);
                     }
-                    Value::Tombstone => {
+                    None => {
                         num_tombstones += 1;
                         block.put_u32_le(TOMBSTONE_FLAG);
                     }
                 }
+                count += 1;
             }
-            index.push((chunk[0].0, chunk[chunk.len() - 1].0, chunk.len() as u32));
-            blocks.push(block.freeze());
+            block[..4].copy_from_slice(&count.to_le_bytes());
+            index.push((first, *keys.last()?, count));
+            blocks.push(Bytes::copy_from_slice(&block));
         }
 
-        let keys: Vec<u64> = entries.iter().map(|(k, _)| *k).collect();
         let start = Instant::now();
         let filter = filter_kind.build(&keys, bits_per_key);
         let filter_build_time = start.elapsed();
-
-        Self {
+        Some(Self {
             blocks,
             index,
             filter,
-            key_range: (entries[0].0, entries[entries.len() - 1].0),
-            num_entries: entries.len(),
+            key_range: (*keys.first()?, *keys.last()?),
+            num_entries: keys.len(),
             num_tombstones,
             filter_kind,
             bits_per_key,
             filter_build_time,
-        }
+        })
     }
 
     /// Serialize the table into the durable `BSST` v2 file format (see
@@ -279,17 +329,13 @@ impl SsTable {
     /// copying any value; the filter tree (re)builds its per-SST leaf and
     /// ancestor filters from this authoritative key set.
     pub(crate) fn keys(&self) -> Vec<u64> {
-        self.records_in(0, u64::MAX, &mut 0)
-            .map(|(key, _)| key)
-            .collect()
+        self.records().map(|(key, _)| key).collect()
     }
 
-    /// Every entry of the table in key order (tombstones included) — the
-    /// compaction merge input.
-    pub(crate) fn entries(&self) -> Vec<(u64, Value)> {
-        self.records_in(0, u64::MAX, &mut 0)
-            .map(|(key, payload)| (key, to_value(payload)))
-            .collect()
+    /// Every record of the table, ascending, read in place: the compaction
+    /// merge's input.
+    pub(crate) fn records(&self) -> impl Iterator<Item = Record<'_>> {
+        self.blocks.iter().flat_map(|block| Records::new(block))
     }
 
     /// Point lookup through the filter, index and data blocks. A hit on a
@@ -311,19 +357,12 @@ impl SsTable {
     /// Fence walk + in-place block search for a key the filter answered
     /// positively; only a matching payload is copied.
     fn lookup_after_filter(&self, key: u64, io: &IoModel, stats: &ReadStats) -> Option<Value> {
-        let clock = SampledClock::start(Clock::Cpu);
-        let mut blocks_read = 0u64;
-        let result = self
-            .records_in(key, key, &mut blocks_read)
-            .next()
+        let blocks_read = Cell::new(0);
+        let rows = self.first_rows(key, key, &blocks_read, stats);
+        let result = rows
+            .and_then(|mut rows| rows.next())
             .map(|(_, payload)| to_value(payload));
-        stats.record_block_reads(blocks_read, io);
-        stats.record_cpu(clock.estimate_ns());
-        if result.is_none() {
-            // A found tombstone is a *true* positive — the key is present,
-            // its version just happens to be a delete marker.
-            stats.record_false_positive();
-        }
+        stats.record_block_reads(blocks_read.get(), io);
         result
     }
 
@@ -377,18 +416,8 @@ impl SsTable {
     /// check is a *possibly non-empty* filter verdict, never a false
     /// negative). The filter is consulted once for the whole batch; positives
     /// are confirmed against the data blocks (equivalent to
-    /// `!self.scan(lo, hi, 1, ..).is_empty()`).
-    pub fn range_non_empty_many(
-        &self,
-        ranges: &[(u64, u64)],
-        io: &IoModel,
-        stats: &ReadStats,
-    ) -> Vec<bool> {
-        self.range_non_empty_many_with(ranges, io, stats, &mut SstProbeScratch::default())
-    }
-
-    /// [`SsTable::range_non_empty_many`] with caller-owned probe buffers
-    /// (see [`SsTable::get_many_with`]).
+    /// `!self.scan(lo, hi, 1, ..).is_empty()`). The probe buffers are the
+    /// caller's (see [`SsTable::get_many_with`]).
     pub fn range_non_empty_many_with(
         &self,
         ranges: &[(u64, u64)],
@@ -419,15 +448,9 @@ impl SsTable {
                 continue;
             }
             let (lo, hi) = ranges[i];
-            let clock = SampledClock::start(Clock::Cpu);
-            let mut blocks_read = 0u64;
-            let found = self.records_in(lo, hi, &mut blocks_read).next().is_some();
-            stats.record_block_reads(blocks_read, io);
-            stats.record_cpu(clock.estimate_ns());
-            if !found {
-                stats.record_false_positive();
-            }
-            out[i] = found;
+            let blocks_read = Cell::new(0);
+            out[i] = self.first_rows(lo, hi, &blocks_read, stats).is_some();
+            stats.record_block_reads(blocks_read.get(), io);
         }
         out
     }
@@ -444,51 +467,71 @@ impl SsTable {
         io: &IoModel,
         stats: &ReadStats,
     ) -> Vec<(u64, Value)> {
+        let blocks_read = Cell::new(0);
+        let rows = self
+            .rows_in(lo, hi, &blocks_read, stats)
+            .into_iter()
+            .flatten();
+        let out = rows
+            .take(limit)
+            .map(|(key, payload)| (key, to_value(payload)))
+            .collect();
+        stats.record_block_reads(blocks_read.get(), io);
+        out
+    }
+
+    /// The per-table step of every range read: the key-range check, the
+    /// filter probe, then [`SsTable::first_rows`]. `None` when the table
+    /// holds no record in `[lo, hi]`.
+    pub(crate) fn rows_in<'a>(
+        &'a self,
+        lo: u64,
+        hi: u64,
+        blocks_read: &'a Cell<u64>,
+        stats: &ReadStats,
+    ) -> Option<Peekable<impl Iterator<Item = Record<'a>> + 'a>> {
         if hi < self.key_range.0 || lo > self.key_range.1 || lo > hi {
-            return Vec::new();
+            return None;
         }
         let clock = SampledClock::start(Clock::FilterProbe);
         let positive = self.filter.may_contain_range(lo, hi);
         stats.record_filter_probe(positive, clock.estimate_ns());
         if !positive {
-            return Vec::new();
+            return None;
         }
-        let clock = SampledClock::start(Clock::Cpu);
-        let mut blocks_read = 0u64;
-        let out: Vec<(u64, Value)> = self
-            .records_in(lo, hi, &mut blocks_read)
-            .take(limit)
-            .map(|(key, payload)| (key, to_value(payload)))
-            .collect();
-        stats.record_block_reads(blocks_read, io);
-        stats.record_cpu(clock.estimate_ns());
-        if out.is_empty() {
-            stats.record_false_positive();
-        }
-        out
+        self.first_rows(lo, hi, blocks_read, stats)
     }
 
-    /// The records with keys in `[lo, hi]`, ascending, read in place from
-    /// the blocks the fences admit; `blocks_read` counts the blocks reached.
-    /// Callers charge it after the search: an atomic add ahead of the block
-    /// loads would hold them back.
-    fn records_in<'a>(
+    /// The records of `[lo, hi]` after a positive filter probe, read in
+    /// place from the blocks the fences admit, once the search has found the
+    /// first; `None`, counted as a false positive, when there is none (a
+    /// found tombstone is a *true* positive). `blocks_read` counts the blocks
+    /// reached: callers charge it after the search, as an atomic add ahead
+    /// of the block loads would hold them back.
+    fn first_rows<'a>(
         &'a self,
         lo: u64,
         hi: u64,
-        blocks_read: &'a mut u64,
-    ) -> impl Iterator<Item = (u64, Option<&'a [u8]>)> + 'a {
+        blocks_read: &'a Cell<u64>,
+        stats: &ReadStats,
+    ) -> Option<Peekable<impl Iterator<Item = Record<'a>> + 'a>> {
+        let clock = SampledClock::start(Clock::Cpu);
         let first = self.index.partition_point(|&(_, last, _)| last < lo);
-        self.index[first..]
-            .iter()
-            .zip(&self.blocks[first..])
+        let mut rows = (self.index[first..].iter().zip(&self.blocks[first..]))
             .take_while(move |&(&(first_key, _, _), _)| first_key <= hi)
             .flat_map(move |(_, block)| {
-                *blocks_read += 1;
+                blocks_read.set(blocks_read.get() + 1);
                 Records::new(block)
             })
             .skip_while(move |&(key, _)| key < lo)
             .take_while(move |&(key, _)| key <= hi)
+            .peekable();
+        let found = rows.peek().is_some();
+        stats.record_cpu(clock.estimate_ns());
+        if !found {
+            stats.record_false_positive();
+        }
+        found.then_some(rows)
     }
 
     /// Total serialized size of the data blocks in bytes.
@@ -502,6 +545,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+
+    /// Every entry of `sst`, owned, through the full-table cursor.
+    fn entries_of(sst: &SsTable) -> Vec<(u64, Value)> {
+        sst.records()
+            .map(|(key, payload)| (key, to_value(payload)))
+            .collect()
+    }
 
     fn put_entries(entries: &[(u64, Vec<u8>)]) -> Vec<(u64, Value)> {
         entries
@@ -561,7 +611,7 @@ mod tests {
         assert_eq!(sst.num_entries(), 4);
         assert_eq!(sst.num_tombstones(), 2);
         assert_eq!(sst.keys(), vec![10, 20, 30, 40]);
-        assert_eq!(sst.entries(), entries);
+        assert_eq!(entries_of(&sst), entries);
         let io = IoModel::default();
         let stats = ReadStats::new();
         // A tombstone is found (filter + block), not treated as absent...
@@ -570,13 +620,13 @@ mod tests {
         assert_eq!(stats.snapshot().false_positives, 0);
         // Tombstones keep ranges "possibly non-empty" (no false negatives).
         assert_eq!(
-            sst.range_non_empty_many(&[(19, 21)], &io, &stats),
+            sst.range_non_empty_many_with(&[(19, 21)], &io, &stats, &mut Default::default()),
             vec![true]
         );
         // Serialization roundtrips tombstones bit-exactly.
         let restored = SsTable::from_bytes(&sst.to_bytes(), &stats).unwrap();
         assert_eq!(restored.num_tombstones(), 2);
-        assert_eq!(restored.entries(), entries);
+        assert_eq!(entries_of(&restored), entries);
         assert_eq!(restored.get(40, &io, &stats), Some(Value::Tombstone));
     }
 
@@ -698,7 +748,7 @@ mod tests {
                 _ => (i * 10 + 5, i * 10),     // reversed bounds
             })
             .collect();
-        let batched = sst.range_non_empty_many(&ranges, &io, &stats);
+        let batched = sst.range_non_empty_many_with(&ranges, &io, &stats, &mut Default::default());
         for (i, &(lo, hi)) in ranges.iter().enumerate() {
             assert_eq!(
                 batched[i],
@@ -739,7 +789,7 @@ mod tests {
     ) -> Result<(), TestCaseError> {
         let (io, stats) = (IoModel::default(), ReadStats::new());
         let entries: Vec<(u64, Value)> = model.iter().map(|(&k, v)| (k, v.clone())).collect();
-        prop_assert_eq!(sst.entries(), entries);
+        prop_assert_eq!(entries_of(sst), entries);
         prop_assert_eq!(sst.keys(), model.keys().copied().collect::<Vec<_>>());
         let tombstones = model.values().filter(|v| v.is_tombstone()).count();
         prop_assert_eq!(sst.num_tombstones(), tombstones);
@@ -769,15 +819,17 @@ mod tests {
             .iter()
             .map(|&(lo, hi)| !in_range(lo, hi).is_empty())
             .collect();
-        prop_assert_eq!(sst.range_non_empty_many(ranges, &io, &stats), non_empty);
+        let mut scratch = SstProbeScratch::default();
+        let verdicts = sst.range_non_empty_many_with(ranges, &io, &stats, &mut scratch);
+        prop_assert_eq!(verdicts, non_empty);
         Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// `get`, `get_many`, `scan`, `range_non_empty_many`, `keys` and
-        /// `entries` read blocks in place and must equal a `BTreeMap` model
+        /// `get`, `get_many`, `scan`, `range_non_empty_many_with`, `keys` and
+        /// `records` read blocks in place and must equal a `BTreeMap` model
         /// — tombstones, zero-length and up-to-300-byte values, one to 64
         /// entries per block — before and after a `to_bytes` round trip.
         #[test]
@@ -802,6 +854,68 @@ mod tests {
             agrees_with_model(&sst, &model, &probes, &ranges)?;
             let restored = SsTable::from_bytes(&sst.to_bytes(), &ReadStats::new()).unwrap();
             agrees_with_model(&restored, &model, &probes, &ranges)?;
+        }
+
+        /// The merge equals a `BTreeMap` extended oldest → newest: 1–8
+        /// sources (empty ones included) over overlapping keys, with
+        /// tombstones and zero-length values, read with the compaction rule
+        /// (tombstones kept or dropped) and the scan rule (live rows up to a
+        /// random limit).
+        #[test]
+        fn merge_equals_a_newest_wins_model(
+            raw in prop::collection::vec(
+                prop::collection::vec((0u64..48, 0u8..4, 0u16..4), 0..40),
+                1..=8,
+            ),
+            drop_tombstones in any::<bool>(),
+            limit in 0usize..64,
+        ) {
+            // Source `i` writes payloads of byte `i`, so a non-empty version
+            // shows which source won; kind 0 is a tombstone.
+            let sources: Vec<BTreeMap<u64, Value>> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, rows)| {
+                    rows.iter()
+                        .map(|&(key, kind, len)| match kind {
+                            0 => (key, Value::Tombstone),
+                            _ => (key, Value::Put(vec![i as u8; len as usize])),
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut model: BTreeMap<u64, Value> = BTreeMap::new();
+            for source in &sources {
+                model.extend(source.iter().map(|(&k, v)| (k, v.clone())));
+            }
+            let merge = || {
+                merge(sources.iter().map(|source| {
+                    source.iter().map(|(&key, value)| (key, value.as_put()))
+                }))
+                .map(|(key, payload)| (key, to_value(payload)))
+            };
+
+            let kept: Vec<(u64, Value)> = merge()
+                .filter(|(_, value)| !(drop_tombstones && value.is_tombstone()))
+                .collect();
+            let want: Vec<(u64, Value)> = model
+                .iter()
+                .filter(|(_, value)| !(drop_tombstones && value.is_tombstone()))
+                .map(|(&k, v)| (k, v.clone()))
+                .collect();
+            prop_assert_eq!(kept, want);
+
+            let live: Vec<(u64, Value)> = merge()
+                .filter(|(_, value)| !value.is_tombstone())
+                .take(limit)
+                .collect();
+            let want: Vec<(u64, Value)> = model
+                .iter()
+                .filter(|(_, value)| !value.is_tombstone())
+                .take(limit)
+                .map(|(&k, v)| (k, v.clone()))
+                .collect();
+            prop_assert_eq!(live, want);
         }
     }
 }

@@ -1,38 +1,46 @@
-//! The SST read path copies only what it returns. A thread-local counting
-//! global allocator pins it: a point hit allocates exactly its value, a miss
-//! allocates nothing, a range check allocates only its verdict vector and a
-//! scan only its output vector and the rows in it.
+//! The SST read path copies only what it returns, and compaction allocates
+//! in proportion to its output. A thread-local counting global allocator
+//! pins both: a point hit allocates exactly its value, a miss allocates
+//! nothing, a range check allocates only its verdict vector, a scan only its
+//! output vector and the rows in it, and a compaction at most a small
+//! multiple of the table it writes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bloomrf_filters::FilterKind;
-use bloomrf_lsm::{IoModel, ReadStats, SsTable, SstProbeScratch, Value};
+use bloomrf_lsm::{
+    Db, DbOptions, IoModel, ReadRouting, ReadStats, SsTable, SstProbeScratch, Value,
+};
 
-/// Counts the allocations (not reallocations) made by the current thread.
+/// Counts, per thread, the allocations (not reallocations) and the bytes
+/// requested: the size of every allocation and the new size of every
+/// growing reallocation, which may move the block.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count(allocations: usize, bytes: usize) {
     // `try_with`: the allocator may run while the thread's locals are torn
     // down; those allocations are not ours to count.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + allocations));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
-// SAFETY: every call forwards to `System` unchanged; counting touches only a
-// const-initialised thread-local `Cell`, which never allocates.
+// SAFETY: every call forwards to `System` unchanged; counting touches only
+// const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, layout.size());
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(1, layout.size());
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -43,6 +51,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size > layout.size() {
+            count(0, new_size);
+        }
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -56,6 +67,13 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Run `f` and return its result with the bytes it requested.
+fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// 512 keys spaced 10 apart, 8 entries (128-byte values) per block — the
@@ -143,4 +161,45 @@ fn a_scan_allocates_only_its_output_and_rows() {
             "scan({lo}, {hi}, {limit}) may allocate only its output and {rows} rows"
         );
     }
+}
+
+/// Eight flushed tables that each overwrite the same 512 keys with 256-byte
+/// values merge into one table of 512 entries. The merge streams the inputs'
+/// records straight into the output's blocks, so the bytes it requests stay
+/// within 3x the output's data and filter blocks, instead of growing with
+/// the eight tables it reads.
+#[test]
+fn a_compaction_allocates_in_proportion_to_its_output() {
+    let options = DbOptions {
+        memtable_flush_entries: 512,
+        routing: ReadRouting::ScanAll,
+        ..DbOptions::default()
+    };
+    let db = Db::new(options.clone());
+    for round in 0..8u8 {
+        for key in 0..512u64 {
+            db.put(key * 7, vec![round; 256]);
+        }
+    }
+    assert_eq!(db.num_ssts(), 8, "every 512 puts flush one table");
+
+    let (stats, bytes) = allocated_bytes(|| db.compact().unwrap().unwrap());
+    let output: Vec<(u64, Value)> = (0..512u64)
+        .map(|key| (key * 7, Value::Put(vec![7; 256])))
+        .collect();
+    let output = SsTable::build(
+        &output,
+        options.entries_per_block,
+        options.filter_kind,
+        options.bits_per_key,
+    );
+    let output_bytes = output.data_bytes() + output.filter_bits().div_ceil(8);
+    assert!(
+        bytes <= 3 * output_bytes,
+        "compact() requested {bytes} bytes for an output of {output_bytes} bytes"
+    );
+    assert_eq!(stats.output_entries, 512);
+    assert_eq!(stats.shadowed_dropped, 7 * 512);
+    assert_eq!(stats.output_bytes, output_bytes);
+    assert_eq!(db.get(7 * 511), Some(vec![7; 256]));
 }
