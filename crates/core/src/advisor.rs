@@ -4,6 +4,8 @@
 //! segment assignment and segment sizes — by minimizing the weighted FPR norm
 //! `fpr_w² = fpr_m² + C²·fpr_p²` over the extended FPR model.
 
+use std::cell::RefCell;
+
 use crate::config::{BloomRfConfig, LayerSpec};
 use crate::error::ConfigError;
 use crate::model::{evaluate_config, FprProfile};
@@ -72,19 +74,44 @@ impl TuningAdvisor {
     }
 
     /// Convenience: tune directly from `(domain_bits, n, bits/key, R)`.
+    ///
+    /// Each thread remembers its last call's parameters and result, so a
+    /// store that builds every table with the same parameters runs the
+    /// advisor once; any other call recomputes. [`TuningAdvisor::tune`] is a
+    /// pure function of the parameters, so a remembered result is exactly
+    /// what a fresh call returns.
     pub fn tune_for(
         domain_bits: u32,
         n_keys: usize,
         bits_per_key: f64,
         max_range: f64,
     ) -> Result<TunedConfig, ConfigError> {
-        Self::new(AdvisorParams::new(
+        type Memo = Option<((u32, usize, u64, u64), Result<TunedConfig, ConfigError>)>;
+        thread_local! {
+            static LAST: RefCell<Memo> = const { RefCell::new(None) };
+        }
+        let key = (
             domain_bits,
             n_keys,
-            bits_per_key,
-            max_range,
-        ))
-        .tune()
+            bits_per_key.to_bits(),
+            max_range.to_bits(),
+        );
+        LAST.with(|last| {
+            if let Some((seen, result)) = &*last.borrow() {
+                if *seen == key {
+                    return result.clone();
+                }
+            }
+            let result = Self::new(AdvisorParams::new(
+                domain_bits,
+                n_keys,
+                bits_per_key,
+                max_range,
+            ))
+            .tune();
+            *last.borrow_mut() = Some((key, result.clone()));
+            result
+        })
     }
 
     /// Compute the best configuration for the stored parameters.
@@ -360,6 +387,31 @@ mod tests {
             TuningAdvisor::new(params).tune(),
             Err(ConfigError::BudgetTooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn remembered_tunings_equal_fresh_ones() {
+        // Alternating and repeated parameter sets: each call either reuses
+        // or replaces the one remembered result.
+        let a = (64, 512, 16.0, 1e6);
+        let b = (64, 8192, 16.0, 1e6);
+        for (i, (d, n, bpk, r)) in [a, b, a, a, b, b, a].into_iter().enumerate() {
+            let remembered = TuningAdvisor::tune_for(d, n, bpk, r).unwrap();
+            let fresh = TuningAdvisor::new(AdvisorParams::new(d, n, bpk, r))
+                .tune()
+                .unwrap();
+            assert_eq!(remembered.config, fresh.config, "call {i}: n = {n}");
+            assert_eq!(remembered.objective, fresh.objective, "call {i}");
+        }
+        // A rejected budget is remembered as the same error.
+        for _ in 0..2 {
+            assert_eq!(
+                TuningAdvisor::tune_for(64, 10, 1.0, 100.0).unwrap_err(),
+                TuningAdvisor::new(AdvisorParams::new(64, 10, 1.0, 100.0))
+                    .tune()
+                    .unwrap_err()
+            );
+        }
     }
 
     #[test]

@@ -177,6 +177,31 @@ impl BloomRfBuilder {
         Ok(cfg)
     }
 
+    /// The configuration [`FilterBuilder::build`] gives `n_keys` keys at
+    /// `bits_per_key`: this builder's own (advisor-tuned when
+    /// [`BloomRfBuilder::max_range`] is set), or the basic one when the
+    /// advisor rejects the budget / range combination. The one recipe behind
+    /// every table filter and every filter-tree level of the LSM store.
+    pub fn config_for(&self, n_keys: usize, bits_per_key: f64) -> BloomRfConfig {
+        let sized = self
+            .clone()
+            .expected_keys(n_keys.max(1))
+            .bits_per_key(bits_per_key);
+        let valid = |builder: &Self| {
+            let config = builder.resolve_config(64)?;
+            config.validate()?;
+            Ok::<_, ConfigError>(config)
+        };
+        valid(&sized).unwrap_or_else(|_| {
+            // The advisor can reject extreme budget/range combinations the
+            // basic construction still handles; never fail the flush path.
+            let mut basic = sized;
+            basic.max_range = None;
+            basic.config = None;
+            valid(&basic).expect("basic bloomRF construction cannot fail for valid budgets")
+        })
+    }
+
     /// Instantiate an empty filter from a resolved configuration.
     fn build_with_domain(&self, default_domain: u32) -> Result<BloomRf, ConfigError> {
         BloomRf::with_config(self.resolve_config(default_domain)?)
@@ -349,20 +374,8 @@ impl FilterBuilder for BloomRfBuilder {
     }
 
     fn build(&self, keys: &[u64], bits_per_key: f64) -> BloomRf {
-        let sized = self
-            .clone()
-            .expected_keys(keys.len().max(1))
-            .bits_per_key(bits_per_key);
-        let filter = sized.clone().build().unwrap_or_else(|_| {
-            // The advisor can reject extreme budget/range combinations the
-            // basic construction still handles; never fail the flush path.
-            let mut basic = sized;
-            basic.max_range = None;
-            basic.config = None;
-            basic
-                .build()
-                .expect("basic bloomRF construction cannot fail for valid budgets")
-        });
+        let filter = BloomRf::with_config(self.config_for(keys.len(), bits_per_key))
+            .expect("a resolved configuration is valid");
         filter.insert_batch(keys);
         filter
     }

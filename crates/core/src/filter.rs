@@ -119,12 +119,18 @@ enum RangeInit {
 /// the key when tested, so they are probed but never prefetched.
 const PROBE_WINDOW: usize = 16;
 
+/// How many keys ahead [`BloomRf::insert_batch`] prefetches on a filter that
+/// is not cache-resident. Each set is an atomic read-modify-write, which on
+/// x86 waits for its own miss; prefetches are not held back by it.
+const INSERT_PREFETCH_AHEAD: usize = 8;
+
 /// One key's probe positions under one filter configuration:
-/// [`BloomRf::contains_point`] split into its hashing
-/// ([`BloomRf::point_probe_into`]), prefetching ([`BloomRf::prefetch_probe`])
-/// and testing ([`BloomRf::contains_probe`]) steps, so that a caller probing
-/// one key against many filters of the *same* configuration — the sibling
-/// nodes of a filter-tree level — hashes it once and requests every filter's
+/// [`BloomRf::contains_point`] split into its setup
+/// ([`BloomRf::point_probe_into`]), prefetching ([`BloomRf::prefetch_exact`],
+/// [`BloomRf::prefetch_probe`]) and testing ([`BloomRf::exact_admits`],
+/// [`BloomRf::contains_probe`]) steps, so that a caller probing one key
+/// against many filters of the *same* configuration — the sibling nodes of a
+/// filter-tree level — hashes it at most once and requests every filter's
 /// cache lines before testing any. Plain data meant for the stack; reuse one
 /// across keys.
 ///
@@ -139,6 +145,10 @@ pub struct PointProbe {
     in_domain: bool,
     /// Exact-layer bit; read only when the configuration has an exact layer.
     exact: u64,
+    /// `true` once the layer positions are in `slots`: the first
+    /// [`BloomRf::prefetch_probe`] computes them, so a key the exact layer
+    /// rejects everywhere is never hashed.
+    hashed: bool,
     /// Slots filled, layer by layer and replica by replica.
     len: usize,
     /// `(segment, bit)` per position: testing needs no walk of the layers.
@@ -264,7 +274,10 @@ impl BloomRf {
 
     /// Insert a batch of keys, grouping the writes *per layer*: one pass
     /// computes and sets every position of a layer before the next layer is
-    /// touched, so each segment region stays hot for the whole batch.
+    /// touched, so each segment region stays hot for the whole batch. A
+    /// filter too large to be cache-resident (`overlap_probes`) requests the
+    /// cache line of the position a few keys ahead before each atomic set,
+    /// so the sets' misses overlap instead of serializing.
     ///
     /// Equivalent to calling [`BloomRf::insert`] for every key. Panics if any
     /// key is outside the configured domain (checked before any bit is set).
@@ -284,8 +297,14 @@ impl BloomRf {
         for layer in &self.layers {
             let seg = &self.segments[layer.segment];
             for h in &layer.hashers {
-                for &key in keys {
-                    seg.set(h.bit_position(key, layer.word_count) as usize);
+                let position = |key: u64| h.bit_position(key, layer.word_count) as usize;
+                for (i, &key) in keys.iter().enumerate() {
+                    if self.overlap_probes {
+                        if let Some(&ahead) = keys.get(i + INSERT_PREFETCH_AHEAD) {
+                            seg.prefetch_bit(position(ahead));
+                        }
+                    }
+                    seg.set(position(key));
                 }
             }
         }
@@ -360,20 +379,25 @@ impl BloomRf {
         true
     }
 
-    /// Compute `key`'s probe positions under this filter's configuration into
-    /// `probe`, overwriting it: the hashing step of
-    /// [`BloomRf::contains_point`]. See [`PointProbe`] for which filters may
-    /// test the result.
+    /// Start `key`'s probe under this filter's configuration in `probe`,
+    /// overwriting it: the domain check and the exact-layer bit. The layer
+    /// positions — the hashing step of [`BloomRf::contains_point`] — are
+    /// computed by the first [`BloomRf::prefetch_probe`] of the probe. See
+    /// [`PointProbe`] for which filters may test the result.
     pub fn point_probe_into(&self, key: u64, probe: &mut PointProbe) {
         probe.key = key;
         probe.in_domain = key <= self.config.max_key();
+        probe.hashed = false;
         probe.len = 0;
-        if !probe.in_domain {
-            return;
-        }
-        if let Some(e) = self.config.exact_level {
+        if let (true, Some(e)) = (probe.in_domain, self.config.exact_level) {
             probe.exact = shr(key, e);
         }
+    }
+
+    /// Fill `probe`'s slots with its key's layer positions.
+    fn hash_probe(&self, probe: &mut PointProbe) {
+        let key = probe.key;
+        probe.hashed = true;
         let hashers = self
             .layers
             .iter()
@@ -387,12 +411,39 @@ impl BloomRf {
         }
     }
 
-    /// Request the cache line of every position `probe` holds, exact-layer
-    /// bit first, without reading any: a scheduling hint for a following
-    /// [`BloomRf::contains_probe`].
-    pub fn prefetch_probe(&self, probe: &PointProbe) {
+    /// Request the cache line of `probe`'s exact-layer bit only (nothing
+    /// without an exact layer): the hint for a following
+    /// [`BloomRf::exact_admits`].
+    pub fn prefetch_exact(&self, probe: &PointProbe) {
+        if let (true, Some(exact)) = (probe.in_domain, &self.exact) {
+            exact.prefetch_bit(probe.exact as usize);
+        }
+    }
+
+    /// The exact layer's verdict on `probe`, the first test
+    /// [`BloomRf::contains_probe`] makes: `false` for a key outside the
+    /// domain or with its exact-layer bit clear — then `contains_probe` is
+    /// `false` too — and `true` otherwise, or without an exact layer. One
+    /// cache line decides it, so a caller probing many filters can drop the
+    /// rejected ones before fetching any layer position of the rest.
+    pub fn exact_admits(&self, probe: &PointProbe) -> bool {
+        probe.in_domain
+            && self
+                .exact
+                .as_ref()
+                .map_or(true, |exact| exact.get(probe.exact as usize))
+    }
+
+    /// Request the cache line of every position of `probe`, exact-layer bit
+    /// first, without reading any: a scheduling hint for a following
+    /// [`BloomRf::contains_probe`]. The first call on a probe computes its
+    /// layer positions.
+    pub fn prefetch_probe(&self, probe: &mut PointProbe) {
         if !probe.in_domain {
             return;
+        }
+        if !probe.hashed {
+            self.hash_probe(probe);
         }
         if let Some(exact) = &self.exact {
             exact.prefetch_bit(probe.exact as usize);
@@ -406,25 +457,22 @@ impl BloomRf {
     /// [`BloomRf::contains_point`] gives for the key `probe` was computed
     /// from, on any filter whose configuration computed it.
     pub fn contains_probe(&self, probe: &PointProbe) -> bool {
-        if !probe.in_domain {
+        if !self.exact_admits(probe) {
             return false;
-        }
-        if let Some(exact) = &self.exact {
-            if !exact.get(probe.exact as usize) {
-                return false;
-            }
         }
         let inline = probe.slots[..probe.len]
             .iter()
             .all(|&(segment, bit)| self.segments[segment].get(bit));
-        // A full window may have positions past it: compute and test those.
+        // Positions not in the slots — all of them before the first
+        // `prefetch_probe`, those past a full window after it — are computed
+        // and tested here.
         inline
-            && (probe.len < PROBE_WINDOW
+            && (probe.hashed && probe.len < PROBE_WINDOW
                 || self
                     .layers
                     .iter()
                     .flat_map(|layer| layer.hashers.iter().map(move |h| (layer, h)))
-                    .skip(PROBE_WINDOW)
+                    .skip(probe.len)
                     .all(|(layer, h)| {
                         let bit = h.bit_position(probe.key, layer.word_count) as usize;
                         self.segments[layer.segment].get(bit)
@@ -1408,6 +1456,9 @@ impl PointRangeFilter for BloomRf {
     fn serialize(&self) -> Option<Vec<u8>> {
         Some(self.to_bytes())
     }
+    fn as_bloomrf(&self) -> Option<&BloomRf> {
+        Some(self)
+    }
 }
 
 impl OnlineFilter for BloomRf {
@@ -1828,6 +1879,24 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn insert_batch_sets_the_per_key_bits_on_both_sides_of_the_crossover() {
+        // Above the crossover the batch insert prefetches ahead; the bits it
+        // sets must not change.
+        let layers = BloomRfConfig::basic(64, 1000, 14.0, 7).unwrap().layers;
+        let keys: Vec<u64> = (0..3000u64).map(crate::hashing::mix64).collect();
+        for bits in [KERNEL_MIN_FILTER_BITS - 64, KERNEL_MIN_FILTER_BITS] {
+            let cfg = BloomRfConfig::new(64, layers.clone(), vec![bits], None, 7).unwrap();
+            let single = BloomRf::builder().config(cfg.clone()).build().unwrap();
+            let batched = BloomRf::builder().config(cfg).build().unwrap();
+            for &k in &keys {
+                single.insert(k);
+            }
+            batched.insert_batch(&keys);
+            assert_eq!(single.snapshot_bits(), batched.snapshot_bits(), "{bits}");
+        }
     }
 
     #[test]

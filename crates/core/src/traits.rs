@@ -53,6 +53,13 @@ pub trait PointRangeFilter: Send + Sync {
     fn serialize(&self) -> Option<Vec<u8>> {
         None
     }
+
+    /// The filter as a [`crate::BloomRf`], when it is one, so an aggregate
+    /// (a Bloofi tree node) can union its bits with
+    /// [`crate::BloomRf::merge_from`] instead of re-hashing its keys.
+    fn as_bloomrf(&self) -> Option<&crate::BloomRf> {
+        None
+    }
 }
 
 /// A filter that supports *concurrent* online insertion through a shared

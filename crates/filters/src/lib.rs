@@ -35,7 +35,7 @@ pub use rosetta::{RosettaBuilder, RosettaFilter, RosettaVariant};
 pub use surf::{SurfBuilder, SurfFilter, SurfMode};
 
 use bloomrf::traits::{FilterBuilder, PointRangeFilter};
-use bloomrf::BloomRf;
+use bloomrf::{BloomRf, BloomRfBuilder};
 
 /// A dynamically-dispatched filter family, used by the LSM substrate and the
 /// benchmark harness to sweep over all competitors uniformly.
@@ -86,18 +86,17 @@ impl FilterKind {
         }
     }
 
-    /// Does the family support meaningful (non-conservative) range filtering?
-    pub fn supports_ranges(&self) -> bool {
-        matches!(
-            self,
-            FilterKind::BloomRf { .. }
-                | FilterKind::BloomRfBasic
-                | FilterKind::Rosetta { .. }
-                | FilterKind::Surf
-                | FilterKind::SurfHash
-                | FilterKind::PrefixBloom { .. }
-                | FilterKind::FencePointers
-        )
+    /// The [`BloomRfBuilder`] recipe of the two bloomRF families, `None` for
+    /// every other family: advisor-tuned at `max_range` (falling back to
+    /// the basic filter when the advisor cannot tune for it), or basic. Its
+    /// [`BloomRfBuilder::config_for`] is the configuration [`FilterKind::build`]
+    /// gives a key set of a given size.
+    pub fn bloomrf_builder(&self) -> Option<BloomRfBuilder> {
+        match *self {
+            FilterKind::BloomRf { max_range } => Some(BloomRf::builder().max_range(max_range)),
+            FilterKind::BloomRfBasic => Some(BloomRf::builder()),
+            _ => None,
+        }
     }
 
     /// Build a filter of this family over `keys` with roughly `bits_per_key`
@@ -106,9 +105,7 @@ impl FilterKind {
     /// Every family — bloomRF included — routes through its
     /// [`FilterBuilder`] impl, so this is a dynamic dispatch table over the
     /// per-family builders rather than a second construction path. The
-    /// bloomRF arms use the unified [`bloomrf::BloomRfBuilder`] (which falls
-    /// back to the basic filter when the advisor cannot tune for the
-    /// requested range).
+    /// bloomRF arms use [`FilterKind::bloomrf_builder`].
     pub fn build(&self, keys: &[u64], bits_per_key: f64) -> Box<dyn PointRangeFilter> {
         fn boxed<B: FilterBuilder>(
             builder: B,
@@ -121,10 +118,12 @@ impl FilterKind {
             Box::new(builder.build(keys, bits_per_key))
         }
         match *self {
-            FilterKind::BloomRf { max_range } => {
-                boxed(BloomRf::builder().max_range(max_range), keys, bits_per_key)
-            }
-            FilterKind::BloomRfBasic => boxed(BloomRf::builder(), keys, bits_per_key),
+            FilterKind::BloomRf { .. } | FilterKind::BloomRfBasic => boxed(
+                self.bloomrf_builder()
+                    .expect("a bloomRF family has a recipe"),
+                keys,
+                bits_per_key,
+            ),
             FilterKind::Rosetta { max_range } => boxed(
                 RosettaBuilder {
                     max_range,
@@ -194,10 +193,6 @@ mod tests {
     fn labels_and_capabilities() {
         assert_eq!(FilterKind::Bloom.label(), "Bloom");
         assert_eq!(FilterKind::BloomRf { max_range: 1.0 }.label(), "bloomRF");
-        assert!(!FilterKind::Bloom.supports_ranges());
-        assert!(!FilterKind::Cuckoo.supports_ranges());
-        assert!(FilterKind::Surf.supports_ranges());
-        assert!(FilterKind::Rosetta { max_range: 2 }.supports_ranges());
         assert_eq!(FilterKind::point_range_filters(1024).len(), 3);
     }
 

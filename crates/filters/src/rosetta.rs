@@ -52,7 +52,7 @@ impl RosettaFilter {
     }
 
     /// As [`RosettaFilter::new`] with an explicit domain width.
-    pub fn with_domain(
+    fn with_domain(
         domain_bits: u32,
         n_keys: usize,
         bits_per_key: f64,
@@ -111,11 +111,6 @@ impl RosettaFilter {
             max_level,
             domain_bits,
         }
-    }
-
-    /// Highest dyadic level maintained.
-    pub fn max_level(&self) -> u32 {
-        self.max_level
     }
 
     /// Insert a key: one prefix per maintained level.
@@ -248,11 +243,11 @@ mod tests {
     #[test]
     fn level_count_follows_max_range() {
         let f = RosettaFilter::new(10, 16.0, 64, RosettaVariant::FirstCut);
-        assert_eq!(f.max_level(), 6);
+        assert_eq!(f.max_level, 6);
         let f = RosettaFilter::new(10, 16.0, 2, RosettaVariant::FirstCut);
-        assert_eq!(f.max_level(), 1);
+        assert_eq!(f.max_level, 1);
         let f = RosettaFilter::new(10, 16.0, 1 << 20, RosettaVariant::FirstCut);
-        assert_eq!(f.max_level(), 20);
+        assert_eq!(f.max_level, 20);
     }
 
     #[test]

@@ -325,6 +325,11 @@ impl SsTable {
         self.filter.as_ref()
     }
 
+    /// The filter family the table was built with.
+    pub(crate) fn filter_kind(&self) -> FilterKind {
+        self.filter_kind
+    }
+
     /// Every key in the table, ascending (tombstones included), without
     /// copying any value; the filter tree (re)builds its per-SST leaf and
     /// ancestor filters from this authoritative key set.

@@ -64,8 +64,6 @@ impl SampledClock {
 pub struct IoModel {
     /// Simulated latency charged per data-block read.
     pub block_read_latency: Duration,
-    /// Simulated latency charged per filter-block load (deserialization I/O).
-    pub filter_block_latency: Duration,
 }
 
 impl Default for IoModel {
@@ -73,7 +71,6 @@ impl Default for IoModel {
         // A 4-KiB random read from a SATA SSD (the paper's 2016-era testbed).
         Self {
             block_read_latency: Duration::from_micros(100),
-            filter_block_latency: Duration::from_micros(100),
         }
     }
 }

@@ -16,15 +16,19 @@
 //!
 //! The descent is **level-synchronous**. It keeps a frontier of
 //! `(node, query)` pairs and walks it one level at a time, root first. Every
-//! node of a level shares one configuration (`level_config(h)`), which is
-//! the property Bloofi's flat variant rests on, so a point query's PMHF probe
-//! positions are computed once per level ([`BloomRf::point_probe_into`]), the
-//! cache lines of every sibling that passed its fence are requested
-//! ([`BloomRf::prefetch_probe`]) and only then is each sibling tested
-//! ([`BloomRf::contains_probe`]). The misses of one level overlap instead of
-//! queueing one after another.
+//! node of a level shares one configuration (`configs[h]`), which is the
+//! property Bloofi's flat variant rests on, so a point query's PMHF probe
+//! positions are computed at most once per level
+//! ([`BloomRf::point_probe_into`], then the first
+//! [`BloomRf::prefetch_probe`]). A level is tested in two stages, each
+//! requesting the cache lines of every sibling before testing any, so the
+//! misses of one level overlap instead of queueing one after another: the
+//! exact-layer bit of every sibling that passed its fence
+//! ([`BloomRf::prefetch_exact`], [`BloomRf::exact_admits`]), then every
+//! position of the survivors ([`BloomRf::prefetch_probe`],
+//! [`BloomRf::contains_probe`]).
 //!
-//! Two deliberate deviations from textbook Bloofi, both documented in
+//! Three deliberate deviations from textbook Bloofi, all documented in
 //! `docs/filter-tree.md`:
 //!
 //! * **Level-scaled capacity.** A node at height `h` covers up to `F^h`
@@ -33,10 +37,20 @@
 //!   choice — saturate a few levels up and stop pruning. The price is that
 //!   parent and child configurations differ, so ancestors absorb the *keys*
 //!   of a new leaf rather than bit-unioning its filter.
-//! * **Leaf adoption.** Leaves share one configuration, so when an SST's own
-//!   filter block is a bloomRF with exactly that configuration the leaf is
-//!   built by [`BloomRf::merge_from`] — Bloofi's aggregation primitive — as
-//!   a bit-for-bit union instead of re-hashing every key.
+//! * **Level tuning.** Height `h` is configured by the recipe that builds
+//!   the tables: for `FilterKind::BloomRf { max_range }` tables, the paper's
+//!   advisor at that `max_range` for `leaf_keys · F^h` keys (basic when it
+//!   cannot tune); for every other kind, the basic configuration. The first
+//!   table the tree indexes fixes the kind, and each height's configuration
+//!   is resolved once and cached, so no descent or node creation runs the
+//!   advisor. A node then prunes a range about as well as a table filter
+//!   does.
+//! * **Leaf adoption.** A table built for `leaf_keys` keys by that recipe
+//!   has exactly the leaf configuration, so its leaf is built by
+//!   [`BloomRf::merge_from`] — Bloofi's aggregation primitive — as a
+//!   bit-for-bit union of the table's filter instead of re-hashing every
+//!   key. Any other table (a compaction output of another size, a table of
+//!   another kind) is re-hashed.
 //!
 //! Each node also keeps its subtree's min/max key as a fence, pruning
 //! out-of-range queries before any hash is computed (free ZoneMap-style
@@ -51,7 +65,8 @@
 //! The tree is derived state and is never persisted: opening a store builds
 //! it from the recovered tables ([`FilterTree::build_from_ssts`]).
 
-use bloomrf::{BloomRf, BloomRfConfig, ConfigError, PointProbe};
+use bloomrf::{BloomRf, BloomRfConfig, PointProbe};
+use bloomrf_filters::FilterKind;
 
 use crate::persist;
 use crate::sst::SsTable;
@@ -153,6 +168,12 @@ pub struct FilterTree {
     fanout: usize,
     leaf_keys: usize,
     bits_per_key: f64,
+    /// The filter family of the first table the tree indexed, kept for the
+    /// tree's life: it picks the recipe of every level's configuration.
+    kind: Option<FilterKind>,
+    /// `configs[h]` is the configuration shared by every node at height
+    /// `h`, resolved once ([`FilterTree::resolve_levels`]).
+    configs: Vec<BloomRfConfig>,
     /// `levels[0]` are the leaves; `levels[h][i]` covers leaves
     /// `[i·F^h, (i+1)·F^h)`. The top level is always a single root.
     levels: Vec<Vec<TreeNode>>,
@@ -166,6 +187,8 @@ impl FilterTree {
             fanout: fanout.max(2),
             leaf_keys: leaf_keys.max(1),
             bits_per_key: bits_per_key.max(1.0),
+            kind: None,
+            configs: Vec::new(),
             levels: Vec::new(),
         }
     }
@@ -176,35 +199,34 @@ impl FilterTree {
             .saturating_mul(self.fanout.saturating_pow(height as u32))
     }
 
-    /// The filter configuration shared by every node at height `h`:
-    /// basic bloomRF provisioned for [`Self::capacity`] keys.
-    fn level_config(&self, height: usize) -> Result<BloomRfConfig, ConfigError> {
-        BloomRfConfig::basic(64, self.capacity(height), self.bits_per_key, 7)
+    /// Cache the configuration of every height below `levels`, taking the
+    /// recipe from `sst` if the tree has not indexed a table yet. A
+    /// `FilterKind::BloomRf { max_range }` tree resolves height `h` exactly
+    /// as that kind builds a table of [`Self::capacity`] keys — the advisor
+    /// at `max_range`, else basic — so a flushed table's filter *is* a leaf
+    /// filter. Every other kind gets the basic configuration.
+    fn resolve_levels(&mut self, levels: usize, sst: &SsTable) {
+        let kind = *self.kind.get_or_insert(sst.filter_kind());
+        let recipe = kind.bloomrf_builder().unwrap_or_default();
+        while self.configs.len() < levels {
+            let config = recipe.config_for(self.capacity(self.configs.len()), self.bits_per_key);
+            self.configs.push(config);
+        }
     }
 
-    /// Does `filter` have exactly the configuration of height `h`? The size
-    /// test runs first, so a level filter that could not fit in the filter
-    /// at hand never reaches the config arithmetic.
-    fn has_level_config(&self, filter: &BloomRf, height: usize) -> bool {
-        self.capacity(height) as f64 * self.bits_per_key <= filter.memory_bits() as f64
-            && self
-                .level_config(height)
-                .is_ok_and(|config| config == *filter.config())
-    }
-
-    /// An empty node for height `h`.
+    /// An empty node for height `h`, whose configuration is resolved.
     fn empty_node(&self, height: usize) -> TreeNode {
-        match self
-            .level_config(height)
-            .and_then(|config| BloomRf::builder().config(config).build())
+        match BloomRf::builder()
+            .config(self.configs[height].clone())
+            .build()
         {
             Ok(filter) => TreeNode {
                 filter,
                 lo: u64::MAX,
                 hi: 0,
             },
-            // `basic` rejects only a domain outside 1..=64 or a gap outside
-            // 1..=7, and this file passes the constants 64 and 7.
+            // `BloomRfBuilder::config_for` validates every configuration it
+            // returns.
             Err(e) => unreachable!("filter tree level {height} config rejected: {e}"),
         }
     }
@@ -254,6 +276,7 @@ impl FilterTree {
             "filter tree out of sync with the SST set"
         );
         let keys = sst.keys();
+        self.resolve_levels(required_levels(prior + 1, self.fanout), sst);
         if self.levels.is_empty() {
             self.levels.push(Vec::new());
         }
@@ -312,17 +335,17 @@ impl FilterTree {
     }
 
     /// Build the leaf node for one SST. When the SST's own filter block is a
-    /// bloomRF with exactly the leaf configuration, the leaf is its
-    /// bit-for-bit union via [`BloomRf::merge_from`]; otherwise the keys are
-    /// re-hashed into a fresh filter.
+    /// bloomRF with exactly the leaf configuration — every table built by
+    /// the tree's recipe at `leaf_keys` keys — the leaf is its bit-for-bit
+    /// union via [`BloomRf::merge_from`]; otherwise the keys are re-hashed
+    /// into a fresh filter.
     fn make_leaf(&self, sst: &SsTable, keys: &[u64]) -> TreeNode {
         let mut node = self.empty_node(0);
         let adopted = sst
             .filter()
-            .serialize()
-            .and_then(|bytes| BloomRf::from_bytes(&bytes).ok())
-            .filter(|persisted| self.has_level_config(persisted, 0))
-            .is_some_and(|persisted| node.filter.merge_from(&persisted).is_ok());
+            .as_bloomrf()
+            .filter(|table| *table.config() == self.configs[0])
+            .is_some_and(|table| node.filter.merge_from(table).is_ok());
         if adopted {
             node.lo = keys.first().copied().unwrap_or(u64::MAX);
             node.hi = keys.last().copied().unwrap_or(0);
@@ -359,6 +382,9 @@ impl FilterTree {
         };
         let tail = leaves.split_off(window.end);
         leaves.truncate(window.start);
+        if let Some(sst) = ssts.first() {
+            self.resolve_levels(required_levels(ssts.len(), self.fanout), sst);
+        }
         if let Some(sst) = replacement {
             leaves.push(self.make_leaf(sst, &sst.keys()));
         }
@@ -423,8 +449,9 @@ impl FilterTree {
 
     /// Batched [`FilterTree::candidates_point`]: element `i` answers
     /// `keys[i]`. Per level, each surviving key is hashed once; every
-    /// `(node, key)` pair that passes its fence is prefetched before any is
-    /// tested.
+    /// `(node, key)` pair that passes its fence has its exact-layer bit
+    /// prefetched before any is tested, and every pair that passes that has
+    /// its remaining positions prefetched before any is tested.
     pub fn candidates_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<Vec<usize>> {
         // A lone key (every `Db::get`) keeps its probe on the stack.
         let mut one = [Lane::default()];
@@ -444,7 +471,14 @@ impl FilterTree {
                     filter.point_probe_into(keys[q], &mut lane.probe);
                     lane.height = Some(height);
                 }
-                filter.prefetch_probe(&lane.probe);
+                filter.prefetch_exact(&lane.probe);
+            }
+            // Tuned levels keep an exact layer: one cache line per pair
+            // rejects most siblings that do not hold the key, before the
+            // layer positions of the survivors are fetched.
+            frontier.retain(|&(n, q)| nodes[n].filter.exact_admits(&lanes[q].probe));
+            for &(n, q) in frontier.iter() {
+                nodes[n].filter.prefetch_probe(&mut lanes[q].probe);
             }
             frontier.retain(|&(n, q)| nodes[n].filter.contains_probe(&lanes[q].probe));
         })
@@ -787,22 +821,74 @@ mod tests {
 
     #[test]
     fn leaf_adoption_unions_matching_sst_filters() {
-        // leaf_keys == per-SST key count and the same bits/key with the
-        // basic family ⇒ the SST's own filter block has exactly the leaf
-        // configuration, so make_leaf takes the merge_from path. The leaf
-        // must be bit-identical to the re-hash path.
+        // leaf_keys == per-SST key count and the same bits/key ⇒ the SST's
+        // own filter block has exactly the leaf configuration, for the basic
+        // and the advisor-tuned family alike, so make_leaf takes the
+        // merge_from path: the leaf is the table's filter, bit for bit, and
+        // bit-identical to the re-hash path.
         let keys: Vec<u64> = (0..64u64).map(|i| i * 97).collect();
-        let sst = sst_of(&keys, FilterKind::BloomRfBasic);
-        let tree = FilterTree::new(4, keys.len(), 14.0);
-        let adopted = tree.make_leaf(&sst, &keys);
-        assert_eq!(adopted.filter.key_count(), keys.len() as u64);
-        let mut rehashed = tree.empty_node(0);
-        rehashed.absorb(&keys);
-        assert_eq!(
-            adopted.filter.snapshot_bits(),
-            rehashed.filter.snapshot_bits()
-        );
-        assert_eq!((adopted.lo, adopted.hi), (keys[0], keys[63]));
+        for kind in [
+            FilterKind::BloomRfBasic,
+            FilterKind::BloomRf { max_range: 1e6 },
+        ] {
+            let sst = sst_of(&keys, kind);
+            let mut tree = FilterTree::new(4, keys.len(), 14.0);
+            tree.resolve_levels(1, &sst);
+            let adopted = tree.make_leaf(&sst, &keys);
+            let table = sst.filter().as_bloomrf().expect("a bloomRF table");
+            assert_eq!(adopted.filter.config(), table.config(), "{kind:?}");
+            assert_eq!(adopted.filter.snapshot_bits(), table.snapshot_bits());
+            assert_eq!(adopted.filter.key_count(), keys.len() as u64);
+            let mut rehashed = tree.empty_node(0);
+            rehashed.absorb(&keys);
+            assert_eq!(
+                adopted.filter.snapshot_bits(),
+                rehashed.filter.snapshot_bits()
+            );
+            assert_eq!((adopted.lo, adopted.hi), (keys[0], keys[63]));
+        }
+    }
+
+    #[test]
+    fn level_configs_follow_the_first_tables_recipe() {
+        for kind in [
+            FilterKind::BloomRf { max_range: 1e6 },
+            FilterKind::BloomRfBasic,
+            FilterKind::Bloom,
+        ] {
+            let (mut ssts, mut tree) = build_fixture(kind);
+            assert_eq!(tree.configs.len(), tree.depth());
+            for (h, config) in tree.configs.iter().enumerate() {
+                // What a table of this kind with capacity(h) keys gets.
+                let keys: Vec<u64> = (0..tree.capacity(h) as u64).collect();
+                let table = kind.build(&keys, tree.bits_per_key);
+                let want = match table.as_bloomrf() {
+                    Some(filter) => filter.config().clone(),
+                    None => BloomRfConfig::basic(64, keys.len(), tree.bits_per_key, 7).unwrap(),
+                };
+                assert_eq!(*config, want, "{kind:?} height {h}");
+                if kind != (FilterKind::BloomRf { max_range: 1e6 }) {
+                    let basic = BloomRfConfig::basic(64, keys.len(), 14.0, 7).unwrap();
+                    assert_eq!(*config, basic, "{kind:?} keeps the basic config");
+                }
+                assert!(tree.levels[h].iter().all(|n| n.filter.config() == config));
+            }
+            // A later table of another kind keeps the tree's recipe: it is
+            // re-hashed into a leaf of the tree's configuration, and routed.
+            let cached = tree.configs.clone();
+            ssts.push(sst_of(&[50_000, 50_010], FilterKind::Bloom));
+            ssts.push(sst_of(
+                &[60_000, 60_010],
+                FilterKind::BloomRf { max_range: 1e3 },
+            ));
+            tree.push_leaf(&ssts[..13]);
+            tree.push_leaf(&ssts);
+            assert_eq!(tree.configs[..cached.len()], cached[..]);
+            let stats = ReadStats::new();
+            assert!(tree.candidates_point(50_010, &stats).contains(&12));
+            assert!(tree.candidates_range(59_990, 60_000, &stats).contains(&13));
+            assert_routes_like_a_fresh_build(&tree, &ssts);
+        }
     }
 
     #[test]

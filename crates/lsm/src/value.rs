@@ -39,15 +39,6 @@ impl Value {
             Value::Tombstone => None,
         }
     }
-
-    /// Payload length in bytes (0 for a tombstone) — used for size
-    /// accounting.
-    pub fn payload_len(&self) -> usize {
-        match self {
-            Value::Put(bytes) => bytes.len(),
-            Value::Tombstone => 0,
-        }
-    }
 }
 
 impl From<Vec<u8>> for Value {
@@ -65,12 +56,10 @@ mod tests {
         let put = Value::Put(vec![1, 2, 3]);
         assert!(!put.is_tombstone());
         assert_eq!(put.as_put(), Some(&[1u8, 2, 3][..]));
-        assert_eq!(put.payload_len(), 3);
         assert_eq!(put.clone().into_put(), Some(vec![1, 2, 3]));
         let del = Value::Tombstone;
         assert!(del.is_tombstone());
         assert_eq!(del.as_put(), None);
-        assert_eq!(del.payload_len(), 0);
         assert_eq!(del.into_put(), None);
         assert_eq!(Value::from(vec![9]), Value::Put(vec![9]));
     }

@@ -11,9 +11,9 @@
 //! only regroups pure bit reads, so any divergence from the per-key call is a
 //! bug by construction — there is no tolerance in these assertions.
 //!
-//! The split point probe (`point_probe_into` → `prefetch_probe` →
-//! `contains_probe`, which the filter tree's descent uses) is held to
-//! `contains_point` the same way.
+//! The split point probe (`point_probe_into` → `prefetch_exact` →
+//! `exact_admits` → `prefetch_probe` → `contains_probe`, which the filter
+//! tree's descent uses) is held to `contains_point` the same way.
 
 use proptest::prelude::*;
 
@@ -238,7 +238,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `point_probe_into` → (`prefetch_probe`) → `contains_probe` is
-    /// `contains_point`, including on a second filter of the same
+    /// `contains_point`, and `exact_admits` never rejects a key
+    /// `contains_point` accepts, including on a second filter of the same
     /// configuration holding other keys — the way the filter tree shares one
     /// level's probe across sibling nodes.
     #[test]
@@ -268,7 +269,9 @@ proptest! {
                         let expected = f.contains_point(k);
                         filter.point_probe_into(k, &mut probe);
                         prop_assert_eq!(f.contains_probe(&probe), expected, "key {}", k);
-                        f.prefetch_probe(&probe);
+                        f.prefetch_exact(&probe);
+                        prop_assert!(f.exact_admits(&probe) || !expected, "key {}", k);
+                        f.prefetch_probe(&mut probe);
                         prop_assert_eq!(f.contains_probe(&probe), expected, "key {}", k);
                     }
                 }

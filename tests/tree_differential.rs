@@ -214,6 +214,59 @@ fn narrow_scan_probes_only_routed_tables() {
     assert_eq!(scan.stats().ssts_pruned, 0);
 }
 
+/// The router prunes ranges as well as the tables' own filters do: its
+/// levels are tuned by the tables' recipe (the advisor at their
+/// `max_range`) and its leaves are the tables' filters, so on a
+/// `store_read`-shaped store a routed 20-row scan reads no more tables than
+/// the filter positives a scan-all store sees on the same scans.
+#[test]
+fn routed_scans_read_no_more_tables_than_scan_all_filter_positives() {
+    let store = |routing| {
+        Db::new(DbOptions {
+            memtable_flush_entries: 512,
+            bits_per_key: 16.0,
+            routing,
+            ..DbOptions::default()
+        })
+    };
+    let routed = store(ReadRouting::default());
+    let scan = store(ReadRouting::ScanAll);
+    // SplitMix64 finalizer: uniform keys, so every table spans the domain
+    // and only filters prune.
+    let mix = |i: u64| {
+        let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut keys: Vec<u64> = (0..256 * 512).map(mix).collect();
+    for &key in &keys {
+        for db in [&routed, &scan] {
+            db.put(key, [key.to_le_bytes(), (!key).to_le_bytes()].concat());
+        }
+    }
+    assert_eq!((routed.num_ssts(), scan.num_ssts()), (256, 256));
+    keys.sort_unstable();
+
+    routed.reset_stats();
+    scan.reset_stats();
+    let scans = 200u64;
+    for s in 0..scans {
+        let first = (mix(s ^ 0xA5A5) % (keys.len() as u64 - 20)) as usize;
+        let (lo, hi) = (keys[first], keys[first + 19]);
+        let rows = routed.scan(lo, hi, 100);
+        assert_eq!(rows.len(), 20, "scan {s}");
+        assert_eq!(rows, scan.scan(lo, hi, 100), "scan {s}");
+    }
+    let read = routed.stats().ssts_probed as f64 / scans as f64;
+    let positives = scan.stats().filter_positives as f64 / scans as f64;
+    assert!(
+        read <= 1.25 * positives,
+        "routed scans read {read:.1} tables per scan, scan-all's filters \
+         passed {positives:.1}"
+    );
+}
+
 /// A tombstone in a newer table shadows the older table's entry even when
 /// `limit` would have stopped a per-table scan before reaching it, under
 /// both routings.
