@@ -119,11 +119,6 @@ enum RangeInit {
 /// the key when tested, so they are probed but never prefetched.
 const PROBE_WINDOW: usize = 16;
 
-/// How many keys ahead [`BloomRf::insert_batch`] prefetches on a filter that
-/// is not cache-resident. Each set is an atomic read-modify-write, which on
-/// x86 waits for its own miss; prefetches are not held back by it.
-const INSERT_PREFETCH_AHEAD: usize = 8;
-
 /// One key's probe positions under one filter configuration:
 /// [`BloomRf::contains_point`] split into its setup
 /// ([`BloomRf::point_probe_into`]), prefetching ([`BloomRf::prefetch_exact`],
@@ -274,10 +269,7 @@ impl BloomRf {
 
     /// Insert a batch of keys, grouping the writes *per layer*: one pass
     /// computes and sets every position of a layer before the next layer is
-    /// touched, so each segment region stays hot for the whole batch. A
-    /// filter too large to be cache-resident (`overlap_probes`) requests the
-    /// cache line of the position a few keys ahead before each atomic set,
-    /// so the sets' misses overlap instead of serializing.
+    /// touched, so each segment region stays hot for the whole batch.
     ///
     /// Equivalent to calling [`BloomRf::insert`] for every key. Panics if any
     /// key is outside the configured domain (checked before any bit is set).
@@ -297,14 +289,8 @@ impl BloomRf {
         for layer in &self.layers {
             let seg = &self.segments[layer.segment];
             for h in &layer.hashers {
-                let position = |key: u64| h.bit_position(key, layer.word_count) as usize;
-                for (i, &key) in keys.iter().enumerate() {
-                    if self.overlap_probes {
-                        if let Some(&ahead) = keys.get(i + INSERT_PREFETCH_AHEAD) {
-                            seg.prefetch_bit(position(ahead));
-                        }
-                    }
-                    seg.set(position(key));
+                for &key in keys {
+                    seg.set(h.bit_position(key, layer.word_count) as usize);
                 }
             }
         }
@@ -434,19 +420,18 @@ impl BloomRf {
                 .map_or(true, |exact| exact.get(probe.exact as usize))
     }
 
-    /// Request the cache line of every position of `probe`, exact-layer bit
-    /// first, without reading any: a scheduling hint for a following
+    /// Request the cache line of every layer position of `probe` without
+    /// reading any: a scheduling hint for a following
     /// [`BloomRf::contains_probe`]. The first call on a probe computes its
-    /// layer positions.
+    /// layer positions. The exact-layer bit is not requested: its hint is
+    /// [`BloomRf::prefetch_exact`], which a caller issues before
+    /// [`BloomRf::exact_admits`] decides whether this call is worth making.
     pub fn prefetch_probe(&self, probe: &mut PointProbe) {
         if !probe.in_domain {
             return;
         }
         if !probe.hashed {
             self.hash_probe(probe);
-        }
-        if let Some(exact) = &self.exact {
-            exact.prefetch_bit(probe.exact as usize);
         }
         for &(segment, bit) in &probe.slots[..probe.len] {
             self.segments[segment].prefetch_bit(bit);
@@ -1879,24 +1864,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn insert_batch_sets_the_per_key_bits_on_both_sides_of_the_crossover() {
-        // Above the crossover the batch insert prefetches ahead; the bits it
-        // sets must not change.
-        let layers = BloomRfConfig::basic(64, 1000, 14.0, 7).unwrap().layers;
-        let keys: Vec<u64> = (0..3000u64).map(crate::hashing::mix64).collect();
-        for bits in [KERNEL_MIN_FILTER_BITS - 64, KERNEL_MIN_FILTER_BITS] {
-            let cfg = BloomRfConfig::new(64, layers.clone(), vec![bits], None, 7).unwrap();
-            let single = BloomRf::builder().config(cfg.clone()).build().unwrap();
-            let batched = BloomRf::builder().config(cfg).build().unwrap();
-            for &k in &keys {
-                single.insert(k);
-            }
-            batched.insert_batch(&keys);
-            assert_eq!(single.snapshot_bits(), batched.snapshot_bits(), "{bits}");
-        }
     }
 
     #[test]

@@ -117,13 +117,10 @@ impl FilterKind {
         {
             Box::new(builder.build(keys, bits_per_key))
         }
+        if let Some(builder) = self.bloomrf_builder() {
+            return boxed(builder, keys, bits_per_key);
+        }
         match *self {
-            FilterKind::BloomRf { .. } | FilterKind::BloomRfBasic => boxed(
-                self.bloomrf_builder()
-                    .expect("a bloomRF family has a recipe"),
-                keys,
-                bits_per_key,
-            ),
             FilterKind::Rosetta { max_range } => boxed(
                 RosettaBuilder {
                     max_range,
@@ -140,6 +137,9 @@ impl FilterKind {
             }
             FilterKind::FencePointers => boxed(FencePointersBuilder, keys, bits_per_key),
             FilterKind::Cuckoo => boxed(CuckooFilterBuilder, keys, bits_per_key),
+            FilterKind::BloomRf { .. } | FilterKind::BloomRfBasic => {
+                unreachable!("built from `bloomrf_builder` above")
+            }
         }
     }
 
