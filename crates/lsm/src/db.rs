@@ -14,7 +14,9 @@
 //! Every read — [`Db::get`], [`Db::get_batch`], [`Db::scan`],
 //! [`Db::range_is_possibly_non_empty`], [`Db::range_non_empty_batch`] — has
 //! the same three steps: answer what the memtable can, ask the table set
-//! which tables are candidates for the rest, probe only those.
+//! which tables are candidates for the rest, read only those. The
+//! candidates step is the only place a table's filter is tested, so a
+//! candidate goes straight to its fences and blocks.
 //!
 //! Deletes ([`Db::delete`]) buffer a tombstone in the memtable; the tombstone
 //! flushes into the SST like any put and shadows every older version of its
@@ -163,35 +165,64 @@ struct TableSet {
 }
 
 impl TableSet {
-    /// The candidates step of every read: per query, the tables that may
-    /// answer it, ascending by age — the router's pick (`descend`), or every
-    /// table. A table that does hold a queried key is never missing (tree
-    /// filters and fences have no false negatives), so probing only the
-    /// candidates is answer-preserving. Counts the selected `(query, table)`
-    /// pairs in `ssts_probed`.
+    /// The candidates step of every read: per query, the tables whose key
+    /// range and filter admit it, ascending by age. The router's descent
+    /// (`descend`) ends in the leaves, which are the tables' filters;
+    /// scan-all tests every table's fences and filter itself (`admit`
+    /// leaves the admitted queries in the scratch). Either way each table's
+    /// filter is tested at most once per query, and a table that does hold a
+    /// queried key is never missing (filters and fences have no false
+    /// negatives), so reading only the candidates is answer-preserving.
+    /// Counts the `(query, table)` pairs the router selected in
+    /// `ssts_probed`: the candidates, or under scan-all every table.
     fn candidates(
         &self,
         n_queries: usize,
         stats: &ReadStats,
         descend: impl FnOnce(&FilterTree) -> Vec<Vec<usize>>,
+        admit: impl Fn(&SsTable, &mut SstProbeScratch),
     ) -> Vec<Vec<usize>> {
-        let candidates = match &self.router {
-            Router::All => vec![(0..self.ssts.len()).collect(); n_queries],
-            Router::Tree(tree) => descend(tree),
-        };
-        stats.record_ssts_probed(candidates.iter().map(|c| c.len() as u64).sum());
-        candidates
+        match &self.router {
+            Router::Tree(tree) => {
+                let candidates = descend(tree);
+                stats.record_ssts_probed(candidates.iter().map(|c| c.len() as u64).sum());
+                candidates
+            }
+            Router::All => {
+                let mut candidates = vec![Vec::new(); n_queries];
+                let mut scratch = SstProbeScratch::default();
+                for (table, sst) in self.ssts.iter().enumerate() {
+                    admit(sst, &mut scratch);
+                    for &q in scratch.admitted() {
+                        candidates[q].push(table);
+                    }
+                }
+                stats.record_ssts_probed((n_queries * self.ssts.len()) as u64);
+                candidates
+            }
+        }
     }
 
     /// Per key, the tables that may hold it.
     fn candidates_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<Vec<usize>> {
-        self.candidates(keys.len(), stats, |t| t.candidates_points(keys, stats))
+        self.candidates(
+            keys.len(),
+            stats,
+            |tree| tree.candidates_points(keys, stats),
+            |sst, scratch| sst.admit_points(keys, stats, scratch),
+        )
     }
 
     /// Per `[lo, hi]` range, the tables that may hold an entry — a tombstone
-    /// included — inside it. Reversed bounds select every table.
+    /// included — inside it. The tree passes reversed bounds to every
+    /// table, which reads nothing for them.
     fn candidates_ranges(&self, ranges: &[(u64, u64)], stats: &ReadStats) -> Vec<Vec<usize>> {
-        self.candidates(ranges.len(), stats, |t| t.candidates_ranges(ranges, stats))
+        self.candidates(
+            ranges.len(),
+            stats,
+            |tree| tree.candidates_ranges(ranges, stats),
+            |sst, scratch| sst.admit_ranges(ranges, stats, scratch),
+        )
     }
 
     fn candidates_point(&self, key: u64, stats: &ReadStats) -> Vec<usize> {
@@ -776,14 +807,14 @@ impl Db {
             .candidates_point(key, &self.stats)
             .into_iter()
             .rev()
-            .find_map(|i| tables.ssts[i].get(key, &self.options.io_model, &self.stats))
+            .find_map(|i| tables.ssts[i].read_point(key, &self.options.io_model, &self.stats))
             .and_then(Value::into_put)
     }
 
     /// Range scan over `[lo, hi]`, returning up to `limit` entries in key
     /// order (newest version wins for duplicate keys; deleted keys are
-    /// absent). The candidate SSTs whose filter passes `[lo, hi]` and the
-    /// memtable's rows are read in place through the store's one
+    /// absent). The candidate SSTs — those whose filter passes `[lo, hi]` —
+    /// and the memtable's rows are read in place through the store's one
     /// newest-wins merge, which stops after `limit` live rows: only those
     /// are copied.
     pub fn scan(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
@@ -795,7 +826,7 @@ impl Db {
         // Oldest first: the memtable is the newest source.
         let mut sources: Vec<Box<dyn Iterator<Item = Record> + '_>> = Vec::new();
         for i in tables.candidates_range(lo, hi, &self.stats) {
-            if let Some(rows) = tables.ssts[i].rows_in(lo, hi, &blocks_read, &self.stats) {
+            if let Some(rows) = tables.ssts[i].first_rows(lo, hi, &blocks_read, &self.stats) {
                 sources.push(Box::new(rows));
             }
         }
@@ -812,9 +843,9 @@ impl Db {
     /// Batched, multi-threaded point lookup: element `i` equals
     /// `self.get(keys[i])`. The batch is split across `threads` worker
     /// threads (`0` = one per available core); each worker consults the
-    /// memtable, routes its still-unresolved keys in one candidates step and
-    /// hands every candidate SST its keys through [`SsTable::get_many`], so
-    /// an SST filter is probed once per batch instead of once per key.
+    /// memtable, routes its still-unresolved keys in one candidates step —
+    /// which tests each table's filter once per routed key, batched — and
+    /// reads every candidate SST's blocks for the keys routed to it.
     pub fn get_batch(&self, keys: &[u64], threads: usize) -> Vec<Option<Vec<u8>>> {
         fan_out(keys, threads, |part| self.get_chunk(part))
     }
@@ -829,29 +860,14 @@ impl Db {
         let open_keys: Vec<u64> = open.iter().map(|&i| keys[i]).collect();
         let tables = self.tables.read();
         let routed = by_table(&tables.candidates_points(&open_keys, &self.stats));
-        // One set of probe buffers per worker, reused across every SST.
-        let mut scratch = SstProbeScratch::default();
-        // Newest table first; each sees only the keys routed to it that no
+        // Newest table first; each reads only the keys routed to it that no
         // newer table has answered.
         for (&table, queries) in routed.iter().rev() {
-            let unresolved: Vec<usize> = queries
-                .iter()
-                .copied()
-                .filter(|&j| out[open[j]].is_none())
-                .collect();
-            if unresolved.is_empty() {
-                continue;
-            }
-            let sub_keys: Vec<u64> = unresolved.iter().map(|&j| open_keys[j]).collect();
-            let found = tables.ssts[table].get_many_with(
-                &sub_keys,
-                &self.options.io_model,
-                &self.stats,
-                &mut scratch,
-            );
-            for (&j, value) in unresolved.iter().zip(found) {
-                if value.is_some() {
-                    out[open[j]] = value;
+            let sst = &tables.ssts[table];
+            for &j in queries {
+                let slot = &mut out[open[j]];
+                if slot.is_none() {
+                    *slot = sst.read_point(open_keys[j], &self.options.io_model, &self.stats);
                 }
             }
         }
@@ -862,8 +878,8 @@ impl Db {
 
     /// Batched, multi-threaded range-emptiness check: element `i` equals
     /// `self.range_is_possibly_non_empty(ranges[i])` (reversed bounds are an
-    /// empty interval). Same structure as [`Db::get_batch`], with each SST
-    /// filter probed once per batch via [`SsTable::range_non_empty_many_with`].
+    /// empty interval). Same structure as [`Db::get_batch`]: the candidates
+    /// step tests each table's filter once per routed range, batched.
     pub fn range_non_empty_batch(&self, ranges: &[(u64, u64)], threads: usize) -> Vec<bool> {
         fan_out(ranges, threads, |part| self.range_chunk(part))
     }
@@ -878,27 +894,17 @@ impl Db {
         let open_ranges: Vec<(u64, u64)> = open.iter().map(|&i| ranges[i]).collect();
         let tables = self.tables.read();
         let routed = by_table(&tables.candidates_ranges(&open_ranges, &self.stats));
-        // One set of probe buffers per worker, reused across every SST.
-        let mut scratch = SstProbeScratch::default();
+        let blocks_read = Cell::new(0);
         for (&table, queries) in &routed {
-            let unresolved: Vec<usize> =
-                queries.iter().copied().filter(|&j| !out[open[j]]).collect();
-            if unresolved.is_empty() {
-                continue;
-            }
-            let sub: Vec<(u64, u64)> = unresolved.iter().map(|&j| open_ranges[j]).collect();
-            let verdicts = tables.ssts[table].range_non_empty_many_with(
-                &sub,
-                &self.options.io_model,
-                &self.stats,
-                &mut scratch,
-            );
-            for (&j, hit) in unresolved.iter().zip(verdicts) {
-                if hit {
-                    out[open[j]] = true;
-                }
+            let sst = &tables.ssts[table];
+            for &j in queries {
+                let (lo, hi) = open_ranges[j];
+                let hit = &mut out[open[j]];
+                *hit = *hit || sst.first_rows(lo, hi, &blocks_read, &self.stats).is_some();
             }
         }
+        self.stats
+            .record_block_reads(blocks_read.get(), &self.options.io_model);
         out
     }
 
@@ -920,7 +926,7 @@ impl Db {
             .into_iter()
             .any(|i| {
                 tables.ssts[i]
-                    .rows_in(lo, hi, &blocks_read, &self.stats)
+                    .first_rows(lo, hi, &blocks_read, &self.stats)
                     .is_some()
             });
         self.stats

@@ -38,9 +38,8 @@ use std::path::PathBuf;
 
 use bloomrf::crc32::crc32;
 use bloomrf_filters::FilterKind;
-use bytes::Bytes;
 
-use crate::sst::Records;
+use crate::sst::{DataBlocks, Records};
 
 /// Magic bytes opening every persisted SST file.
 pub const SST_MAGIC: &[u8; 4] = b"BSST";
@@ -162,10 +161,8 @@ pub struct DecodedSst {
     pub filter_kind: FilterKind,
     /// Filter space budget the table was built with.
     pub bits_per_key: f64,
-    /// Fence pointers, one per block.
-    pub index: Vec<(u64, u64, u32)>,
-    /// The verified data blocks.
-    pub blocks: Vec<Bytes>,
+    /// The verified data blocks and their fence pointers, in one buffer.
+    pub data: DataBlocks,
     /// Every key of the table in ascending order (extracted from the verified
     /// blocks while validating them; used to rebuild the filter if needed).
     pub keys: Vec<u64>,
@@ -208,10 +205,21 @@ pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
 }
 
 pub(crate) fn push_section(out: &mut Vec<u8>, tag: u32, body: &[u8]) {
+    push_section_with(out, tag, |out| out.extend_from_slice(body));
+}
+
+/// [`push_section`] whose body `write` appends straight to `out`, so the
+/// body is never staged in a buffer of its own.
+fn push_section_with(out: &mut Vec<u8>, tag: u32, write: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
+    let len_at = out.len();
+    out.extend_from_slice(&0u64.to_le_bytes());
+    let body = out.len();
+    write(out);
+    let len = (out.len() - body) as u64;
+    out[len_at..body].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[body..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Read `tag | len | body | crc` at `*cur`, verifying the tag, that the
@@ -331,17 +339,21 @@ pub(crate) fn decode_filter_kind(tag: u8, param: u64) -> Result<FilterKind, Corr
 
 /// Serialize an SST into the `BSST` v2 file format. `filter_bytes` is the
 /// persisted filter block ([`bloomrf::traits::PointRangeFilter::serialize`]),
-/// `None` for families that are rebuilt on recovery.
+/// `None` for families that are rebuilt on recovery. Every section is
+/// written straight into the one output buffer, sized up front.
 pub(crate) fn encode_sst(
-    blocks: &[Bytes],
-    index: &[(u64, u64, u32)],
+    blocks: &DataBlocks,
     num_entries: usize,
     key_range: (u64, u64),
     filter_kind: FilterKind,
     bits_per_key: f64,
     filter_bytes: Option<&[u8]>,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
+    // Preamble, four section frames, meta, the index's and the data's
+    // counts and per-block fields, the filter's presence flag and length.
+    let framing = 8 + 4 * 16 + 41 + 4 + 20 * blocks.len() + 4 + 4 * blocks.len() + 9;
+    let mut out =
+        Vec::with_capacity(framing + blocks.data_len() + filter_bytes.map_or(0, <[u8]>::len));
     out.extend_from_slice(SST_MAGIC);
     out.extend_from_slice(&SST_FORMAT_VERSION.to_le_bytes());
 
@@ -355,42 +367,42 @@ pub(crate) fn encode_sst(
     meta.extend_from_slice(&bits_per_key.to_bits().to_le_bytes());
     push_section(&mut out, SECTION_META, &meta);
 
-    let mut idx = Vec::new();
-    idx.extend_from_slice(&(index.len() as u32).to_le_bytes());
-    for &(first, last, count) in index {
-        idx.extend_from_slice(&first.to_le_bytes());
-        idx.extend_from_slice(&last.to_le_bytes());
-        idx.extend_from_slice(&count.to_le_bytes());
-    }
-    push_section(&mut out, SECTION_INDEX, &idx);
+    push_section_with(&mut out, SECTION_INDEX, |idx| {
+        idx.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+        let fences = blocks.first_keys().iter().zip(blocks.last_keys());
+        for ((first, last), block) in fences.zip(blocks.iter()) {
+            idx.extend_from_slice(&first.to_le_bytes());
+            idx.extend_from_slice(&last.to_le_bytes());
+            // A block opens with its entry count.
+            idx.extend_from_slice(&le_u32(block).to_le_bytes());
+        }
+    });
 
-    let mut data = Vec::new();
-    data.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-    for block in blocks {
-        data.extend_from_slice(&(block.len() as u32).to_le_bytes());
-        data.extend_from_slice(block);
-    }
-    push_section(&mut out, SECTION_DATA, &data);
+    push_section_with(&mut out, SECTION_DATA, |data| {
+        data.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+        for block in blocks.iter() {
+            data.extend_from_slice(&(block.len() as u32).to_le_bytes());
+            data.extend_from_slice(block);
+        }
+    });
 
-    let mut filter = Vec::new();
-    match filter_bytes {
+    push_section_with(&mut out, SECTION_FILTER, |filter| match filter_bytes {
         Some(bytes) => {
             filter.push(1);
             filter.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
             filter.extend_from_slice(bytes);
         }
         None => filter.push(0),
-    }
-    push_section(&mut out, SECTION_FILTER, &filter);
+    });
     out
 }
 
 /// Parse one data block through the readers' own cursor ([`Records`]),
 /// verifying every length against the input and that keys are strictly
-/// ascending. Returns the keys and how many entries are tombstones (meta
-/// bit 31 set, length bits zero, no payload). Never panics and never
-/// allocates beyond the input size.
-fn check_block(data: &[u8], block_idx: usize) -> Result<(Vec<u64>, usize), Corruption> {
+/// ascending. Appends the keys to `keys` and returns how many entries are
+/// tombstones (meta bit 31 set, length bits zero, no payload). Never panics
+/// and never allocates beyond the input size.
+fn check_block(data: &[u8], block_idx: usize, keys: &mut Vec<u64>) -> Result<usize, Corruption> {
     let corrupt = |what: String| Corruption::new("data", format!("block {block_idx} {what}"));
     let mut records = Records::new(data);
     let count = records.left as usize;
@@ -399,19 +411,20 @@ fn check_block(data: &[u8], block_idx: usize) -> Result<(Vec<u64>, usize), Corru
     if count > records.rest.len() / 12 {
         return Err(corrupt(format!("declares {count} entries, more than fit")));
     }
-    let mut keys = Vec::with_capacity(count);
-    let mut tombstones = 0usize;
+    keys.reserve(count);
+    let (mut prev, mut read, mut tombstones) = (None, 0usize, 0usize);
     for (key, payload) in records.by_ref() {
-        if keys.last().is_some_and(|&prev| prev >= key) {
+        if prev.is_some_and(|prev| prev >= key) {
             return Err(corrupt("keys are not strictly ascending".into()));
         }
         tombstones += usize::from(payload.is_none());
         keys.push(key);
+        prev = Some(key);
+        read += 1;
     }
     if records.left != 0 {
         return Err(corrupt(format!(
-            "record {} is truncated or is a tombstone with non-zero length bits",
-            keys.len()
+            "record {read} is truncated or is a tombstone with non-zero length bits"
         )));
     }
     if !records.rest.is_empty() {
@@ -420,7 +433,7 @@ fn check_block(data: &[u8], block_idx: usize) -> Result<(Vec<u64>, usize), Corru
             records.rest.len()
         )));
     }
-    Ok((keys, tombstones))
+    Ok(tombstones)
 }
 
 /// Decode and fully verify a `BSST` file: magic, version, per-section
@@ -428,7 +441,8 @@ fn check_block(data: &[u8], block_idx: usize) -> Result<(Vec<u64>, usize), Corru
 /// meta, index and blocks. On success the returned [`DecodedSst`] is safe to
 /// serve reads from without further checks — except the filter, whose
 /// corruption is survivable and reported via [`DecodedSst::filter_damaged`]
-/// rather than failing the decode.
+/// rather than failing the decode. Each block is verified in place and
+/// copied once, into the table's one data buffer.
 pub fn decode_sst(bytes: &[u8]) -> Result<DecodedSst, Corruption> {
     let magic = bytes
         .get(0..4)
@@ -477,13 +491,6 @@ pub fn decode_sst(bytes: &[u8]) -> Result<DecodedSst, Corruption> {
             format!("declared {n_blocks} fence pointers, section size disagrees"),
         ));
     }
-    let mut index = Vec::with_capacity(n_blocks);
-    for _ in 0..n_blocks {
-        let first = take_u64(idx, &mut i, "index")?;
-        let last = take_u64(idx, &mut i, "index")?;
-        let count = take_u32(idx, &mut i, "index")?;
-        index.push((first, last, count));
-    }
 
     let data = take_section(bytes, &mut cur, SECTION_DATA, "data")?;
     let mut d = 0usize;
@@ -494,10 +501,15 @@ pub fn decode_sst(bytes: &[u8]) -> Result<DecodedSst, Corruption> {
             format!("{declared_blocks} blocks, index has {n_blocks} fence pointers"),
         ));
     }
-    let mut blocks = Vec::with_capacity(n_blocks.min(data.len() / 4));
+    // Every block costs at least its 4-byte length: the count bounds
+    // nothing beyond the input.
+    let mut blocks = DataBlocks::with_capacity(data.len() - d, n_blocks.min(data.len() / 4));
     let mut keys: Vec<u64> = Vec::new();
     let mut num_tombstones = 0usize;
-    for (block_idx, &(first, last, count)) in index.iter().enumerate() {
+    for block_idx in 0..n_blocks {
+        let first = take_u64(idx, &mut i, "index")?;
+        let last = take_u64(idx, &mut i, "index")?;
+        let count = take_u32(idx, &mut i, "index")?;
         let len = take_u32(data, &mut d, "data")? as usize;
         if len > data.len() - d {
             return Err(Corruption::new(
@@ -507,20 +519,21 @@ pub fn decode_sst(bytes: &[u8]) -> Result<DecodedSst, Corruption> {
         }
         let block = &data[d..d + len];
         d += len;
-        let (block_keys, block_tombstones) = check_block(block, block_idx)?;
-        num_tombstones += block_tombstones;
+        let before = keys.len();
+        num_tombstones += check_block(block, block_idx, &mut keys)?;
+        let (older, block_keys) = keys.split_at(before);
         let matches_index = block_keys.len() == count as usize
             && block_keys.first() == Some(&first)
             && block_keys.last() == Some(&last)
-            && keys.last().map_or(true, |&prev| prev < first);
+            && older.last().map_or(true, |&prev| prev < first);
         if !matches_index {
             return Err(Corruption::new(
                 "data",
                 format!("block {block_idx} disagrees with its fence pointer"),
             ));
         }
-        keys.extend_from_slice(&block_keys);
-        blocks.push(Bytes::copy_from_slice(block));
+        blocks.buffer().extend_from_slice(block);
+        blocks.seal(first, last);
     }
     if d != data.len() {
         return Err(Corruption::new("data", "trailing bytes in data section"));
@@ -589,8 +602,7 @@ pub fn decode_sst(bytes: &[u8]) -> Result<DecodedSst, Corruption> {
         key_range: (key_lo, key_hi),
         filter_kind,
         bits_per_key,
-        index,
-        blocks,
+        data: blocks,
         keys,
         filter_bytes,
         filter_damaged,
@@ -775,6 +787,16 @@ mod tests {
         assert_eq!(cur, 2);
     }
 
+    /// The blocks `(first, last, bytes)`, in one buffer.
+    fn data_blocks(blocks: &[(u64, u64, &[u8])]) -> DataBlocks {
+        let mut data = DataBlocks::with_capacity(0, 0);
+        for &(first, last, block) in blocks {
+            data.buffer().extend_from_slice(block);
+            data.seal(first, last);
+        }
+        data
+    }
+
     fn sample_sst_bytes() -> Vec<u8> {
         // Two blocks of two entries each.
         let mk_block = |entries: &[(u64, &[u8])]| {
@@ -785,14 +807,13 @@ mod tests {
                 b.extend_from_slice(&(v.len() as u32).to_le_bytes());
                 b.extend_from_slice(v);
             }
-            Bytes::from(b)
+            b
         };
-        let blocks = vec![
-            mk_block(&[(10, b"aa"), (20, b"bb")]),
-            mk_block(&[(30, b"cc"), (40, b"dd")]),
-        ];
-        let index = vec![(10, 20, 2), (30, 40, 2)];
-        encode_sst(&blocks, &index, 4, (10, 40), FilterKind::Bloom, 12.0, None)
+        let blocks = data_blocks(&[
+            (10, 20, &mk_block(&[(10, b"aa"), (20, b"bb")])),
+            (30, 40, &mk_block(&[(30, b"cc"), (40, b"dd")])),
+        ]);
+        encode_sst(&blocks, 4, (10, 40), FilterKind::Bloom, 12.0, None)
     }
 
     #[test]
@@ -804,7 +825,10 @@ mod tests {
         assert_eq!(decoded.keys, vec![10, 20, 30, 40]);
         assert_eq!(decoded.filter_kind, FilterKind::Bloom);
         assert_eq!(decoded.bits_per_key, 12.0);
-        assert_eq!(decoded.index, vec![(10, 20, 2), (30, 40, 2)]);
+        assert_eq!(decoded.data.first_keys(), [10, 30]);
+        assert_eq!(decoded.data.last_keys(), [20, 40]);
+        let counts: Vec<u32> = decoded.data.iter().map(le_u32).collect();
+        assert_eq!(counts, [2, 2]);
         assert!(decoded.filter_bytes.is_none());
         assert!(!decoded.filter_damaged);
     }
@@ -945,22 +969,20 @@ mod tests {
         b.extend_from_slice(&30u64.to_le_bytes());
         b.extend_from_slice(&2u32.to_le_bytes());
         b.extend_from_slice(b"cc");
-        let blocks = vec![Bytes::from(b)];
-        let index = vec![(10, 30, 3)];
-        let bytes = encode_sst(&blocks, &index, 3, (10, 30), FilterKind::Bloom, 12.0, None);
+        let blocks = data_blocks(&[(10, 30, &b)]);
+        let bytes = encode_sst(&blocks, 3, (10, 30), FilterKind::Bloom, 12.0, None);
         let decoded = decode_sst(&bytes).unwrap();
         assert_eq!(decoded.num_entries, 3);
         assert_eq!(decoded.num_tombstones, 1);
         assert_eq!(decoded.keys, vec![10, 20, 30]);
 
         // A tombstone with non-zero length bits is corrupt.
-        let mut bad_block = blocks[0].to_vec();
+        let mut bad_block = b.clone();
         // meta of the tombstone entry sits after count(4) + key(8) + meta(4)
         // + "aa"(2) + key(8) = offset 26.
         bad_block[26..30].copy_from_slice(&(TOMBSTONE_FLAG | 1).to_le_bytes());
         let bad = encode_sst(
-            &[Bytes::from(bad_block)],
-            &index,
+            &data_blocks(&[(10, 30, &bad_block)]),
             3,
             (10, 30),
             FilterKind::Bloom,

@@ -15,13 +15,15 @@
 //! routes to the table holding the tombstone instead of falling through to an
 //! older version.
 
-use bloomrf::traits::PointRangeFilter;
+use bloomrf::traits::{FilterBuilder, PointRangeFilter};
+use bloomrf::BloomRf;
 use bloomrf_filters::FilterKind;
-use bytes::{BufMut, Bytes};
+use bytes::BufMut;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::iter::Peekable;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::persist::{self, Corruption, TOMBSTONE_FLAG};
@@ -118,7 +120,8 @@ where
 /// freely between point and range calls.
 #[derive(Default)]
 pub struct SstProbeScratch {
-    /// Indices of the batch elements that survive the fence check.
+    /// Indices of the batch elements that survive the fence check, then
+    /// those the filter admits too.
     selected: Vec<usize>,
     /// Keys handed to the filter (point path).
     probe_keys: Vec<u64>,
@@ -128,14 +131,140 @@ pub struct SstProbeScratch {
     verdicts: Vec<bool>,
 }
 
+impl SstProbeScratch {
+    /// The batch elements the last [`SsTable::admit_points`] /
+    /// [`SsTable::admit_ranges`] admitted, ascending.
+    pub(crate) fn admitted(&self) -> &[usize] {
+        &self.selected
+    }
+
+    /// Record the filter's verdicts on the selected elements and keep only
+    /// the positive ones.
+    fn keep_positives(&mut self, stats: &ReadStats, nanos: u64) {
+        let positives = self.verdicts.iter().filter(|&&v| v).count();
+        stats.record_filter_probes(
+            positives as u64,
+            (self.verdicts.len() - positives) as u64,
+            nanos,
+        );
+        let mut verdicts = self.verdicts.iter();
+        self.selected.retain(|_| verdicts.next() == Some(&true));
+    }
+}
+
+/// A table's data blocks in one buffer, with their fence pointers: block
+/// `i` is `data[offsets[i]..offsets[i + 1]]` and holds the keys
+/// `first_keys[i]..=last_keys[i]`. Building, encoding and decoding a table
+/// append to and read from this one buffer, so a table is one data
+/// allocation however many blocks it has.
+#[derive(Debug)]
+pub struct DataBlocks {
+    /// Every block, back to back.
+    data: Vec<u8>,
+    /// Where each block starts in `data`, then `data.len()`.
+    offsets: Vec<usize>,
+    /// First key of each block.
+    first_keys: Vec<u64>,
+    /// Last key of each block.
+    last_keys: Vec<u64>,
+}
+
+impl DataBlocks {
+    /// Room for `blocks` blocks of `bytes` bytes in total.
+    pub(crate) fn with_capacity(bytes: usize, blocks: usize) -> Self {
+        let mut offsets = Vec::with_capacity(blocks + 1);
+        offsets.push(0);
+        Self {
+            data: Vec::with_capacity(bytes),
+            offsets,
+            first_keys: Vec::with_capacity(blocks),
+            last_keys: Vec::with_capacity(blocks),
+        }
+    }
+
+    /// Number of blocks.
+    pub(crate) fn len(&self) -> usize {
+        self.first_keys.len()
+    }
+
+    /// First key of each block.
+    pub(crate) fn first_keys(&self) -> &[u64] {
+        &self.first_keys
+    }
+
+    /// Last key of each block.
+    pub(crate) fn last_keys(&self) -> &[u64] {
+        &self.last_keys
+    }
+
+    /// Block `i`'s bytes: `count (u32) | (key | meta | payload)*`.
+    pub(crate) fn block(&self, i: usize) -> &[u8] {
+        &self.data[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Every block, in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        (0..self.len()).map(|i| self.block(i))
+    }
+
+    /// Total size of the blocks in bytes.
+    pub(crate) fn data_len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// The buffer the next block is appended to; [`DataBlocks::seal`]
+    /// closes it.
+    pub(crate) fn buffer(&mut self) -> &mut Vec<u8> {
+        &mut self.data
+    }
+
+    /// Close the bytes appended since the last seal as the next block,
+    /// holding the keys `first..=last`.
+    pub(crate) fn seal(&mut self, first: u64, last: u64) {
+        self.offsets.push(self.data.len());
+        self.first_keys.push(first);
+        self.last_keys.push(last);
+    }
+}
+
+/// A table's filter, shared: the filter tree's leaf for the table holds the
+/// same allocation, so the descent's leaf stage is the table's filter test
+/// (see [`crate::tree`]).
+pub(crate) enum TableFilter {
+    /// A bloomRF filter, kept typed so the tree can test it with the probe
+    /// it shares across a level.
+    BloomRf(Arc<BloomRf>),
+    /// Any other family.
+    Other(Arc<dyn PointRangeFilter>),
+}
+
+impl TableFilter {
+    /// What [`FilterKind::build`] builds, kept typed for bloomRF: both
+    /// bloomRF families build through their [`FilterKind::bloomrf_builder`].
+    fn build(kind: FilterKind, keys: &[u64], bits_per_key: f64) -> Self {
+        match kind.bloomrf_builder() {
+            Some(builder) => {
+                Self::BloomRf(Arc::new(FilterBuilder::build(&builder, keys, bits_per_key)))
+            }
+            None => Self::Other(Arc::from(kind.build(keys, bits_per_key))),
+        }
+    }
+
+    /// The filter, whatever its family.
+    pub(crate) fn as_dyn(&self) -> &dyn PointRangeFilter {
+        match self {
+            Self::BloomRf(filter) => filter.as_ref(),
+            Self::Other(filter) => filter.as_ref(),
+        }
+    }
+}
+
 /// One immutable sorted run with a filter block.
 pub struct SsTable {
-    /// Serialized data blocks.
-    blocks: Vec<Bytes>,
-    /// `(first_key, last_key, entry_count)` per block.
-    index: Vec<(u64, u64, u32)>,
+    /// The data blocks and their fence pointers.
+    blocks: DataBlocks,
     /// The filter covering every key of the table (tombstones included).
-    filter: Box<dyn PointRangeFilter>,
+    filter: TableFilter,
     /// Smallest and largest key of the table.
     key_range: (u64, u64),
     num_entries: usize,
@@ -167,9 +296,9 @@ impl SsTable {
     }
 
     /// Stream ascending, unique records into a table, or `None` when there
-    /// are none. Each block is filled in one reused buffer and sealed every
-    /// `entries_per_block` records, so each payload is copied into exactly
-    /// one block; the keys are collected for the filter.
+    /// are none. Every block is written straight into the table's one data
+    /// buffer and sealed every `entries_per_block` records, so each payload
+    /// is copied exactly once; the keys are collected for the filter.
     pub(crate) fn from_records<'a>(
         records: impl IntoIterator<Item = Record<'a>>,
         entries_per_block: usize,
@@ -177,14 +306,17 @@ impl SsTable {
         bits_per_key: f64,
     ) -> Option<Self> {
         let mut records = records.into_iter().peekable();
-        let mut keys: Vec<u64> = Vec::with_capacity(records.size_hint().0);
-        let (mut blocks, mut index, mut block) = (Vec::new(), Vec::new(), Vec::new());
+        let n_hint = records.size_hint().0;
+        let entries_per_block = entries_per_block.max(1);
+        let mut keys: Vec<u64> = Vec::with_capacity(n_hint);
+        let mut blocks = DataBlocks::with_capacity(0, n_hint.div_ceil(entries_per_block));
         let mut num_tombstones = 0usize;
         while let Some(&(first, _)) = records.peek() {
-            block.clear();
+            let block = blocks.buffer();
+            let start = block.len();
             block.put_u32_le(0);
             let mut count = 0u32;
-            for (key, payload) in records.by_ref().take(entries_per_block.max(1)) {
+            for (key, payload) in records.by_ref().take(entries_per_block) {
                 debug_assert!(
                     keys.last().map_or(true, |&last| last < key),
                     "records must be sorted and unique"
@@ -207,17 +339,15 @@ impl SsTable {
                 }
                 count += 1;
             }
-            block[..4].copy_from_slice(&count.to_le_bytes());
-            index.push((first, *keys.last()?, count));
-            blocks.push(Bytes::copy_from_slice(&block));
+            block[start..start + 4].copy_from_slice(&count.to_le_bytes());
+            blocks.seal(first, *keys.last()?);
         }
 
         let start = Instant::now();
-        let filter = filter_kind.build(&keys, bits_per_key);
+        let filter = TableFilter::build(filter_kind, &keys, bits_per_key);
         let filter_build_time = start.elapsed();
         Some(Self {
             blocks,
-            index,
             filter,
             key_range: (*keys.first()?, *keys.last()?),
             num_entries: keys.len(),
@@ -233,10 +363,9 @@ impl SsTable {
     /// families with a wire format — the filter block itself, each section
     /// protected by a CRC-32 checksum.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let filter_bytes = self.filter.serialize();
+        let filter_bytes = self.filter.as_dyn().serialize();
         persist::encode_sst(
             &self.blocks,
-            &self.index,
             self.num_entries,
             self.key_range,
             self.filter_kind,
@@ -257,29 +386,26 @@ impl SsTable {
     pub fn from_bytes(bytes: &[u8], stats: &ReadStats) -> Result<Self, Corruption> {
         let decoded = persist::decode_sst(bytes)?;
         let start = Instant::now();
-        let rebuild = |quarantined: bool| -> Box<dyn PointRangeFilter> {
+        let rebuild = |quarantined: bool| {
             if quarantined {
                 stats.record_filter_quarantined();
             }
             stats.record_filter_rebuilt();
-            decoded
-                .filter_kind
-                .build(&decoded.keys, decoded.bits_per_key)
+            TableFilter::build(decoded.filter_kind, &decoded.keys, decoded.bits_per_key)
         };
-        let filter: Box<dyn PointRangeFilter> = if decoded.filter_damaged {
+        let filter = if decoded.filter_damaged {
             rebuild(true)
         } else {
             match &decoded.filter_bytes {
-                Some(fb) => match bloomrf::BloomRf::from_bytes(fb) {
-                    Ok(f) => Box::new(f),
+                Some(fb) => match BloomRf::from_bytes(fb) {
+                    Ok(f) => TableFilter::BloomRf(Arc::new(f)),
                     Err(_) => rebuild(true),
                 },
                 None => rebuild(false),
             }
         };
         Ok(Self {
-            blocks: decoded.blocks,
-            index: decoded.index,
+            blocks: decoded.data,
             filter,
             key_range: decoded.key_range,
             num_entries: decoded.num_entries,
@@ -312,7 +438,7 @@ impl SsTable {
 
     /// Size of the filter block in bits.
     pub fn filter_bits(&self) -> usize {
-        self.filter.memory_bits()
+        self.filter.as_dyn().memory_bits()
     }
 
     /// Wall-clock time spent constructing the filter block.
@@ -322,7 +448,12 @@ impl SsTable {
 
     /// The filter itself (for experiments probing filters directly).
     pub fn filter(&self) -> &dyn PointRangeFilter {
-        self.filter.as_ref()
+        self.filter.as_dyn()
+    }
+
+    /// The filter as the handle the filter tree's leaf shares.
+    pub(crate) fn shared_filter(&self) -> &TableFilter {
+        &self.filter
     }
 
     /// The filter family the table was built with.
@@ -331,8 +462,8 @@ impl SsTable {
     }
 
     /// Every key in the table, ascending (tombstones included), without
-    /// copying any value; the filter tree (re)builds its per-SST leaf and
-    /// ancestor filters from this authoritative key set.
+    /// copying any value; the filter tree builds its inner nodes from this
+    /// authoritative key set.
     pub(crate) fn keys(&self) -> Vec<u64> {
         self.records().map(|(key, _)| key).collect()
     }
@@ -340,7 +471,7 @@ impl SsTable {
     /// Every record of the table, ascending, read in place: the compaction
     /// merge's input.
     pub(crate) fn records(&self) -> impl Iterator<Item = Record<'_>> {
-        self.blocks.iter().flat_map(|block| Records::new(block))
+        self.blocks.iter().flat_map(Records::new)
     }
 
     /// Point lookup through the filter, index and data blocks. A hit on a
@@ -351,17 +482,18 @@ impl SsTable {
             return None;
         }
         let clock = SampledClock::start(Clock::FilterProbe);
-        let positive = self.filter.may_contain(key);
+        let positive = self.filter.as_dyn().may_contain(key);
         stats.record_filter_probe(positive, clock.estimate_ns());
         if !positive {
             return None;
         }
-        self.lookup_after_filter(key, io, stats)
+        self.read_point(key, io, stats)
     }
 
-    /// Fence walk + in-place block search for a key the filter answered
-    /// positively; only a matching payload is copied.
-    fn lookup_after_filter(&self, key: u64, io: &IoModel, stats: &ReadStats) -> Option<Value> {
+    /// Fence walk + in-place block search for a key whose filter test has
+    /// passed — here, or in the candidates step of a `Db` read; only a
+    /// matching payload is copied.
+    pub(crate) fn read_point(&self, key: u64, io: &IoModel, stats: &ReadStats) -> Option<Value> {
         let blocks_read = Cell::new(0);
         let rows = self.first_rows(key, key, &blocks_read, stats);
         let result = rows
@@ -369,6 +501,65 @@ impl SsTable {
             .map(|(_, payload)| to_value(payload));
         stats.record_block_reads(blocks_read.get(), io);
         result
+    }
+
+    /// The fence and filter steps of a batched point read: leaves in
+    /// `scratch` ([`SstProbeScratch::admitted`]) the indices of the keys
+    /// inside the table's key range that its filter admits, probing the
+    /// filter once for the whole batch via
+    /// [`PointRangeFilter::may_contain_batch_into`] and recording every
+    /// test.
+    pub(crate) fn admit_points(
+        &self,
+        keys: &[u64],
+        stats: &ReadStats,
+        scratch: &mut SstProbeScratch,
+    ) {
+        scratch.selected.clear();
+        scratch.selected.extend(
+            (0..keys.len()).filter(|&i| keys[i] >= self.key_range.0 && keys[i] <= self.key_range.1),
+        );
+        if scratch.selected.is_empty() {
+            return;
+        }
+        scratch.probe_keys.clear();
+        scratch
+            .probe_keys
+            .extend(scratch.selected.iter().map(|&i| keys[i]));
+        let clock = SampledClock::start(Clock::FilterProbe);
+        self.filter
+            .as_dyn()
+            .may_contain_batch_into(&scratch.probe_keys, &mut scratch.verdicts);
+        scratch.keep_positives(stats, clock.estimate_ns());
+    }
+
+    /// The range counterpart of [`SsTable::admit_points`]: the ranges that
+    /// overlap the table's key range (reversed bounds never do) and that
+    /// its filter admits, through
+    /// [`PointRangeFilter::may_contain_range_batch_into`].
+    pub(crate) fn admit_ranges(
+        &self,
+        ranges: &[(u64, u64)],
+        stats: &ReadStats,
+        scratch: &mut SstProbeScratch,
+    ) {
+        scratch.selected.clear();
+        scratch.selected.extend((0..ranges.len()).filter(|&i| {
+            let (lo, hi) = ranges[i];
+            lo <= hi && hi >= self.key_range.0 && lo <= self.key_range.1
+        }));
+        if scratch.selected.is_empty() {
+            return;
+        }
+        scratch.probe_ranges.clear();
+        scratch
+            .probe_ranges
+            .extend(scratch.selected.iter().map(|&i| ranges[i]));
+        let clock = SampledClock::start(Clock::FilterProbe);
+        self.filter
+            .as_dyn()
+            .may_contain_range_batch_into(&scratch.probe_ranges, &mut scratch.verdicts);
+        scratch.keep_positives(stats, clock.estimate_ns());
     }
 
     /// Batched point lookup: probes the filter once for the whole batch via
@@ -389,28 +580,9 @@ impl SsTable {
         scratch: &mut SstProbeScratch,
     ) -> Vec<Option<Value>> {
         let mut out: Vec<Option<Value>> = vec![None; keys.len()];
-        scratch.selected.clear();
-        scratch.selected.extend(
-            (0..keys.len()).filter(|&i| keys[i] >= self.key_range.0 && keys[i] <= self.key_range.1),
-        );
-        if scratch.selected.is_empty() {
-            return out;
-        }
-        scratch.probe_keys.clear();
-        scratch
-            .probe_keys
-            .extend(scratch.selected.iter().map(|&i| keys[i]));
-        let clock = SampledClock::start(Clock::FilterProbe);
-        self.filter
-            .may_contain_batch_into(&scratch.probe_keys, &mut scratch.verdicts);
-        // Charge the batch probe time evenly across its probes so the
-        // per-probe statistics stay comparable with the sequential path.
-        let per_probe_ns = clock.estimate_ns() / scratch.probe_keys.len().max(1) as u64;
-        for (&i, &positive) in scratch.selected.iter().zip(scratch.verdicts.iter()) {
-            stats.record_filter_probe(positive, per_probe_ns);
-            if positive {
-                out[i] = self.lookup_after_filter(keys[i], io, stats);
-            }
+        self.admit_points(keys, stats, scratch);
+        for &i in scratch.admitted() {
+            out[i] = self.read_point(keys[i], io, stats);
         }
         out
     }
@@ -431,32 +603,13 @@ impl SsTable {
         scratch: &mut SstProbeScratch,
     ) -> Vec<bool> {
         let mut out = vec![false; ranges.len()];
-        scratch.selected.clear();
-        scratch.selected.extend((0..ranges.len()).filter(|&i| {
+        self.admit_ranges(ranges, stats, scratch);
+        let blocks_read = Cell::new(0);
+        for &i in scratch.admitted() {
             let (lo, hi) = ranges[i];
-            lo <= hi && hi >= self.key_range.0 && lo <= self.key_range.1
-        }));
-        if scratch.selected.is_empty() {
-            return out;
-        }
-        scratch.probe_ranges.clear();
-        scratch
-            .probe_ranges
-            .extend(scratch.selected.iter().map(|&i| ranges[i]));
-        let clock = SampledClock::start(Clock::FilterProbe);
-        self.filter
-            .may_contain_range_batch_into(&scratch.probe_ranges, &mut scratch.verdicts);
-        let per_probe_ns = clock.estimate_ns() / scratch.probe_ranges.len().max(1) as u64;
-        for (&i, &positive) in scratch.selected.iter().zip(scratch.verdicts.iter()) {
-            stats.record_filter_probe(positive, per_probe_ns);
-            if !positive {
-                continue;
-            }
-            let (lo, hi) = ranges[i];
-            let blocks_read = Cell::new(0);
             out[i] = self.first_rows(lo, hi, &blocks_read, stats).is_some();
-            stats.record_block_reads(blocks_read.get(), io);
         }
+        stats.record_block_reads(blocks_read.get(), io);
         out
     }
 
@@ -472,12 +625,18 @@ impl SsTable {
         io: &IoModel,
         stats: &ReadStats,
     ) -> Vec<(u64, Value)> {
+        if hi < self.key_range.0 || lo > self.key_range.1 || lo > hi {
+            return Vec::new();
+        }
+        let clock = SampledClock::start(Clock::FilterProbe);
+        let positive = self.filter.as_dyn().may_contain_range(lo, hi);
+        stats.record_filter_probe(positive, clock.estimate_ns());
+        if !positive {
+            return Vec::new();
+        }
         let blocks_read = Cell::new(0);
-        let rows = self
-            .rows_in(lo, hi, &blocks_read, stats)
-            .into_iter()
-            .flatten();
-        let out = rows
+        let rows = self.first_rows(lo, hi, &blocks_read, stats);
+        let out = (rows.into_iter().flatten())
             .take(limit)
             .map(|(key, payload)| (key, to_value(payload)))
             .collect();
@@ -485,48 +644,31 @@ impl SsTable {
         out
     }
 
-    /// The per-table step of every range read: the key-range check, the
-    /// filter probe, then [`SsTable::first_rows`]. `None` when the table
-    /// holds no record in `[lo, hi]`.
-    pub(crate) fn rows_in<'a>(
-        &'a self,
-        lo: u64,
-        hi: u64,
-        blocks_read: &'a Cell<u64>,
-        stats: &ReadStats,
-    ) -> Option<Peekable<impl Iterator<Item = Record<'a>> + 'a>> {
-        if hi < self.key_range.0 || lo > self.key_range.1 || lo > hi {
-            return None;
-        }
-        let clock = SampledClock::start(Clock::FilterProbe);
-        let positive = self.filter.may_contain_range(lo, hi);
-        stats.record_filter_probe(positive, clock.estimate_ns());
-        if !positive {
-            return None;
-        }
-        self.first_rows(lo, hi, blocks_read, stats)
-    }
-
-    /// The records of `[lo, hi]` after a positive filter probe, read in
+    /// The records of `[lo, hi]` after a positive filter test, read in
     /// place from the blocks the fences admit, once the search has found the
     /// first; `None`, counted as a false positive, when there is none (a
-    /// found tombstone is a *true* positive). `blocks_read` counts the blocks
-    /// reached: callers charge it after the search, as an atomic add ahead
-    /// of the block loads would hold them back.
-    fn first_rows<'a>(
+    /// found tombstone is a *true* positive). Reversed bounds are empty and
+    /// no false positive. `blocks_read` counts the blocks reached: callers
+    /// charge it after the search, as an atomic add ahead of the block loads
+    /// would hold them back.
+    pub(crate) fn first_rows<'a>(
         &'a self,
         lo: u64,
         hi: u64,
         blocks_read: &'a Cell<u64>,
         stats: &ReadStats,
     ) -> Option<Peekable<impl Iterator<Item = Record<'a>> + 'a>> {
+        if lo > hi {
+            return None;
+        }
         let clock = SampledClock::start(Clock::Cpu);
-        let first = self.index.partition_point(|&(_, last, _)| last < lo);
-        let mut rows = (self.index[first..].iter().zip(&self.blocks[first..]))
-            .take_while(move |&(&(first_key, _, _), _)| first_key <= hi)
-            .flat_map(move |(_, block)| {
+        let blocks = &self.blocks;
+        let first = blocks.last_keys.partition_point(|&last| last < lo);
+        let mut rows = (first..blocks.len())
+            .take_while(move |&i| blocks.first_keys[i] <= hi)
+            .flat_map(move |i| {
                 blocks_read.set(blocks_read.get() + 1);
-                Records::new(block)
+                Records::new(blocks.block(i))
             })
             .skip_while(move |&(key, _)| key < lo)
             .take_while(move |&(key, _)| key <= hi)
@@ -541,7 +683,7 @@ impl SsTable {
 
     /// Total serialized size of the data blocks in bytes.
     pub fn data_bytes(&self) -> usize {
-        self.blocks.iter().map(|b| b.len()).sum()
+        self.blocks.data_len()
     }
 }
 

@@ -117,13 +117,15 @@ pub struct ReadStats {
     /// Filter-tree node probes executed during query routing (one per
     /// `(node, query)` pair the descent visited, fence checks included).
     pub tree_probes: AtomicU64,
-    /// `(query, SST)` probe pairs skipped because the filter tree pruned the
-    /// SST before its own filter block was ever consulted. Each pruned pair
-    /// is an *implicit true negative* — see
+    /// `(query, SST)` pairs the filter tree pruned: an inner node, the
+    /// table's key fence or the table's own filter — the tree's leaf, whose
+    /// tests also count in `filter_probes` — rejected the query. Each
+    /// pruned pair is an *implicit true negative* — see
     /// [`ReadStatsSnapshot::effective_fpr`].
     pub ssts_pruned: AtomicU64,
-    /// `(query, SST)` probe pairs the router selected for probing (tree
-    /// routing: the surviving candidates; scan-all: every live SST).
+    /// `(query, SST)` pairs the router selected (tree routing: the
+    /// candidates, whose filters passed; scan-all: every live SST, whose
+    /// fences and filter the candidates step then tests).
     pub ssts_probed: AtomicU64,
     /// Filter-tree rebuild events: one per compaction splice, which rebuilds
     /// the inner levels around the merged leaf. Building the tree when a
@@ -188,6 +190,15 @@ impl ReadStats {
         } else {
             add(&self.filter_negatives, 1);
         }
+    }
+
+    /// Record a batch of filter probes at once: `positives` answered
+    /// "maybe", `negatives` "no", taking `nanos` in total.
+    pub(crate) fn record_filter_probes(&self, positives: u64, negatives: u64, nanos: u64) {
+        add(&self.filter_probes, positives + negatives);
+        add(&self.filter_positives, positives);
+        add(&self.filter_negatives, negatives);
+        add(&self.filter_probe_ns, nanos);
     }
 
     /// Record `blocks` simulated block reads under the given model.

@@ -45,12 +45,16 @@
 //!   is resolved once and cached, so no descent or node creation runs the
 //!   advisor. A node then prunes a range about as well as a table filter
 //!   does.
-//! * **Leaf adoption.** A table built for `leaf_keys` keys by that recipe
-//!   has exactly the leaf configuration, so its leaf is built by
-//!   [`BloomRf::merge_from`] — Bloofi's aggregation primitive — as a
-//!   bit-for-bit union of the table's filter instead of re-hashing every
-//!   key. Any other table (a compaction output of another size, a table of
-//!   another kind) is re-hashed.
+//! * **Leaves are the tables' filters.** A leaf holds its table's own
+//!   filter, shared (an [`Arc`]), never a copy: the descent's leaf stage
+//!   *is* the table-filter test, so a routed read tests each table's filter
+//!   once and goes from a candidate straight to its fences and blocks. A
+//!   table built by the tree's recipe for `leaf_keys` keys has exactly the
+//!   leaf configuration `configs[0]`, so its leaf is tested with the probe
+//!   the leaf level shares; any other table (a compaction output of another
+//!   size, a table of another kind) is tested through its own
+//!   [`PointRangeFilter`] methods. Which case a leaf is gets decided once,
+//!   when it is pushed.
 //!
 //! Each node also keeps its subtree's min/max key as a fence, pruning
 //! out-of-range queries before any hash is computed (free ZoneMap-style
@@ -65,12 +69,15 @@
 //! The tree is derived state and is never persisted: opening a store builds
 //! it from the recovered tables ([`FilterTree::build_from_ssts`]).
 
+use std::sync::Arc;
+
+use bloomrf::traits::PointRangeFilter;
 use bloomrf::{BloomRf, BloomRfConfig, PointProbe};
 use bloomrf_filters::FilterKind;
 
 use crate::persist;
-use crate::sst::SsTable;
-use crate::stats::ReadStats;
+use crate::sst::{SsTable, TableFilter};
+use crate::stats::{Clock, ReadStats, SampledClock};
 
 /// One entry of the descent frontier: (node index within the level being
 /// visited, query index within the caller's batch).
@@ -128,7 +135,7 @@ impl Default for TreeOptions {
     }
 }
 
-/// One tree node: a bloomRF filter over every key in the node's leaf span,
+/// One inner node: a bloomRF filter over every key in the node's leaf span,
 /// plus the span's min/max key fence.
 struct TreeNode {
     filter: BloomRf,
@@ -150,6 +157,68 @@ impl TreeNode {
     }
 }
 
+/// How the descent tests a leaf, decided when the leaf is pushed.
+enum LeafFilter {
+    /// A bloomRF table filter of exactly the leaf configuration: tested
+    /// with the probe the leaf level shares, like an inner node.
+    Level(Arc<BloomRf>),
+    /// Any other table filter: tested through its own methods.
+    Own(Arc<dyn PointRangeFilter>),
+}
+
+/// One leaf: its table's own filter and key range.
+struct Leaf {
+    filter: LeafFilter,
+    lo: u64,
+    hi: u64,
+}
+
+/// A node's filter as the descent tests it.
+#[derive(Clone, Copy)]
+enum Probe<'a> {
+    /// A filter of the level's configuration: the level's shared probe
+    /// applies.
+    Level(&'a BloomRf),
+    /// A filter of its own configuration or family.
+    Own(&'a dyn PointRangeFilter),
+}
+
+/// The nodes of the level being descended.
+#[derive(Clone, Copy)]
+enum Nodes<'a> {
+    Leaves(&'a [Leaf]),
+    Inner(&'a [TreeNode]),
+}
+
+impl<'a> Nodes<'a> {
+    /// Number of nodes.
+    fn len(self) -> usize {
+        match self {
+            Nodes::Leaves(leaves) => leaves.len(),
+            Nodes::Inner(nodes) => nodes.len(),
+        }
+    }
+
+    /// Node `n`'s key fence.
+    fn fence(self, n: usize) -> (u64, u64) {
+        match self {
+            Nodes::Leaves(leaves) => (leaves[n].lo, leaves[n].hi),
+            Nodes::Inner(nodes) => (nodes[n].lo, nodes[n].hi),
+        }
+    }
+
+    /// Node `n`'s filter.
+    fn probe(self, n: usize) -> Probe<'a> {
+        match self {
+            Nodes::Inner(nodes) => Probe::Level(&nodes[n].filter),
+            Nodes::Leaves(leaves) => match &leaves[n].filter {
+                LeafFilter::Level(filter) => Probe::Level(filter),
+                LeafFilter::Own(filter) => Probe::Own(filter.as_ref()),
+            },
+        }
+    }
+}
+
 /// Number of levels (leaves included) a tree over `n` leaves needs so that
 /// the top level is a single root: smallest `H` with `F^(H-1) >= n`.
 fn required_levels(n: usize, fanout: usize) -> usize {
@@ -163,7 +232,8 @@ fn required_levels(n: usize, fanout: usize) -> usize {
 }
 
 /// A fan-out-`F` tree of bloomRF filters over the live SST set; leaf `i`
-/// covers SST `i` in age order. See the module docs for the design.
+/// is SST `i`'s own filter, in age order. See the module docs for the
+/// design.
 pub struct FilterTree {
     fanout: usize,
     leaf_keys: usize,
@@ -172,11 +242,15 @@ pub struct FilterTree {
     /// tree's life: it picks the recipe of every level's configuration.
     kind: Option<FilterKind>,
     /// `configs[h]` is the configuration shared by every node at height
-    /// `h`, resolved once ([`FilterTree::resolve_levels`]).
+    /// `h` — at height 0, by every leaf tested with the level's probe —
+    /// resolved once ([`FilterTree::resolve_levels`]).
     configs: Vec<BloomRfConfig>,
-    /// `levels[0]` are the leaves; `levels[h][i]` covers leaves
-    /// `[i·F^h, (i+1)·F^h)`. The top level is always a single root.
-    levels: Vec<Vec<TreeNode>>,
+    /// One leaf per table, in age order.
+    leaves: Vec<Leaf>,
+    /// `inner[h - 1]` holds the nodes at height `h ≥ 1`; `inner[h - 1][i]`
+    /// covers leaves `[i·F^h, (i+1)·F^h)`. The top level is always a single
+    /// root.
+    inner: Vec<Vec<TreeNode>>,
 }
 
 impl FilterTree {
@@ -189,7 +263,8 @@ impl FilterTree {
             bits_per_key: bits_per_key.max(1.0),
             kind: None,
             configs: Vec::new(),
-            levels: Vec::new(),
+            leaves: Vec::new(),
+            inner: Vec::new(),
         }
     }
 
@@ -203,8 +278,8 @@ impl FilterTree {
     /// recipe from `sst` if the tree has not indexed a table yet. A
     /// `FilterKind::BloomRf { max_range }` tree resolves height `h` exactly
     /// as that kind builds a table of [`Self::capacity`] keys — the advisor
-    /// at `max_range`, else basic — so a flushed table's filter *is* a leaf
-    /// filter. Every other kind gets the basic configuration.
+    /// at `max_range`, else basic — so a flushed table's filter has the
+    /// leaf configuration. Every other kind gets the basic configuration.
     fn resolve_levels(&mut self, levels: usize, sst: &SsTable) {
         let kind = *self.kind.get_or_insert(sst.filter_kind());
         let recipe = kind.bloomrf_builder().unwrap_or_default();
@@ -231,24 +306,43 @@ impl FilterTree {
         }
     }
 
+    /// The leaf for one SST: its own filter, shared, tested with the leaf
+    /// level's probe when its configuration is the leaf configuration.
+    fn make_leaf(&self, sst: &SsTable) -> Leaf {
+        let filter = match sst.shared_filter() {
+            TableFilter::BloomRf(filter) if *filter.config() == self.configs[0] => {
+                LeafFilter::Level(Arc::clone(filter))
+            }
+            TableFilter::BloomRf(filter) => LeafFilter::Own(Arc::clone(filter) as _),
+            TableFilter::Other(filter) => LeafFilter::Own(Arc::clone(filter)),
+        };
+        let (lo, hi) = sst.key_range();
+        Leaf { filter, lo, hi }
+    }
+
     /// Number of leaves, one per SST.
     pub fn num_leaves(&self) -> usize {
-        self.levels.first().map_or(0, Vec::len)
+        self.leaves.len()
     }
 
     /// Number of levels, leaves included (0 while empty).
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        if self.leaves.is_empty() {
+            0
+        } else {
+            1 + self.inner.len()
+        }
     }
 
-    /// Total node count across all levels.
+    /// Total node count across all levels, leaves included.
     pub fn num_nodes(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        self.leaves.len() + self.inner.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// Total filter payload across all nodes, in bits.
+    /// Filter payload the tree owns, in bits: its inner nodes. The leaves
+    /// are the tables' own filters, counted by the tables.
     pub fn memory_bits(&self) -> usize {
-        self.levels
+        self.inner
             .iter()
             .flatten()
             .map(|n| n.filter.memory_bits())
@@ -258,6 +352,14 @@ impl FilterTree {
     /// The configured fan-out.
     pub fn fanout(&self) -> usize {
         self.fanout
+    }
+
+    /// The nodes at `height`.
+    fn nodes(&self, height: usize) -> Nodes<'_> {
+        match height {
+            0 => Nodes::Leaves(&self.leaves),
+            h => Nodes::Inner(&self.inner[h - 1]),
+        }
     }
 
     /// Append the leaf for the newest SST (`ssts.last()`) and fold its keys
@@ -275,30 +377,28 @@ impl FilterTree {
             prior,
             "filter tree out of sync with the SST set"
         );
-        let keys = sst.keys();
-        self.resolve_levels(required_levels(prior + 1, self.fanout), sst);
-        if self.levels.is_empty() {
-            self.levels.push(Vec::new());
-        }
-        let leaf = self.make_leaf(sst, &keys);
-        self.levels[0].push(leaf);
+        let levels = required_levels(prior + 1, self.fanout);
+        self.resolve_levels(levels, sst);
+        let leaf = self.make_leaf(sst);
+        self.leaves.push(leaf);
         // Grow a new root when the leaf count exceeds the current top's
         // span. The fresh level is seeded from every leaf already present;
         // the new leaf itself is folded in by the ancestor pass.
-        while self.levels.len() < required_levels(prior + 1, self.fanout) {
-            let mut node = self.empty_node(self.levels.len());
+        while self.depth() < levels {
+            let mut node = self.empty_node(self.depth());
             for older in older {
                 node.absorb(&older.keys());
             }
-            self.levels.push(vec![node]);
+            self.inner.push(vec![node]);
         }
-        for height in 1..self.levels.len() {
+        let keys = sst.keys();
+        for height in 1..self.depth() {
             let idx = prior / self.fanout.saturating_pow(height as u32);
-            if idx == self.levels[height].len() {
+            if idx == self.inner[height - 1].len() {
                 let node = self.empty_node(height);
-                self.levels[height].push(node);
+                self.inner[height - 1].push(node);
             }
-            self.levels[height][idx].absorb(&keys);
+            self.inner[height - 1][idx].absorb(&keys);
         }
         debug_assert_eq!(
             self.num_leaves(),
@@ -315,17 +415,13 @@ impl FilterTree {
     /// nodes that do not aggregate their children.
     fn debug_check_shape(&self) {
         debug_assert_eq!(
-            self.levels.len(),
-            if self.num_leaves() == 0 {
-                self.levels.len().min(1)
-            } else {
-                required_levels(self.num_leaves(), self.fanout)
-            },
+            self.inner.len() + 1,
+            required_levels(self.num_leaves(), self.fanout),
             "level count out of step with the leaf count"
         );
         debug_assert!(
-            (1..self.levels.len()).all(|h| {
-                self.levels[h].len()
+            (1..=self.inner.len()).all(|h| {
+                self.inner[h - 1].len()
                     == self
                         .num_leaves()
                         .div_ceil(self.fanout.saturating_pow(h as u32))
@@ -334,35 +430,14 @@ impl FilterTree {
         );
     }
 
-    /// Build the leaf node for one SST. When the SST's own filter block is a
-    /// bloomRF with exactly the leaf configuration — every table built by
-    /// the tree's recipe at `leaf_keys` keys — the leaf is its bit-for-bit
-    /// union via [`BloomRf::merge_from`]; otherwise the keys are re-hashed
-    /// into a fresh filter.
-    fn make_leaf(&self, sst: &SsTable, keys: &[u64]) -> TreeNode {
-        let mut node = self.empty_node(0);
-        let adopted = sst
-            .filter()
-            .as_bloomrf()
-            .filter(|table| *table.config() == self.configs[0])
-            .is_some_and(|table| node.filter.merge_from(table).is_ok());
-        if adopted {
-            node.lo = keys.first().copied().unwrap_or(u64::MAX);
-            node.hi = keys.last().copied().unwrap_or(0);
-        } else {
-            node.absorb(keys);
-        }
-        node
-    }
-
     /// Compaction maintenance: replace the contiguous leaf window `window`
-    /// with the single leaf for `replacement` (or nothing, when the merge
-    /// produced an empty table), keeping the tree aligned with an SST set
-    /// that was spliced the same way. `ssts` is the **post-splice** table set
-    /// in age order. Because Bloom bits cannot be deleted, every inner level
-    /// is rebuilt from the surviving leaves' keys — positions shift across a
-    /// splice, so ancestor spans change wholesale. Surviving leaf nodes are
-    /// reused bit-for-bit (no re-hash); counted as one rebuild event in
+    /// with the leaf for `replacement` (or nothing, when the merge produced
+    /// an empty table), keeping the tree aligned with an SST set that was
+    /// spliced the same way. `ssts` is the **post-splice** table set in age
+    /// order. Because Bloom bits cannot be deleted, every inner level is
+    /// rebuilt from the surviving tables' keys — positions shift across a
+    /// splice, so ancestor spans change wholesale. Leaves are the tables'
+    /// filters, so none is rebuilt; counted as one rebuild event in
     /// `tree_rebuilds`.
     pub fn retire_and_splice(
         &mut self,
@@ -375,33 +450,20 @@ impl FilterTree {
             window.start <= window.end && window.end <= self.num_leaves(),
             "retire_and_splice window out of bounds"
         );
-        let mut leaves = if self.levels.is_empty() {
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.levels[0])
-        };
-        let tail = leaves.split_off(window.end);
-        leaves.truncate(window.start);
         if let Some(sst) = ssts.first() {
             self.resolve_levels(required_levels(ssts.len(), self.fanout), sst);
         }
-        if let Some(sst) = replacement {
-            leaves.push(self.make_leaf(sst, &sst.keys()));
-        }
-        leaves.extend(tail);
+        let leaf = replacement.map(|sst| self.make_leaf(sst));
+        self.leaves.splice(window, leaf);
         assert_eq!(
-            leaves.len(),
+            self.leaves.len(),
             ssts.len(),
             "filter tree out of sync with the spliced SST set"
         );
-        let n = leaves.len();
-        self.levels = Vec::new();
-        if n > 0 {
-            self.levels.push(leaves);
-            for height in 1..required_levels(n, self.fanout) {
+        self.inner = (1..required_levels(ssts.len(), self.fanout))
+            .map(|height| {
                 let span = self.fanout.saturating_pow(height as u32);
-                let level = ssts
-                    .chunks(span)
+                ssts.chunks(span)
                     .map(|spanned| {
                         let mut node = self.empty_node(height);
                         for sst in spanned {
@@ -409,15 +471,9 @@ impl FilterTree {
                         }
                         node
                     })
-                    .collect();
-                self.levels.push(level);
-            }
-        }
-        debug_assert_eq!(
-            self.num_leaves(),
-            ssts.len(),
-            "retire_and_splice must leave one leaf per post-splice SST"
-        );
+                    .collect()
+            })
+            .collect();
         self.debug_check_shape();
         stats.record_tree_rebuild();
     }
@@ -437,10 +493,10 @@ impl FilterTree {
         tree
     }
 
-    /// Candidate SSTs for one point lookup, ascending by age. The result is
-    /// a superset of the SSTs containing `key` (filters and fences never
-    /// produce false negatives), so probing only the candidates is
-    /// answer-preserving.
+    /// Candidate SSTs for one point lookup, ascending by age: the tables
+    /// whose own filter admits `key`. The result is a superset of the SSTs
+    /// containing `key` (filters and fences never produce false negatives),
+    /// so reading only the candidates is answer-preserving.
     pub fn candidates_point(&self, key: u64, stats: &ReadStats) -> Vec<usize> {
         self.candidates_points(&[key], stats)
             .pop()
@@ -451,7 +507,8 @@ impl FilterTree {
     /// `keys[i]`. Per level, each surviving key is hashed once; every
     /// `(node, key)` pair that passes its fence has its exact-layer bit
     /// prefetched before any is tested, and every pair that passes that has
-    /// its remaining positions prefetched before any is tested.
+    /// its remaining positions prefetched before any is tested. A leaf of
+    /// its own configuration is tested in one call instead.
     pub fn candidates_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<Vec<usize>> {
         // A lone key (every `Db::get`) keeps its probe on the stack.
         let mut one = [Lane::default()];
@@ -462,25 +519,37 @@ impl FilterTree {
             many.resize(keys.len(), Lane::default());
             &mut many
         };
-        self.descend(keys.len(), stats, |height, nodes, frontier| {
-            frontier.retain(|&(n, q)| (nodes[n].lo..=nodes[n].hi).contains(&keys[q]));
+        let fence = |(lo, hi): (u64, u64), q: usize| (lo..=hi).contains(&keys[q]);
+        self.descend(keys.len(), stats, fence, |height, nodes, frontier| {
+            // Every pair is tested.
+            let tested = frontier.len();
             for &(n, q) in frontier.iter() {
-                let lane = &mut lanes[q];
-                let filter = &nodes[n].filter;
-                if lane.height != Some(height) {
-                    filter.point_probe_into(keys[q], &mut lane.probe);
-                    lane.height = Some(height);
+                if let Probe::Level(filter) = nodes.probe(n) {
+                    let lane = &mut lanes[q];
+                    if lane.height != Some(height) {
+                        filter.point_probe_into(keys[q], &mut lane.probe);
+                        lane.height = Some(height);
+                    }
+                    filter.prefetch_exact(&lane.probe);
                 }
-                filter.prefetch_exact(&lane.probe);
             }
             // Tuned levels keep an exact layer: one cache line per pair
             // rejects most siblings that do not hold the key, before the
             // layer positions of the survivors are fetched.
-            frontier.retain(|&(n, q)| nodes[n].filter.exact_admits(&lanes[q].probe));
+            frontier.retain(|&(n, q)| match nodes.probe(n) {
+                Probe::Level(filter) => filter.exact_admits(&lanes[q].probe),
+                Probe::Own(filter) => filter.may_contain(keys[q]),
+            });
             for &(n, q) in frontier.iter() {
-                nodes[n].filter.prefetch_probe(&mut lanes[q].probe);
+                if let Probe::Level(filter) = nodes.probe(n) {
+                    filter.prefetch_probe(&mut lanes[q].probe);
+                }
             }
-            frontier.retain(|&(n, q)| nodes[n].filter.contains_probe(&lanes[q].probe));
+            frontier.retain(|&(n, q)| match nodes.probe(n) {
+                Probe::Level(filter) => filter.contains_probe(&lanes[q].probe),
+                Probe::Own(_) => true,
+            });
+            tested
         })
     }
 
@@ -495,28 +564,36 @@ impl FilterTree {
 
     /// Batched [`FilterTree::candidates_range`]: element `i` answers
     /// `ranges[i]`. Each node is probed once, with every range that reached
-    /// it, through [`BloomRf::contains_range_batch_into`].
+    /// it, through [`BloomRf::contains_range_batch_into`] (a leaf of another
+    /// family through its
+    /// [`PointRangeFilter::may_contain_range_batch_into`]).
     pub fn candidates_ranges(&self, ranges: &[(u64, u64)], stats: &ReadStats) -> Vec<Vec<usize>> {
         // Reused across every node the descent visits.
         let mut probe: Vec<(u64, u64)> = Vec::new();
         let mut verdicts: Vec<bool> = Vec::new();
         let mut keep: Vec<bool> = Vec::new();
         let reversed = |q: usize| ranges[q].0 > ranges[q].1;
-        self.descend(ranges.len(), stats, |_, nodes, frontier| {
-            // Reversed bounds never prune: mirror the scan-all path.
-            frontier.retain(|&(n, q)| {
-                let (lo, hi) = ranges[q];
-                reversed(q) || (lo <= nodes[n].hi && hi >= nodes[n].lo)
-            });
+        // Reversed bounds never prune: mirror the scan-all path.
+        let fence = |(lo, hi): (u64, u64), q: usize| {
+            reversed(q) || (ranges[q].0 <= hi && ranges[q].1 >= lo)
+        };
+        self.descend(ranges.len(), stats, fence, |_, nodes, frontier| {
             keep.clear();
+            let mut tested = 0;
             for run in node_runs(frontier) {
                 probe.clear();
                 probe.extend(run.iter().filter(|p| !reversed(p.1)).map(|p| ranges[p.1]));
                 verdicts.clear();
                 if !probe.is_empty() {
-                    nodes[run[0].0]
-                        .filter
-                        .contains_range_batch_into(&probe, &mut verdicts);
+                    tested += probe.len();
+                    match nodes.probe(run[0].0) {
+                        Probe::Level(filter) => {
+                            filter.contains_range_batch_into(&probe, &mut verdicts)
+                        }
+                        Probe::Own(filter) => {
+                            filter.may_contain_range_batch_into(&probe, &mut verdicts)
+                        }
+                    }
                 }
                 let mut forward = verdicts.iter();
                 keep.extend(
@@ -526,22 +603,28 @@ impl FilterTree {
             }
             let mut keep = keep.iter();
             frontier.retain(|_| keep.next() == Some(&true));
+            tested
         })
     }
 
     /// The one descent behind every candidates call, level-synchronous from
     /// the root down. The frontier holds the `(node, query)` pairs that
-    /// reached the level, grouped by node in ascending order; `level_pass`
-    /// drops the pairs whose node rejects the query (fence, then filter), and
-    /// each surviving pair sends its query on to every child of its node.
-    /// Surviving leaves are the candidates, so each list comes out ascending.
-    /// Records `tree_probes` per pair that reached a level and `ssts_pruned`
-    /// per `(query, leaf)` pair never reached.
+    /// reached the level, grouped by node in ascending order; the pairs
+    /// whose node's key fence rejects the query are dropped, then
+    /// `filter_pass` drops those whose node's filter rejects it and returns
+    /// how many pairs it tested with a filter. Each surviving pair sends its
+    /// query on to every child of its node; surviving leaves are the
+    /// candidates, so each list comes out ascending.
+    ///
+    /// Records `tree_probes` per pair that reached a level, `ssts_pruned`
+    /// per `(query, leaf)` pair not among the candidates, and — the leaves
+    /// being the tables' filters — every leaf test as a filter probe.
     fn descend(
         &self,
         n_queries: usize,
         stats: &ReadStats,
-        mut level_pass: impl FnMut(usize, &[TreeNode], &mut Vec<Pair>),
+        fence: impl Fn((u64, u64), usize) -> bool,
+        mut filter_pass: impl FnMut(usize, Nodes<'_>, &mut Vec<Pair>) -> usize,
     ) -> Vec<Vec<usize>> {
         let mut out = vec![Vec::new(); n_queries];
         if self.num_leaves() == 0 || n_queries == 0 {
@@ -551,17 +634,37 @@ impl FilterTree {
         let mut frontier: Vec<Pair> = (0..n_queries).map(|q| (0, q)).collect();
         let mut next: Vec<Pair> = Vec::new();
         let mut probes = 0u64;
-        for height in (0..self.levels.len()).rev() {
+        for height in (0..self.depth()).rev() {
+            let nodes = self.nodes(height);
             probes += frontier.len() as u64;
-            level_pass(height, &self.levels[height], &mut frontier);
+            frontier.retain(|&(n, q)| fence(nodes.fence(n), q));
             if height == 0 {
+                if !frontier.is_empty() {
+                    // The leaves are the tables' filters.
+                    let fenced = frontier.len();
+                    let clock = SampledClock::start(Clock::FilterProbe);
+                    let tested = filter_pass(0, nodes, &mut frontier);
+                    let negatives = fenced - frontier.len();
+                    stats.record_filter_probes(
+                        (tested - negatives) as u64,
+                        negatives as u64,
+                        clock.estimate_ns(),
+                    );
+                }
                 for &(leaf, q) in &frontier {
                     out[q].push(leaf);
                 }
                 break;
             }
-            let children = self.levels[height - 1].len();
+            filter_pass(height, nodes, &mut frontier);
+            if frontier.is_empty() {
+                break;
+            }
             next.clear();
+            // Each surviving pair sends its query to at most `fanout`
+            // children: one allocation per level at most.
+            next.reserve(frontier.len() * self.fanout);
+            let children = self.nodes(height - 1).len();
             for run in node_runs(&frontier) {
                 let first = run[0].0 * self.fanout;
                 for child in first..(first + self.fanout).min(children) {
@@ -581,30 +684,35 @@ impl FilterTree {
 
     /// Encode the tree: magic + version, then
     /// `tag | length | body | crc32(body)` sections for the geometry and the
-    /// node payloads. Nothing reads these bytes back; the encoding stays only
-    /// for the benchmark adapter, which reports their length as the tree's
-    /// encoded size and times the call.
+    /// node payloads. A leaf's payload is its fence and a `0` flag: its
+    /// filter is its table's, which the tree does not own. Nothing reads
+    /// these bytes back; the encoding stays only for the benchmark adapter,
+    /// which reports their length as the tree's encoded size and times the
+    /// call.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut meta = Vec::new();
         meta.extend_from_slice(&(self.fanout as u32).to_le_bytes());
         meta.extend_from_slice(&(self.leaf_keys as u64).to_le_bytes());
         meta.extend_from_slice(&self.bits_per_key.to_bits().to_le_bytes());
         meta.extend_from_slice(&(self.num_leaves() as u64).to_le_bytes());
-        meta.extend_from_slice(&(self.levels.len() as u32).to_le_bytes());
-        for level in &self.levels {
-            meta.extend_from_slice(&(level.len() as u64).to_le_bytes());
+        meta.extend_from_slice(&(self.depth() as u32).to_le_bytes());
+        for height in 0..self.depth() {
+            meta.extend_from_slice(&(self.nodes(height).len() as u64).to_le_bytes());
         }
 
         let mut nodes = Vec::new();
-        for level in &self.levels {
-            for node in level {
-                nodes.extend_from_slice(&node.lo.to_le_bytes());
-                nodes.extend_from_slice(&node.hi.to_le_bytes());
-                nodes.push(1);
-                let filter = node.filter.to_bytes();
-                nodes.extend_from_slice(&(filter.len() as u64).to_le_bytes());
-                nodes.extend_from_slice(&filter);
-            }
+        for leaf in &self.leaves {
+            nodes.extend_from_slice(&leaf.lo.to_le_bytes());
+            nodes.extend_from_slice(&leaf.hi.to_le_bytes());
+            nodes.push(0);
+        }
+        for node in self.inner.iter().flatten() {
+            nodes.extend_from_slice(&node.lo.to_le_bytes());
+            nodes.extend_from_slice(&node.hi.to_le_bytes());
+            nodes.push(1);
+            let filter = node.filter.to_bytes();
+            nodes.extend_from_slice(&(filter.len() as u64).to_le_bytes());
+            nodes.extend_from_slice(&filter);
         }
 
         let mut out = Vec::new();
@@ -819,33 +927,69 @@ mod tests {
         assert_routes_like_a_fresh_build(&tree, &fresh);
     }
 
+    /// The address of a leaf's filter.
+    fn leaf_filter(leaf: &Leaf) -> *const u8 {
+        match &leaf.filter {
+            LeafFilter::Level(filter) => Arc::as_ptr(filter).cast(),
+            LeafFilter::Own(filter) => Arc::as_ptr(filter).cast(),
+        }
+    }
+
+    /// Every leaf is its table's own filter — the same allocation, not a
+    /// copy — and is tested with the level's probe exactly when it is a
+    /// bloomRF of the leaf configuration.
+    fn assert_leaves_are_the_tables_filters(tree: &FilterTree, ssts: &[SsTable]) {
+        assert_eq!(tree.leaves.len(), ssts.len());
+        for (i, (leaf, sst)) in tree.leaves.iter().zip(ssts).enumerate() {
+            let table: *const dyn PointRangeFilter = sst.filter();
+            assert_eq!(leaf_filter(leaf), table.cast(), "leaf {i}");
+            assert_eq!((leaf.lo, leaf.hi), sst.key_range(), "leaf {i}");
+            let level = sst
+                .filter()
+                .as_bloomrf()
+                .is_some_and(|filter| *filter.config() == tree.configs[0]);
+            assert_eq!(
+                matches!(leaf.filter, LeafFilter::Level(_)),
+                level,
+                "leaf {i}"
+            );
+        }
+    }
+
     #[test]
-    fn leaf_adoption_unions_matching_sst_filters() {
-        // leaf_keys == per-SST key count and the same bits/key ⇒ the SST's
-        // own filter block has exactly the leaf configuration, for the basic
-        // and the advisor-tuned family alike, so make_leaf takes the
-        // merge_from path: the leaf is the table's filter, bit for bit, and
-        // bit-identical to the re-hash path.
-        let keys: Vec<u64> = (0..64u64).map(|i| i * 97).collect();
-        for kind in [
+    fn leaves_are_the_tables_filters() {
+        let kinds = [
             FilterKind::BloomRfBasic,
             FilterKind::BloomRf { max_range: 1e6 },
-        ] {
-            let sst = sst_of(&keys, kind);
-            let mut tree = FilterTree::new(4, keys.len(), 14.0);
-            tree.resolve_levels(1, &sst);
-            let adopted = tree.make_leaf(&sst, &keys);
-            let table = sst.filter().as_bloomrf().expect("a bloomRF table");
-            assert_eq!(adopted.filter.config(), table.config(), "{kind:?}");
-            assert_eq!(adopted.filter.snapshot_bits(), table.snapshot_bits());
-            assert_eq!(adopted.filter.key_count(), keys.len() as u64);
-            let mut rehashed = tree.empty_node(0);
-            rehashed.absorb(&keys);
-            assert_eq!(
-                adopted.filter.snapshot_bits(),
-                rehashed.filter.snapshot_bits()
-            );
-            assert_eq!((adopted.lo, adopted.hi), (keys[0], keys[63]));
+            FilterKind::Bloom,
+            FilterKind::Rosetta { max_range: 1 << 12 },
+            FilterKind::Surf,
+            FilterKind::FencePointers,
+        ];
+        for kind in kinds {
+            let (mut ssts, mut tree) = build_fixture(kind);
+            assert_leaves_are_the_tables_filters(&tree, &ssts);
+            // A flushed bloomRF table has exactly the leaf configuration.
+            let bloomrf = kind.bloomrf_builder().is_some();
+            let level = |leaf: &Leaf| matches!(leaf.filter, LeafFilter::Level(_));
+            assert_eq!(tree.leaves.iter().all(level), bloomrf, "{kind:?}");
+
+            // A compaction output holds more keys, so a bloomRF output has
+            // another configuration: its leaf is its own filter too.
+            let merged_keys: Vec<u64> = ssts[3..7].iter().flat_map(SsTable::keys).collect();
+            let tail = ssts.split_off(7);
+            ssts.truncate(3);
+            ssts.push(sst_of(&merged_keys, kind));
+            ssts.extend(tail);
+            tree.retire_and_splice(3..7, Some(&ssts[3]), &ssts, &ReadStats::new());
+            assert_leaves_are_the_tables_filters(&tree, &ssts);
+            assert!(!level(&tree.leaves[3]), "{kind:?}");
+
+            // So is a later table of another kind.
+            ssts.push(sst_of(&[50_000, 50_010], FilterKind::Cuckoo));
+            tree.push_leaf(&ssts);
+            assert_leaves_are_the_tables_filters(&tree, &ssts);
+            assert_routes_like_a_fresh_build(&tree, &ssts);
         }
     }
 
@@ -871,10 +1015,20 @@ mod tests {
                     let basic = BloomRfConfig::basic(64, keys.len(), 14.0, 7).unwrap();
                     assert_eq!(*config, basic, "{kind:?} keeps the basic config");
                 }
-                assert!(tree.levels[h].iter().all(|n| n.filter.config() == config));
+                match h {
+                    // Leaves are the tables' filters: bloomRF tables of the
+                    // leaf configuration, or filters of another family.
+                    0 => assert!(tree.leaves.iter().all(|leaf| match &leaf.filter {
+                        LeafFilter::Level(filter) => filter.config() == config,
+                        LeafFilter::Own(_) => kind == FilterKind::Bloom,
+                    })),
+                    _ => assert!(tree.inner[h - 1]
+                        .iter()
+                        .all(|n| n.filter.config() == config)),
+                }
             }
-            // A later table of another kind keeps the tree's recipe: it is
-            // re-hashed into a leaf of the tree's configuration, and routed.
+            // A later table of another kind keeps the tree's recipe: its
+            // leaf is its own filter, and it is routed.
             let cached = tree.configs.clone();
             ssts.push(sst_of(&[50_000, 50_010], FilterKind::Bloom));
             ssts.push(sst_of(

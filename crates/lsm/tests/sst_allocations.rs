@@ -1,9 +1,11 @@
-//! The SST read path copies only what it returns, and compaction allocates
-//! in proportion to its output. A thread-local counting global allocator
-//! pins both: a point hit allocates exactly its value, a miss allocates
-//! nothing, a range check allocates only its verdict vector, a scan only its
-//! output vector and the rows in it, and a compaction at most a small
-//! multiple of the table it writes.
+//! The SST read path copies only what it returns, compaction allocates in
+//! proportion to its output, and a table is one data buffer. A thread-local
+//! counting global allocator pins all three: a point hit allocates exactly
+//! its value, a miss allocates nothing, a range check allocates only its
+//! verdict vector, a scan only its output vector and the rows in it, a
+//! compaction at most a small multiple of the table it writes, and
+//! building, encoding or decoding a table as many buffers whatever its
+//! block count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -161,6 +163,37 @@ fn a_scan_allocates_only_its_output_and_rows() {
             "scan({lo}, {hi}, {limit}) may allocate only its output and {rows} rows"
         );
     }
+}
+
+/// The 512 entries of [`table`] in 8, 64 and 512 blocks: building each
+/// table, encoding it and decoding it back make the same number of
+/// allocations whatever the block count, because the blocks share one data
+/// buffer instead of taking one each.
+#[test]
+fn a_table_allocates_no_buffer_per_block() {
+    let entries: Vec<(u64, Value)> = (0..512u64)
+        .map(|i| (i * 10, Value::Put(vec![i as u8; 128])))
+        .collect();
+    let kind = FilterKind::BloomRf { max_range: 1e6 };
+    // The advisor remembers its tunings: only the first build pays for them.
+    SsTable::build(&entries, 8, kind, 6.0);
+    let mut blocks = Vec::new();
+    let mut counts = Vec::new();
+    for entries_per_block in [64, 8, 1] {
+        let (sst, built) = allocations(|| SsTable::build(&entries, entries_per_block, kind, 6.0));
+        let (bytes, encoded) = allocations(|| sst.to_bytes());
+        let (decoded, decoded_n) =
+            allocations(|| SsTable::from_bytes(&bytes, &ReadStats::new()).unwrap());
+        assert_eq!(decoded.num_blocks(), sst.num_blocks());
+        assert_eq!(decoded.data_bytes(), sst.data_bytes());
+        blocks.push(sst.num_blocks());
+        counts.push((built, encoded, decoded_n));
+    }
+    assert_eq!(blocks, [8, 64, 512]);
+    assert!(
+        counts.windows(2).all(|pair| pair[0] == pair[1]),
+        "(build, encode, decode) allocations at 8, 64 and 512 blocks: {counts:?}"
+    );
 }
 
 /// Eight flushed tables that each overwrite the same 512 keys with 256-byte

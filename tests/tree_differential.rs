@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use bloomrf_filters::FilterKind;
 use bloomrf_lsm::io::{FaultConfig, FaultyIo, RealIo};
-use bloomrf_lsm::{Db, DbOptions, IoModel, ReadRouting, TreeOptions};
+use bloomrf_lsm::{Db, DbOptions, IoModel, ReadRouting, ReadStatsSnapshot, TreeOptions};
 use proptest::prelude::*;
 
 /// Self-cleaning std-only temporary directory (the environment has no
@@ -420,6 +420,163 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// SplitMix64 finalizer: uniform keys, so every table spans the domain.
+fn mix(i: u64) -> u64 {
+    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Zero both stores' stats, run `read` on each and require equal answers;
+/// return both stores' stats.
+fn read_both<T: PartialEq + std::fmt::Debug>(
+    scan: &Db,
+    routed: &Db,
+    read: impl Fn(&Db) -> T,
+    context: &str,
+) -> (ReadStatsSnapshot, ReadStatsSnapshot) {
+    scan.reset_stats();
+    routed.reset_stats();
+    assert_eq!(read(routed), read(scan), "{context}");
+    (scan.stats(), routed.stats())
+}
+
+/// A routed read tests each table's filter once, in its candidates step:
+/// the descent's leaves are the tables' filters, and a candidate goes
+/// straight to its fences and blocks. The store holds flushed tables (their
+/// filters have the leaf configuration), a compaction output (another
+/// configuration) and a table of another family. The tree has one root
+/// over every leaf, so a query the root admits reaches every leaf, and the
+/// leaves whose fences admit it — the tables scan-all tests — are the leaf
+/// pairs the descent tests: `filter_probes` must equal that count, and
+/// every candidate must be one positive test.
+#[test]
+fn routed_reads_test_each_table_filter_once() {
+    let dir = TempDir::new("filter-once");
+    let store = |kind, routing| {
+        let options = DbOptions {
+            filter_kind: kind,
+            bits_per_key: 8.0,
+            ..options(64, routing)
+        };
+        Db::open_with(dir.path(), options, Arc::new(RealIo)).unwrap()
+    };
+    let bloomrf = FilterKind::BloomRf { max_range: 1e6 };
+    let keys: Vec<u64> = (0..7 * 64).map(mix).collect();
+    {
+        let db = store(bloomrf, tree_routing(64));
+        for &k in &keys[..6 * 64] {
+            db.put(k, value_for(k, 0));
+        }
+        assert_eq!(db.num_ssts(), 6);
+        let merged = db.compact_range(1..3).unwrap().unwrap();
+        assert_eq!(merged.output_entries, 128);
+    }
+    {
+        let db = store(FilterKind::Bloom, tree_routing(64));
+        for &k in &keys[6 * 64..] {
+            db.put(k, value_for(k, 0));
+        }
+        assert_eq!(db.num_ssts(), 6);
+    }
+    let scan = store(bloomrf, ReadRouting::ScanAll);
+    let routed = store(bloomrf, tree_routing(64));
+    let tables = routed.num_ssts() as u64;
+    // A few rows stay in the memtables.
+    for i in 0..8 {
+        for db in [&scan, &routed] {
+            db.put(mix(1_000 + i), value_for(i, 1));
+        }
+    }
+
+    // Present keys, absent keys (mostly rejected by the leaves) and
+    // memtable keys.
+    let probes: Vec<u64> = (keys.iter().step_by(5).copied())
+        .chain((0..120).map(|i| mix(5_000 + i)))
+        .chain((0..4).map(|i| mix(1_000 + i)))
+        .collect();
+    let mut sorted = keys.clone();
+    sorted.sort_unstable();
+    let ranges: Vec<(u64, u64)> = (sorted.iter().step_by(9))
+        .map(|&k| (k.saturating_sub(1 << 20), k.saturating_add(1 << 20)))
+        .chain((0..80).map(|i| {
+            let lo = mix(9_000 + i);
+            (lo, lo.saturating_add(1 << 30))
+        }))
+        .chain([(u64::MAX / 2, u64::MAX / 4)])
+        .collect();
+
+    // One query: the descent reached the leaves iff it visited more than
+    // the root, and then it tested the leaves scan-all tests. Reversed
+    // bounds are tested nowhere: the tree passes them to every table, which
+    // reads nothing for them.
+    let tested_once =
+        |(scan, routed): (ReadStatsSnapshot, ReadStatsSnapshot), reversed: bool, context: &str| {
+            assert!(
+                [0, 1, 1 + tables].contains(&routed.tree_probes),
+                "{context}: one root over {tables} leaves, {} probes",
+                routed.tree_probes
+            );
+            let leaf_tests = if routed.tree_probes > 1 {
+                scan.filter_probes
+            } else {
+                0
+            };
+            assert_eq!(routed.filter_probes, leaf_tests, "{context}: filter tests");
+            if !reversed {
+                assert_eq!(
+                    routed.filter_positives, routed.ssts_probed,
+                    "{context}: a candidate is one positive test"
+                );
+            }
+            routed.filter_probes
+        };
+    let (mut point_tests, mut range_tests) = (0, 0);
+    for &k in &probes {
+        let stats = read_both(&scan, &routed, |db| db.get(k), "get");
+        point_tests += tested_once(stats, false, &format!("get({k})"));
+    }
+    for &(lo, hi) in &ranges {
+        let context = format!("range [{lo}, {hi}]");
+        let stats = read_both(&scan, &routed, |db| db.scan(lo, hi, 8), &context);
+        tested_once(stats, lo > hi, &context);
+        let stats = read_both(
+            &scan,
+            &routed,
+            |db| db.range_is_possibly_non_empty(lo, hi),
+            &context,
+        );
+        range_tests += tested_once(stats, lo > hi, &context);
+    }
+    assert!(point_tests > probes.len() as u64, "gets reached the leaves");
+    assert!(range_tests > 0, "range checks reached the leaves");
+
+    // A batch tests the union of its members' leaf pairs.
+    for threads in [1, 2] {
+        let (_, routed_stats) = read_both(
+            &scan,
+            &routed,
+            |db| db.get_batch(&probes, threads),
+            "get_batch",
+        );
+        assert_eq!(routed_stats.filter_probes, point_tests, "get_batch");
+        assert_eq!(routed_stats.filter_positives, routed_stats.ssts_probed);
+        let (_, routed_stats) = read_both(
+            &scan,
+            &routed,
+            |db| db.range_non_empty_batch(&ranges, threads),
+            "range_non_empty_batch",
+        );
+        assert_eq!(routed_stats.filter_probes, range_tests, "range batch");
+        let reversed = ranges.iter().filter(|(lo, hi)| lo > hi).count() as u64;
+        assert_eq!(
+            routed_stats.filter_positives + reversed * tables,
+            routed_stats.ssts_probed
+        );
     }
 }
 
