@@ -30,7 +30,6 @@
 //! See `docs/compaction.md` for the full protocol.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -164,77 +163,128 @@ struct TableSet {
     router: Router,
 }
 
+/// The candidates step's buffers: its answer, `(table, query)` pairs
+/// ascending by table and then by query, and scan-all's fence and filter
+/// buffers.
+#[derive(Default)]
+struct Candidates {
+    pairs: Vec<(usize, usize)>,
+    admit: SstProbeScratch,
+}
+
+thread_local! {
+    /// This thread's candidates buffers for one-query reads, while no read
+    /// holds them. One query has at most one candidate per table, so they
+    /// never outgrow the table set. Boxed, so taking and returning them
+    /// moves one pointer.
+    static LONE: Cell<Option<Box<Candidates>>> = const { Cell::new(None) };
+}
+
+/// Run a one-query read with this thread's candidates buffers: it takes
+/// them and puts them back, so a warm thread's lone reads allocate nothing
+/// for their candidates.
+fn with_lone_buffers<R>(read: impl FnOnce(&mut Candidates) -> R) -> R {
+    let mut buffers = LONE.take().unwrap_or_default();
+    let out = read(&mut buffers);
+    LONE.set(Some(buffers));
+    out
+}
+
+/// One input of [`Db::scan`]'s merge: a candidate table's rows, or the
+/// memtable's.
+enum Source<T, M> {
+    Table(T),
+    Memtable(M),
+}
+
+impl<'a, T, M> Iterator for Source<T, M>
+where
+    T: Iterator<Item = Record<'a>>,
+    M: Iterator<Item = Record<'a>>,
+{
+    type Item = Record<'a>;
+
+    fn next(&mut self) -> Option<Record<'a>> {
+        match self {
+            Source::Table(rows) => rows.next(),
+            Source::Memtable(rows) => rows.next(),
+        }
+    }
+}
+
 impl TableSet {
-    /// The candidates step of every read: per query, the tables whose key
-    /// range and filter admit it, ascending by age. The router's descent
-    /// (`descend`) ends in the leaves, which are the tables' filters;
-    /// scan-all tests every table's fences and filter itself (`admit`
-    /// leaves the admitted queries in the scratch). Either way each table's
-    /// filter is tested at most once per query, and a table that does hold a
-    /// queried key is never missing (filters and fences have no false
-    /// negatives), so reading only the candidates is answer-preserving.
-    /// Counts the `(query, table)` pairs the router selected in
+    /// The candidates step of every read: the `(table, query)` pairs whose
+    /// table's key range and filter admit the query, into `buffers.pairs`
+    /// (cleared first), ascending by table and then by query. The router's
+    /// descent (`descend`) ends in the leaves, which are the tables'
+    /// filters; scan-all tests every table's fences and filter itself
+    /// (`admit` leaves the admitted queries in the scratch). Either way each
+    /// table's filter is tested at most once per query, and a table that
+    /// does hold a queried key is never missing (filters and fences have no
+    /// false negatives), so reading only the candidates is
+    /// answer-preserving. Counts the pairs the router selected in
     /// `ssts_probed`: the candidates, or under scan-all every table.
-    fn candidates(
+    fn candidates<'b>(
         &self,
         n_queries: usize,
         stats: &ReadStats,
-        descend: impl FnOnce(&FilterTree) -> Vec<Vec<usize>>,
+        buffers: &'b mut Candidates,
+        descend: impl FnOnce(&FilterTree, &mut Vec<(usize, usize)>),
         admit: impl Fn(&SsTable, &mut SstProbeScratch),
-    ) -> Vec<Vec<usize>> {
+    ) -> &'b [(usize, usize)] {
+        let Candidates {
+            pairs,
+            admit: scratch,
+        } = buffers;
         match &self.router {
             Router::Tree(tree) => {
-                let candidates = descend(tree);
-                stats.record_ssts_probed(candidates.iter().map(|c| c.len() as u64).sum());
-                candidates
+                descend(tree, pairs);
+                stats.record_ssts_probed(pairs.len() as u64);
             }
             Router::All => {
-                let mut candidates = vec![Vec::new(); n_queries];
-                let mut scratch = SstProbeScratch::default();
+                pairs.clear();
                 for (table, sst) in self.ssts.iter().enumerate() {
-                    admit(sst, &mut scratch);
-                    for &q in scratch.admitted() {
-                        candidates[q].push(table);
-                    }
+                    admit(sst, scratch);
+                    pairs.extend(scratch.admitted().iter().map(|&q| (table, q)));
                 }
                 stats.record_ssts_probed((n_queries * self.ssts.len()) as u64);
-                candidates
             }
         }
+        pairs
     }
 
-    /// Per key, the tables that may hold it.
-    fn candidates_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<Vec<usize>> {
+    /// The `(table, key index)` pairs whose table may hold the key.
+    fn candidates_points<'b>(
+        &self,
+        keys: &[u64],
+        stats: &ReadStats,
+        buffers: &'b mut Candidates,
+    ) -> &'b [(usize, usize)] {
         self.candidates(
             keys.len(),
             stats,
-            |tree| tree.candidates_points(keys, stats),
+            buffers,
+            |tree, pairs| tree.candidates_points_into(keys, stats, pairs),
             |sst, scratch| sst.admit_points(keys, stats, scratch),
         )
     }
 
-    /// Per `[lo, hi]` range, the tables that may hold an entry — a tombstone
-    /// included — inside it. The tree passes reversed bounds to every
-    /// table, which reads nothing for them.
-    fn candidates_ranges(&self, ranges: &[(u64, u64)], stats: &ReadStats) -> Vec<Vec<usize>> {
+    /// The `(table, range index)` pairs whose table may hold an entry — a
+    /// tombstone included — inside its `[lo, hi]` range. The tree passes
+    /// reversed bounds to every table, which reads nothing for them.
+    fn candidates_ranges<'b>(
+        &self,
+        ranges: &[(u64, u64)],
+        stats: &ReadStats,
+        buffers: &'b mut Candidates,
+    ) -> &'b [(usize, usize)] {
         self.candidates(
             ranges.len(),
             stats,
-            |tree| tree.candidates_ranges(ranges, stats),
+            buffers,
+            |tree, pairs| tree.candidates_ranges_into(ranges, stats, pairs),
             |sst, scratch| sst.admit_ranges(ranges, stats, scratch),
         )
-    }
-
-    fn candidates_point(&self, key: u64, stats: &ReadStats) -> Vec<usize> {
-        self.candidates_points(&[key], stats)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn candidates_range(&self, lo: u64, hi: u64, stats: &ReadStats) -> Vec<usize> {
-        self.candidates_ranges(&[(lo, hi)], stats)
-            .pop()
-            .unwrap_or_default()
     }
 
     /// Append a freshly flushed, not yet persisted table.
@@ -275,18 +325,6 @@ fn manifest_entries(files: &[Option<ManifestEntry>]) -> Vec<ManifestEntry> {
 /// Tables of a durable store that are still memory-only.
 fn unpersisted(files: &[Option<ManifestEntry>]) -> u64 {
     files.iter().filter(|s| s.is_none()).count() as u64
-}
-
-/// Regroup per-query candidates by table: for each candidate table, oldest
-/// first, the queries routed to it.
-fn by_table(candidates: &[Vec<usize>]) -> BTreeMap<usize, Vec<usize>> {
-    let mut routed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (query, tables) in candidates.iter().enumerate() {
-        for &table in tables {
-            routed.entry(table).or_default().push(query);
-        }
-    }
-    routed
 }
 
 /// The LSM store.
@@ -803,12 +841,13 @@ impl Db {
             return v.into_put();
         }
         let tables = self.tables.read();
-        tables
-            .candidates_point(key, &self.stats)
-            .into_iter()
-            .rev()
-            .find_map(|i| tables.ssts[i].read_point(key, &self.options.io_model, &self.stats))
-            .and_then(Value::into_put)
+        with_lone_buffers(|buffers| {
+            let candidates = tables.candidates_points(&[key], &self.stats, buffers);
+            candidates.iter().rev().find_map(|&(i, _)| {
+                tables.ssts[i].read_point(key, &self.options.io_model, &self.stats)
+            })
+        })
+        .and_then(Value::into_put)
     }
 
     /// Range scan over `[lo, hi]`, returning up to `limit` entries in key
@@ -816,25 +855,27 @@ impl Db {
     /// absent). The candidate SSTs — those whose filter passes `[lo, hi]` —
     /// and the memtable's rows are read in place through the store's one
     /// newest-wins merge, which stops after `limit` live rows: only those
-    /// are copied.
+    /// are copied, and of the memtable only the entries up to its
+    /// `limit`-th put, past which the merge cannot read.
     pub fn scan(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
         // Memtable before tables, like every read: a flush publishes the SST
         // before it forgets the memtable entries, never the other way round.
-        let buffered = self.memtable.scan(lo, hi, usize::MAX);
+        let buffered = self.memtable.scan_through_puts(lo, hi, limit);
         let tables = self.tables.read();
         let blocks_read = Cell::new(0);
-        // Oldest first: the memtable is the newest source.
-        let mut sources: Vec<Box<dyn Iterator<Item = Record> + '_>> = Vec::new();
-        for i in tables.candidates_range(lo, hi, &self.stats) {
-            if let Some(rows) = tables.ssts[i].first_rows(lo, hi, &blocks_read, &self.stats) {
-                sources.push(Box::new(rows));
-            }
-        }
-        sources.push(Box::new(
-            buffered.iter().map(|(key, value)| (*key, value.as_put())),
-        ));
-        let live = merge(sources).filter_map(|(key, payload)| Some((key, payload?.to_vec())));
-        let rows = live.take(limit).collect();
+        let rows = with_lone_buffers(|buffers| {
+            let candidates = tables.candidates_ranges(&[(lo, hi)], &self.stats, buffers);
+            // Oldest first: the memtable is the newest source.
+            let sources = candidates
+                .iter()
+                .filter_map(|&(i, _)| tables.ssts[i].first_rows(lo, hi, &blocks_read, &self.stats))
+                .map(Source::Table)
+                .chain([Source::Memtable(
+                    buffered.iter().map(|(key, value)| (*key, value.as_put())),
+                )]);
+            let live = merge(sources).filter_map(|(key, payload)| Some((key, payload?.to_vec())));
+            live.take(limit).collect()
+        });
         self.stats
             .record_block_reads(blocks_read.get(), &self.options.io_model);
         rows
@@ -859,16 +900,18 @@ impl Db {
         let open: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
         let open_keys: Vec<u64> = open.iter().map(|&i| keys[i]).collect();
         let tables = self.tables.read();
-        let routed = by_table(&tables.candidates_points(&open_keys, &self.stats));
+        let mut buffers = Candidates::default();
+        let candidates = tables.candidates_points(&open_keys, &self.stats, &mut buffers);
         // Newest table first; each reads only the keys routed to it that no
         // newer table has answered.
-        for (&table, queries) in routed.iter().rev() {
-            let sst = &tables.ssts[table];
-            for &j in queries {
-                let slot = &mut out[open[j]];
-                if slot.is_none() {
-                    *slot = sst.read_point(open_keys[j], &self.options.io_model, &self.stats);
-                }
+        for &(table, j) in candidates.iter().rev() {
+            let slot = &mut out[open[j]];
+            if slot.is_none() {
+                *slot = tables.ssts[table].read_point(
+                    open_keys[j],
+                    &self.options.io_model,
+                    &self.stats,
+                );
             }
         }
         out.into_iter()
@@ -888,20 +931,23 @@ impl Db {
     fn range_chunk(&self, ranges: &[(u64, u64)]) -> Vec<bool> {
         let mut out: Vec<bool> = ranges
             .iter()
-            .map(|&(lo, hi)| self.memtable.first_in_range(lo, hi).is_some())
+            .map(|&(lo, hi)| self.memtable.any_in_range(lo, hi))
             .collect();
         let open: Vec<usize> = (0..ranges.len()).filter(|&i| !out[i]).collect();
         let open_ranges: Vec<(u64, u64)> = open.iter().map(|&i| ranges[i]).collect();
         let tables = self.tables.read();
-        let routed = by_table(&tables.candidates_ranges(&open_ranges, &self.stats));
+        let mut buffers = Candidates::default();
+        let candidates = tables.candidates_ranges(&open_ranges, &self.stats, &mut buffers);
         let blocks_read = Cell::new(0);
-        for (&table, queries) in &routed {
-            let sst = &tables.ssts[table];
-            for &j in queries {
-                let (lo, hi) = open_ranges[j];
-                let hit = &mut out[open[j]];
-                *hit = *hit || sst.first_rows(lo, hi, &blocks_read, &self.stats).is_some();
-            }
+        // Oldest table first, like `range_is_possibly_non_empty`; a range
+        // one table has answered reads no further table.
+        for &(table, j) in candidates {
+            let (lo, hi) = open_ranges[j];
+            let hit = &mut out[open[j]];
+            *hit = *hit
+                || tables.ssts[table]
+                    .first_rows(lo, hi, &blocks_read, &self.stats)
+                    .is_some();
         }
         self.stats
             .record_block_reads(blocks_read.get(), &self.options.io_model);
@@ -916,19 +962,19 @@ impl Db {
     /// so a range whose keys were all deleted may still report `true`. Use
     /// [`Db::scan`] for the exact answer.
     pub fn range_is_possibly_non_empty(&self, lo: u64, hi: u64) -> bool {
-        if self.memtable.first_in_range(lo, hi).is_some() {
+        if self.memtable.any_in_range(lo, hi) {
             return true;
         }
         let tables = self.tables.read();
         let blocks_read = Cell::new(0);
-        let found = tables
-            .candidates_range(lo, hi, &self.stats)
-            .into_iter()
-            .any(|i| {
+        let found = with_lone_buffers(|buffers| {
+            let candidates = tables.candidates_ranges(&[(lo, hi)], &self.stats, buffers);
+            candidates.iter().any(|&(i, _)| {
                 tables.ssts[i]
                     .first_rows(lo, hi, &blocks_read, &self.stats)
                     .is_some()
-            });
+            })
+        });
         self.stats
             .record_block_reads(blocks_read.get(), &self.options.io_model);
         found

@@ -68,6 +68,36 @@ impl MemTable {
             .map(|(k, v)| (*k, v.clone()))
     }
 
+    /// Whether any entry (tombstones included) has its key in `[lo, hi]`:
+    /// [`MemTable::first_in_range`]`.is_some()` without copying the value.
+    pub fn any_in_range(&self, lo: u64, hi: u64) -> bool {
+        lo <= hi && self.entries.read().range(lo..=hi).next().is_some()
+    }
+
+    /// The entries (tombstones included) with keys in `[lo, hi]`, in key
+    /// order, up to and including the `puts`-th put. A buffered put is
+    /// always a live row, so a newest-wins merge that stops after `puts`
+    /// live rows never reads past it: this is all of the memtable such a
+    /// merge consumes. Reversed bounds are an empty interval.
+    pub(crate) fn scan_through_puts(&self, lo: u64, hi: u64, puts: usize) -> Vec<(u64, Value)> {
+        let mut out = Vec::new();
+        if lo > hi || puts == 0 {
+            return out;
+        }
+        let map = self.entries.read();
+        let mut left = puts;
+        for (key, value) in map.range(lo..=hi) {
+            out.push((*key, value.clone()));
+            if matches!(value, Value::Put(_)) {
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
+            }
+        }
+        out
+    }
+
     /// All entries (tombstones included) with keys in `[lo, hi]`, up to
     /// `limit`. Reversed bounds are an empty interval.
     pub fn scan(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Value)> {
@@ -166,6 +196,19 @@ mod tests {
         mt.delete(25);
         assert_eq!(mt.first_in_range(21, 29), Some((25, Value::Tombstone)));
         assert_eq!(mt.scan(21, 29, 10), vec![(25, Value::Tombstone)]);
+        assert!(mt.any_in_range(21, 29) && mt.any_in_range(0, u64::MAX));
+        assert!(!mt.any_in_range(31, 39) && !mt.any_in_range(29, 21));
+        // Through the 2nd put: the tombstone before it rides along.
+        let through = |lo, hi, puts| -> Vec<u64> {
+            mt.scan_through_puts(lo, hi, puts)
+                .iter()
+                .map(|e| e.0)
+                .collect()
+        };
+        assert_eq!(through(15, 100, 2), [20, 25, 30]);
+        assert_eq!(through(15, 100, 9), [20, 25, 30, 40]);
+        assert_eq!(through(21, 29, 1), [25]);
+        assert!(through(0, 100, 0).is_empty() && through(40, 10, 3).is_empty());
     }
 
     #[test]

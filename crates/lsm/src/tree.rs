@@ -69,6 +69,7 @@
 //! The tree is derived state and is never persisted: opening a store builds
 //! it from the recovered tables ([`FilterTree::build_from_ssts`]).
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use bloomrf::traits::PointRangeFilter;
@@ -100,6 +101,38 @@ fn node_runs(frontier: &[Pair]) -> impl Iterator<Item = &[Pair]> {
         rest = tail;
         Some(run)
     })
+}
+
+/// Per-query candidate lists from `(table, query)` pairs.
+fn nested(n_queries: usize, pairs: &[(usize, usize)]) -> Vec<Vec<usize>> {
+    let mut out = vec![Vec::new(); n_queries];
+    for &(table, q) in pairs {
+        out[q].push(table);
+    }
+    out
+}
+
+/// The range path's per-level buffers: the ranges of one node run, their
+/// verdicts, and whether each pair of the level survives.
+#[derive(Default)]
+struct Runs {
+    probe: Vec<(u64, u64)>,
+    verdicts: Vec<bool>,
+    keep: Vec<bool>,
+}
+
+/// A descent's reusable buffers (see [`FilterTree::descend`]).
+#[derive(Default)]
+struct Scratch {
+    frontier: Vec<Pair>,
+    next: Vec<Pair>,
+    runs: Runs,
+}
+
+thread_local! {
+    /// This thread's descent buffers, while no descent holds them. Boxed,
+    /// so taking and returning them moves one pointer.
+    static SCRATCH: Cell<Option<Box<Scratch>>> = const { Cell::new(None) };
 }
 
 /// Magic number of [`FilterTree::to_bytes`].
@@ -498,18 +531,32 @@ impl FilterTree {
     /// containing `key` (filters and fences never produce false negatives),
     /// so reading only the candidates is answer-preserving.
     pub fn candidates_point(&self, key: u64, stats: &ReadStats) -> Vec<usize> {
-        self.candidates_points(&[key], stats)
-            .pop()
-            .unwrap_or_default()
+        let mut pairs = Vec::new();
+        self.candidates_points_into(&[key], stats, &mut pairs);
+        pairs.into_iter().map(|(table, _)| table).collect()
     }
 
     /// Batched [`FilterTree::candidates_point`]: element `i` answers
-    /// `keys[i]`. Per level, each surviving key is hashed once; every
-    /// `(node, key)` pair that passes its fence has its exact-layer bit
-    /// prefetched before any is tested, and every pair that passes that has
-    /// its remaining positions prefetched before any is tested. A leaf of
-    /// its own configuration is tested in one call instead.
+    /// `keys[i]`. Convenience form of [`FilterTree::candidates_points_into`].
     pub fn candidates_points(&self, keys: &[u64], stats: &ReadStats) -> Vec<Vec<usize>> {
+        let mut pairs = Vec::new();
+        self.candidates_points_into(keys, stats, &mut pairs);
+        nested(keys.len(), &pairs)
+    }
+
+    /// The candidates of every key of `keys`, as `(table, key index)`
+    /// pairs ascending by table, then by key, in `out` (cleared first).
+    /// Per level, each surviving key is hashed once; every `(node, key)`
+    /// pair that passes its fence has its exact-layer bit prefetched before
+    /// any is tested, and every pair that passes that has its remaining
+    /// positions prefetched before any is tested. A leaf of its own
+    /// configuration is tested in one call instead.
+    pub fn candidates_points_into(
+        &self,
+        keys: &[u64],
+        stats: &ReadStats,
+        out: &mut Vec<(usize, usize)>,
+    ) {
         // A lone key (every `Db::get`) keeps its probe on the stack.
         let mut one = [Lane::default()];
         let mut many = Vec::new();
@@ -520,91 +567,125 @@ impl FilterTree {
             &mut many
         };
         let fence = |(lo, hi): (u64, u64), q: usize| (lo..=hi).contains(&keys[q]);
-        self.descend(keys.len(), stats, fence, |height, nodes, frontier| {
-            // Every pair is tested.
-            let tested = frontier.len();
-            for &(n, q) in frontier.iter() {
-                if let Probe::Level(filter) = nodes.probe(n) {
-                    let lane = &mut lanes[q];
-                    if lane.height != Some(height) {
-                        filter.point_probe_into(keys[q], &mut lane.probe);
-                        lane.height = Some(height);
+        self.descend(
+            keys.len(),
+            stats,
+            out,
+            fence,
+            |height, nodes, frontier, _| {
+                // Every pair is tested.
+                let tested = frontier.len();
+                for &(n, q) in frontier.iter() {
+                    if let Probe::Level(filter) = nodes.probe(n) {
+                        let lane = &mut lanes[q];
+                        if lane.height != Some(height) {
+                            filter.point_probe_into(keys[q], &mut lane.probe);
+                            lane.height = Some(height);
+                        }
+                        filter.prefetch_exact(&lane.probe);
                     }
-                    filter.prefetch_exact(&lane.probe);
                 }
-            }
-            // Tuned levels keep an exact layer: one cache line per pair
-            // rejects most siblings that do not hold the key, before the
-            // layer positions of the survivors are fetched.
-            frontier.retain(|&(n, q)| match nodes.probe(n) {
-                Probe::Level(filter) => filter.exact_admits(&lanes[q].probe),
-                Probe::Own(filter) => filter.may_contain(keys[q]),
-            });
-            for &(n, q) in frontier.iter() {
-                if let Probe::Level(filter) = nodes.probe(n) {
-                    filter.prefetch_probe(&mut lanes[q].probe);
+                // Tuned levels keep an exact layer: one cache line per pair
+                // rejects most siblings that do not hold the key, before the
+                // layer positions of the survivors are fetched.
+                frontier.retain(|&(n, q)| match nodes.probe(n) {
+                    Probe::Level(filter) => filter.exact_admits(&lanes[q].probe),
+                    Probe::Own(filter) => filter.may_contain(keys[q]),
+                });
+                for &(n, q) in frontier.iter() {
+                    if let Probe::Level(filter) = nodes.probe(n) {
+                        filter.prefetch_probe(&mut lanes[q].probe);
+                    }
                 }
-            }
-            frontier.retain(|&(n, q)| match nodes.probe(n) {
-                Probe::Level(filter) => filter.contains_probe(&lanes[q].probe),
-                Probe::Own(_) => true,
-            });
-            tested
-        })
+                frontier.retain(|&(n, q)| match nodes.probe(n) {
+                    Probe::Level(filter) => filter.contains_probe(&lanes[q].probe),
+                    Probe::Own(_) => true,
+                });
+                tested
+            },
+        );
     }
 
     /// Candidate SSTs for one range-emptiness check over `[lo, hi]`,
     /// ascending by age. Reversed bounds descend everywhere (no pruning) so
     /// routed reads answer exactly like a scan over all tables.
     pub fn candidates_range(&self, lo: u64, hi: u64, stats: &ReadStats) -> Vec<usize> {
-        self.candidates_ranges(&[(lo, hi)], stats)
-            .pop()
-            .unwrap_or_default()
+        let mut pairs = Vec::new();
+        self.candidates_ranges_into(&[(lo, hi)], stats, &mut pairs);
+        pairs.into_iter().map(|(table, _)| table).collect()
     }
 
     /// Batched [`FilterTree::candidates_range`]: element `i` answers
-    /// `ranges[i]`. Each node is probed once, with every range that reached
-    /// it, through [`BloomRf::contains_range_batch_into`] (a leaf of another
-    /// family through its
-    /// [`PointRangeFilter::may_contain_range_batch_into`]).
+    /// `ranges[i]`. Convenience form of [`FilterTree::candidates_ranges_into`].
     pub fn candidates_ranges(&self, ranges: &[(u64, u64)], stats: &ReadStats) -> Vec<Vec<usize>> {
-        // Reused across every node the descent visits.
-        let mut probe: Vec<(u64, u64)> = Vec::new();
-        let mut verdicts: Vec<bool> = Vec::new();
-        let mut keep: Vec<bool> = Vec::new();
+        let mut pairs = Vec::new();
+        self.candidates_ranges_into(ranges, stats, &mut pairs);
+        nested(ranges.len(), &pairs)
+    }
+
+    /// The candidates of every range of `ranges`, as `(table, range
+    /// index)` pairs ascending by table, then by range, in `out` (cleared
+    /// first). Each node is probed once with every range that reached it,
+    /// through [`BloomRf::contains_range_batch_into`] (a leaf of another
+    /// family through its
+    /// [`PointRangeFilter::may_contain_range_batch_into`]); a node only one
+    /// range reached is probed with that range alone, which skips the
+    /// batch engine's staging.
+    pub fn candidates_ranges_into(
+        &self,
+        ranges: &[(u64, u64)],
+        stats: &ReadStats,
+        out: &mut Vec<(usize, usize)>,
+    ) {
         let reversed = |q: usize| ranges[q].0 > ranges[q].1;
         // Reversed bounds never prune: mirror the scan-all path.
         let fence = |(lo, hi): (u64, u64), q: usize| {
             reversed(q) || (ranges[q].0 <= hi && ranges[q].1 >= lo)
         };
-        self.descend(ranges.len(), stats, fence, |_, nodes, frontier| {
-            keep.clear();
-            let mut tested = 0;
-            for run in node_runs(frontier) {
-                probe.clear();
-                probe.extend(run.iter().filter(|p| !reversed(p.1)).map(|p| ranges[p.1]));
-                verdicts.clear();
-                if !probe.is_empty() {
+        self.descend(
+            ranges.len(),
+            stats,
+            out,
+            fence,
+            |_, nodes, frontier, runs| {
+                let Runs {
+                    probe,
+                    verdicts,
+                    keep,
+                } = runs;
+                keep.clear();
+                let mut tested = 0;
+                for run in node_runs(frontier) {
+                    probe.clear();
+                    probe.extend(run.iter().filter(|p| !reversed(p.1)).map(|p| ranges[p.1]));
+                    verdicts.clear();
                     tested += probe.len();
-                    match nodes.probe(run[0].0) {
-                        Probe::Level(filter) => {
-                            filter.contains_range_batch_into(&probe, &mut verdicts)
+                    match (nodes.probe(run[0].0), &probe[..]) {
+                        (_, []) => {}
+                        (Probe::Level(filter), &[(lo, hi)]) => {
+                            verdicts.push(filter.contains_range(lo, hi))
                         }
-                        Probe::Own(filter) => {
-                            filter.may_contain_range_batch_into(&probe, &mut verdicts)
+                        (Probe::Own(filter), &[(lo, hi)]) => {
+                            verdicts.push(filter.may_contain_range(lo, hi))
+                        }
+                        (Probe::Level(filter), batch) => {
+                            filter.contains_range_batch_into(batch, verdicts)
+                        }
+                        (Probe::Own(filter), batch) => {
+                            filter.may_contain_range_batch_into(batch, verdicts)
                         }
                     }
+                    let mut forward = verdicts.iter();
+                    keep.extend(
+                        run.iter()
+                            .map(|p| reversed(p.1) || forward.next() == Some(&true)),
+                    );
                 }
-                let mut forward = verdicts.iter();
-                keep.extend(
-                    run.iter()
-                        .map(|p| reversed(p.1) || forward.next() == Some(&true)),
-                );
-            }
-            let mut keep = keep.iter();
-            frontier.retain(|_| keep.next() == Some(&true));
-            tested
-        })
+                let mut keep = keep.iter();
+                frontier.retain(|_| keep.next() == Some(&true));
+                tested
+            },
+        );
     }
 
     /// The one descent behind every candidates call, level-synchronous from
@@ -613,8 +694,22 @@ impl FilterTree {
     /// whose node's key fence rejects the query are dropped, then
     /// `filter_pass` drops those whose node's filter rejects it and returns
     /// how many pairs it tested with a filter. Each surviving pair sends its
-    /// query on to every child of its node; surviving leaves are the
-    /// candidates, so each list comes out ascending.
+    /// query on to every child of its node; the surviving leaf pairs are
+    /// the candidates, appended to `out` (cleared first) as `(leaf, query)`
+    /// in the frontier's order: ascending by leaf, then by query.
+    ///
+    /// The frontier, the next level and the range path's [`Runs`] are this
+    /// thread's [`SCRATCH`], taken and put back, so a warm thread's
+    /// descents allocate nothing. It is put back unless the frontier grew
+    /// past `2 · F · L` pairs (`F` the fan-out, `L` the leaf count; the
+    /// range buffers hold at most one entry per frontier pair). A lone
+    /// query's frontier holds at most one pair per node of a level, and
+    /// the next level is reserved at `F` pairs per survivor, so it needs at
+    /// most `L + F - 1 ≤ F · L` pairs, twice that after a vector's doubling
+    /// growth; a point batch ends with about `F` pairs per key (the
+    /// children of the inner node that admits it), so the bound also keeps
+    /// any batch of up to about `L` keys. A larger buffer came from a giant
+    /// batch and is dropped rather than pinned for the thread's life.
     ///
     /// Records `tree_probes` per pair that reached a level, `ssts_pruned`
     /// per `(query, leaf)` pair not among the candidates, and — the leaves
@@ -623,16 +718,23 @@ impl FilterTree {
         &self,
         n_queries: usize,
         stats: &ReadStats,
+        out: &mut Vec<(usize, usize)>,
         fence: impl Fn((u64, u64), usize) -> bool,
-        mut filter_pass: impl FnMut(usize, Nodes<'_>, &mut Vec<Pair>) -> usize,
-    ) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); n_queries];
+        mut filter_pass: impl FnMut(usize, Nodes<'_>, &mut Vec<Pair>, &mut Runs) -> usize,
+    ) {
+        out.clear();
         if self.num_leaves() == 0 || n_queries == 0 {
-            return out;
+            return;
         }
+        let mut scratch = SCRATCH.take().unwrap_or_default();
+        let Scratch {
+            frontier,
+            next,
+            runs,
+        } = &mut *scratch;
         // The top level is a single root by construction.
-        let mut frontier: Vec<Pair> = (0..n_queries).map(|q| (0, q)).collect();
-        let mut next: Vec<Pair> = Vec::new();
+        frontier.clear();
+        frontier.extend((0..n_queries).map(|q| (0, q)));
         let mut probes = 0u64;
         for height in (0..self.depth()).rev() {
             let nodes = self.nodes(height);
@@ -643,7 +745,7 @@ impl FilterTree {
                     // The leaves are the tables' filters.
                     let fenced = frontier.len();
                     let clock = SampledClock::start(Clock::FilterProbe);
-                    let tested = filter_pass(0, nodes, &mut frontier);
+                    let tested = filter_pass(0, nodes, frontier, runs);
                     let negatives = fenced - frontier.len();
                     stats.record_filter_probes(
                         (tested - negatives) as u64,
@@ -651,35 +753,34 @@ impl FilterTree {
                         clock.estimate_ns(),
                     );
                 }
-                for &(leaf, q) in &frontier {
-                    out[q].push(leaf);
-                }
+                out.extend_from_slice(frontier);
                 break;
             }
-            filter_pass(height, nodes, &mut frontier);
+            filter_pass(height, nodes, frontier, runs);
             if frontier.is_empty() {
                 break;
             }
             next.clear();
             // Each surviving pair sends its query to at most `fanout`
-            // children: one allocation per level at most.
+            // children: the buffer grows at most once per level, and not
+            // at all once a thread's earlier descents have sized it.
             next.reserve(frontier.len() * self.fanout);
             let children = self.nodes(height - 1).len();
-            for run in node_runs(&frontier) {
+            for run in node_runs(frontier) {
                 let first = run[0].0 * self.fanout;
                 for child in first..(first + self.fanout).min(children) {
                     next.extend(run.iter().map(|&(_, q)| (child, q)));
                 }
             }
-            std::mem::swap(&mut frontier, &mut next);
+            std::mem::swap(frontier, next);
         }
         stats.record_tree_probes(probes);
-        let pruned: u64 = out
-            .iter()
-            .map(|candidates| (self.num_leaves() - candidates.len()) as u64)
-            .sum();
-        stats.record_ssts_pruned(pruned);
-        out
+        let pairs = (n_queries * self.num_leaves()) as u64;
+        stats.record_ssts_pruned(pairs - out.len() as u64);
+        let capacity = scratch.frontier.capacity().max(scratch.next.capacity());
+        if capacity <= 2 * self.fanout * self.num_leaves() {
+            SCRATCH.set(Some(scratch));
+        }
     }
 
     /// Encode the tree: magic + version, then
@@ -855,6 +956,193 @@ mod tests {
         let batch = tree.candidates_points(&keys, &stats);
         for (&k, candidates) in keys.iter().zip(&batch) {
             assert_eq!(*candidates, tree.candidates_point(k, &stats));
+        }
+    }
+
+    /// What a descent must answer, worked out pair by pair: `(node,
+    /// query)` at height `h` is reached when every ancestor admits the
+    /// query, and admitted when it is reached and passes the node's fence
+    /// and — unless `untested(query)` — its filter. Returns the candidate
+    /// `(leaf, query)` pairs and `[tree_probes, ssts_pruned,
+    /// filter_positives, filter_negatives]`.
+    fn reference(
+        tree: &FilterTree,
+        n_queries: usize,
+        fence: impl Fn((u64, u64), usize) -> bool,
+        untested: impl Fn(usize) -> bool,
+        test: impl Fn(&dyn PointRangeFilter, usize) -> bool,
+    ) -> (Vec<(usize, usize)>, [u64; 4]) {
+        let Some(top) = tree.depth().checked_sub(1) else {
+            return (Vec::new(), [0; 4]);
+        };
+        let filter = |h: usize, n: usize| -> &dyn PointRangeFilter {
+            match tree.nodes(h).probe(n) {
+                Probe::Level(filter) => filter,
+                Probe::Own(filter) => filter,
+            }
+        };
+        let fenced = |h: usize, n: usize, q: usize| fence(tree.nodes(h).fence(n), q);
+        let admits = |h: usize, n: usize, q: usize| {
+            fenced(h, n, q) && (untested(q) || test(filter(h, n), q))
+        };
+        let reached = |h: usize, n: usize, q: usize| {
+            (h + 1..=top).all(|a| admits(a, n / tree.fanout.pow((a - h) as u32), q))
+        };
+        let mut stats = [0u64; 4];
+        let mut pairs = Vec::new();
+        for h in 0..=top {
+            for n in 0..tree.nodes(h).len() {
+                for q in 0..n_queries {
+                    if !reached(h, n, q) {
+                        continue;
+                    }
+                    stats[0] += 1;
+                    if h == 0 && fenced(0, n, q) && !untested(q) {
+                        stats[if admits(0, n, q) { 2 } else { 3 }] += 1;
+                    }
+                    if h == 0 && admits(0, n, q) {
+                        pairs.push((n, q));
+                    }
+                }
+            }
+        }
+        stats[1] = (n_queries * tree.num_leaves() - pairs.len()) as u64;
+        (pairs, stats)
+    }
+
+    /// `f`'s result and `[tree_probes, ssts_pruned, filter_positives,
+    /// filter_negatives]` of the reads it made.
+    fn measured<T>(stats: &ReadStats, f: impl FnOnce() -> T) -> (T, [u64; 4]) {
+        stats.reset();
+        let out = f();
+        let snap = stats.snapshot();
+        let counts = [
+            snap.tree_probes,
+            snap.ssts_pruned,
+            snap.filter_positives,
+            snap.filter_negatives,
+        ];
+        (out, counts)
+    }
+
+    /// `(table, query)` pairs from per-query candidate lists, ascending by
+    /// table and then by query.
+    fn flatten(nested: &[Vec<usize>]) -> Vec<(usize, usize)> {
+        let mut pairs: Vec<(usize, usize)> = (nested.iter().enumerate())
+            .flat_map(|(q, tables)| tables.iter().map(move |&t| (t, q)))
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// On random trees — leaf counts off the powers of `F`, `Own` leaves
+    /// (a `Bloom` table and a larger, compaction-output-sized bloomRF
+    /// table), reversed ranges, duplicate queries in one batch, an empty
+    /// tree — the flat `_into` forms emit exactly the pairs of the nested
+    /// wrappers and of the one-query forms, all equal to the pair-by-pair
+    /// reference, with equal `tree_probes`, `ssts_pruned` and filter probe
+    /// counts.
+    #[test]
+    fn flat_candidates_match_the_nested_forms_and_the_reference() {
+        let mut seed = 0u64;
+        let mut next = move || {
+            seed += 1;
+            bloomrf::hashing::mix64(seed)
+        };
+        let stats = ReadStats::new();
+        for trial in 0..24 {
+            let fanout = 2 + trial % 3;
+            let leaves = [0, 1, 2, 3, 5, 7, 10, 17][trial % 8];
+            let ssts: Vec<SsTable> = (0..leaves)
+                .map(|i| {
+                    let base = next() % 50_000;
+                    let n = if i == 4 { 24 } else { 8 };
+                    let mut keys: Vec<u64> = (0..n).map(|_| base + next() % 4_000).collect();
+                    keys.sort_unstable();
+                    keys.dedup();
+                    let kind = if i == 2 {
+                        FilterKind::Bloom
+                    } else {
+                        FilterKind::BloomRfBasic
+                    };
+                    sst_of(&keys, kind)
+                })
+                .collect();
+            let tree = FilterTree::build_from_ssts(fanout, 8, 14.0, &ssts);
+            if leaves > 4 {
+                assert!(matches!(tree.leaves[2].filter, LeafFilter::Own(_)));
+                assert!(matches!(tree.leaves[4].filter, LeafFilter::Own(_)));
+            }
+
+            let mut keys: Vec<u64> = Vec::new();
+            for sst in &ssts {
+                keys.extend(sst.keys().iter().step_by(3));
+            }
+            keys.extend((0..40).map(|_| next() % 60_000));
+            keys.push(u64::MAX);
+            keys.extend_from_slice(&keys.clone()[..keys.len() / 4]);
+            let mut ranges: Vec<(u64, u64)> = (0..60)
+                .map(|i| {
+                    let lo = next() % 60_000;
+                    match i % 5 {
+                        4 => (lo, lo.saturating_sub(1 + next() % 100)),
+                        w => (lo, lo + [0, 3, 60, 2_000][w]),
+                    }
+                })
+                .collect();
+            ranges.extend_from_slice(&ranges.clone()[..15]);
+
+            let (want, want_stats) = reference(
+                &tree,
+                keys.len(),
+                |(lo, hi), q| (lo..=hi).contains(&keys[q]),
+                |_| false,
+                |filter, q| filter.may_contain(keys[q]),
+            );
+            let mut flat = Vec::new();
+            let ((), flat_stats) = measured(&stats, || {
+                tree.candidates_points_into(&keys, &stats, &mut flat)
+            });
+            let (nested, nested_stats) = measured(&stats, || tree.candidates_points(&keys, &stats));
+            let (singles, singles_stats) = measured(&stats, || {
+                keys.iter()
+                    .map(|&k| tree.candidates_point(k, &stats))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(
+                (&flat, flat_stats),
+                (&want, want_stats),
+                "points, trial {trial}"
+            );
+            assert_eq!((flatten(&nested), nested_stats), (want.clone(), want_stats));
+            assert_eq!((flatten(&singles), singles_stats), (want, want_stats));
+
+            let reversed = |q: usize| ranges[q].0 > ranges[q].1;
+            let (want, want_stats) = reference(
+                &tree,
+                ranges.len(),
+                |(lo, hi), q| reversed(q) || (ranges[q].0 <= hi && ranges[q].1 >= lo),
+                reversed,
+                |filter, q| filter.may_contain_range(ranges[q].0, ranges[q].1),
+            );
+            let ((), flat_stats) = measured(&stats, || {
+                tree.candidates_ranges_into(&ranges, &stats, &mut flat)
+            });
+            let (nested, nested_stats) =
+                measured(&stats, || tree.candidates_ranges(&ranges, &stats));
+            let (singles, singles_stats) = measured(&stats, || {
+                ranges
+                    .iter()
+                    .map(|&(lo, hi)| tree.candidates_range(lo, hi, &stats))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(
+                (&flat, flat_stats),
+                (&want, want_stats),
+                "ranges, trial {trial}"
+            );
+            assert_eq!((flatten(&nested), nested_stats), (want.clone(), want_stats));
+            assert_eq!((flatten(&singles), singles_stats), (want, want_stats));
         }
     }
 

@@ -1,18 +1,21 @@
-//! The SST read path copies only what it returns, compaction allocates in
-//! proportion to its output, and a table is one data buffer. A thread-local
-//! counting global allocator pins all three: a point hit allocates exactly
-//! its value, a miss allocates nothing, a range check allocates only its
-//! verdict vector, a scan only its output vector and the rows in it, a
-//! compaction at most a small multiple of the table it writes, and
-//! building, encoding or decoding a table as many buffers whatever its
-//! block count.
+//! The SST and `Db` read paths copy only what they return, compaction
+//! allocates in proportion to its output, and a table is one data buffer.
+//! A thread-local counting global allocator pins all three: a point hit
+//! allocates exactly its value, a miss allocates nothing, a range check
+//! allocates only its verdict vector (a `Db` range check nothing), a scan
+//! only its output vector, the rows in it and — for a `Db` — its merge's
+//! fixed buffers, a batch its output, its values and a fixed count
+//! whatever its size, a compaction at most a small multiple of the table it
+//! writes, and building, encoding or decoding a table as many buffers
+//! whatever its block count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 use bloomrf_filters::FilterKind;
 use bloomrf_lsm::{
-    Db, DbOptions, IoModel, ReadRouting, ReadStats, SsTable, SstProbeScratch, Value,
+    Db, DbOptions, IoModel, ReadRouting, ReadStats, SsTable, SstProbeScratch, TreeOptions, Value,
 };
 
 /// Counts, per thread, the allocations (not reallocations) and the bytes
@@ -235,4 +238,177 @@ fn a_compaction_allocates_in_proportion_to_its_output() {
     assert_eq!(stats.shadowed_dropped, 7 * 512);
     assert_eq!(stats.output_bytes, output_bytes);
     assert_eq!(db.get(7 * 511), Some(vec![7; 256]));
+}
+
+/// Both ways a `Db` selects the tables a read consults.
+const ROUTINGS: [ReadRouting; 2] = [
+    ReadRouting::FilterTree(TreeOptions {
+        fanout: 16,
+        leaf_keys: None,
+        bits_per_key: None,
+    }),
+    ReadRouting::ScanAll,
+];
+
+/// 32 flushed tables of 512 keys each — keys `i * 10`, value `i as u8`
+/// repeated 128 times — read through `routing`, with an empty memtable.
+fn store(routing: ReadRouting) -> Db {
+    let db = Db::new(DbOptions {
+        memtable_flush_entries: 512,
+        routing,
+        ..DbOptions::default()
+    });
+    for i in 0..32 * 512u64 {
+        db.put(i * 10, vec![i as u8; 128]);
+    }
+    assert_eq!(db.num_ssts(), 32);
+    db
+}
+
+/// The one-query reads run one warm-up call first: it sizes this thread's
+/// read buffers and, in debug builds, the lock-rank bookkeeping.
+#[test]
+fn db_point_and_range_reads_allocate_only_their_values() {
+    for routing in ROUTINGS {
+        let db = store(routing);
+        assert!(db.range_is_possibly_non_empty(0, u64::MAX));
+        assert!(db.get(0).is_some());
+        for key in [0, 10, 35_910, 163_830] {
+            let (value, n) = allocations(|| db.get(key));
+            assert_eq!(value, Some(vec![(key / 10) as u8; 128]));
+            assert_eq!(
+                n, 1,
+                "{routing:?}: get({key}) must allocate exactly its value"
+            );
+        }
+        for key in [5, 35_915, 163_835, u64::MAX] {
+            let (value, n) = allocations(|| db.get(key));
+            assert_eq!(value, None);
+            assert_eq!(n, 0, "{routing:?}: get({key}) must not allocate");
+        }
+        for (lo, hi, found) in [
+            (15, 45, true),
+            (21, 29, false),
+            (0, u64::MAX, true),
+            (9, 1, false),
+            (1 << 40, 1 << 41, false),
+        ] {
+            let (verdict, n) = allocations(|| db.range_is_possibly_non_empty(lo, hi));
+            assert_eq!(verdict, found, "{routing:?}: [{lo}, {hi}]");
+            assert_eq!(n, 0, "{routing:?}: range [{lo}, {hi}] must not allocate");
+        }
+    }
+}
+
+/// A batch allocates its output, one buffer per value it returns and a
+/// fixed number of buffers whatever its size: the indices and keys the
+/// memtable left open and the candidate pairs, plus the descent's probe
+/// lanes under the tree or scan-all's three fence and filter buffers.
+#[test]
+fn a_db_batch_allocates_its_output_values_and_a_constant() {
+    for routing in ROUTINGS {
+        let db = store(routing);
+        let want = match routing {
+            ReadRouting::ScanAll => 6,
+            ReadRouting::FilterTree(_) => 4,
+        };
+        let mut fixed = Vec::new();
+        for n in [8u64, 64] {
+            // Every other key is absent.
+            let keys: Vec<u64> = (0..n).map(|i| i * 2_555).collect();
+            db.get_batch(&keys, 1);
+            let (values, count) = allocations(|| db.get_batch(&keys, 1));
+            let found = values.iter().flatten().count();
+            assert_eq!(found as u64, n / 2);
+            fixed.push(count - 1 - found);
+        }
+        assert_eq!(
+            fixed, [want; 2],
+            "{routing:?}: buffers beyond output and values"
+        );
+    }
+}
+
+/// A scan allocates its output, its rows and its merge's buffers: the list
+/// of sources, and the heap of their heads when any source has a row.
+#[test]
+fn a_db_scan_allocates_its_output_rows_and_a_constant() {
+    for routing in ROUTINGS {
+        let db = store(routing);
+        db.scan(0, u64::MAX, 1);
+        // (lo, hi, limit, rows returned): inside one table, across two,
+        // stopped by the limit with every table a candidate, and a gap.
+        for (lo, hi, limit, rows) in [
+            (100, 140, 100, 5),
+            (5_000, 5_300, 100, 31),
+            (0, u64::MAX, 3, 3),
+            (41, 49, 10, 0),
+        ] {
+            let (out, n) = allocations(|| db.scan(lo, hi, limit));
+            assert_eq!(out.len(), rows, "{routing:?}: scan({lo}, {hi}, {limit})");
+            let fixed = if rows > 0 { 3 } else { 1 };
+            assert_eq!(
+                n,
+                rows + fixed,
+                "{routing:?}: scan({lo}, {hi}, {limit}) may allocate only its output, \
+                 {rows} rows and the merge's buffers"
+            );
+        }
+    }
+}
+
+/// A scan copies of the memtable only what its merge can consume: the
+/// entries up to its `limit`-th buffered put. Buffered tombstones shadow
+/// the first table rows and thousands of buffered puts lie in range;
+/// `scan(.., 1)` and `scan(.., 5)` answer like a model map and allocate as
+/// much at 1 000 buffered puts as at 10 000.
+#[test]
+fn a_db_scan_copies_only_the_memtable_prefix_it_merges() {
+    for routing in ROUTINGS {
+        let mut counts = Vec::new();
+        for buffered in [1_000u64, 10_000] {
+            let db = Db::new(DbOptions {
+                memtable_flush_entries: 1 << 20,
+                routing,
+                ..DbOptions::default()
+            });
+            let mut model = BTreeMap::new();
+            // Two tables of the even keys below 400.
+            for table in 0..2u64 {
+                for i in 0..100 {
+                    let key = (table * 100 + i) * 2;
+                    db.put(key, vec![1; 16]);
+                    model.insert(key, vec![1; 16]);
+                }
+                db.flush();
+            }
+            // Buffered: tombstones over the first 50 table rows, then puts
+            // at odd keys from 101 on.
+            for key in (0..100).step_by(2) {
+                db.delete(key);
+                model.remove(&key);
+            }
+            for i in 0..buffered {
+                db.put(101 + 2 * i, vec![2; 16]);
+                model.insert(101 + 2 * i, vec![2; 16]);
+            }
+            db.scan(0, u64::MAX, 5);
+            let mut n = Vec::new();
+            for limit in [1, 5] {
+                let (rows, allocated) = allocations(|| db.scan(0, u64::MAX, limit));
+                let want: Vec<(u64, Vec<u8>)> = model
+                    .iter()
+                    .take(limit)
+                    .map(|(&k, v)| (k, v.clone()))
+                    .collect();
+                assert_eq!(rows, want, "{routing:?}: scan(.., {limit})");
+                n.push(allocated);
+            }
+            counts.push(n);
+        }
+        assert_eq!(
+            counts[0], counts[1],
+            "{routing:?}: scan allocations grew with the memtable"
+        );
+    }
 }
