@@ -7,19 +7,21 @@
 //!   structures.
 //! * [`AtomicBits`] — a lock-free bit array backed by `AtomicU64`. bloomRF is an
 //!   *online* filter (Problem 2 in the paper): keys can be inserted while queries
-//!   run concurrently, so every segment of a [`crate::BloomRf`] — and its
-//!   exact-layer bitmap — is one flat `AtomicBits`.
+//!   run concurrently, so a [`crate::BloomRf`] keeps every segment and its
+//!   exact-layer bitmap in one shared `AtomicBits` buffer.
 //!
 //! Both types address sub-words of `1..=64` bits. bloomRF's piecewise-monotone
 //! hash functions read and write *words* of `2^(Δ-1)` bits; because every
 //! supported word size divides 64 and segments are 64-bit aligned, a logical
 //! word never straddles two physical `u64` words.
 
+use std::sync::Arc;
+
 use crate::sync::atomic::{AtomicU64, Ordering};
 
 /// Round a bit count up to a whole number of 64-bit words.
 #[inline]
-pub fn words_for_bits(bits: usize) -> usize {
+pub(crate) fn words_for_bits(bits: usize) -> usize {
     bits.div_ceil(64)
 }
 
@@ -102,8 +104,8 @@ impl BitVec {
     }
 
     /// OR a logical word of `width` bits into the array at aligned position `start`.
-    #[inline]
-    pub fn or_word(&mut self, start: usize, width: u32, value: u64) {
+    #[cfg(test)]
+    pub(crate) fn or_word(&mut self, start: usize, width: u32, value: u64) {
         debug_assert!((1..=64).contains(&width) && 64 % width == 0);
         debug_assert_eq!(start % width as usize, 0, "unaligned word store");
         let shift = (start % 64) as u32;
@@ -223,55 +225,63 @@ pub fn mask_between(lo: usize, hi: usize) -> u64 {
     }
 }
 
-/// A fixed-size, lock-free bit array for concurrent insert/lookup.
+/// A fixed-size, lock-free bit array for concurrent insert/lookup: one
+/// buffer of whole 64-bit words, shared through an [`Arc`]. Cloning the
+/// handle shares the buffer; [`AtomicBits::snapshot`] copies it.
+///
+/// A [`crate::BloomRf`] keeps all of its bits — every segment and the exact
+/// bitmap — in one such buffer, each region at a fixed word offset, so a
+/// caller holding only the handle can test probe positions computed by any
+/// filter of the same configuration.
 ///
 /// All loads and stores use relaxed ordering: the filter tolerates observing a
 /// slightly stale bit array (a concurrent insert may not yet be visible), which
 /// only ever produces a *false negative for a key inserted concurrently with
 /// the query* — the same semantics RocksDB exposes for its memtable/filter pair.
 /// Once an insert has returned, subsequent queries on the same thread observe it.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct AtomicBits {
-    words: Vec<AtomicU64>,
-    bits: usize,
+    words: Arc<[AtomicU64]>,
 }
 
 impl AtomicBits {
-    /// Create a zeroed atomic bit array with room for `bits` bits.
+    /// Create a zeroed atomic bit array with room for `bits` bits, rounded
+    /// up to whole 64-bit words.
     pub fn new(bits: usize) -> Self {
-        let mut words = Vec::with_capacity(words_for_bits(bits));
-        for _ in 0..words_for_bits(bits) {
-            words.push(AtomicU64::new(0));
+        Self {
+            words: (0..words_for_bits(bits))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
         }
-        Self { words, bits }
     }
 
-    /// Number of addressable bits.
+    /// Number of addressable bits (a multiple of 64).
     #[inline]
     pub fn len(&self) -> usize {
-        self.bits
+        self.words.len() * 64
     }
 
     /// True if the array holds zero bits.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.bits == 0
+        self.words.is_empty()
     }
 
-    /// Total payload bits (multiple of 64).
+    /// Total payload bits; equal to [`AtomicBits::len`].
     #[inline]
     pub fn capacity_bits(&self) -> usize {
-        self.words.len() * 64
+        self.len()
+    }
+
+    /// True if `self` and `other` are handles of the same buffer.
+    #[inline]
+    pub fn same_buffer(&self, other: &AtomicBits) -> bool {
+        Arc::ptr_eq(&self.words, &other.words)
     }
 
     /// Atomically set bit `idx`.
     #[inline]
     pub fn set(&self, idx: usize) {
-        debug_assert!(
-            idx < self.bits,
-            "bit index {idx} out of range {}",
-            self.bits
-        );
         // ordering: idempotent bit-set; cross-thread visibility is provided by
         // the caller's synchronization (join/lock), per the type's contract.
         self.words[idx / 64].fetch_or(1u64 << (idx % 64), Ordering::Relaxed);
@@ -280,28 +290,31 @@ impl AtomicBits {
     /// Read bit `idx`.
     #[inline]
     pub fn get(&self, idx: usize) -> bool {
-        debug_assert!(
-            idx < self.bits,
-            "bit index {idx} out of range {}",
-            self.bits
-        );
+        self.word_has(idx / 64, 1u64 << (idx % 64))
+    }
+
+    /// True if physical word `word` has any bit of `mask` set.
+    #[inline]
+    pub(crate) fn word_has(&self, word: usize, mask: u64) -> bool {
         // ordering: a stale read only yields a false negative for a key
         // inserted concurrently with this query (documented contract).
-        (self.words[idx / 64].load(Ordering::Relaxed) >> (idx % 64)) & 1 == 1
+        self.words[word].load(Ordering::Relaxed) & mask != 0
     }
 
     /// Best-effort hint that bit `idx` will be read soon: request the cache
-    /// line holding its physical word. Purely a scheduling hint — no memory
-    /// is accessed architecturally and nothing synchronizes — so it is sound
-    /// to call concurrently with writers for the same reason `get` is.
+    /// line holding its physical word.
     #[inline]
     pub fn prefetch_bit(&self, idx: usize) {
-        debug_assert!(
-            idx < self.bits,
-            "bit index {idx} out of range {}",
-            self.bits
-        );
-        crate::kernel::prefetch_read(&self.words[idx / 64]);
+        self.prefetch_word(idx / 64);
+    }
+
+    /// Best-effort hint that physical word `word` will be read soon. Purely
+    /// a scheduling hint — no memory is accessed architecturally and nothing
+    /// synchronizes — so it is sound to call concurrently with writers for
+    /// the same reason `get` is.
+    #[inline]
+    pub(crate) fn prefetch_word(&self, word: usize) {
+        crate::kernel::prefetch_read(&self.words[word]);
     }
 
     /// Load a logical word of `width` bits (1..=64, dividing 64) at the aligned
@@ -323,7 +336,7 @@ impl AtomicBits {
 
     /// OR a logical word of `width` bits into the array at aligned position `start`.
     #[inline]
-    pub fn or_word(&self, start: usize, width: u32, value: u64) {
+    pub(crate) fn or_word(&self, start: usize, width: u32, value: u64) {
         debug_assert!((1..=64).contains(&width) && 64 % width == 0);
         debug_assert_eq!(start % width as usize, 0, "unaligned word store");
         let shift = (start % 64) as u32;
@@ -333,7 +346,12 @@ impl AtomicBits {
 
     /// Count of set bits.
     pub fn count_ones(&self) -> usize {
-        self.words
+        self.count_ones_in(0..self.words.len())
+    }
+
+    /// Count of set bits in the physical words `words`.
+    pub(crate) fn count_ones_in(&self, words: std::ops::Range<usize>) -> usize {
+        self.words[words]
             .iter()
             // ordering: diagnostic census; exactness under concurrent writes
             // is not promised.
@@ -346,42 +364,33 @@ impl AtomicBits {
         if lo > hi {
             return false;
         }
-        debug_assert!(hi < self.bits);
         let (lw, hw) = (lo / 64, hi / 64);
-        // ordering: range probes tolerate stale words — a miss on a
-        // concurrently-set bit is the documented false-negative case.
         if lw == hw {
-            let mask = mask_between(lo % 64, hi % 64);
-            return self.words[lw].load(Ordering::Relaxed) & mask != 0;
+            return self.word_has(lw, mask_between(lo % 64, hi % 64));
         }
-        // ordering: same stale-read tolerance as above.
-        if self.words[lw].load(Ordering::Relaxed) & mask_between(lo % 64, 63) != 0 {
-            return true;
-        }
-        for w in lw + 1..hw {
-            // ordering: same stale-read tolerance as above.
-            if self.words[w].load(Ordering::Relaxed) != 0 {
-                return true;
-            }
-        }
-        // ordering: same stale-read tolerance as above.
-        self.words[hw].load(Ordering::Relaxed) & mask_between(0, hi % 64) != 0
+        // Range probes tolerate stale words — a miss on a concurrently-set
+        // bit is the documented false-negative case.
+        self.word_has(lw, mask_between(lo % 64, 63))
+            || (lw + 1..hw).any(|w| self.word_has(w, u64::MAX))
+            || self.word_has(hw, mask_between(0, hi % 64))
     }
 
     /// Snapshot the array into a plain [`BitVec`] (used for serialization and
     /// the scatter analysis).
     pub fn snapshot(&self) -> BitVec {
-        let words: Vec<u64> = self
-            .words
+        self.snapshot_region(0, self.len())
+    }
+
+    /// Snapshot the `bits`-bit region starting at physical word `first` as a
+    /// plain [`BitVec`] of `bits` bits.
+    pub(crate) fn snapshot_region(&self, first: usize, bits: usize) -> BitVec {
+        let words = self.words[first..first + words_for_bits(bits)]
             .iter()
             // ordering: callers snapshot quiescent or externally-synchronized
             // arrays; a torn-across-words view is acceptable otherwise.
             .map(|w| w.load(Ordering::Relaxed))
             .collect();
-        BitVec {
-            words,
-            bits: self.bits,
-        }
+        BitVec { words, bits }
     }
 
     /// OR every set bit of `other` into this array (set union of the two bit
@@ -395,29 +404,25 @@ impl AtomicBits {
             self.capacity_bits(),
             "bit-store union requires equal capacities"
         );
-        for (i, word) in other.words().iter().enumerate() {
+        self.or_words(0, other.words());
+    }
+
+    /// OR `words` into the physical words starting at `first`, skipping the
+    /// zero ones.
+    pub(crate) fn or_words(&self, first: usize, words: &[u64]) {
+        for (i, word) in words.iter().enumerate() {
             if *word != 0 {
-                self.or_word(i * 64, 64, *word);
+                self.or_word((first + i) * 64, 64, *word);
             }
         }
     }
 
     /// Restore an atomic array from a plain snapshot.
-    pub fn from_bitvec(bv: &BitVec) -> Self {
-        let mut words = Vec::with_capacity(bv.words.len());
-        for w in &bv.words {
-            words.push(AtomicU64::new(*w));
-        }
-        Self {
-            words,
-            bits: bv.bits,
-        }
-    }
-}
-
-impl Clone for AtomicBits {
-    fn clone(&self) -> Self {
-        Self::from_bitvec(&self.snapshot())
+    #[cfg(test)]
+    pub(crate) fn from_bitvec(bv: &BitVec) -> Self {
+        let bits = Self::new(bv.capacity_bits());
+        bits.or_words(0, bv.words());
+        bits
     }
 }
 

@@ -145,7 +145,8 @@ impl Pmhf {
     }
 
     /// Construct a PMHF with the paper's affine example hash.
-    pub fn with_affine(level: u32, offset_bits: u32, a: u64, b: u64) -> Self {
+    #[cfg(test)]
+    fn with_affine(level: u32, offset_bits: u32, a: u64, b: u64) -> Self {
         Self {
             level,
             offset_bits,
@@ -156,7 +157,7 @@ impl Pmhf {
 
     /// Size of this layer's words in bits.
     #[inline(always)]
-    pub fn word_size_bits(&self) -> u32 {
+    fn word_size_bits(&self) -> u32 {
         1u32 << self.offset_bits
     }
 
@@ -170,7 +171,7 @@ impl Pmhf {
     /// Word index (in units of this layer's word size) within a region of
     /// `word_count` words, for key `x`.
     #[inline(always)]
-    pub fn word_index(&self, x: u64, word_count: u64) -> u64 {
+    fn word_index(&self, x: u64, word_count: u64) -> u64 {
         self.word_index_of_hashed(self.hashed_prefix(x), word_count)
     }
 
@@ -219,8 +220,8 @@ impl Pmhf {
     }
 
     /// Starting bit of the word that key `x` maps to.
-    #[inline(always)]
-    pub fn word_start(&self, x: u64, word_count: u64) -> u64 {
+    #[cfg(test)]
+    fn word_start(&self, x: u64, word_count: u64) -> u64 {
         self.word_index(x, word_count) * self.word_size_bits() as u64
     }
 

@@ -163,9 +163,8 @@ struct TableSet {
     router: Router,
 }
 
-/// The candidates step's buffers: its answer, `(table, query)` pairs
-/// ascending by table and then by query, and scan-all's fence and filter
-/// buffers.
+/// The candidates step's buffers: its answer, `(table, query)` pairs with
+/// each query's tables ascending, and scan-all's fence and filter buffers.
 #[derive(Default)]
 struct Candidates {
     pairs: Vec<(usize, usize)>,
@@ -215,10 +214,12 @@ where
 impl TableSet {
     /// The candidates step of every read: the `(table, query)` pairs whose
     /// table's key range and filter admit the query, into `buffers.pairs`
-    /// (cleared first), ascending by table and then by query. The router's
-    /// descent (`descend`) ends in the leaves, which are the tables'
-    /// filters; scan-all tests every table's fences and filter itself
-    /// (`admit` leaves the admitted queries in the scratch). Either way each
+    /// (cleared first). Every read relies only on each query's tables
+    /// coming in ascending order: the tree groups the pairs by query,
+    /// scan-all by table. The router's descent (`descend`) ends in the
+    /// leaves, which are the tables' filters; scan-all tests every table's
+    /// fences and filter itself (`admit` leaves the admitted queries in the
+    /// scratch). Either way each
     /// table's filter is tested at most once per query, and a table that
     /// does hold a queried key is never missing (filters and fences have no
     /// false negatives), so reading only the candidates is

@@ -11,22 +11,25 @@
 //!
 //! [`FilterTree`] is that structure over bloomRF filters, so pruning works
 //! for **range predicates too**: descent probes each node with
-//! [`BloomRf::contains_range_batch_into`], which reuses the paper's two-path
-//! dyadic decomposition, once per node with every range that reached it.
+//! [`BloomRf::contains_range`], which reuses the paper's two-path dyadic
+//! decomposition.
 //!
-//! The descent is **level-synchronous**. It keeps a frontier of
-//! `(node, query)` pairs and walks it one level at a time, root first. Every
-//! node of a level shares one configuration (`configs[h]`), which is the
-//! property Bloofi's flat variant rests on, so a point query's PMHF probe
-//! positions are computed at most once per level
+//! The descent walks **each query alone**, root first, over flat per-level
+//! rows: level `h` keeps one contiguous row per node holding its key fence
+//! and its filter's word buffer (an [`AtomicBits`] handle). Every node of a
+//! level shares one configuration (`configs[h]`), and a bloomRF keeps its
+//! bits at offsets fixed by its configuration, so one probe addresses every
+//! sibling's buffer — the premise of Bloofi's flat variant. A point query
+//! computes its PMHF probe at most once per level
 //! ([`BloomRf::point_probe_into`], then the first
-//! [`BloomRf::prefetch_probe`]). A level is tested in two stages, each
-//! requesting the cache lines of every sibling before testing any, so the
-//! misses of one level overlap instead of queueing one after another: the
-//! exact-layer bit of every sibling that passed its fence
-//! ([`BloomRf::prefetch_exact`], [`BloomRf::exact_admits`]), then every
-//! position of the survivors ([`BloomRf::prefetch_probe`],
-//! [`BloomRf::contains_probe`]).
+//! [`BloomRf::prefetch_probe`]) and tests the fenced siblings in two
+//! stages, each requesting every sibling's cache lines before testing any,
+//! so the misses of one level overlap instead of queueing one after
+//! another: the exact-layer bit ([`BloomRf::prefetch_exact`],
+//! [`BloomRf::exact_admits`]), then every position of the survivors
+//! ([`BloomRf::prefetch_probe`], [`BloomRf::contains_probe`]). A test goes
+//! from the row straight to the bit, with no walk through the node's
+//! filter.
 //!
 //! Three deliberate deviations from textbook Bloofi, all documented in
 //! `docs/filter-tree.md`:
@@ -73,35 +76,12 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bloomrf::traits::PointRangeFilter;
-use bloomrf::{BloomRf, BloomRfConfig, PointProbe};
+use bloomrf::{AtomicBits, BloomRf, BloomRfConfig, PointProbe};
 use bloomrf_filters::FilterKind;
 
 use crate::persist;
 use crate::sst::{SsTable, TableFilter};
 use crate::stats::{Clock, ReadStats, SampledClock};
-
-/// One entry of the descent frontier: (node index within the level being
-/// visited, query index within the caller's batch).
-type Pair = (usize, usize);
-
-/// A point query's probe positions at the level being descended, and the
-/// height they were computed for.
-#[derive(Clone, Default)]
-struct Lane {
-    probe: PointProbe,
-    height: Option<usize>,
-}
-
-/// The frontier cut into runs of pairs that share a node.
-fn node_runs(frontier: &[Pair]) -> impl Iterator<Item = &[Pair]> {
-    let mut rest = frontier;
-    std::iter::from_fn(move || {
-        let node = rest.first()?.0;
-        let (run, tail) = rest.split_at(rest.iter().take_while(|p| p.0 == node).count());
-        rest = tail;
-        Some(run)
-    })
-}
 
 /// Per-query candidate lists from `(table, query)` pairs.
 fn nested(n_queries: usize, pairs: &[(usize, usize)]) -> Vec<Vec<usize>> {
@@ -112,21 +92,12 @@ fn nested(n_queries: usize, pairs: &[(usize, usize)]) -> Vec<Vec<usize>> {
     out
 }
 
-/// The range path's per-level buffers: the ranges of one node run, their
-/// verdicts, and whether each pair of the level survives.
-#[derive(Default)]
-struct Runs {
-    probe: Vec<(u64, u64)>,
-    verdicts: Vec<bool>,
-    keep: Vec<bool>,
-}
-
-/// A descent's reusable buffers (see [`FilterTree::descend`]).
+/// A descent's reusable buffers (see [`FilterTree::descend`]): the nodes
+/// of the level being visited and of the next one.
 #[derive(Default)]
 struct Scratch {
-    frontier: Vec<Pair>,
-    next: Vec<Pair>,
-    runs: Runs,
+    frontier: Vec<usize>,
+    next: Vec<usize>,
 }
 
 thread_local! {
@@ -168,23 +139,25 @@ impl Default for TreeOptions {
     }
 }
 
-/// One inner node: a bloomRF filter over every key in the node's leaf span,
-/// plus the span's min/max key fence.
-struct TreeNode {
-    filter: BloomRf,
+/// One node as the descent reads it: its span's key fence and, for a node
+/// of its level's configuration, its filter's word buffer.
+struct Row {
     /// Smallest key in the span (`u64::MAX` while empty, so fences fail).
     lo: u64,
     /// Largest key in the span (`0` while empty).
     hi: u64,
+    /// The node's filter's buffer, tested with the level's shared probe;
+    /// `None` for an `Own` leaf, tested through its filter.
+    bits: Option<AtomicBits>,
 }
 
-impl TreeNode {
-    /// Fold a sorted key run into the node (filter bits + fences).
-    fn absorb(&mut self, sorted_keys: &[u64]) {
+impl Row {
+    /// Fold a sorted key run into the node: `filter`'s bits and the fence.
+    fn absorb(&mut self, filter: &BloomRf, sorted_keys: &[u64]) {
         let (Some(&first), Some(&last)) = (sorted_keys.first(), sorted_keys.last()) else {
             return;
         };
-        self.filter.insert_batch(sorted_keys);
+        filter.insert_batch(sorted_keys);
         self.lo = self.lo.min(first);
         self.hi = self.hi.max(last);
     }
@@ -197,59 +170,6 @@ enum LeafFilter {
     Level(Arc<BloomRf>),
     /// Any other table filter: tested through its own methods.
     Own(Arc<dyn PointRangeFilter>),
-}
-
-/// One leaf: its table's own filter and key range.
-struct Leaf {
-    filter: LeafFilter,
-    lo: u64,
-    hi: u64,
-}
-
-/// A node's filter as the descent tests it.
-#[derive(Clone, Copy)]
-enum Probe<'a> {
-    /// A filter of the level's configuration: the level's shared probe
-    /// applies.
-    Level(&'a BloomRf),
-    /// A filter of its own configuration or family.
-    Own(&'a dyn PointRangeFilter),
-}
-
-/// The nodes of the level being descended.
-#[derive(Clone, Copy)]
-enum Nodes<'a> {
-    Leaves(&'a [Leaf]),
-    Inner(&'a [TreeNode]),
-}
-
-impl<'a> Nodes<'a> {
-    /// Number of nodes.
-    fn len(self) -> usize {
-        match self {
-            Nodes::Leaves(leaves) => leaves.len(),
-            Nodes::Inner(nodes) => nodes.len(),
-        }
-    }
-
-    /// Node `n`'s key fence.
-    fn fence(self, n: usize) -> (u64, u64) {
-        match self {
-            Nodes::Leaves(leaves) => (leaves[n].lo, leaves[n].hi),
-            Nodes::Inner(nodes) => (nodes[n].lo, nodes[n].hi),
-        }
-    }
-
-    /// Node `n`'s filter.
-    fn probe(self, n: usize) -> Probe<'a> {
-        match self {
-            Nodes::Inner(nodes) => Probe::Level(&nodes[n].filter),
-            Nodes::Leaves(leaves) => match &leaves[n].filter {
-                LeafFilter::Level(filter) => Probe::Level(filter),
-                LeafFilter::Own(filter) => Probe::Own(filter.as_ref()),
-            },
-        }
-    }
 }
 
 /// Number of levels (leaves included) a tree over `n` leaves needs so that
@@ -279,11 +199,17 @@ pub struct FilterTree {
     /// resolved once ([`FilterTree::resolve_levels`]).
     configs: Vec<BloomRfConfig>,
     /// One leaf per table, in age order.
-    leaves: Vec<Leaf>,
-    /// `inner[h - 1]` holds the nodes at height `h ≥ 1`; `inner[h - 1][i]`
-    /// covers leaves `[i·F^h, (i+1)·F^h)`. The top level is always a single
-    /// root.
-    inner: Vec<Vec<TreeNode>>,
+    leaves: Vec<LeafFilter>,
+    /// `inner[h - 1]` holds the filters of the nodes at height `h ≥ 1`;
+    /// `inner[h - 1][i]` covers leaves `[i·F^h, (i+1)·F^h)`. The top level
+    /// is always a single root.
+    inner: Vec<Vec<BloomRf>>,
+    /// `rows[h][i]` is node `i` at height `h` as the descent reads it:
+    /// `rows[0]` the leaves, `rows[h]` the nodes of `inner[h - 1]`.
+    rows: Vec<Vec<Row>>,
+    /// A table filter of the leaf configuration, which hashes the leaf
+    /// level's point probes: the first `Level` leaf's, while there is one.
+    leaf_hasher: Option<Arc<BloomRf>>,
 }
 
 impl FilterTree {
@@ -298,6 +224,8 @@ impl FilterTree {
             configs: Vec::new(),
             leaves: Vec::new(),
             inner: Vec::new(),
+            rows: vec![Vec::new()],
+            leaf_hasher: None,
         }
     }
 
@@ -322,26 +250,31 @@ impl FilterTree {
         }
     }
 
-    /// An empty node for height `h`, whose configuration is resolved.
-    fn empty_node(&self, height: usize) -> TreeNode {
+    /// An empty node for height `h ≥ 1`, whose configuration is resolved:
+    /// its filter and its row.
+    fn empty_node(&self, height: usize) -> (BloomRf, Row) {
         match BloomRf::builder()
             .config(self.configs[height].clone())
             .build()
         {
-            Ok(filter) => TreeNode {
-                filter,
-                lo: u64::MAX,
-                hi: 0,
-            },
+            Ok(filter) => {
+                let row = Row {
+                    lo: u64::MAX,
+                    hi: 0,
+                    bits: Some(filter.bits().clone()),
+                };
+                (filter, row)
+            }
             // `BloomRfBuilder::config_for` validates every configuration it
             // returns.
             Err(e) => unreachable!("filter tree level {height} config rejected: {e}"),
         }
     }
 
-    /// The leaf for one SST: its own filter, shared, tested with the leaf
-    /// level's probe when its configuration is the leaf configuration.
-    fn make_leaf(&self, sst: &SsTable) -> Leaf {
+    /// The leaf for one SST and its row: its own filter, shared, tested
+    /// with the leaf level's probe when its configuration is the leaf
+    /// configuration.
+    fn make_leaf(&self, sst: &SsTable) -> (LeafFilter, Row) {
         let filter = match sst.shared_filter() {
             TableFilter::BloomRf(filter) if *filter.config() == self.configs[0] => {
                 LeafFilter::Level(Arc::clone(filter))
@@ -349,8 +282,12 @@ impl FilterTree {
             TableFilter::BloomRf(filter) => LeafFilter::Own(Arc::clone(filter) as _),
             TableFilter::Other(filter) => LeafFilter::Own(Arc::clone(filter)),
         };
+        let bits = match &filter {
+            LeafFilter::Level(filter) => Some(filter.bits().clone()),
+            LeafFilter::Own(_) => None,
+        };
         let (lo, hi) = sst.key_range();
-        Leaf { filter, lo, hi }
+        (filter, Row { lo, hi, bits })
     }
 
     /// Number of leaves, one per SST.
@@ -369,17 +306,13 @@ impl FilterTree {
 
     /// Total node count across all levels, leaves included.
     pub fn num_nodes(&self) -> usize {
-        self.leaves.len() + self.inner.iter().map(Vec::len).sum::<usize>()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// Filter payload the tree owns, in bits: its inner nodes. The leaves
     /// are the tables' own filters, counted by the tables.
     pub fn memory_bits(&self) -> usize {
-        self.inner
-            .iter()
-            .flatten()
-            .map(|n| n.filter.memory_bits())
-            .sum()
+        self.inner.iter().flatten().map(BloomRf::memory_bits).sum()
     }
 
     /// The configured fan-out.
@@ -387,11 +320,24 @@ impl FilterTree {
         self.fanout
     }
 
-    /// The nodes at `height`.
-    fn nodes(&self, height: usize) -> Nodes<'_> {
+    /// Node `n`'s filter at `height`.
+    fn filter(&self, height: usize, n: usize) -> &dyn PointRangeFilter {
         match height {
-            0 => Nodes::Leaves(&self.leaves),
-            h => Nodes::Inner(&self.inner[h - 1]),
+            0 => match &self.leaves[n] {
+                LeafFilter::Level(filter) => filter.as_ref(),
+                LeafFilter::Own(filter) => filter.as_ref(),
+            },
+            h => &self.inner[h - 1][n],
+        }
+    }
+
+    /// A filter of height `h`'s configuration, which computes the level's
+    /// point probes: the first inner node, or the leaf hasher. `None` only
+    /// at the leaves, when none has the leaf configuration.
+    fn hasher(&self, height: usize) -> Option<&BloomRf> {
+        match height {
+            0 => self.leaf_hasher.as_deref(),
+            h => self.inner[h - 1].first(),
         }
     }
 
@@ -412,26 +358,32 @@ impl FilterTree {
         );
         let levels = required_levels(prior + 1, self.fanout);
         self.resolve_levels(levels, sst);
-        let leaf = self.make_leaf(sst);
+        let (leaf, row) = self.make_leaf(sst);
+        if let (None, LeafFilter::Level(filter)) = (&self.leaf_hasher, &leaf) {
+            self.leaf_hasher = Some(Arc::clone(filter));
+        }
         self.leaves.push(leaf);
+        self.rows[0].push(row);
         // Grow a new root when the leaf count exceeds the current top's
         // span. The fresh level is seeded from every leaf already present;
         // the new leaf itself is folded in by the ancestor pass.
         while self.depth() < levels {
-            let mut node = self.empty_node(self.depth());
+            let (node, mut row) = self.empty_node(self.depth());
             for older in older {
-                node.absorb(&older.keys());
+                row.absorb(&node, &older.keys());
             }
             self.inner.push(vec![node]);
+            self.rows.push(vec![row]);
         }
         let keys = sst.keys();
         for height in 1..self.depth() {
             let idx = prior / self.fanout.saturating_pow(height as u32);
             if idx == self.inner[height - 1].len() {
-                let node = self.empty_node(height);
+                let (node, row) = self.empty_node(height);
                 self.inner[height - 1].push(node);
+                self.rows[height].push(row);
             }
-            self.inner[height - 1][idx].absorb(&keys);
+            self.rows[height][idx].absorb(&self.inner[height - 1][idx], &keys);
         }
         debug_assert_eq!(
             self.num_leaves(),
@@ -442,10 +394,13 @@ impl FilterTree {
     }
 
     /// Structural invariants every tree mutation must restore: the level
-    /// count matches the leaf count, and inner level `h` holds exactly
-    /// `ceil(leaves / fanout^h)` nodes — one per (possibly partial) span.
-    /// Debug builds only; a violation here means routing would descend into
-    /// nodes that do not aggregate their children.
+    /// count matches the leaf count, inner level `h` holds exactly
+    /// `ceil(leaves / fanout^h)` nodes — one per (possibly partial) span —
+    /// and the rows are in step with the nodes: one per node, holding its
+    /// filter's own buffer (none for an `Own` leaf), with a leaf hasher
+    /// whenever a row of the leaf level has a buffer. Debug builds only; a
+    /// violation here means routing would descend into nodes that do not
+    /// aggregate their children, or test bits no node owns.
     fn debug_check_shape(&self) {
         debug_assert_eq!(
             self.inner.len() + 1,
@@ -460,6 +415,36 @@ impl FilterTree {
                         .div_ceil(self.fanout.saturating_pow(h as u32))
             }),
             "inner level width must be ceil(leaves / fanout^height)"
+        );
+        let holds_own_buffer = |row: &Row, filter: Option<&BloomRf>| match (&row.bits, filter) {
+            (Some(bits), Some(filter)) => bits.same_buffer(filter.bits()),
+            (bits, filter) => bits.is_none() && filter.is_none(),
+        };
+        debug_assert!(
+            self.rows.len() == self.inner.len() + 1
+                && self.rows[0].len() == self.leaves.len()
+                && self.leaves.iter().zip(&self.rows[0]).all(|(leaf, row)| {
+                    holds_own_buffer(
+                        row,
+                        match leaf {
+                            LeafFilter::Level(filter) => Some(filter),
+                            LeafFilter::Own(_) => None,
+                        },
+                    )
+                })
+                && self.inner.iter().zip(&self.rows[1..]).all(|(nodes, rows)| {
+                    nodes.len() == rows.len()
+                        && nodes
+                            .iter()
+                            .zip(rows)
+                            .all(|(node, row)| holds_own_buffer(row, Some(node)))
+                }),
+            "each row must hold its node's own buffer"
+        );
+        debug_assert_eq!(
+            self.leaf_hasher.is_some(),
+            self.rows[0].iter().any(|row| row.bits.is_some()),
+            "the leaf level needs a hasher exactly when a leaf takes its probe"
         );
     }
 
@@ -486,27 +471,36 @@ impl FilterTree {
         if let Some(sst) = ssts.first() {
             self.resolve_levels(required_levels(ssts.len(), self.fanout), sst);
         }
-        let leaf = replacement.map(|sst| self.make_leaf(sst));
-        self.leaves.splice(window, leaf);
+        let (leaf, row) = replacement.map(|sst| self.make_leaf(sst)).unzip();
+        self.leaves.splice(window.clone(), leaf);
+        self.rows[0].splice(window, row);
         assert_eq!(
             self.leaves.len(),
             ssts.len(),
             "filter tree out of sync with the spliced SST set"
         );
-        self.inner = (1..required_levels(ssts.len(), self.fanout))
-            .map(|height| {
-                let span = self.fanout.saturating_pow(height as u32);
-                ssts.chunks(span)
-                    .map(|spanned| {
-                        let mut node = self.empty_node(height);
-                        for sst in spanned {
-                            node.absorb(&sst.keys());
-                        }
-                        node
-                    })
-                    .collect()
-            })
-            .collect();
+        self.leaf_hasher = self.leaves.iter().find_map(|leaf| match leaf {
+            LeafFilter::Level(filter) => Some(Arc::clone(filter)),
+            LeafFilter::Own(_) => None,
+        });
+        let (inner, rows): (Vec<Vec<BloomRf>>, Vec<Vec<Row>>) =
+            (1..required_levels(ssts.len(), self.fanout))
+                .map(|height| {
+                    let span = self.fanout.saturating_pow(height as u32);
+                    ssts.chunks(span)
+                        .map(|spanned| {
+                            let (node, mut row) = self.empty_node(height);
+                            for sst in spanned {
+                                row.absorb(&node, &sst.keys());
+                            }
+                            (node, row)
+                        })
+                        .unzip()
+                })
+                .unzip();
+        self.inner = inner;
+        self.rows.truncate(1);
+        self.rows.extend(rows);
         self.debug_check_shape();
         stats.record_tree_rebuild();
     }
@@ -545,10 +539,10 @@ impl FilterTree {
     }
 
     /// The candidates of every key of `keys`, as `(table, key index)`
-    /// pairs ascending by table, then by key, in `out` (cleared first).
-    /// Per level, each surviving key is hashed once; every `(node, key)`
-    /// pair that passes its fence has its exact-layer bit prefetched before
-    /// any is tested, and every pair that passes that has its remaining
+    /// pairs in `out` (cleared first): grouped by key in `keys` order, and
+    /// ascending by table within a key. Per level, a key is hashed at most
+    /// once; every fenced node has its exact-layer bit prefetched before
+    /// any is tested, and every node that passes that has its remaining
     /// positions prefetched before any is tested. A leaf of its own
     /// configuration is tested in one call instead.
     pub fn candidates_points_into(
@@ -557,53 +551,41 @@ impl FilterTree {
         stats: &ReadStats,
         out: &mut Vec<(usize, usize)>,
     ) {
-        // A lone key (every `Db::get`) keeps its probe on the stack.
-        let mut one = [Lane::default()];
-        let mut many = Vec::new();
-        let lanes: &mut [Lane] = if keys.len() == 1 {
-            &mut one
-        } else {
-            many.resize(keys.len(), Lane::default());
-            &mut many
-        };
+        let mut probe = PointProbe::default();
         let fence = |(lo, hi): (u64, u64), q: usize| (lo..=hi).contains(&keys[q]);
-        self.descend(
-            keys.len(),
-            stats,
-            out,
-            fence,
-            |height, nodes, frontier, _| {
-                // Every pair is tested.
-                let tested = frontier.len();
-                for &(n, q) in frontier.iter() {
-                    if let Probe::Level(filter) = nodes.probe(n) {
-                        let lane = &mut lanes[q];
-                        if lane.height != Some(height) {
-                            filter.point_probe_into(keys[q], &mut lane.probe);
-                            lane.height = Some(height);
-                        }
-                        filter.prefetch_exact(&lane.probe);
-                    }
+        self.descend(keys.len(), stats, out, fence, |height, q, frontier| {
+            let key = keys[q];
+            let rows = &self.rows[height];
+            // Every fenced node is tested.
+            let tested = frontier.len();
+            let Some(hasher) = self.hasher(height) else {
+                // No leaf has the leaf configuration.
+                frontier.retain(|&n| self.filter(height, n).may_contain(key));
+                return tested;
+            };
+            hasher.point_probe_into(key, &mut probe);
+            for &n in frontier.iter() {
+                if let Some(bits) = &rows[n].bits {
+                    hasher.prefetch_exact(&probe, bits);
                 }
-                // Tuned levels keep an exact layer: one cache line per pair
-                // rejects most siblings that do not hold the key, before the
-                // layer positions of the survivors are fetched.
-                frontier.retain(|&(n, q)| match nodes.probe(n) {
-                    Probe::Level(filter) => filter.exact_admits(&lanes[q].probe),
-                    Probe::Own(filter) => filter.may_contain(keys[q]),
-                });
-                for &(n, q) in frontier.iter() {
-                    if let Probe::Level(filter) = nodes.probe(n) {
-                        filter.prefetch_probe(&mut lanes[q].probe);
-                    }
+            }
+            // Tuned levels keep an exact layer: one cache line per node
+            // rejects most siblings that do not hold the key, before the
+            // layer positions of the survivors are fetched.
+            frontier.retain(|&n| match &rows[n].bits {
+                Some(bits) => hasher.exact_admits(&probe, bits),
+                None => self.filter(height, n).may_contain(key),
+            });
+            for &n in frontier.iter() {
+                if let Some(bits) = &rows[n].bits {
+                    hasher.prefetch_probe(&mut probe, bits);
                 }
-                frontier.retain(|&(n, q)| match nodes.probe(n) {
-                    Probe::Level(filter) => filter.contains_probe(&lanes[q].probe),
-                    Probe::Own(_) => true,
-                });
-                tested
-            },
-        );
+            }
+            frontier.retain(|&n| {
+                (rows[n].bits.as_ref()).map_or(true, |bits| hasher.contains_probe(&probe, bits))
+            });
+            tested
+        });
     }
 
     /// Candidate SSTs for one range-emptiness check over `[lo, hi]`,
@@ -624,13 +606,10 @@ impl FilterTree {
     }
 
     /// The candidates of every range of `ranges`, as `(table, range
-    /// index)` pairs ascending by table, then by range, in `out` (cleared
-    /// first). Each node is probed once with every range that reached it,
-    /// through [`BloomRf::contains_range_batch_into`] (a leaf of another
-    /// family through its
-    /// [`PointRangeFilter::may_contain_range_batch_into`]); a node only one
-    /// range reached is probed with that range alone, which skips the
-    /// batch engine's staging.
+    /// index)` pairs in `out` (cleared first): grouped by range in `ranges`
+    /// order, and ascending by table within a range. Each fenced node tests
+    /// the range with [`BloomRf::contains_range`] (a leaf of another family
+    /// with its [`PointRangeFilter::may_contain_range`]).
     pub fn candidates_ranges_into(
         &self,
         ranges: &[(u64, u64)],
@@ -642,145 +621,90 @@ impl FilterTree {
         let fence = |(lo, hi): (u64, u64), q: usize| {
             reversed(q) || (ranges[q].0 <= hi && ranges[q].1 >= lo)
         };
-        self.descend(
-            ranges.len(),
-            stats,
-            out,
-            fence,
-            |_, nodes, frontier, runs| {
-                let Runs {
-                    probe,
-                    verdicts,
-                    keep,
-                } = runs;
-                keep.clear();
-                let mut tested = 0;
-                for run in node_runs(frontier) {
-                    probe.clear();
-                    probe.extend(run.iter().filter(|p| !reversed(p.1)).map(|p| ranges[p.1]));
-                    verdicts.clear();
-                    tested += probe.len();
-                    match (nodes.probe(run[0].0), &probe[..]) {
-                        (_, []) => {}
-                        (Probe::Level(filter), &[(lo, hi)]) => {
-                            verdicts.push(filter.contains_range(lo, hi))
-                        }
-                        (Probe::Own(filter), &[(lo, hi)]) => {
-                            verdicts.push(filter.may_contain_range(lo, hi))
-                        }
-                        (Probe::Level(filter), batch) => {
-                            filter.contains_range_batch_into(batch, verdicts)
-                        }
-                        (Probe::Own(filter), batch) => {
-                            filter.may_contain_range_batch_into(batch, verdicts)
-                        }
-                    }
-                    let mut forward = verdicts.iter();
-                    keep.extend(
-                        run.iter()
-                            .map(|p| reversed(p.1) || forward.next() == Some(&true)),
-                    );
-                }
-                let mut keep = keep.iter();
-                frontier.retain(|_| keep.next() == Some(&true));
-                tested
-            },
-        );
+        self.descend(ranges.len(), stats, out, fence, |height, q, frontier| {
+            if reversed(q) {
+                return 0;
+            }
+            let (lo, hi) = ranges[q];
+            let tested = frontier.len();
+            frontier.retain(|&n| self.filter(height, n).may_contain_range(lo, hi));
+            tested
+        });
     }
 
-    /// The one descent behind every candidates call, level-synchronous from
-    /// the root down. The frontier holds the `(node, query)` pairs that
-    /// reached the level, grouped by node in ascending order; the pairs
-    /// whose node's key fence rejects the query are dropped, then
-    /// `filter_pass` drops those whose node's filter rejects it and returns
-    /// how many pairs it tested with a filter. Each surviving pair sends its
-    /// query on to every child of its node; the surviving leaf pairs are
-    /// the candidates, appended to `out` (cleared first) as `(leaf, query)`
-    /// in the frontier's order: ascending by leaf, then by query.
+    /// The one descent behind every candidates call: query by query, each
+    /// from the root down. The frontier holds the nodes the query reached
+    /// at the level being visited, ascending; the nodes whose key fence
+    /// rejects the query are dropped, then `filter_pass(height, query,
+    /// frontier)` drops those whose filter rejects it and returns how many
+    /// nodes it tested with a filter. Each surviving node sends the query
+    /// on to its children; the surviving leaves are the query's
+    /// candidates, appended to `out` (cleared first) as `(leaf, query)`:
+    /// grouped by query, ascending by leaf within a query.
     ///
-    /// The frontier, the next level and the range path's [`Runs`] are this
-    /// thread's [`SCRATCH`], taken and put back, so a warm thread's
-    /// descents allocate nothing. It is put back unless the frontier grew
-    /// past `2 · F · L` pairs (`F` the fan-out, `L` the leaf count; the
-    /// range buffers hold at most one entry per frontier pair). A lone
-    /// query's frontier holds at most one pair per node of a level, and
-    /// the next level is reserved at `F` pairs per survivor, so it needs at
-    /// most `L + F - 1 ≤ F · L` pairs, twice that after a vector's doubling
-    /// growth; a point batch ends with about `F` pairs per key (the
-    /// children of the inner node that admits it), so the bound also keeps
-    /// any batch of up to about `L` keys. A larger buffer came from a giant
-    /// batch and is dropped rather than pinned for the thread's life.
+    /// The frontier and the next level are this thread's [`SCRATCH`],
+    /// taken and put back, so a warm thread's descents allocate nothing.
+    /// Neither holds more than a level's width plus `F` nodes, whatever the
+    /// batch size.
     ///
-    /// Records `tree_probes` per pair that reached a level, `ssts_pruned`
-    /// per `(query, leaf)` pair not among the candidates, and — the leaves
-    /// being the tables' filters — every leaf test as a filter probe.
+    /// Records, once per call, `tree_probes` per node a query reached,
+    /// `ssts_pruned` per `(query, leaf)` pair not among the candidates,
+    /// and — the leaves being the tables' filters — every leaf test as a
+    /// filter probe.
     fn descend(
         &self,
         n_queries: usize,
         stats: &ReadStats,
         out: &mut Vec<(usize, usize)>,
         fence: impl Fn((u64, u64), usize) -> bool,
-        mut filter_pass: impl FnMut(usize, Nodes<'_>, &mut Vec<Pair>, &mut Runs) -> usize,
+        mut filter_pass: impl FnMut(usize, usize, &mut Vec<usize>) -> usize,
     ) {
         out.clear();
         if self.num_leaves() == 0 || n_queries == 0 {
             return;
         }
         let mut scratch = SCRATCH.take().unwrap_or_default();
-        let Scratch {
-            frontier,
-            next,
-            runs,
-        } = &mut *scratch;
-        // The top level is a single root by construction.
-        frontier.clear();
-        frontier.extend((0..n_queries).map(|q| (0, q)));
-        let mut probes = 0u64;
-        for height in (0..self.depth()).rev() {
-            let nodes = self.nodes(height);
-            probes += frontier.len() as u64;
-            frontier.retain(|&(n, q)| fence(nodes.fence(n), q));
-            if height == 0 {
-                if !frontier.is_empty() {
+        let Scratch { frontier, next } = &mut *scratch;
+        let (mut probes, mut positives, mut negatives, mut nanos) = (0, 0, 0, 0);
+        for q in 0..n_queries {
+            // The top level is a single root by construction.
+            frontier.clear();
+            frontier.push(0);
+            for height in (0..self.depth()).rev() {
+                let rows = &self.rows[height];
+                probes += frontier.len() as u64;
+                frontier.retain(|&n| fence((rows[n].lo, rows[n].hi), q));
+                if frontier.is_empty() {
+                    break;
+                }
+                if height == 0 {
                     // The leaves are the tables' filters.
                     let fenced = frontier.len();
                     let clock = SampledClock::start(Clock::FilterProbe);
-                    let tested = filter_pass(0, nodes, frontier, runs);
-                    let negatives = fenced - frontier.len();
-                    stats.record_filter_probes(
-                        (tested - negatives) as u64,
-                        negatives as u64,
-                        clock.estimate_ns(),
-                    );
-                }
-                out.extend_from_slice(frontier);
-                break;
-            }
-            filter_pass(height, nodes, frontier, runs);
-            if frontier.is_empty() {
-                break;
-            }
-            next.clear();
-            // Each surviving pair sends its query to at most `fanout`
-            // children: the buffer grows at most once per level, and not
-            // at all once a thread's earlier descents have sized it.
-            next.reserve(frontier.len() * self.fanout);
-            let children = self.nodes(height - 1).len();
-            for run in node_runs(frontier) {
-                let first = run[0].0 * self.fanout;
-                for child in first..(first + self.fanout).min(children) {
-                    next.extend(run.iter().map(|&(_, q)| (child, q)));
+                    let tested = filter_pass(0, q, frontier);
+                    nanos += clock.estimate_ns();
+                    let rejected = fenced - frontier.len();
+                    positives += (tested - rejected) as u64;
+                    negatives += rejected as u64;
+                    out.extend(frontier.iter().map(|&leaf| (leaf, q)));
+                } else {
+                    filter_pass(height, q, frontier);
+                    next.clear();
+                    let children = self.rows[height - 1].len();
+                    for &n in frontier.iter() {
+                        next.extend(n * self.fanout..((n + 1) * self.fanout).min(children));
+                    }
+                    std::mem::swap(frontier, next);
                 }
             }
-            std::mem::swap(frontier, next);
         }
         stats.record_tree_probes(probes);
         let pairs = (n_queries * self.num_leaves()) as u64;
         stats.record_ssts_pruned(pairs - out.len() as u64);
-        let capacity = scratch.frontier.capacity().max(scratch.next.capacity());
-        if capacity <= 2 * self.fanout * self.num_leaves() {
-            SCRATCH.set(Some(scratch));
+        if positives + negatives + nanos > 0 {
+            stats.record_filter_probes(positives, negatives, nanos);
         }
+        SCRATCH.set(Some(scratch));
     }
 
     /// Encode the tree: magic + version, then
@@ -797,21 +721,22 @@ impl FilterTree {
         meta.extend_from_slice(&self.bits_per_key.to_bits().to_le_bytes());
         meta.extend_from_slice(&(self.num_leaves() as u64).to_le_bytes());
         meta.extend_from_slice(&(self.depth() as u32).to_le_bytes());
-        for height in 0..self.depth() {
-            meta.extend_from_slice(&(self.nodes(height).len() as u64).to_le_bytes());
+        for rows in &self.rows[..self.depth()] {
+            meta.extend_from_slice(&(rows.len() as u64).to_le_bytes());
         }
 
         let mut nodes = Vec::new();
-        for leaf in &self.leaves {
-            nodes.extend_from_slice(&leaf.lo.to_le_bytes());
-            nodes.extend_from_slice(&leaf.hi.to_le_bytes());
+        for row in &self.rows[0] {
+            nodes.extend_from_slice(&row.lo.to_le_bytes());
+            nodes.extend_from_slice(&row.hi.to_le_bytes());
             nodes.push(0);
         }
-        for node in self.inner.iter().flatten() {
-            nodes.extend_from_slice(&node.lo.to_le_bytes());
-            nodes.extend_from_slice(&node.hi.to_le_bytes());
+        let inner = self.inner.iter().zip(&self.rows[1..]);
+        for (node, row) in inner.flat_map(|(nodes, rows)| nodes.iter().zip(rows)) {
+            nodes.extend_from_slice(&row.lo.to_le_bytes());
+            nodes.extend_from_slice(&row.hi.to_le_bytes());
             nodes.push(1);
-            let filter = node.filter.to_bytes();
+            let filter = node.to_bytes();
             nodes.extend_from_slice(&(filter.len() as u64).to_le_bytes());
             nodes.extend_from_slice(&filter);
         }
@@ -963,8 +888,9 @@ mod tests {
     /// query)` at height `h` is reached when every ancestor admits the
     /// query, and admitted when it is reached and passes the node's fence
     /// and — unless `untested(query)` — its filter. Returns the candidate
-    /// `(leaf, query)` pairs and `[tree_probes, ssts_pruned,
-    /// filter_positives, filter_negatives]`.
+    /// `(leaf, query)` pairs, grouped by query and ascending by leaf within
+    /// one, and `[tree_probes, ssts_pruned, filter_positives,
+    /// filter_negatives]`.
     fn reference(
         tree: &FilterTree,
         n_queries: usize,
@@ -975,13 +901,11 @@ mod tests {
         let Some(top) = tree.depth().checked_sub(1) else {
             return (Vec::new(), [0; 4]);
         };
-        let filter = |h: usize, n: usize| -> &dyn PointRangeFilter {
-            match tree.nodes(h).probe(n) {
-                Probe::Level(filter) => filter,
-                Probe::Own(filter) => filter,
-            }
+        let filter = |h: usize, n: usize| tree.filter(h, n);
+        let fenced = |h: usize, n: usize, q: usize| {
+            let row = &tree.rows[h][n];
+            fence((row.lo, row.hi), q)
         };
-        let fenced = |h: usize, n: usize, q: usize| fence(tree.nodes(h).fence(n), q);
         let admits = |h: usize, n: usize, q: usize| {
             fenced(h, n, q) && (untested(q) || test(filter(h, n), q))
         };
@@ -990,9 +914,9 @@ mod tests {
         };
         let mut stats = [0u64; 4];
         let mut pairs = Vec::new();
-        for h in 0..=top {
-            for n in 0..tree.nodes(h).len() {
-                for q in 0..n_queries {
+        for q in 0..n_queries {
+            for h in 0..=top {
+                for n in 0..tree.rows[h].len() {
                     if !reached(h, n, q) {
                         continue;
                     }
@@ -1025,14 +949,12 @@ mod tests {
         (out, counts)
     }
 
-    /// `(table, query)` pairs from per-query candidate lists, ascending by
-    /// table and then by query.
+    /// `(table, query)` pairs from per-query candidate lists, in their
+    /// order: grouped by query.
     fn flatten(nested: &[Vec<usize>]) -> Vec<(usize, usize)> {
-        let mut pairs: Vec<(usize, usize)> = (nested.iter().enumerate())
+        (nested.iter().enumerate())
             .flat_map(|(q, tables)| tables.iter().map(move |&t| (t, q)))
-            .collect();
-        pairs.sort_unstable();
-        pairs
+            .collect()
     }
 
     /// On random trees — leaf counts off the powers of `F`, `Own` leaves
@@ -1070,8 +992,8 @@ mod tests {
                 .collect();
             let tree = FilterTree::build_from_ssts(fanout, 8, 14.0, &ssts);
             if leaves > 4 {
-                assert!(matches!(tree.leaves[2].filter, LeafFilter::Own(_)));
-                assert!(matches!(tree.leaves[4].filter, LeafFilter::Own(_)));
+                assert!(matches!(tree.leaves[2], LeafFilter::Own(_)));
+                assert!(matches!(tree.leaves[4], LeafFilter::Own(_)));
             }
 
             let mut keys: Vec<u64> = Vec::new();
@@ -1216,8 +1138,8 @@ mod tests {
     }
 
     /// The address of a leaf's filter.
-    fn leaf_filter(leaf: &Leaf) -> *const u8 {
-        match &leaf.filter {
+    fn leaf_filter(leaf: &LeafFilter) -> *const u8 {
+        match leaf {
             LeafFilter::Level(filter) => Arc::as_ptr(filter).cast(),
             LeafFilter::Own(filter) => Arc::as_ptr(filter).cast(),
         }
@@ -1231,16 +1153,13 @@ mod tests {
         for (i, (leaf, sst)) in tree.leaves.iter().zip(ssts).enumerate() {
             let table: *const dyn PointRangeFilter = sst.filter();
             assert_eq!(leaf_filter(leaf), table.cast(), "leaf {i}");
-            assert_eq!((leaf.lo, leaf.hi), sst.key_range(), "leaf {i}");
+            let row = &tree.rows[0][i];
+            assert_eq!((row.lo, row.hi), sst.key_range(), "leaf {i}");
             let level = sst
                 .filter()
                 .as_bloomrf()
                 .is_some_and(|filter| *filter.config() == tree.configs[0]);
-            assert_eq!(
-                matches!(leaf.filter, LeafFilter::Level(_)),
-                level,
-                "leaf {i}"
-            );
+            assert_eq!(matches!(leaf, LeafFilter::Level(_)), level, "leaf {i}");
         }
     }
 
@@ -1259,7 +1178,7 @@ mod tests {
             assert_leaves_are_the_tables_filters(&tree, &ssts);
             // A flushed bloomRF table has exactly the leaf configuration.
             let bloomrf = kind.bloomrf_builder().is_some();
-            let level = |leaf: &Leaf| matches!(leaf.filter, LeafFilter::Level(_));
+            let level = |leaf: &LeafFilter| matches!(leaf, LeafFilter::Level(_));
             assert_eq!(tree.leaves.iter().all(level), bloomrf, "{kind:?}");
 
             // A compaction output holds more keys, so a bloomRF output has
@@ -1306,13 +1225,11 @@ mod tests {
                 match h {
                     // Leaves are the tables' filters: bloomRF tables of the
                     // leaf configuration, or filters of another family.
-                    0 => assert!(tree.leaves.iter().all(|leaf| match &leaf.filter {
+                    0 => assert!(tree.leaves.iter().all(|leaf| match leaf {
                         LeafFilter::Level(filter) => filter.config() == config,
                         LeafFilter::Own(_) => kind == FilterKind::Bloom,
                     })),
-                    _ => assert!(tree.inner[h - 1]
-                        .iter()
-                        .all(|n| n.filter.config() == config)),
+                    _ => assert!(tree.inner[h - 1].iter().all(|n| n.config() == config)),
                 }
             }
             // A later table of another kind keeps the tree's recipe: its

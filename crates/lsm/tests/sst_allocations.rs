@@ -302,15 +302,16 @@ fn db_point_and_range_reads_allocate_only_their_values() {
 
 /// A batch allocates its output, one buffer per value it returns and a
 /// fixed number of buffers whatever its size: the indices and keys the
-/// memtable left open and the candidate pairs, plus the descent's probe
-/// lanes under the tree or scan-all's three fence and filter buffers.
+/// memtable left open and the candidate pairs, plus scan-all's three fence
+/// and filter buffers. The tree's descent walks one query at a time on
+/// per-thread buffers and allocates nothing.
 #[test]
 fn a_db_batch_allocates_its_output_values_and_a_constant() {
     for routing in ROUTINGS {
         let db = store(routing);
         let want = match routing {
             ReadRouting::ScanAll => 6,
-            ReadRouting::FilterTree(_) => 4,
+            ReadRouting::FilterTree(_) => 3,
         };
         let mut fixed = Vec::new();
         for n in [8u64, 64] {

@@ -27,6 +27,10 @@
 //!   blocks that came from file bytes, and `crates/core/src/filter.rs`,
 //!   whose `BLRF` decoder reads every SST filter block): corrupted input
 //!   must surface as typed errors, never panics.
+//! - **unsafe-outside-kernel** — the `unsafe` keyword appears in library
+//!   sources only in `crates/core/src/kernel.rs`, whose software-prefetch
+//!   hint is the one operation safe code cannot express. Everything else,
+//!   the probe paths included, stays in safe code.
 //!
 //! Code after a `#[cfg(test)]` marker is exempt (repo convention keeps unit
 //! tests at the bottom of each file). The lint is intentionally regex-free
@@ -51,6 +55,9 @@ const RECOVERY_PATHS: &[&str] = &[
     "crates/core/src/filter.rs",
 ];
 
+/// The one file where the `unsafe` keyword may appear outside tests.
+const UNSAFE_ALLOWED: &str = "crates/core/src/kernel.rs";
+
 /// How many preceding lines may carry the `// ordering:` justification.
 const ORDERING_COMMENT_WINDOW: usize = 5;
 
@@ -72,6 +79,14 @@ impl fmt::Display for Violation {
     }
 }
 
+/// True if `code` holds `word` as a whole identifier, not as part of a
+/// longer one (`unsafe_code` does not hold `unsafe`).
+fn has_word(code: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(word)
+        .any(|(at, _)| !code[..at].ends_with(ident) && !code[at + word.len()..].starts_with(ident))
+}
+
 /// The part of a line the compiler sees (strip a trailing `//` comment).
 fn code_part(line: &str) -> &str {
     match line.find("//") {
@@ -84,6 +99,7 @@ fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
     let mut violations = Vec::new();
     let raw_lock_applies = !RAW_LOCK_ALLOWLIST.contains(&rel_path);
     let recovery_applies = RECOVERY_PATHS.contains(&rel_path);
+    let unsafe_applies = rel_path != UNSAFE_ALLOWED;
     let lines: Vec<&str> = source.lines().collect();
 
     for (idx, raw_line) in lines.iter().enumerate() {
@@ -136,6 +152,18 @@ fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
                 message: "recovery paths must return typed errors, not panic \
                           (corrupted on-disk state reaches this code)"
                     .to_string(),
+            });
+        }
+
+        if unsafe_applies && has_word(code, "unsafe") {
+            violations.push(Violation {
+                file: rel_path.to_string(),
+                line: lineno,
+                rule: "unsafe-outside-kernel",
+                message: format!(
+                    "`unsafe` is allowed only in {UNSAFE_ALLOWED} \
+                     (the prefetch hint); keep every other path in safe code"
+                ),
             });
         }
     }
@@ -239,7 +267,7 @@ fn main() -> ExitCode {
         Some("lint") => {
             let violations = run_lint(&root);
             if violations.is_empty() {
-                println!("xtask lint: clean ({} rules)", 3);
+                println!("xtask lint: clean ({} rules)", 4);
                 ExitCode::SUCCESS
             } else {
                 for v in &violations {
@@ -371,6 +399,38 @@ fn f(x: &AtomicU64) {
         let v = lint_source("crates/core/src/filter.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "recovery-unwrap");
+    }
+
+    #[test]
+    fn flags_unsafe_outside_the_kernel() {
+        let src = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n\
+                   unsafe fn g() {}\n\
+                   unsafe impl Send for T {}\n";
+        for path in [
+            "crates/core/src/filter.rs",
+            "crates/lsm/src/tree.rs",
+            "src/lib.rs",
+        ] {
+            let v = lint_source(path, src);
+            assert_eq!(v.len(), 3, "{path}: {v:?}");
+            assert!(v.iter().all(|v| v.rule == "unsafe-outside-kernel"), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn the_kernel_may_use_unsafe() {
+        let src = "fn hint(p: *const i8) { unsafe { prefetch(p) } }\n";
+        assert!(lint_source("crates/core/src/kernel.rs", src).is_empty());
+    }
+
+    #[test]
+    fn unsafe_rule_matches_the_keyword_only() {
+        let src = "#![forbid(unsafe_code)]\n\
+                   fn is_unsafe() {}\n\
+                   // an unsafe block in prose is fine\n";
+        assert!(lint_source("crates/lsm/src/db.rs", src).is_empty());
+        let tests = "fn good() {}\n#[cfg(test)]\nmod tests { fn t() { unsafe {} } }\n";
+        assert!(lint_source("crates/lsm/src/db.rs", tests).is_empty());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!
 //! The split point probe (`point_probe_into` → `prefetch_exact` →
 //! `exact_admits` → `prefetch_probe` → `contains_probe`, which the filter
-//! tree's descent uses) is held to `contains_point` the same way.
+//! tree's descent uses) is held to `contains_point` the same way, computed
+//! by one filter and tested on another's buffer handle.
 
 use proptest::prelude::*;
 
@@ -239,9 +240,12 @@ proptest! {
 
     /// `point_probe_into` → (`prefetch_probe`) → `contains_probe` is
     /// `contains_point`, and `exact_admits` never rejects a key
-    /// `contains_point` accepts, including on a second filter of the same
-    /// configuration holding other keys — the way the filter tree shares one
-    /// level's probe across sibling nodes.
+    /// `contains_point` accepts, on both sides of the crossover. Each
+    /// filter computes the probe and tests it on its own buffer and on the
+    /// buffer handle of a second filter of the same configuration holding
+    /// other keys, where it must answer that filter's `contains_point` —
+    /// the way the filter tree tests one level's probe on every sibling's
+    /// buffer.
     #[test]
     fn split_probe_matches_contains_point(
         keys in prop::collection::vec(any::<u64>(), 1..200),
@@ -265,14 +269,19 @@ proptest! {
                     [k, k ^ (1 << 12), k.wrapping_add(1 << 18), k ^ (1 << 40)]
                 });
                 for k in points {
-                    for f in [&filter, &sibling] {
-                        let expected = f.contains_point(k);
-                        filter.point_probe_into(k, &mut probe);
-                        prop_assert_eq!(f.contains_probe(&probe), expected, "key {}", k);
-                        f.prefetch_exact(&probe);
-                        prop_assert!(f.exact_admits(&probe) || !expected, "key {}", k);
-                        f.prefetch_probe(&mut probe);
-                        prop_assert_eq!(f.contains_probe(&probe), expected, "key {}", k);
+                    for (hasher, tested) in [
+                        (&filter, &filter),
+                        (&filter, &sibling),
+                        (&sibling, &filter),
+                    ] {
+                        let expected = tested.contains_point(k);
+                        let bits = tested.bits();
+                        hasher.point_probe_into(k, &mut probe);
+                        prop_assert_eq!(hasher.contains_probe(&probe, bits), expected, "key {}", k);
+                        hasher.prefetch_exact(&probe, bits);
+                        prop_assert!(hasher.exact_admits(&probe, bits) || !expected, "key {}", k);
+                        hasher.prefetch_probe(&mut probe, bits);
+                        prop_assert_eq!(hasher.contains_probe(&probe, bits), expected, "key {}", k);
                     }
                 }
             }

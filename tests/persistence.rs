@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bloomrf::bitarray::BitVec;
 use bloomrf::hashing::WordLayout;
 use bloomrf::{BloomRf, DecodeError};
 use bloomrf_filters::FilterKind;
@@ -439,11 +440,8 @@ fn v2_fixture_decodes_bare_with_layout_from_the_wire() {
     }
 }
 
-/// Regenerates the committed v2 snapshot. Run manually after an intentional
-/// format change: `cargo test --test persistence -- --ignored regenerate`.
-#[test]
-#[ignore = "writes tests/fixtures/filter_v2_alternating.blrf"]
-fn regenerate_v2_fixture() {
+/// The filter the committed v2 snapshot holds, built afresh.
+fn v2_fixture_filter() -> BloomRf {
     let filter = BloomRf::builder()
         .expected_keys(500)
         .bits_per_key(16.0)
@@ -454,9 +452,84 @@ fn regenerate_v2_fixture() {
     for k in fixture_keys() {
         filter.insert(k);
     }
+    filter
+}
+
+/// The encoder writes the committed v2 snapshot byte for byte: moving the
+/// bits in memory must not move them on the wire.
+#[test]
+fn v2_fixture_is_what_the_encoder_writes() {
+    let bytes = std::fs::read(fixture_path("filter_v2_alternating.blrf")).unwrap();
+    assert!(
+        v2_fixture_filter().to_bytes() == bytes,
+        "the v2 encoding of the fixture filter changed"
+    );
+}
+
+/// The bit arrays of a v2 stream's bits section, in wire order.
+fn wire_arrays(bytes: &[u8]) -> Vec<BitVec> {
+    let le_u64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let mut cur = 8;
+    loop {
+        let tag = u32::from_le_bytes(bytes[cur..cur + 4].try_into().unwrap());
+        let len = le_u64(cur + 4);
+        let body = cur + 12;
+        cur = body + len + 4;
+        if tag != 3 {
+            continue;
+        }
+        let count = u32::from_le_bytes(bytes[body..body + 4].try_into().unwrap());
+        let mut at = body + 4;
+        return (0..count)
+            .map(|_| {
+                let len = le_u64(at);
+                let array = BitVec::from_bytes(&bytes[at + 8..at + 8 + len]).unwrap();
+                at += 8 + len;
+                array
+            })
+            .collect();
+    }
+}
+
+/// The committed fixture has one segment and no exact layer, so this pins
+/// the order of the bit arrays on a filter with several regions: the
+/// segments in configuration order at their declared sizes, then the exact
+/// bitmap, holding exactly the keys' exact-level prefixes — wherever the
+/// filter keeps each region in memory.
+#[test]
+fn wire_arrays_follow_the_configuration_order() {
+    let keys = fixture_keys();
+    let filter = BloomRf::builder()
+        .expected_keys(keys.len())
+        .bits_per_key(16.0)
+        .max_range(1e6)
+        .build()
+        .unwrap();
+    filter.insert_batch(&keys);
+    let config = filter.config();
+    let exact = config
+        .exact_level
+        .expect("a tuned filter has an exact layer");
+    let arrays = wire_arrays(&filter.to_bytes());
+    let sizes: Vec<usize> = arrays.iter().map(BitVec::len).collect();
+    let mut want = config.segment_bits.clone();
+    want.push(1 << (config.domain_bits - exact));
+    assert_eq!(sizes, want);
+    let mut exact_bits = BitVec::new(want[want.len() - 1]);
+    for &k in &keys {
+        exact_bits.set((k >> exact) as usize);
+    }
+    assert_eq!(arrays.last(), Some(&exact_bits));
+}
+
+/// Regenerates the committed v2 snapshot. Run manually after an intentional
+/// format change: `cargo test --test persistence -- --ignored regenerate`.
+#[test]
+#[ignore = "writes tests/fixtures/filter_v2_alternating.blrf"]
+fn regenerate_v2_fixture() {
     std::fs::write(
         fixture_path("filter_v2_alternating.blrf"),
-        filter.to_bytes(),
+        v2_fixture_filter().to_bytes(),
     )
     .unwrap();
 }
