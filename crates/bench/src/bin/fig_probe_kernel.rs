@@ -6,7 +6,7 @@
 //!
 //! A filter picks its probe path from its own size at construction, so below
 //! the crossover the `batch` rows *are* the loop (plus the call overhead) and
-//! at or above it they are the phase-split kernel against the prefetched
+//! at or above it they are the two-stage batch against the prefetched
 //! per-key probe. The sweep is the evidence for where the crossover constant
 //! sits: no point cell may have `batch` slower than `loop` by more than 10%.
 //!
@@ -51,7 +51,7 @@
 //! directory; override with the `BENCH_SNAPSHOT` environment variable.
 
 use bloomrf::hashing::WordLayout;
-use bloomrf::{BloomRf, BloomRfConfig, ProbeScratch};
+use bloomrf::{BloomRf, BloomRfConfig};
 use bloomrf_bench::{sig, ExpScale, Report, SampleStats};
 use std::time::Instant;
 
@@ -145,13 +145,12 @@ fn time_points(
     batch: usize,
     samples: usize,
 ) -> [SampleStats; 2] {
-    let mut scratch = ProbeScratch::new();
     time_paths(
         queries,
         batch,
         samples,
         |k| filter.contains_point(k),
-        |chunk, out| filter.contains_point_batch_into(chunk, out, &mut scratch),
+        |chunk, out| filter.contains_point_batch_into(chunk, out),
     )
 }
 

@@ -295,26 +295,19 @@ impl AtomicBits {
 
     /// True if physical word `word` has any bit of `mask` set.
     #[inline]
-    pub(crate) fn word_has(&self, word: usize, mask: u64) -> bool {
+    fn word_has(&self, word: usize, mask: u64) -> bool {
         // ordering: a stale read only yields a false negative for a key
         // inserted concurrently with this query (documented contract).
         self.words[word].load(Ordering::Relaxed) & mask != 0
     }
 
     /// Best-effort hint that bit `idx` will be read soon: request the cache
-    /// line holding its physical word.
+    /// line holding its physical word. Purely a scheduling hint — no memory
+    /// is accessed architecturally and nothing synchronizes — so it is sound
+    /// to call concurrently with writers for the same reason `get` is.
     #[inline]
     pub fn prefetch_bit(&self, idx: usize) {
-        self.prefetch_word(idx / 64);
-    }
-
-    /// Best-effort hint that physical word `word` will be read soon. Purely
-    /// a scheduling hint — no memory is accessed architecturally and nothing
-    /// synchronizes — so it is sound to call concurrently with writers for
-    /// the same reason `get` is.
-    #[inline]
-    pub(crate) fn prefetch_word(&self, word: usize) {
-        crate::kernel::prefetch_read(&self.words[word]);
+        crate::kernel::prefetch_read(&self.words[idx / 64]);
     }
 
     /// Load a logical word of `width` bits (1..=64, dividing 64) at the aligned

@@ -5,8 +5,8 @@
 //! `p = start >> ℓ`. The DIs of a `d`-bit domain form a complete binary tree
 //! with `d + 1` levels. bloomRF's range lookup decomposes an arbitrary query
 //! interval into dyadic intervals along two root-to-leaf paths (one per query
-//! bound); Rosetta uses the classical canonical decomposition. Both are
-//! provided here.
+//! bound), walking them layer by layer inside the filter; Rosetta uses the
+//! classical canonical decomposition, which is provided here.
 
 use crate::hashing::{shl, shr};
 
@@ -65,12 +65,6 @@ impl DyadicInterval {
     #[inline]
     pub fn contains(&self, key: u64) -> bool {
         shr(key, self.level) == self.prefix
-    }
-
-    /// Is this interval fully contained in `[lo, hi]`?
-    #[inline]
-    pub fn contained_in(&self, lo: u64, hi: u64) -> bool {
-        self.start() >= lo && self.end() <= hi
     }
 
     /// Does this interval overlap `[lo, hi]`?
@@ -151,125 +145,6 @@ pub fn canonical_decomposition(lo: u64, hi: u64, domain_bits: u32) -> Vec<Dyadic
     out
 }
 
-/// A single step of bloomRF's two-path decomposition, used for documentation,
-/// testing and the experiment that reproduces Fig. 7 of the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PathInterval {
-    /// A covering interval: it contains a query bound but is not fully inside
-    /// the query range; only a single bit of the filter is checked for it and a
-    /// negative result prunes the path.
-    Covering(DyadicInterval),
-    /// A decomposition interval: fully contained in the query range; a set bit
-    /// anywhere inside it makes the filter answer "maybe".
-    Decomposition(DyadicInterval),
-}
-
-/// Enumerate the intervals that bloomRF's two-path algorithm considers for
-/// `[lo, hi]` on each dyadic level from `top_level` down to 0, mirroring
-/// Fig. 7 of the paper. This reference implementation is deliberately simple
-/// (one level at a time); the filter itself walks layers, not levels.
-pub fn two_path_intervals(lo: u64, hi: u64, top_level: u32) -> Vec<PathInterval> {
-    assert!(lo <= hi);
-    let mut out = Vec::new();
-    let top = DyadicInterval::containing(lo, top_level);
-    assert!(
-        top.contains(hi),
-        "top level {top_level} does not cover [{lo}, {hi}]"
-    );
-    let mut merged = true;
-    let mut left_cover: Option<DyadicInterval>;
-    let mut right_cover: Option<DyadicInterval> = None;
-    if top.contained_in(lo, hi) {
-        out.push(PathInterval::Decomposition(top));
-        return out;
-    }
-    out.push(PathInterval::Covering(top));
-    left_cover = Some(top);
-    for level in (0..top_level).rev() {
-        match (merged, left_cover, right_cover) {
-            (true, Some(lc), None) => {
-                let (cl, cr) = lc.children();
-                let l_in = DyadicInterval::containing(lo, level);
-                let r_in = DyadicInterval::containing(hi, level);
-                if l_in == r_in {
-                    // Still a single covering (or exactly the query interval).
-                    if l_in.contained_in(lo, hi) {
-                        out.push(PathInterval::Decomposition(l_in));
-                        left_cover = None;
-                    } else {
-                        out.push(PathInterval::Covering(l_in));
-                        left_cover = Some(l_in);
-                    }
-                } else {
-                    debug_assert!(cl.contains(lo) && cr.contains(hi));
-                    // The paths split here.
-                    merged = false;
-                    if cl.contained_in(lo, hi) {
-                        out.push(PathInterval::Decomposition(cl));
-                        left_cover = None;
-                    } else {
-                        out.push(PathInterval::Covering(cl));
-                        left_cover = Some(cl);
-                    }
-                    if cr.contained_in(lo, hi) {
-                        out.push(PathInterval::Decomposition(cr));
-                        right_cover = None;
-                    } else {
-                        out.push(PathInterval::Covering(cr));
-                        right_cover = Some(cr);
-                    }
-                }
-            }
-            _ => {
-                // Split phase: advance both paths independently.
-                if let Some(lc) = left_cover {
-                    let (cl, cr) = lc.children();
-                    if cl.contains(lo) {
-                        // The right child is fully inside the query.
-                        out.push(PathInterval::Decomposition(cr));
-                        if cl.contained_in(lo, hi) {
-                            out.push(PathInterval::Decomposition(cl));
-                            left_cover = None;
-                        } else {
-                            out.push(PathInterval::Covering(cl));
-                            left_cover = Some(cl);
-                        }
-                    } else if cr.contained_in(lo, hi) {
-                        out.push(PathInterval::Decomposition(cr));
-                        left_cover = None;
-                    } else {
-                        out.push(PathInterval::Covering(cr));
-                        left_cover = Some(cr);
-                    }
-                }
-                if let Some(rc) = right_cover {
-                    let (cl, cr) = rc.children();
-                    if cr.contains(hi) {
-                        out.push(PathInterval::Decomposition(cl));
-                        if cr.contained_in(lo, hi) {
-                            out.push(PathInterval::Decomposition(cr));
-                            right_cover = None;
-                        } else {
-                            out.push(PathInterval::Covering(cr));
-                            right_cover = Some(cr);
-                        }
-                    } else if cl.contained_in(lo, hi) {
-                        out.push(PathInterval::Decomposition(cl));
-                        right_cover = None;
-                    } else {
-                        out.push(PathInterval::Covering(cl));
-                        right_cover = Some(cl);
-                    }
-                }
-            }
-        }
-        if left_cover.is_none() && right_cover.is_none() {
-            break;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,9 +159,6 @@ mod tests {
         assert_eq!(di.end(), 7);
         assert_eq!(di.len(), 2);
         assert!(di.contains(6) && di.contains(7) && !di.contains(5));
-        assert!(di.contained_in(6, 7));
-        assert!(di.contained_in(0, 100));
-        assert!(!di.contained_in(7, 100));
         assert!(di.overlaps(7, 20));
         assert!(!di.overlaps(8, 20));
         assert_eq!(
@@ -379,70 +251,5 @@ mod tests {
         check_decomposition(1, u64::MAX, 64);
         check_decomposition(u64::MAX - 5, u64::MAX, 64);
         check_decomposition(1 << 40, (1 << 41) + 12345, 64);
-    }
-
-    #[test]
-    fn two_path_contains_paper_figure7_intervals() {
-        // For [45, 60] with a top level of 6 the decomposition intervals of
-        // Fig. 7 must all appear, and coverings [44,47]/[60,63] etc. as well.
-        let steps = two_path_intervals(45, 60, 6);
-        let decos: Vec<(u64, u64)> = steps
-            .iter()
-            .filter_map(|s| match s {
-                PathInterval::Decomposition(d) => Some((d.start(), d.end())),
-                _ => None,
-            })
-            .collect();
-        for want in [(48, 55), (56, 59), (46, 47), (45, 45), (60, 60)] {
-            assert!(
-                decos.contains(&want),
-                "missing decomposition interval {want:?} in {decos:?}"
-            );
-        }
-        let covers: Vec<(u64, u64)> = steps
-            .iter()
-            .filter_map(|s| match s {
-                PathInterval::Covering(c) => Some((c.start(), c.end())),
-                _ => None,
-            })
-            .collect();
-        for want in [
-            (32, 47),
-            (48, 63),
-            (40, 47),
-            (44, 47),
-            (44, 45),
-            (56, 63),
-            (60, 63),
-            (60, 61),
-        ] {
-            assert!(
-                covers.contains(&want),
-                "missing covering {want:?} in {covers:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn two_path_decomposition_union_is_exact() {
-        // The union of decomposition intervals equals [lo, hi] whenever the
-        // paths terminate (they always do at level 0).
-        for &(lo, hi) in &[(45u64, 60u64), (0, 63), (5, 5), (17, 48), (1, 62), (33, 34)] {
-            let steps = two_path_intervals(lo, hi, 6);
-            let mut covered: Vec<(u64, u64)> = steps
-                .iter()
-                .filter_map(|s| match s {
-                    PathInterval::Decomposition(d) => Some((d.start(), d.end())),
-                    _ => None,
-                })
-                .collect();
-            covered.sort_unstable();
-            let mut cursor = lo;
-            for (s, e) in covered {
-                assert_eq!(s, cursor, "[{lo},{hi}]: gap before {s}");
-                cursor = e + 1;
-            }
-            assert_eq!(cursor, hi + 1, "[{lo},{hi}] not fully covered");
-        }
     }
 }

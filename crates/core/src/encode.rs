@@ -8,7 +8,7 @@
 //! layer's typed store) can expose `insert`/`contains_range` directly in terms
 //! of the key type — making it impossible to insert through one coding and
 //! probe through another. The free functions ([`encode_f64`], [`encode_i64`],
-//! [`encode_string_prefix`], …) remain available as the low-level building
+//! [`encode_string_point`], …) remain available as the low-level building
 //! blocks the trait impls delegate to.
 
 use crate::filter::BloomRf;
@@ -56,7 +56,7 @@ pub fn decode_f64(code: u64) -> f64 {
 /// Monotone coding for `f32`, produced by widening to `f64` (sufficient and
 /// keeps a single filter domain).
 #[inline]
-pub fn encode_f32(value: f32) -> u64 {
+fn encode_f32(value: f32) -> u64 {
     encode_f64(value as f64)
 }
 
@@ -93,7 +93,7 @@ pub fn encode_string_point(s: &[u8]) -> u64 {
 /// byte positions, low byte zero. Range queries over strings use this with a
 /// `0x00` / `0xFF` low byte for the lower / upper bound respectively.
 #[inline]
-pub fn encode_string_prefix(s: &[u8]) -> u64 {
+fn encode_string_prefix(s: &[u8]) -> u64 {
     let mut value = 0u64;
     for i in 0..7 {
         let byte = s.get(i).copied().unwrap_or(0);
@@ -238,7 +238,7 @@ impl RangeKey for f64 {
     }
 }
 
-/// `f32` codec: widened to `f64` (see [`encode_f32`]), so `f32` and `f64`
+/// `f32` codec: widened to `f64` (see `encode_f32`), so `f32` and `f64`
 /// keys share one filter domain. `from_domain` rejects codes that did not
 /// come from an `f32`.
 impl RangeKey for f32 {
@@ -312,7 +312,7 @@ impl RangeKey for (u32, u32) {
 /// significant bits), used by the multi-attribute filter to pack two
 /// attributes into one 64-bit key.
 #[inline]
-pub fn reduce_precision(value: u64, bits: u32) -> u64 {
+fn reduce_precision(value: u64, bits: u32) -> u64 {
     debug_assert!(bits > 0 && bits <= 64);
     value >> (64 - bits)
 }

@@ -29,12 +29,12 @@
 //! only pays when their cache lines miss, so each filter decides once, at
 //! construction, from its own size (`kernel::KERNEL_MIN_FILTER_BITS`):
 //! below the crossover the batch calls are a loop over the early-exit
-//! per-key lookups; at or above it they group the work *per layer* — one
-//! pass computes, prefetches and probes every pending position of a layer
-//! before the engine moves to the next — and the single-key lookups prefetch
-//! all their probe words up front. Either way exactly the same logical bits
-//! are read, so the answers are bit-identical by construction (and proven so
-//! by the differential property tests).
+//! per-key lookups; at or above it every point lookup runs the steps of a
+//! [`PointProbe`] — one key at a time for `contains_point`, a window of keys
+//! per step for the batch call — and the batched range engine steps all
+//! queries through one layer at a time. Either way exactly the same logical
+//! bits are read, so the answers are bit-identical by construction (and
+//! proven so by the differential property tests).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -43,7 +43,7 @@ use crate::config::{BloomRfConfig, RangePolicy};
 use crate::crc32::crc32;
 use crate::error::{ConfigError, DecodeError, MergeError};
 use crate::hashing::{derive_seeds, shl, shr, Pmhf, WordLayout};
-use crate::kernel::{ProbeScratch, KERNEL_MIN_FILTER_BITS};
+use crate::kernel::KERNEL_MIN_FILTER_BITS;
 use crate::traits::{OnlineFilter, PointRangeFilter};
 
 /// Probe-cost counters collected during a range lookup; used by the
@@ -111,7 +111,7 @@ pub struct BloomRf {
     exact: Option<usize>,
     key_count: AtomicU64,
     /// `memory_bits() >= KERNEL_MIN_FILTER_BITS`, fixed at construction:
-    /// lookups overlap their probes (batch kernel, prefetched point probe,
+    /// lookups overlap their probes (the prefetched [`PointProbe`] paths,
     /// range staging) instead of running the early-exit per-key loop. The
     /// benchmark has a workload on each side of the choice: `filter_small`
     /// (and every SST and tree-leaf filter of the `store_*` workloads) runs
@@ -146,17 +146,15 @@ enum RangeInit {
     Go(RangeState),
 }
 
-/// Physical word and mask of bit `bit` of a buffer.
-#[inline]
-fn word_mask(bit: usize) -> (usize, u64) {
-    (bit / 64, 1u64 << (bit % 64))
-}
-
 /// Bit positions a [`PointProbe`] holds inline. Every basic configuration
 /// (at most ⌈64 / Δ⌉ single-replica layers) fits; positions past the window —
 /// only heavily replicated configurations have them — are recomputed from
 /// the key when tested, so they are probed but never prefetched.
 const PROBE_WINDOW: usize = 16;
+
+/// Keys the overlapped batch path keeps in flight: each stage of its
+/// schedule runs over this many probes before the next stage starts.
+const BATCH_WINDOW: usize = 16;
 
 /// One key's probe positions under one filter configuration:
 /// [`BloomRf::contains_point`] split into its setup
@@ -165,11 +163,13 @@ const PROBE_WINDOW: usize = 16;
 /// [`BloomRf::contains_probe`]) steps, so that a caller probing one key
 /// against many filters of the *same* configuration — the sibling nodes of a
 /// filter-tree level — hashes it at most once and requests every filter's
-/// cache lines before testing any. Plain data meant for the stack; reuse one
-/// across keys.
+/// cache lines before testing any. It is also the only point computation of
+/// the overlapped lookups: `contains_point` and the batch calls of a filter
+/// above the size crossover run these steps on the filter's own buffer.
+/// Plain data meant for the stack; reuse one across keys.
 ///
-/// The positions are absolute `(word, mask)` pairs in a filter's buffer,
-/// which puts every region at an offset fixed by the configuration. So the
+/// The positions are absolute bit positions in a filter's buffer, which
+/// puts every region at an offset fixed by the configuration. So the
 /// split-probe methods run on the filter that computed the probe — which
 /// hashes it and knows the layout — and take the buffer to test as a
 /// separate [`AtomicBits`] handle: any filter's whose configuration equals
@@ -181,17 +181,16 @@ pub struct PointProbe {
     key: u64,
     /// `false` for a key outside the domain: the probe misses everywhere.
     in_domain: bool,
-    /// Exact-layer bit as `(word, mask)`; read only when the configuration
-    /// has an exact layer.
-    exact: (usize, u64),
+    /// Exact-layer bit; read only when the configuration has an exact layer.
+    exact: usize,
     /// `true` once the layer positions are in `slots`: the first
     /// [`BloomRf::prefetch_probe`] computes them, so a key the exact layer
     /// rejects everywhere is never hashed.
     hashed: bool,
     /// Slots filled, layer by layer and replica by replica.
     len: usize,
-    /// `(word, mask)` per position: testing needs no walk of the layers.
-    slots: [(usize, u64); PROBE_WINDOW],
+    /// Bit per position: testing needs no walk of the layers.
+    slots: [usize; PROBE_WINDOW],
 }
 
 impl BloomRf {
@@ -356,7 +355,11 @@ impl BloomRf {
             .fetch_add(keys.len() as u64, Ordering::Relaxed);
     }
 
-    /// Approximate point membership test.
+    /// Approximate point membership test. The exact-layer bit is tested
+    /// first; only a key it admits has its layer positions computed. Below
+    /// the size crossover the layers are then probed one by one, stopping at
+    /// the first unset bit; at or above it every position is prefetched
+    /// before any is tested ([`PointProbe`] on the filter's own buffer).
     pub fn contains_point(&self, key: u64) -> bool {
         if key > self.config.max_key() {
             return false;
@@ -367,57 +370,15 @@ impl BloomRf {
             }
         }
         if self.overlap_probes {
-            self.contains_point_prefetched(key)
+            let mut probe = PointProbe::default();
+            self.point_probe_into(key, &mut probe);
+            self.prefetch_probe(&mut probe, &self.bits);
+            self.layers_admit(&probe, &self.bits)
         } else {
             self.layers
                 .iter()
                 .all(|layer| self.layer_bit_set(layer, key))
         }
-    }
-
-    /// The probabilistic layers of a point lookup on a filter too large to be
-    /// cache-resident. The bit position of every layer depends only on the
-    /// key, so all probe addresses are computed and prefetched up front; the
-    /// first loads then overlap the remaining hash work instead of
-    /// serializing layer by layer. Probes exactly the bits the plain loop
-    /// probes (answers are identical); only the memory schedule differs.
-    fn contains_point_prefetched(&self, key: u64) -> bool {
-        // Positions live in a stack window. Every configuration the advisor
-        // emits fits one window; a larger one is staged a window of whole
-        // layers at a time (validation caps a layer at 8 replicas, so a
-        // window always holds at least one).
-        const WINDOW: usize = 64;
-        let bits = &self.bits;
-        let mut pos = [0usize; WINDOW];
-        let mut rest = &self.layers[..];
-        while !rest.is_empty() {
-            let mut n = 0usize;
-            let mut staged = 0usize;
-            for layer in rest {
-                if n + layer.hashers.len() > WINDOW {
-                    break;
-                }
-                for p in layer.bits_of(key) {
-                    bits.prefetch_bit(p);
-                    pos[n] = p;
-                    n += 1;
-                }
-                staged += 1;
-            }
-            let mut idx = 0usize;
-            for layer in &rest[..staged] {
-                let mut all_set = true;
-                for _ in &layer.hashers {
-                    all_set &= bits.get(pos[idx]);
-                    idx += 1;
-                }
-                if !all_set {
-                    return false;
-                }
-            }
-            rest = &rest[staged..];
-        }
-        true
     }
 
     /// Start `key`'s probe under this filter's configuration in `probe`,
@@ -431,17 +392,20 @@ impl BloomRf {
         probe.hashed = false;
         probe.len = 0;
         if let (true, Some(bit)) = (probe.in_domain, self.exact_bit(key)) {
-            probe.exact = word_mask(bit);
+            probe.exact = bit;
         }
     }
 
-    /// Fill `probe`'s slots with its key's layer positions.
-    fn hash_probe(&self, probe: &mut PointProbe) {
+    /// Fill `probe`'s slots with its key's layer positions, requesting the
+    /// cache line of each in `bits` as soon as it is computed: the first
+    /// loads then overlap the remaining hash work.
+    fn hash_probe(&self, probe: &mut PointProbe, bits: &AtomicBits) {
         let key = probe.key;
         probe.hashed = true;
         let positions = self.layers.iter().flat_map(|layer| layer.bits_of(key));
         for (bit, slot) in positions.zip(&mut probe.slots) {
-            *slot = word_mask(bit);
+            bits.prefetch_bit(bit);
+            *slot = bit;
             probe.len += 1;
         }
     }
@@ -451,7 +415,7 @@ impl BloomRf {
     /// [`BloomRf::exact_admits`].
     pub fn prefetch_exact(&self, probe: &PointProbe, bits: &AtomicBits) {
         if probe.in_domain && self.exact.is_some() {
-            bits.prefetch_word(probe.exact.0);
+            bits.prefetch_bit(probe.exact);
         }
     }
 
@@ -462,8 +426,7 @@ impl BloomRf {
     /// cache line decides it, so a caller probing many filters can drop the
     /// rejected ones before fetching any layer position of the rest.
     pub fn exact_admits(&self, probe: &PointProbe, bits: &AtomicBits) -> bool {
-        let (word, mask) = probe.exact;
-        probe.in_domain && (self.exact.is_none() || bits.word_has(word, mask))
+        probe.in_domain && (self.exact.is_none() || bits.get(probe.exact))
     }
 
     /// Request the cache line of every layer position of `probe` in `bits`
@@ -476,11 +439,12 @@ impl BloomRf {
         if !probe.in_domain {
             return;
         }
-        if !probe.hashed {
-            self.hash_probe(probe);
-        }
-        for &(word, _) in &probe.slots[..probe.len] {
-            bits.prefetch_word(word);
+        if probe.hashed {
+            for &bit in &probe.slots[..probe.len] {
+                bits.prefetch_bit(bit);
+            }
+        } else {
+            self.hash_probe(probe, bits);
         }
     }
 
@@ -488,12 +452,14 @@ impl BloomRf {
     /// [`BloomRf::contains_point`] gives for the key `probe` was computed
     /// from, on the filter whose buffer `bits` is.
     pub fn contains_probe(&self, probe: &PointProbe, bits: &AtomicBits) -> bool {
-        if !self.exact_admits(probe, bits) {
-            return false;
-        }
-        let inline = probe.slots[..probe.len]
-            .iter()
-            .all(|&(word, mask)| bits.word_has(word, mask));
+        self.exact_admits(probe, bits) && self.layers_admit(probe, bits)
+    }
+
+    /// The layer half of [`BloomRf::contains_probe`], for a probe whose
+    /// exact-layer bit its caller has already tested.
+    #[inline]
+    fn layers_admit(&self, probe: &PointProbe, bits: &AtomicBits) -> bool {
+        let inline = probe.slots[..probe.len].iter().all(|&bit| bits.get(bit));
         // Positions not in the slots — all of them before the first
         // `prefetch_probe`, those past a full window after it — are computed
         // and tested here.
@@ -510,164 +476,44 @@ impl BloomRf {
     /// Batched point membership: answers element-wise identical to
     /// [`BloomRf::contains_point`]. Convenience form of
     /// [`BloomRf::contains_point_batch_into`] that allocates the answer
-    /// vector and the scratch.
+    /// vector.
     pub fn contains_point_batch(&self, keys: &[u64]) -> Vec<bool> {
         let mut out = Vec::new();
-        self.contains_point_batch_into(keys, &mut out, &mut ProbeScratch::default());
+        self.contains_point_batch_into(keys, &mut out);
         out
     }
 
-    /// Batched point membership into a caller-owned buffer (cleared first),
-    /// reusing the caller's [`ProbeScratch`], so repeated batches allocate
-    /// nothing. Below the size crossover this is the early-exit per-key
-    /// loop; at or above it the phase-split kernel — all bit positions of a
-    /// layer are computed branch-free up front (prefetching the next layer's
-    /// words while the current one resolves), tested in 4-wide lanes, and
-    /// the alive set is compacted at each layer boundary.
-    pub fn contains_point_batch_into(
-        &self,
-        keys: &[u64],
-        out: &mut Vec<bool>,
-        scratch: &mut ProbeScratch,
-    ) {
-        if self.overlap_probes {
-            self.point_batch_kernel(keys, out, scratch);
-        } else {
-            out.clear();
-            out.extend(keys.iter().map(|&k| self.contains_point(k)));
-        }
-    }
-
-    /// The phase-split point kernel (see `docs/probe-kernel.md`).
-    ///
-    /// Per layer the work is phase-split: phase A computes the bit position
-    /// of every alive key for every replica in one branch-free pass, issuing
-    /// a prefetch per position; phase B tests the positions of the
-    /// *previous* layer in 4-wide lanes, so its loads — requested one full
-    /// layer earlier — resolve while phase A's hash work executes. Queries
-    /// short-circuit only at layer boundaries, where the alive list is
-    /// compacted and survivors' next-layer positions gathered.
-    fn point_batch_kernel(&self, keys: &[u64], out: &mut Vec<bool>, scratch: &mut ProbeScratch) {
-        let max_key = self.config.max_key();
+    /// Batched point membership into a caller-owned buffer (cleared first).
+    /// Below the size crossover this is a loop over
+    /// [`BloomRf::contains_point`]; at or above it the filter tree's
+    /// two-stage schedule runs over windows of keys: every key's exact-layer
+    /// bit is requested, then each key it admits is hashed and has its
+    /// positions requested, and only then are the positions tested.
+    pub fn contains_point_batch_into(&self, keys: &[u64], out: &mut Vec<bool>) {
         out.clear();
-        out.extend(keys.iter().map(|&k| k <= max_key));
-        let ProbeScratch {
-            alive,
-            next_alive,
-            cur_pos,
-            next_pos,
-            flags,
-        } = scratch;
-        alive.clear();
-        alive.extend((0..keys.len() as u32).filter(|&i| out[i as usize]));
-
-        let bits = &self.bits;
-        if let (Some(base), Some(e)) = (self.exact, self.config.exact_level) {
-            cur_pos.clear();
-            cur_pos.extend(
-                alive
-                    .iter()
-                    .map(|&i| (base + shr(keys[i as usize], e) as usize) as u64),
-            );
-            for &p in cur_pos.iter() {
-                bits.prefetch_bit(p as usize);
-            }
-            next_alive.clear();
-            for (j, &i) in alive.iter().enumerate() {
-                if bits.get(cur_pos[j] as usize) {
-                    next_alive.push(i);
-                } else {
-                    out[i as usize] = false;
-                }
-            }
-            std::mem::swap(alive, next_alive);
-        }
-        if alive.is_empty() {
+        if !self.overlap_probes {
+            out.extend(keys.iter().map(|&k| self.contains_point(k)));
             return;
         }
-
-        // Phase A for the first layer; the pipeline below keeps one layer of
-        // positions in flight from here on.
-        self.layer_positions(&self.layers[0], keys, alive, cur_pos);
-        for k in 0..self.layers.len() {
-            let layer = &self.layers[k];
-            // Phase A (pipelined): compute + prefetch layer k+1's positions
-            // for the current alive set while layer k's loads resolve.
-            if let Some(next_layer) = self.layers.get(k + 1) {
-                self.layer_positions(next_layer, keys, alive, next_pos);
-            }
-            // Phase B: test layer k's (already requested) words branch-free.
-            let seg = bits;
-            let n = alive.len();
-            flags.clear();
-            flags.resize(n, 1);
-            for rep in 0..layer.hashers.len() {
-                let pos = &cur_pos[rep * n..(rep + 1) * n];
-                let mut j = 0usize;
-                // 4-wide lanes: four independent loads in flight per step.
-                while j + 4 <= n {
-                    let b0 = seg.get(pos[j] as usize) as u8;
-                    let b1 = seg.get(pos[j + 1] as usize) as u8;
-                    let b2 = seg.get(pos[j + 2] as usize) as u8;
-                    let b3 = seg.get(pos[j + 3] as usize) as u8;
-                    flags[j] &= b0;
-                    flags[j + 1] &= b1;
-                    flags[j + 2] &= b2;
-                    flags[j + 3] &= b3;
-                    j += 4;
-                }
-                while j < n {
-                    flags[j] &= seg.get(pos[j] as usize) as u8;
-                    j += 1;
-                }
-            }
-            // Layer boundary: compact survivors; gather their already-computed
-            // next-layer positions so the pipeline stays warm.
-            next_alive.clear();
-            for (j, &i) in alive.iter().enumerate() {
-                if flags[j] != 0 {
-                    next_alive.push(i);
-                } else {
-                    out[i as usize] = false;
-                }
-            }
-            if let Some(next_layer) = self.layers.get(k + 1) {
-                cur_pos.clear();
-                for rep in 0..next_layer.hashers.len() {
-                    let base = rep * n;
-                    for (j, f) in flags.iter().enumerate() {
-                        if *f != 0 {
-                            cur_pos.push(next_pos[base + j]);
-                        }
-                    }
-                }
-            }
-            std::mem::swap(alive, next_alive);
-            if alive.is_empty() {
-                return;
-            }
-        }
-    }
-
-    /// Phase A of the kernel: the absolute bit position of every alive key
-    /// for every replica of `layer`, replica-major, issuing a software
-    /// prefetch for each position as it is produced.
-    fn layer_positions(
-        &self,
-        layer: &LayerRuntime,
-        keys: &[u64],
-        alive: &[u32],
-        pos_out: &mut Vec<u64>,
-    ) {
         let bits = &self.bits;
-        pos_out.clear();
-        pos_out.reserve(layer.hashers.len() * alive.len());
-        for bit_of in layer.replicas() {
-            for &i in alive {
-                let p = bit_of(keys[i as usize]);
-                bits.prefetch_bit(p);
-                pos_out.push(p as u64);
+        let mut probes: [PointProbe; BATCH_WINDOW] = Default::default();
+        for chunk in keys.chunks(BATCH_WINDOW) {
+            let window = &mut probes[..chunk.len()];
+            for (probe, &key) in window.iter_mut().zip(chunk) {
+                self.point_probe_into(key, probe);
+                self.prefetch_exact(probe, bits);
             }
+            for probe in window.iter_mut() {
+                if self.exact_admits(probe, bits) {
+                    self.prefetch_probe(probe, bits);
+                }
+            }
+            // Exactly the probes the exact layer admitted have been hashed.
+            out.extend(
+                window
+                    .iter()
+                    .map(|p| p.hashed && self.layers_admit(p, bits)),
+            );
         }
     }
 
@@ -733,7 +579,7 @@ impl BloomRf {
     /// query, then layer `k-1` for every unresolved query, then layer `k-2`,
     /// and so on — executing the very same per-layer step function as the
     /// sequential lookup. Degenerate single-point ranges are folded into one
-    /// point-kernel batch.
+    /// point batch.
     fn range_batch_staged(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
         let budget = self.range_budget();
         out.clear();
@@ -756,7 +602,7 @@ impl BloomRf {
         }
         if !points.is_empty() {
             let mut point_out = Vec::new();
-            self.point_batch_kernel(&point_keys, &mut point_out, &mut ProbeScratch::default());
+            self.contains_point_batch_into(&point_keys, &mut point_out);
             for (&i, answer) in points.iter().zip(point_out) {
                 out[i] = answer;
             }
@@ -1023,20 +869,25 @@ impl BloomRf {
         stats: &mut ProbeStats,
     ) -> RunOutcome {
         debug_assert!(run_lo <= run_hi);
-        let wb = layer.word_bits as u64;
-        let mut group = run_lo >> layer.offset_bits;
-        let last_group = run_hi >> layer.offset_bits;
+        // The geometry, the reference hash and the replica slice are copied
+        // out of the layer table, as in the point and insert loops: read
+        // through `layer`, they are reloaded after every atomic word load.
+        let (base, word_count, word_bits) = (layer.base, layer.word_count, layer.word_bits);
+        let (offset_bits, hashers) = (layer.offset_bits, &layer.hashers[..]);
+        let ref_hash = hashers[0];
+        let wb = word_bits as u64;
+        let mut group = run_lo >> offset_bits;
+        let last_group = run_hi >> offset_bits;
         let mut words_touched = 0usize;
         while group <= last_group {
             words_touched += 1;
             if words_touched > budget {
                 return RunOutcome::BudgetExceeded;
             }
-            let g_lo = (group << layer.offset_bits).max(run_lo);
-            let g_hi = ((group << layer.offset_bits) + (wb - 1)).min(run_hi);
+            let g_lo = (group << offset_bits).max(run_lo);
+            let g_hi = ((group << offset_bits) + (wb - 1)).min(run_hi);
             // In-word offsets; the alternating layout reverses the range but it
             // stays contiguous, so a single mask still covers it.
-            let ref_hash = &layer.hashers[0];
             let o_lo = ref_hash.apply_layout(group, g_lo & (wb - 1));
             let o_hi = ref_hash.apply_layout(group, g_hi & (wb - 1));
             let (m_lo, m_hi) = if o_lo <= o_hi {
@@ -1046,11 +897,11 @@ impl BloomRf {
             };
             let mask = mask_between(m_lo as usize, m_hi as usize);
             let mut combined = u64::MAX;
-            for h in &layer.hashers {
+            for h in hashers {
                 stats.word_accesses += 1;
-                let widx = h.word_index_of_hashed(group, layer.word_count);
-                let start = layer.base + (widx * wb) as usize;
-                combined &= self.bits.load_word(start, layer.word_bits);
+                let widx = h.word_index_of_hashed(group, word_count);
+                let start = base + (widx * wb) as usize;
+                combined &= self.bits.load_word(start, word_bits);
                 if combined & mask == 0 {
                     break;
                 }
@@ -1467,7 +1318,7 @@ impl PointRangeFilter for BloomRf {
         self.memory_bits()
     }
     fn may_contain_batch_into(&self, keys: &[u64], out: &mut Vec<bool>) {
-        self.contains_point_batch_into(keys, out, &mut ProbeScratch::default());
+        self.contains_point_batch_into(keys, out);
     }
     fn may_contain_range_batch_into(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
         self.contains_range_batch_into(ranges, out);

@@ -108,6 +108,5 @@ pub use config::{BloomRfConfig, LayerSpec, RangePolicy};
 pub use encode::{decode_f64, decode_i64, encode_f64, encode_i64, MultiAttrBloomRf, RangeKey};
 pub use error::{ConfigError, DecodeError, MergeError};
 pub use filter::{BloomRf, PointProbe, ProbeStats, WIRE_FORMAT_VERSION, WIRE_MAGIC};
-pub use kernel::ProbeScratch;
 pub use traits::{ExclusiveOnlineFilter, FilterBuilder, Locked, OnlineFilter, PointRangeFilter};
 pub use typed::TypedBloomRf;

@@ -19,7 +19,7 @@ use crate::config::BloomRfConfig;
 /// `c` models the influence of the data distribution; `C = 1` for uniform,
 /// normal and zipfian data (Fig. 5 of the paper).
 #[inline]
-pub fn zero_bit_probability(writes: f64, m_bits: f64, c: f64) -> f64 {
+fn zero_bit_probability(writes: f64, m_bits: f64, c: f64) -> f64 {
     if m_bits <= 0.0 {
         return 0.0;
     }
@@ -117,12 +117,6 @@ pub fn rosetta_first_cut_bits_per_key(epsilon: f64, range: f64) -> f64 {
     std::f64::consts::LOG2_E * (range / epsilon).log2()
 }
 
-/// Inverse of [`rosetta_first_cut_bits_per_key`]: the FPR Rosetta's first-cut
-/// solution reaches with a budget of `bits_per_key` for ranges up to `range`.
-pub fn rosetta_first_cut_fpr(bits_per_key: f64, range: f64) -> f64 {
-    (range / (bits_per_key / std::f64::consts::LOG2_E).exp2()).min(1.0)
-}
-
 /// Bits/key bloomRF needs for a point-query FPR of `epsilon` given that `k` is
 /// fixed by the domain (Sect. 6, point-query comparison).
 pub fn bloomrf_point_bits_per_key(epsilon: f64, k: u32) -> f64 {
@@ -149,11 +143,6 @@ impl FprProfile {
     pub fn max_up_to_range(&self, range: f64) -> f64 {
         let top = (range.max(1.0).log2().floor() as usize).min(self.per_level.len() - 1);
         self.per_level[..=top].iter().cloned().fold(0.0, f64::max)
-    }
-
-    /// FPR of dyadic ranges of exactly `2^level` values.
-    pub fn at_level(&self, level: u32) -> f64 {
-        self.per_level.get(level as usize).copied().unwrap_or(1.0)
     }
 }
 
@@ -323,18 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn rosetta_fpr_inverse_is_consistent() {
-        for &(bpk, range) in &[(17.0, 64.0), (22.0, 1024.0), (28.0, 16384.0)] {
-            let eps = rosetta_first_cut_fpr(bpk, range);
-            let back = rosetta_first_cut_bits_per_key(eps, range);
-            assert!(
-                (back - bpk).abs() < 1e-6,
-                "bpk {bpk} range {range}: got {back}"
-            );
-        }
-    }
-
-    #[test]
     fn bloomrf_point_bits_per_key_monotone() {
         let a = bloomrf_point_bits_per_key(0.01, 6);
         let b = bloomrf_point_bits_per_key(0.001, 6);
@@ -358,12 +335,12 @@ mod tests {
         let profile = evaluate_config(&cfg, 3, 1.0);
         assert!(profile.point < 0.05, "point FPR {}", profile.point);
         assert!(
-            profile.at_level(15) > 0.5,
+            profile.per_level[15] > 0.5,
             "level-15 FPR {}",
-            profile.at_level(15)
+            profile.per_level[15]
         );
         // FPR decreases monotonically (roughly) towards the bottom levels.
-        assert!(profile.at_level(2) < profile.at_level(12));
+        assert!(profile.per_level[2] < profile.per_level[12]);
     }
 
     #[test]
@@ -379,12 +356,11 @@ mod tests {
         let cfg = BloomRfConfig::new(48, layers, vec![1 << 16, 1 << 20], Some(32), 7).unwrap();
         let profile = evaluate_config(&cfg, 100_000, 1.0);
         assert_eq!(
-            profile.at_level(32),
-            0.0,
+            profile.per_level[32], 0.0,
             "exact level has no false positives"
         );
         assert!(
-            profile.at_level(33) > 0.0,
+            profile.per_level[33] > 0.0,
             "levels above the exact level saturate"
         );
         assert!(profile.point < 0.2);

@@ -12,7 +12,7 @@
 #![cfg(bloomrf_loom)]
 
 use bloomrf::bitarray::AtomicBits;
-use bloomrf::{BloomRf, ProbeScratch};
+use bloomrf::BloomRf;
 use shuttle_loom::{thread, Builder};
 use std::sync::Arc;
 
@@ -108,16 +108,16 @@ fn insert_batch_vs_point_queries_never_lose_settled_keys() {
     assert!(report.iterations > 1);
 }
 
-/// The batch kernel introduces no new synchronization: under `bloomrf_loom`
+/// The overlapped batch introduces no new synchronization: under `bloomrf_loom`
 /// the prefetch hint compiles to a no-op, so on a filter above the size
 /// crossover (2²⁵ bits, mirrored from the crate-private
 /// `KERNEL_MIN_FILTER_BITS`) the batch call performs the same atomic loads as
-/// a loop over the per-key call (replicas = 1 makes the per-layer and
-/// per-probe early-exit granularities coincide). Running the same
-/// writer-vs-reader scenario once per path must (a) uphold the settled-key
-/// contract in every schedule and (b) explore *identical* schedule counts —
-/// a kernel that acquired a lock or added an atomic op would change the
-/// interleaving space and the iteration count with it.
+/// a loop over the per-key call — each key's exact-layer bit once, then its
+/// layer positions up to the first unset one — only grouped differently.
+/// Running the same writer-vs-reader scenario once per path must (a) uphold
+/// the settled-key contract in every schedule and (b) explore *identical*
+/// schedule counts — a batch that acquired a lock or added an atomic op
+/// would change the interleaving space and the iteration count with it.
 #[test]
 fn batch_kernel_adds_no_synchronization() {
     type Probe = fn(&BloomRf, &[u64], &mut Vec<bool>);
@@ -125,8 +125,7 @@ fn batch_kernel_adds_no_synchronization() {
         out.clear();
         out.extend(keys.iter().map(|&k| filter.contains_point(k)));
     };
-    let batch: Probe =
-        |filter, keys, out| filter.contains_point_batch_into(keys, out, &mut ProbeScratch::new());
+    let batch: Probe = |filter, keys, out| filter.contains_point_batch_into(keys, out);
     let explore = |probe: Probe| {
         let mut builder = Builder::default();
         builder.preemption_bound = Some(2);
@@ -140,7 +139,7 @@ fn batch_kernel_adds_no_synchronization() {
             );
             assert!(
                 filter.memory_bits() >= 1 << 25,
-                "filter must run the kernel"
+                "filter must run the overlapped batch"
             );
             filter.insert(42);
             let writer = {
@@ -160,6 +159,6 @@ fn batch_kernel_adds_no_synchronization() {
     assert_eq!(
         explore(per_key),
         explore(batch),
-        "the batch kernel changed the schedule space"
+        "the overlapped batch changed the schedule space"
     );
 }

@@ -46,7 +46,7 @@ impl QueryGenerator {
     }
 
     /// Does the key set intersect `[lo, hi]`?
-    pub fn keys_in(&self, lo: u64, hi: u64) -> bool {
+    fn keys_in(&self, lo: u64, hi: u64) -> bool {
         let idx = self.sorted_keys.partition_point(|&k| k < lo);
         idx < self.sorted_keys.len() && self.sorted_keys[idx] <= hi
     }

@@ -7,9 +7,9 @@
 //! A filter picks its probe path from its own size at construction, so every
 //! property runs on two filters of the same shape: one sized just below the
 //! crossover (batches are the early-exit per-key loop) and one at or above it
-//! (phase-split kernel, prefetched point probe, range staging). The kernel
-//! only regroups pure bit reads, so any divergence from the per-key call is a
-//! bug by construction — there is no tolerance in these assertions.
+//! (the two-stage point batch, the prefetched point probe, range staging).
+//! These only regroup pure bit reads, so any divergence from the per-key call
+//! is a bug by construction — there is no tolerance in these assertions.
 //!
 //! The split point probe (`point_probe_into` → `prefetch_exact` →
 //! `exact_admits` → `prefetch_probe` → `contains_probe`, which the filter
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 use bloomrf::config::LayerSpec;
 use bloomrf::hashing::WordLayout;
-use bloomrf::{BloomRf, BloomRfConfig, ProbeScratch};
+use bloomrf::{BloomRf, BloomRfConfig};
 
 /// Mirrors the crate-private `bloomrf::kernel::KERNEL_MIN_FILTER_BITS` (a
 /// unit test next to the constant fails if the two drift apart).
@@ -49,7 +49,7 @@ fn assert_batch_matches_per_key(
         .map(|&(lo, hi)| filter.contains_range(lo, hi))
         .collect();
     let mut out = vec![true; 3]; // dirty on purpose
-    filter.contains_point_batch_into(points, &mut out, &mut ProbeScratch::new());
+    filter.contains_point_batch_into(points, &mut out);
     prop_assert_eq!(&out, &point_reference, "point batch diverged");
     prop_assert_eq!(&filter.contains_point_batch(points), &point_reference);
     filter.contains_range_batch_into(ranges, &mut out);
@@ -143,13 +143,14 @@ proptest! {
     }
 
     /// Hand-built replicated layout on a small domain: several hashers per
-    /// layer and segments small enough that alive-set compaction and the
-    /// 4-wide probe lanes hit their remainder paths constantly.
+    /// layer and segments small enough that probes die at every depth. Up to
+    /// 2 × 8 + 1 = 17 positions overflow the probe's inline window of 16, so
+    /// the batch recomputes the last one from the key.
     #[test]
     fn kernel_matches_scalar_replicated_small_domain(
         keys in prop::collection::vec(any::<u64>() , 1..150),
         extra in prop::collection::vec(any::<u64>(), 1..60),
-        replicas in 1u32..4,
+        replicas in 1u32..=8,
         seed in any::<u64>(),
     ) {
         let keys: Vec<u64> = keys.iter().map(|k| k & 0xFFFF_FFFF).collect();
@@ -172,8 +173,8 @@ proptest! {
         }
     }
 
-    /// Batch sizes around the kernel's internal lane width (4) and the
-    /// single-point prefetch window (64): empty, 1, 3, 4, 5, 63, 64, 65 …
+    /// Batch sizes around and past the overlapped batch's window of 16 keys:
+    /// empty, 1, 3, 4, 5, 63, 64, 65 …
     #[test]
     fn kernel_matches_scalar_at_boundary_batch_sizes(
         seed_keys in prop::collection::vec(any::<u64>(), 64..80),
@@ -300,15 +301,15 @@ fn into_variants_clear_previous_contents() {
             .unwrap();
         filter.insert_batch(&[1, 2, 3]);
         let mut out = vec![true; 17];
-        filter.contains_point_batch_into(&[1, 999_999], &mut out, &mut ProbeScratch::new());
+        filter.contains_point_batch_into(&[1, 999_999], &mut out);
         assert_eq!(out, [true, filter.contains_point(999_999)]);
         filter.contains_range_batch_into(&[(0, 10)], &mut out);
         assert_eq!(out, [true]);
     }
 }
 
-/// One scratch survives reuse across filters of different shapes and sides
-/// of the crossover.
+/// One output buffer survives reuse across filters of different shapes and
+/// sides of the crossover.
 #[test]
 fn scratch_reuse_across_filters() {
     let small = BloomRfConfig::basic(64, 50, 12.0, 7).unwrap();
@@ -326,11 +327,10 @@ fn scratch_reuse_across_filters() {
             filters.push(filter);
         }
     }
-    let mut scratch = ProbeScratch::new();
     let mut out = Vec::new();
     for _ in 0..3 {
         for filter in &filters {
-            filter.contains_point_batch_into(&[10, 11, 30, 31], &mut out, &mut scratch);
+            filter.contains_point_batch_into(&[10, 11, 30, 31], &mut out);
             let per_key = [10, 11, 30, 31].map(|k| filter.contains_point(k));
             assert_eq!(out, per_key);
             assert_eq!((out[0], out[2]), (true, true));

@@ -424,23 +424,44 @@ fn v1_fixture_is_rejected_as_unsupported_version() {
 
 #[test]
 fn v2_fixture_decodes_bare_with_layout_from_the_wire() {
-    let bytes = std::fs::read(fixture_path("filter_v2_alternating.blrf")).unwrap();
-    assert_eq!(&bytes[..4], bloomrf::WIRE_MAGIC);
-    assert_eq!(
-        u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        bloomrf::WIRE_FORMAT_VERSION
-    );
-    let filter = BloomRf::from_bytes(&bytes).unwrap();
-    assert_eq!(filter.key_count(), 500);
-    for k in fixture_keys() {
-        assert!(
-            filter.contains_point(k),
-            "v2 fixture: false negative for {k}"
+    let absent: Vec<u64> = (0..2_000u64)
+        .map(|i| bloomrf::hashing::mix64(i ^ 0x5EED) >> 4)
+        .collect();
+    for (name, original) in v2_fixtures() {
+        let bytes = std::fs::read(fixture_path(name)).unwrap();
+        assert_eq!(&bytes[..4], bloomrf::WIRE_MAGIC);
+        assert_eq!(
+            u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
+            bloomrf::WIRE_FORMAT_VERSION
         );
+        let filter = BloomRf::from_bytes(&bytes).unwrap();
+        assert_eq!(filter.key_count(), 500);
+        for k in fixture_keys() {
+            assert!(filter.contains_point(k), "{name}: false negative for {k}");
+        }
+        // The decoded filter is the one the snapshot was written from: it
+        // answers every point and range alike.
+        assert_eq!(filter.config(), original.config(), "{name}");
+        for &k in fixture_keys().iter().chain(&absent) {
+            assert_eq!(
+                filter.contains_point(k),
+                original.contains_point(k),
+                "{name}: {k}"
+            );
+            for width in [1u64 << 4, 1 << 12, 1 << 20] {
+                let (lo, hi) = (k.saturating_sub(width / 2), k.saturating_add(width));
+                assert_eq!(
+                    filter.contains_range(lo, hi),
+                    original.contains_range(lo, hi),
+                    "{name}: [{lo}, {hi}]"
+                );
+            }
+        }
     }
 }
 
-/// The filter the committed v2 snapshot holds, built afresh.
+/// The filter the committed alternating-layout v2 snapshot holds, built
+/// afresh.
 fn v2_fixture_filter() -> BloomRf {
     let filter = BloomRf::builder()
         .expected_keys(500)
@@ -455,15 +476,47 @@ fn v2_fixture_filter() -> BloomRf {
     filter
 }
 
-/// The encoder writes the committed v2 snapshot byte for byte: moving the
+/// The filter the committed tuned v2 snapshot holds, built afresh: the
+/// advisor tunes it into several segments and an exact bitmap.
+fn v2_tuned_fixture_filter() -> BloomRf {
+    let filter = BloomRf::builder()
+        .expected_keys(500)
+        .bits_per_key(16.0)
+        .max_range(1e6)
+        .seed(0xF1A7)
+        .build()
+        .unwrap();
+    let config = filter.config();
+    assert!(
+        config.segment_bits.len() >= 2 && config.exact_level.is_some(),
+        "the tuned fixture must have several segments and an exact bitmap: {config:?}"
+    );
+    filter.insert_batch(&fixture_keys());
+    filter
+}
+
+/// The committed v2 snapshots by file name, each with its filter built
+/// afresh. The alternating one has one segment and no exact layer; the
+/// tuned one has several regions, so a pin on it also sees their order and
+/// contents on the wire.
+fn v2_fixtures() -> [(&'static str, BloomRf); 2] {
+    [
+        ("filter_v2_alternating.blrf", v2_fixture_filter()),
+        ("filter_v2_tuned.blrf", v2_tuned_fixture_filter()),
+    ]
+}
+
+/// The encoder writes the committed v2 snapshots byte for byte: moving the
 /// bits in memory must not move them on the wire.
 #[test]
 fn v2_fixture_is_what_the_encoder_writes() {
-    let bytes = std::fs::read(fixture_path("filter_v2_alternating.blrf")).unwrap();
-    assert!(
-        v2_fixture_filter().to_bytes() == bytes,
-        "the v2 encoding of the fixture filter changed"
-    );
+    for (name, filter) in v2_fixtures() {
+        let bytes = std::fs::read(fixture_path(name)).unwrap();
+        assert!(
+            filter.to_bytes() == bytes,
+            "the v2 encoding of the {name} fixture filter changed"
+        );
+    }
 }
 
 /// The bit arrays of a v2 stream's bits section, in wire order.
@@ -491,21 +544,14 @@ fn wire_arrays(bytes: &[u8]) -> Vec<BitVec> {
     }
 }
 
-/// The committed fixture has one segment and no exact layer, so this pins
-/// the order of the bit arrays on a filter with several regions: the
+/// The order of the bit arrays on a filter with several regions: the
 /// segments in configuration order at their declared sizes, then the exact
 /// bitmap, holding exactly the keys' exact-level prefixes — wherever the
 /// filter keeps each region in memory.
 #[test]
 fn wire_arrays_follow_the_configuration_order() {
     let keys = fixture_keys();
-    let filter = BloomRf::builder()
-        .expected_keys(keys.len())
-        .bits_per_key(16.0)
-        .max_range(1e6)
-        .build()
-        .unwrap();
-    filter.insert_batch(&keys);
+    let filter = v2_tuned_fixture_filter();
     let config = filter.config();
     let exact = config
         .exact_level
@@ -522,16 +568,14 @@ fn wire_arrays_follow_the_configuration_order() {
     assert_eq!(arrays.last(), Some(&exact_bits));
 }
 
-/// Regenerates the committed v2 snapshot. Run manually after an intentional
+/// Regenerates the committed v2 snapshots. Run manually after an intentional
 /// format change: `cargo test --test persistence -- --ignored regenerate`.
 #[test]
-#[ignore = "writes tests/fixtures/filter_v2_alternating.blrf"]
+#[ignore = "writes the v2 snapshots under tests/fixtures"]
 fn regenerate_v2_fixture() {
-    std::fs::write(
-        fixture_path("filter_v2_alternating.blrf"),
-        v2_fixture_filter().to_bytes(),
-    )
-    .unwrap();
+    for (name, filter) in v2_fixtures() {
+        std::fs::write(fixture_path(name), filter.to_bytes()).unwrap();
+    }
 }
 
 // ---------------------------------------------------------------------------
