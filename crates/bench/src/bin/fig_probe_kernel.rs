@@ -4,11 +4,13 @@
 //! outlier rejection and a 95% confidence interval per cell, via the same
 //! [`bloomrf_bench::SampleStats`] pipeline the criterion shim reports with.
 //!
-//! A filter picks its probe path from its own size at construction, so below
-//! the crossover the `batch` rows *are* the loop (plus the call overhead) and
-//! at or above it they are the two-stage batch against the prefetched
-//! per-key probe. The sweep is the evidence for where the crossover constant
-//! sits: no point cell may have `batch` slower than `loop` by more than 10%.
+//! A filter picks its point probe path from its own size at construction,
+//! so below the crossover the point `batch` rows *are* the loop (plus the
+//! call overhead) and at or above it they are the two-stage batch against
+//! the prefetched per-key probe. A range batch is the loop on both sides.
+//! The sweep is the evidence for where the crossover constant sits: no cell
+//! may have `batch` slower than `loop` by more than 10%, which
+//! `cargo run -p xtask -- bench-check` enforces on the committed snapshot.
 //!
 //! Three experiments in one binary:
 //!

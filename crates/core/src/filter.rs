@@ -28,13 +28,14 @@
 //! [`BloomRf::contains_range_batch`]. Overlapping the probes of many keys
 //! only pays when their cache lines miss, so each filter decides once, at
 //! construction, from its own size (`kernel::KERNEL_MIN_FILTER_BITS`):
-//! below the crossover the batch calls are a loop over the early-exit
-//! per-key lookups; at or above it every point lookup runs the steps of a
+//! below the crossover the point batch is a loop over the early-exit
+//! per-key lookup; at or above it every point lookup runs the steps of a
 //! [`PointProbe`] — one key at a time for `contains_point`, a window of keys
-//! per step for the batch call — and the batched range engine steps all
-//! queries through one layer at a time. Either way exactly the same logical
-//! bits are read, so the answers are bit-identical by construction (and
-//! proven so by the differential property tests).
+//! per step for the batch call. A range reads a bounded number of words per
+//! layer, so a range batch is a loop over [`BloomRf::contains_range`] on
+//! both sides. Either way exactly the same logical bits are read, so the
+//! answers are bit-identical by construction (and proven so by the
+//! differential property tests).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -111,12 +112,13 @@ pub struct BloomRf {
     exact: Option<usize>,
     key_count: AtomicU64,
     /// `memory_bits() >= KERNEL_MIN_FILTER_BITS`, fixed at construction:
-    /// lookups overlap their probes (the prefetched [`PointProbe`] paths,
-    /// range staging) instead of running the early-exit per-key loop. The
-    /// benchmark has a workload on each side of the choice: `filter_small`
-    /// (and every SST and tree-leaf filter of the `store_*` workloads) runs
-    /// the loop, `filter_large` (256 Mbit) runs the overlapped paths; the
-    /// cells behind each path are in `docs/probe-kernel.md`.
+    /// point lookups overlap their probes (the prefetched [`PointProbe`]
+    /// drivers) instead of running the early-exit per-key loop. Ranges do
+    /// not look at it. The benchmark has a workload on each side of the
+    /// choice: `filter_small` (and every SST and tree-leaf filter of the
+    /// `store_*` workloads) runs the loop, `filter_large` (256 Mbit) runs
+    /// the overlapped drivers; the cells behind each driver are in
+    /// `docs/probe-kernel.md`.
     overlap_probes: bool,
 }
 
@@ -134,16 +136,6 @@ struct RangeState {
     right_alive: bool,
     parent_level: u32,
     outcome: Option<bool>,
-}
-
-/// How a range query enters the layer pipeline.
-enum RangeInit {
-    /// Resolved before touching any layer (empty interval).
-    Done(bool),
-    /// Degenerate single-point interval: resolved through the point path.
-    Point(u64),
-    /// A genuine range: run the exact-layer step and the layer pipeline.
-    Go(RangeState),
 }
 
 /// Bit positions a [`PointProbe`] holds inline. Every basic configuration
@@ -527,29 +519,39 @@ impl BloomRf {
     /// Range lookup that also reports probe-cost counters.
     pub fn contains_range_counted(&self, lo: u64, hi: u64) -> (bool, ProbeStats) {
         let mut stats = ProbeStats::default();
+        let hi = hi.min(self.config.max_key());
+        if lo > hi {
+            return (false, stats);
+        }
+        if lo == hi {
+            stats.bit_checks = self.layers.len();
+            return (self.contains_point(lo), stats);
+        }
         let budget = self.range_budget();
-        match self.range_init(lo, hi, &mut stats) {
-            RangeInit::Done(answer) => (answer, stats),
-            RangeInit::Point(key) => (self.contains_point(key), stats),
-            RangeInit::Go(mut state) => {
-                self.range_exact_step(&mut state, budget, &mut stats);
-                if let Some(answer) = state.outcome {
-                    return (answer, stats);
-                }
-                for layer in self.layers.iter().rev() {
-                    stats.layers_visited += 1;
-                    self.range_layer_step(layer, &mut state, budget, &mut stats);
-                    if let Some(answer) = state.outcome {
-                        return (answer, stats);
-                    }
-                }
-                // All decomposition intervals down to level 0 tested negative.
-                // The bottom layer is at level 0, where every prefix is a point
-                // and is absorbed into a decomposition run, so no covering can
-                // survive here.
-                (false, stats)
+        let mut state = RangeState {
+            lo,
+            hi,
+            merged: true,
+            left_alive: true,
+            right_alive: true,
+            parent_level: 0,
+            outcome: None,
+        };
+        self.range_exact_step(&mut state, budget, &mut stats);
+        if let Some(answer) = state.outcome {
+            return (answer, stats);
+        }
+        for layer in self.layers.iter().rev() {
+            stats.layers_visited += 1;
+            self.range_layer_step(layer, &mut state, budget, &mut stats);
+            if let Some(answer) = state.outcome {
+                return (answer, stats);
             }
         }
+        // All decomposition intervals down to level 0 tested negative. The
+        // bottom layer is at level 0, where every prefix is a point and is
+        // absorbed into a decomposition run, so no covering can survive here.
+        (false, stats)
     }
 
     /// Batched range lookup: answers element-wise identical to
@@ -562,89 +564,14 @@ impl BloomRf {
         out
     }
 
-    /// Batched range lookup into a caller-owned buffer (cleared first).
-    /// Below the size crossover this is a loop over
-    /// [`BloomRf::contains_range`]; at or above it all queries advance
-    /// through the layer pipeline together, one layer of prefetch ahead.
+    /// Batched range lookup into a caller-owned buffer (cleared first): a
+    /// loop over [`BloomRf::contains_range`] on both sides of the size
+    /// crossover. One range reads a few independent words per layer, which
+    /// leaves a cross-query schedule little to overlap
+    /// (`docs/probe-kernel.md` has the measurements).
     pub fn contains_range_batch_into(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
-        if self.overlap_probes {
-            self.range_batch_staged(ranges, out);
-        } else {
-            out.clear();
-            out.extend(ranges.iter().map(|&(lo, hi)| self.contains_range(lo, hi)));
-        }
-    }
-
-    /// The layer-grouped range engine: runs the exact-layer step for every
-    /// query, then layer `k-1` for every unresolved query, then layer `k-2`,
-    /// and so on — executing the very same per-layer step function as the
-    /// sequential lookup. Degenerate single-point ranges are folded into one
-    /// point batch.
-    fn range_batch_staged(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
-        let budget = self.range_budget();
         out.clear();
-        out.resize(ranges.len(), false);
-        // Per-query probe counters are not reported on the batch path; one
-        // scratch accumulator serves every query.
-        let mut stats = ProbeStats::default();
-        let mut pending: Vec<(usize, RangeState)> = Vec::new();
-        let mut points: Vec<usize> = Vec::new();
-        let mut point_keys: Vec<u64> = Vec::new();
-        for (i, &(lo, hi)) in ranges.iter().enumerate() {
-            match self.range_init(lo, hi, &mut stats) {
-                RangeInit::Done(answer) => out[i] = answer,
-                RangeInit::Point(key) => {
-                    points.push(i);
-                    point_keys.push(key);
-                }
-                RangeInit::Go(state) => pending.push((i, state)),
-            }
-        }
-        if !points.is_empty() {
-            let mut point_out = Vec::new();
-            self.contains_point_batch_into(&point_keys, &mut point_out);
-            for (&i, answer) in points.iter().zip(point_out) {
-                out[i] = answer;
-            }
-        }
-        for (_, state) in pending.iter_mut() {
-            self.range_exact_step(state, budget, &mut stats);
-        }
-        // Per-layer grouping with cross-layer prefetch: before stepping layer
-        // k for the pending queries, the covering-probe words of layer k-1
-        // (the next one the reversed iteration visits) are requested — their
-        // addresses depend only on the query bounds, so they can be computed
-        // a full layer early and their loads overlap this layer's probing.
-        if let Some(first) = self.layers.last() {
-            self.stage_range_prefetch(first, &pending);
-        }
-        for (k, layer) in self.layers.iter().enumerate().rev() {
-            if k > 0 {
-                self.stage_range_prefetch(&self.layers[k - 1], &pending);
-            }
-            for (_, state) in pending.iter_mut() {
-                if state.outcome.is_none() {
-                    self.range_layer_step(layer, state, budget, &mut stats);
-                }
-            }
-        }
-        for (i, state) in pending {
-            out[i] = state.outcome.unwrap_or(false);
-        }
-    }
-
-    /// Issue prefetches for the single-bit covering checks `range_layer_step`
-    /// will perform on `layer` for every unresolved query. Only the `lo`/`hi`
-    /// probe words are staged (the decomposition-run words depend on budget
-    /// flow).
-    fn stage_range_prefetch(&self, layer: &LayerRuntime, pending: &[(usize, RangeState)]) {
-        for (_, state) in pending {
-            if state.outcome.is_none() {
-                for bit in layer.bits_of(state.lo).chain(layer.bits_of(state.hi)) {
-                    self.bits.prefetch_bit(bit);
-                }
-            }
-        }
+        out.extend(ranges.iter().map(|&(lo, hi)| self.contains_range(lo, hi)));
     }
 
     /// Word-access budget per layer implied by the configured range policy.
@@ -656,30 +583,6 @@ impl BloomRf {
                 max_words_per_layer,
             } => max_words_per_layer,
         }
-    }
-
-    /// Normalize the query interval and classify how it enters the pipeline.
-    fn range_init(&self, lo: u64, hi: u64, stats: &mut ProbeStats) -> RangeInit {
-        if lo > hi {
-            return RangeInit::Done(false);
-        }
-        let hi = hi.min(self.config.max_key());
-        if lo > hi {
-            return RangeInit::Done(false);
-        }
-        if lo == hi {
-            stats.bit_checks = self.layers.len();
-            return RangeInit::Point(lo);
-        }
-        RangeInit::Go(RangeState {
-            lo,
-            hi,
-            merged: true,
-            left_alive: true,
-            right_alive: true,
-            parent_level: 0,
-            outcome: None,
-        })
     }
 
     /// Run the exactly-stored topmost layer (when configured) and initialize
@@ -741,8 +644,8 @@ impl BloomRf {
     }
 
     /// Advance one range lookup through a single probabilistic layer of the
-    /// two-path algorithm. Shared verbatim between the sequential lookup and
-    /// the batched engine.
+    /// two-path algorithm: the layer is one partition of the filter, probed
+    /// once per lookup.
     fn range_layer_step(
         &self,
         layer: &LayerRuntime,
@@ -1319,9 +1222,6 @@ impl PointRangeFilter for BloomRf {
     }
     fn may_contain_batch_into(&self, keys: &[u64], out: &mut Vec<bool>) {
         self.contains_point_batch_into(keys, out);
-    }
-    fn may_contain_range_batch_into(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
-        self.contains_range_batch_into(ranges, out);
     }
     fn serialize(&self) -> Option<Vec<u8>> {
         Some(self.to_bytes())

@@ -24,17 +24,22 @@
 //!    requested, the admitted keys are hashed and their positions
 //!    requested, and then the positions are tested.
 //!
+//! Range lookups have one schedule on both sides of the crossover: the
+//! two-path lookup reads a bounded number of words per layer, so a range
+//! batch is a loop over `contains_range`.
+//!
 //! `docs/probe-kernel.md` has the measurements behind each ordering
 //! (committed as `BENCH_probe_kernel.json` at the workspace root).
 //!
 //! No schedule changes *which* logical bits are probed — only the order and
 //! grouping of the (pure) reads — so all are answer-identical to one
 //! another; `tests/kernel_differential.rs` proves this on both sides of the
-//! crossover for every `WordLayout` × query-shape combination.
+//! crossover for every `WordLayout` × query-shape combination, and holds the
+//! point drivers to a reference built from the public API alone.
 
-/// Filter size (`memory_bits()`) at and above which every lookup overlaps its
-/// probes — the prefetched [`crate::PointProbe`] paths and the range
-/// staging pass — instead of running the early-exit per-key loop.
+/// Filter size (`memory_bits()`) at and above which every point lookup
+/// overlaps its probes — the prefetched [`crate::PointProbe`] drivers —
+/// instead of running the early-exit per-key loop. Range lookups ignore it.
 /// 2²⁵ bits = 4 MiB, the private L2 of the measurement host.
 ///
 /// Placed by edit-and-rerun of `fig_probe_kernel` with the constant forced to

@@ -35,17 +35,6 @@ pub trait PointRangeFilter: Send + Sync {
         out.extend(keys.iter().map(|&k| self.may_contain(k)));
     }
 
-    /// Batched range emptiness into a caller-owned buffer (cleared first):
-    /// element `i` answers `may_contain_range(ranges[i].0, ranges[i].1)`.
-    fn may_contain_range_batch_into(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
-        out.clear();
-        out.extend(
-            ranges
-                .iter()
-                .map(|&(lo, hi)| self.may_contain_range(lo, hi)),
-        );
-    }
-
     /// Serialize the filter payload for persistence, if the family supports
     /// it. Storage layers that persist filter blocks call this instead of
     /// downcasting; families without a wire format (the default) answer
@@ -175,9 +164,6 @@ impl<F: ExclusiveOnlineFilter> PointRangeFilter for Locked<F> {
     fn may_contain_batch_into(&self, keys: &[u64], out: &mut Vec<bool>) {
         self.read().may_contain_batch_into(keys, out);
     }
-    fn may_contain_range_batch_into(&self, ranges: &[(u64, u64)], out: &mut Vec<bool>) {
-        self.read().may_contain_range_batch_into(ranges, out);
-    }
     fn serialize(&self) -> Option<Vec<u8>> {
         self.read().serialize()
     }
@@ -281,8 +267,7 @@ mod tests {
         let mut verdicts = vec![true; 5];
         dyn_filter.may_contain_batch_into(&[2, 9], &mut verdicts);
         assert_eq!(verdicts, vec![true, false]);
-        dyn_filter.may_contain_range_batch_into(&[(0, 10), (5, 10)], &mut verdicts);
-        assert_eq!(verdicts, vec![true, false]);
+        assert!(dyn_filter.may_contain_range(0, 10) && !dyn_filter.may_contain_range(5, 10));
         assert_eq!(locked.memory_bits(), 4 * 64);
         // Concurrent use compiles and behaves: writers and readers share &self.
         std::thread::scope(|s| {

@@ -1217,13 +1217,17 @@ mod tests {
     use super::*;
 
     fn small_db(filter_kind: FilterKind) -> Db {
+        small_db_routed(filter_kind, ReadRouting::default())
+    }
+
+    fn small_db_routed(filter_kind: FilterKind, routing: ReadRouting) -> Db {
         Db::new(DbOptions {
             memtable_flush_entries: 1000,
             entries_per_block: 8,
             filter_kind,
             bits_per_key: 18.0,
             io_model: IoModel::default(),
-            routing: ReadRouting::default(),
+            routing,
         })
     }
 
@@ -1493,29 +1497,44 @@ mod tests {
         assert!(db.get_batch(&[], 4).is_empty());
     }
 
+    /// Under both routings — scan-all is where each table's fences and
+    /// filter admit the batch's ranges itself — a range batch answers what
+    /// one check per range does, and, with every key flushed and no
+    /// tombstone, what a one-row scan finds.
     #[test]
     fn range_batch_matches_sequential_checks_across_thread_counts() {
-        let db = small_db(FilterKind::BloomRf { max_range: 1e6 });
-        for i in 0..3000u64 {
-            db.put(i * 100, vec![1]);
-        }
-        let ranges: Vec<(u64, u64)> = (0..800u64)
-            .map(|i| match i % 3 {
-                0 => (i * 100, i * 100 + 150),     // hits keys
-                1 => (i * 100 + 1, i * 100 + 50),  // gap
-                _ => (i * 100 + 50, i * 100 + 10), // reversed → empty
-            })
-            .collect();
-        let expected: Vec<bool> = ranges
-            .iter()
-            .map(|&(lo, hi)| lo <= hi && db.range_is_possibly_non_empty(lo, hi))
-            .collect();
-        for threads in [1usize, 3, 8, 0] {
-            assert_eq!(
-                db.range_non_empty_batch(&ranges, threads),
-                expected,
-                "threads={threads}"
-            );
+        for routing in [ReadRouting::default(), ReadRouting::ScanAll] {
+            let db = small_db_routed(FilterKind::BloomRf { max_range: 1e6 }, routing);
+            for i in 0..3000u64 {
+                db.put(i * 100, vec![1]);
+            }
+            assert_eq!(db.num_ssts(), 3);
+            let ranges: Vec<(u64, u64)> = (0..1200u64)
+                .map(|i| match i % 6 {
+                    0 => (i * 100, i * 100 + 150),         // hits keys
+                    1 => (i * 100 + 1, i * 100 + 50),      // gap
+                    2 => (i * 100 + 50, i * 100 + 10),     // reversed → empty
+                    3 => (i * 100, i * 100),               // one stored key
+                    4 => (i * 250 + 5, i * 250 + 60),      // gap or straddling
+                    _ => (300_000 + i, 400_000 + i * 100), // beyond every table
+                })
+                .collect();
+            let expected: Vec<bool> = ranges
+                .iter()
+                .map(|&(lo, hi)| lo <= hi && db.range_is_possibly_non_empty(lo, hi))
+                .collect();
+            let scanned: Vec<bool> = ranges
+                .iter()
+                .map(|&(lo, hi)| !db.scan(lo, hi, 1).is_empty())
+                .collect();
+            assert_eq!(expected, scanned, "{routing:?}");
+            for threads in [1usize, 3, 8, 0] {
+                assert_eq!(
+                    db.range_non_empty_batch(&ranges, threads),
+                    expected,
+                    "{routing:?}: threads={threads}"
+                );
+            }
         }
     }
 

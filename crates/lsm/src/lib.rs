@@ -87,7 +87,7 @@ pub use db::{CompactionStats, Db, DbOptions, ReadRouting};
 pub use io::{FaultConfig, FaultyIo, RealIo, StorageIo};
 pub use memtable::MemTable;
 pub use persist::{Corruption, PersistError};
-pub use sst::{SsTable, SstProbeScratch};
+pub use sst::SsTable;
 pub use stats::{IoModel, ReadStats, ReadStatsSnapshot};
 pub use tree::{FilterTree, TreeOptions};
 pub use typed::TypedDb;

@@ -111,23 +111,19 @@ where
     })
 }
 
-/// Reusable probe buffers for the batched SST read paths
-/// ([`SsTable::get_many_with`], [`SsTable::range_non_empty_many_with`]).
-///
-/// A batched lookup fans one query batch across every candidate SST; holding
-/// one scratch per worker keeps that inner loop free of per-table
-/// allocations. All buffers are cleared on entry, so a scratch can be shared
+/// Reusable buffers of the fence and filter steps of a batched read
+/// ([`SsTable::admit_points`], [`SsTable::admit_ranges`]): a scan-all `Db`
+/// batch tests every table with one scratch, so that loop allocates nothing
+/// per table. All buffers are cleared on entry, so a scratch can be shared
 /// freely between point and range calls.
 #[derive(Default)]
-pub struct SstProbeScratch {
+pub(crate) struct SstProbeScratch {
     /// Indices of the batch elements that survive the fence check, then
     /// those the filter admits too.
     selected: Vec<usize>,
-    /// Keys handed to the filter (point path).
+    /// Keys handed to the filter's batch call (point path).
     probe_keys: Vec<u64>,
-    /// Ranges handed to the filter (range path).
-    probe_ranges: Vec<(u64, u64)>,
-    /// Filter verdicts for the selected elements.
+    /// Filter verdicts for the selected keys (point path).
     verdicts: Vec<bool>,
 }
 
@@ -137,19 +133,24 @@ impl SstProbeScratch {
     pub(crate) fn admitted(&self) -> &[usize] {
         &self.selected
     }
+}
 
-    /// Record the filter's verdicts on the selected elements and keep only
-    /// the positive ones.
-    fn keep_positives(&mut self, stats: &ReadStats, nanos: u64) {
-        let positives = self.verdicts.iter().filter(|&&v| v).count();
-        stats.record_filter_probes(
-            positives as u64,
-            (self.verdicts.len() - positives) as u64,
-            nanos,
-        );
-        let mut verdicts = self.verdicts.iter();
-        self.selected.retain(|_| verdicts.next() == Some(&true));
-    }
+/// Keep only the `selected` batch elements the filter `admits`, recording
+/// one filter test per selected element and the time since `clock` started.
+fn keep_admitted(
+    selected: &mut Vec<usize>,
+    stats: &ReadStats,
+    clock: SampledClock,
+    admits: impl FnMut(&usize) -> bool,
+) {
+    let tested = selected.len();
+    selected.retain(admits);
+    let positives = selected.len();
+    stats.record_filter_probes(
+        positives as u64,
+        (tested - positives) as u64,
+        clock.estimate_ns(),
+    );
 }
 
 /// A table's data blocks in one buffer, with their fence pointers: block
@@ -530,13 +531,16 @@ impl SsTable {
         self.filter
             .as_dyn()
             .may_contain_batch_into(&scratch.probe_keys, &mut scratch.verdicts);
-        scratch.keep_positives(stats, clock.estimate_ns());
+        let mut verdicts = scratch.verdicts.iter();
+        keep_admitted(&mut scratch.selected, stats, clock, |_| {
+            verdicts.next() == Some(&true)
+        });
     }
 
     /// The range counterpart of [`SsTable::admit_points`]: the ranges that
     /// overlap the table's key range (reversed bounds never do) and that
-    /// its filter admits, through
-    /// [`PointRangeFilter::may_contain_range_batch_into`].
+    /// its filter admits, each tested with
+    /// [`PointRangeFilter::may_contain_range`].
     pub(crate) fn admit_ranges(
         &self,
         ranges: &[(u64, u64)],
@@ -551,65 +555,23 @@ impl SsTable {
         if scratch.selected.is_empty() {
             return;
         }
-        scratch.probe_ranges.clear();
-        scratch
-            .probe_ranges
-            .extend(scratch.selected.iter().map(|&i| ranges[i]));
         let clock = SampledClock::start(Clock::FilterProbe);
-        self.filter
-            .as_dyn()
-            .may_contain_range_batch_into(&scratch.probe_ranges, &mut scratch.verdicts);
-        scratch.keep_positives(stats, clock.estimate_ns());
+        let filter = self.filter.as_dyn();
+        keep_admitted(&mut scratch.selected, stats, clock, |&i| {
+            filter.may_contain_range(ranges[i].0, ranges[i].1)
+        });
     }
 
     /// Batched point lookup: probes the filter once for the whole batch via
     /// [`PointRangeFilter::may_contain_batch_into`], then reads blocks only
     /// for the positives. Element `i` equals `self.get(keys[i], ..)`.
     pub fn get_many(&self, keys: &[u64], io: &IoModel, stats: &ReadStats) -> Vec<Option<Value>> {
-        self.get_many_with(keys, io, stats, &mut SstProbeScratch::default())
-    }
-
-    /// [`SsTable::get_many`] with caller-owned probe buffers, so a lookup
-    /// wave that fans one batch across many SSTs reuses one allocation
-    /// instead of paying three per table.
-    pub fn get_many_with(
-        &self,
-        keys: &[u64],
-        io: &IoModel,
-        stats: &ReadStats,
-        scratch: &mut SstProbeScratch,
-    ) -> Vec<Option<Value>> {
         let mut out: Vec<Option<Value>> = vec![None; keys.len()];
-        self.admit_points(keys, stats, scratch);
+        let mut scratch = SstProbeScratch::default();
+        self.admit_points(keys, stats, &mut scratch);
         for &i in scratch.admitted() {
             out[i] = self.read_point(keys[i], io, stats);
         }
-        out
-    }
-
-    /// Batched range-emptiness check: element `i` is `true` iff the table
-    /// holds at least one entry in `ranges[i]` — tombstones included, since a
-    /// tombstone both keeps the filter positive and shadows older tables (the
-    /// check is a *possibly non-empty* filter verdict, never a false
-    /// negative). The filter is consulted once for the whole batch; positives
-    /// are confirmed against the data blocks (equivalent to
-    /// `!self.scan(lo, hi, 1, ..).is_empty()`). The probe buffers are the
-    /// caller's (see [`SsTable::get_many_with`]).
-    pub fn range_non_empty_many_with(
-        &self,
-        ranges: &[(u64, u64)],
-        io: &IoModel,
-        stats: &ReadStats,
-        scratch: &mut SstProbeScratch,
-    ) -> Vec<bool> {
-        let mut out = vec![false; ranges.len()];
-        self.admit_ranges(ranges, stats, scratch);
-        let blocks_read = Cell::new(0);
-        for &i in scratch.admitted() {
-            let (lo, hi) = ranges[i];
-            out[i] = self.first_rows(lo, hi, &blocks_read, stats).is_some();
-        }
-        stats.record_block_reads(blocks_read.get(), io);
         out
     }
 
@@ -767,8 +729,8 @@ mod tests {
         assert_eq!(stats.snapshot().false_positives, 0);
         // Tombstones keep ranges "possibly non-empty" (no false negatives).
         assert_eq!(
-            sst.range_non_empty_many_with(&[(19, 21)], &io, &stats, &mut Default::default()),
-            vec![true]
+            sst.scan(19, 21, 10, &io, &stats),
+            vec![(20, Value::Tombstone)]
         );
         // Serialization roundtrips tombstones bit-exactly.
         let restored = SsTable::from_bytes(&sst.to_bytes(), &stats).unwrap();
@@ -883,29 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn range_non_empty_many_matches_sequential_scans() {
-        let sst = build(1000);
-        let io = IoModel::default();
-        let stats = ReadStats::new();
-        let ranges: Vec<(u64, u64)> = (0..400u64)
-            .map(|i| match i % 4 {
-                0 => (i * 10, i * 10 + 25),    // hits stored keys
-                1 => (i * 10 + 1, i * 10 + 5), // gap between 10-spaced keys
-                2 => (30_000 + i, 40_000),     // beyond the key range
-                _ => (i * 10 + 5, i * 10),     // reversed bounds
-            })
-            .collect();
-        let batched = sst.range_non_empty_many_with(&ranges, &io, &stats, &mut Default::default());
-        for (i, &(lo, hi)) in ranges.iter().enumerate() {
-            assert_eq!(
-                batched[i],
-                !sst.scan(lo, hi, 1, &io, &stats).is_empty(),
-                "range [{lo},{hi}]"
-            );
-        }
-    }
-
-    #[test]
     fn put_entries_helper_preserves_layout() {
         // Guard the helper other test files mirror: plain puts must produce
         // the same table as the pre-tombstone encoding did.
@@ -962,23 +901,16 @@ mod tests {
                 prop_assert_eq!(got.as_slice(), want, "scan({}, {}, {})", lo, hi, limit);
             }
         }
-        let non_empty: Vec<bool> = ranges
-            .iter()
-            .map(|&(lo, hi)| !in_range(lo, hi).is_empty())
-            .collect();
-        let mut scratch = SstProbeScratch::default();
-        let verdicts = sst.range_non_empty_many_with(ranges, &io, &stats, &mut scratch);
-        prop_assert_eq!(verdicts, non_empty);
         Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// `get`, `get_many`, `scan`, `range_non_empty_many_with`, `keys` and
-        /// `records` read blocks in place and must equal a `BTreeMap` model
-        /// — tombstones, zero-length and up-to-300-byte values, one to 64
-        /// entries per block — before and after a `to_bytes` round trip.
+        /// `get`, `get_many`, `scan`, `keys` and `records` read blocks in
+        /// place and must equal a `BTreeMap` model — tombstones, zero-length
+        /// and up-to-300-byte values, one to 64 entries per block — before
+        /// and after a `to_bytes` round trip.
         #[test]
         fn in_place_readers_equal_a_model(
             raw in prop::collection::vec((0u64..3000, 0u8..4, 0u16..=300), 1..160),

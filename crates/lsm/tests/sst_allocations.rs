@@ -1,22 +1,19 @@
 //! The SST and `Db` read paths copy only what they return, compaction
 //! allocates in proportion to its output, and a table is one data buffer.
 //! A thread-local counting global allocator pins all three: a point hit
-//! allocates exactly its value, a miss allocates nothing, a range check
-//! allocates only its verdict vector (a `Db` range check nothing), a scan
-//! only its output vector, the rows in it and — for a `Db` — its merge's
-//! fixed buffers, a batch its output, its values and a fixed count
-//! whatever its size, a compaction at most a small multiple of the table it
-//! writes, and building, encoding or decoding a table as many buffers
-//! whatever its block count.
+//! allocates exactly its value, a miss allocates nothing, a `Db` range check
+//! nothing, a scan only its output vector, the rows in it and — for a `Db`
+//! — its merge's fixed buffers, a batch its output, its values and a fixed
+//! count whatever its size, a compaction at most a small multiple of the
+//! table it writes, and building, encoding or decoding a table as many
+//! buffers whatever its block count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use bloomrf_filters::FilterKind;
-use bloomrf_lsm::{
-    Db, DbOptions, IoModel, ReadRouting, ReadStats, SsTable, SstProbeScratch, TreeOptions, Value,
-};
+use bloomrf_lsm::{Db, DbOptions, IoModel, ReadRouting, ReadStats, SsTable, TreeOptions, Value};
 
 /// Counts, per thread, the allocations (not reallocations) and the bytes
 /// requested: the size of every allocation and the new size of every
@@ -131,19 +128,6 @@ fn a_point_miss_allocates_nothing() {
         "only the in-block miss reads its block"
     );
     assert_eq!(snap.false_positives, 1);
-}
-
-#[test]
-fn a_range_check_allocates_only_its_verdicts() {
-    let (sst, io, stats) = (table(), IoModel::default(), ReadStats::new());
-    let ranges = [(15, 45), (21, 29), (0, 5_110), (40, 40), (9, 1)];
-    let mut scratch = SstProbeScratch::default();
-    let warm = sst.range_non_empty_many_with(&ranges, &io, &stats, &mut scratch);
-    let (verdicts, n) =
-        allocations(|| sst.range_non_empty_many_with(&ranges, &io, &stats, &mut scratch));
-    assert_eq!(verdicts, warm);
-    assert_eq!(verdicts, [true, false, true, true, false]);
-    assert_eq!(n, 1, "only the verdict vector may be allocated");
 }
 
 #[test]
@@ -327,6 +311,38 @@ fn a_db_batch_allocates_its_output_values_and_a_constant() {
             fixed, [want; 2],
             "{routing:?}: buffers beyond output and values"
         );
+    }
+}
+
+/// A range batch allocates its verdicts and a fixed number of buffers
+/// whatever its size: the indices and ranges the memtable left open and the
+/// candidate pairs, plus scan-all's fence buffer. A table's filter tests the
+/// ranges one by one and needs no buffer.
+#[test]
+fn a_db_range_batch_allocates_its_verdicts_and_a_constant() {
+    // A key's range, a gap, a range over 512 keys, one stored key and
+    // reversed bounds, shifted by whole tables.
+    let cases = [(15, 45), (21, 29), (0, 5_110), (40, 40), (9, 1)];
+    for routing in ROUTINGS {
+        let db = store(routing);
+        let want = match routing {
+            ReadRouting::ScanAll => 4,
+            ReadRouting::FilterTree(_) => 3,
+        };
+        let mut fixed = Vec::new();
+        for n in [1u64, 8] {
+            let ranges: Vec<(u64, u64)> = (0..n)
+                .flat_map(|j| cases.map(|(lo, hi)| (lo + j * 5_120, hi + j * 5_120)))
+                .collect();
+            db.range_non_empty_batch(&ranges, 1);
+            let (verdicts, count) = allocations(|| db.range_non_empty_batch(&ranges, 1));
+            assert_eq!(
+                verdicts,
+                [true, false, true, true, false].repeat(n as usize)
+            );
+            fixed.push(count - 1);
+        }
+        assert_eq!(fixed, [want; 2], "{routing:?}: buffers beyond the verdicts");
     }
 }
 

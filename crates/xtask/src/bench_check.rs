@@ -4,8 +4,10 @@
 //! Two modes:
 //!
 //! * `cargo run -p xtask -- bench-check` — validate the schema of every
-//!   committed snapshot at the repo root. Deterministic; runs in CI next to
-//!   the static-analysis lint.
+//!   committed snapshot at the repo root, and hold its probe sweep to the
+//!   rule the probe paths are chosen by: no `path=batch` cell slower than
+//!   its `path=loop` cell by more than [`BATCH_OVER_LOOP_LIMIT`].
+//!   Deterministic; runs in CI next to the static-analysis lint.
 //! * `cargo run -p xtask -- bench-check --new PATH` — additionally compare a
 //!   freshly generated snapshot against the committed baseline of the same
 //!   schema and fail if any point/range ns-per-lookup cell regressed by more
@@ -21,6 +23,11 @@ use std::path::Path;
 
 /// Maximum tolerated slowdown of a timing cell: new ≤ baseline × 1.25.
 pub const REGRESSION_LIMIT: f64 = 1.25;
+
+/// Maximum tolerated cost of the batch path over the per-query loop in one
+/// committed `probe_rows` cell: batch ≤ loop × 1.10. A batch path that
+/// loses by more is a dominated variant, not a measurement to keep.
+pub const BATCH_OVER_LOOP_LIMIT: f64 = 1.10;
 
 /// The schema bench-check understands, by its `"snapshot"` tag.
 const SCHEMA: &str = "probe_kernel_v2";
@@ -479,6 +486,38 @@ pub fn compare(file: &str, baseline: &Json, new: &Json) -> Vec<BenchIssue> {
     issues
 }
 
+/// For every `(keys, bits_per_key, batch, mode)` of `probe_rows` measured on
+/// both paths, report the cells where `path=batch` is slower than
+/// `path=loop` by more than [`BATCH_OVER_LOOP_LIMIT`].
+pub fn check_batch_over_loop(file: &str, doc: &Json) -> Vec<BenchIssue> {
+    let cell = ["keys", "bits_per_key", "batch", "mode"];
+    let rows = doc.get("probe_rows").and_then(Json::as_arr).unwrap_or(&[]);
+    let on = |row: &Json, path: &str| row.get("path").and_then(Json::as_str) == Some(path);
+    let mut issues = Vec::new();
+    for batch_row in rows.iter().filter(|row| on(row, "batch")) {
+        let key = row_key("probe_rows", batch_row, &cell);
+        let loop_row =
+            (rows.iter()).find(|row| on(row, "loop") && row_key("probe_rows", row, &cell) == key);
+        let (Some(batch), Some(looped)) = (
+            row_metric(batch_row, "ns_per_op"),
+            loop_row.and_then(|row| row_metric(row, "ns_per_op")),
+        ) else {
+            continue; // skipped or unpaired: nothing to hold
+        };
+        if batch > looped * BATCH_OVER_LOOP_LIMIT {
+            issues.push(issue(
+                file,
+                format!(
+                    "{key}: path=batch {batch:.1} ns is {:.2}x path=loop {looped:.1} ns \
+                     (limit {BATCH_OVER_LOOP_LIMIT:.2}x)",
+                    batch / looped,
+                ),
+            ));
+        }
+    }
+    issues
+}
+
 /// Entry point for the `bench-check` subcommand.
 pub fn run(root: &Path, new_snapshot: Option<&Path>) -> Result<(), Vec<BenchIssue>> {
     let mut issues = Vec::new();
@@ -487,6 +526,7 @@ pub fn run(root: &Path, new_snapshot: Option<&Path>) -> Result<(), Vec<BenchIssu
         Ok(text) => match parse(&text) {
             Ok(doc) => {
                 issues.extend(validate(COMMITTED, &doc));
+                issues.extend(check_batch_over_loop(COMMITTED, &doc));
                 baseline = Some(doc);
             }
             Err(e) => issues.push(issue(COMMITTED, e.to_string())),
@@ -605,6 +645,43 @@ mod tests {
         let issues = compare("t", &base, &quick);
         assert_eq!(issues.len(), 1, "{issues:?}");
         assert!(issues[0].message.contains("protocols differ"));
+    }
+
+    /// A snapshot with one `(keys, bits_per_key, batch, mode)` cell on both
+    /// paths, measured at `loop_ns` and `batch_ns`.
+    fn paired_doc(loop_ns: f64, batch_ns: &str) -> String {
+        let row = |path: &str, ns: &str| {
+            format!(
+                r#"{{ "keys": 4000000, "bits_per_key": 10, "batch": 64, "path": "{path}",
+                     "mode": "range", "skipped": {}, "ns_per_op": {ns} }}"#,
+                ns == "null"
+            )
+        };
+        probe_doc(1.0, false).replace(
+            r#""probe_rows": ["#,
+            &format!(
+                r#""probe_rows": [ {}, {},"#,
+                row("loop", &loop_ns.to_string()),
+                row("batch", batch_ns)
+            ),
+        )
+    }
+
+    #[test]
+    fn a_batch_cell_may_not_lose_to_its_loop_cell() {
+        // 104.0 against 78.0 ns: 1.33x, over the limit.
+        let doc = parse(&paired_doc(78.0, "104.0")).unwrap();
+        assert!(validate("t", &doc).is_empty());
+        let issues = check_batch_over_loop("t", &doc);
+        assert_eq!(issues.len(), 1, "{issues:?}");
+        assert!(issues[0].message.contains("mode=range"), "{issues:?}");
+        // Within 10 %, faster, or skipped: nothing to report.
+        for batch in ["85.0", "42.0", "null"] {
+            let doc = parse(&paired_doc(78.0, batch)).unwrap();
+            assert!(check_batch_over_loop("t", &doc).is_empty(), "{batch}");
+        }
+        // A batch row without its loop row is not paired.
+        assert!(check_batch_over_loop("t", &parse(&probe_doc(9.0, false)).unwrap()).is_empty());
     }
 
     #[test]

@@ -4,12 +4,19 @@
 //! combination of word layout, query kind (point / range) and configuration
 //! family (basic / advisor-tuned / exact-layer / replicated).
 //!
-//! A filter picks its probe path from its own size at construction, so every
-//! property runs on two filters of the same shape: one sized just below the
-//! crossover (batches are the early-exit per-key loop) and one at or above it
-//! (the two-stage point batch, the prefetched point probe, range staging).
+//! A filter picks its point probe path from its own size at construction, so
+//! every property runs on two filters of the same shape: one sized just
+//! below the crossover (the point batch is the early-exit per-key loop) and
+//! one at or above it (the two-stage point batch and the prefetched point
+//! probe). The range batch is a loop over `contains_range` on both sides.
 //! These only regroup pure bit reads, so any divergence from the per-key call
 //! is a bug by construction — there is no tolerance in these assertions.
+//!
+//! Above the crossover both point drivers run the same `PointProbe` slot
+//! test, so agreeing with each other proves little. Both are also held to
+//! [`reference_points`], which rebuilds every layer's hashes from the public
+//! configuration and reads a snapshot of the bit arrays: the exact bit, then
+//! every replica bit of every layer.
 //!
 //! The split point probe (`point_probe_into` → `prefetch_exact` →
 //! `exact_admits` → `prefetch_probe` → `contains_probe`, which the filter
@@ -19,7 +26,7 @@
 use proptest::prelude::*;
 
 use bloomrf::config::LayerSpec;
-use bloomrf::hashing::WordLayout;
+use bloomrf::hashing::{derive_seeds, shr, Pmhf, WordLayout};
 use bloomrf::{BloomRf, BloomRfConfig};
 
 /// Mirrors the crate-private `bloomrf::kernel::KERNEL_MIN_FILTER_BITS` (a
@@ -33,9 +40,49 @@ const SIZES: [(usize, bool); 2] = [
     (CROSSOVER_BITS + (1 << 20), true),
 ];
 
+/// The point verdicts of `filter` on `keys`, from its public configuration
+/// and a snapshot of its bit arrays alone (segments in order, then the exact
+/// bitmap): a key outside the domain misses; otherwise the exact-layer bit,
+/// then every replica bit of every layer must be set. Each layer's hashes
+/// are rebuilt the way the configuration defines them — eight seeds per
+/// layer from the filter's hash seed, the configuration's word layout, and
+/// words counted over the layer's segment.
+fn reference_points(filter: &BloomRf, keys: &[u64]) -> Vec<bool> {
+    let config = filter.config();
+    let arrays = filter.snapshot_bits();
+    let seeds = derive_seeds(config.hash_seed, config.layers.len() * 8);
+    let layers: Vec<(usize, u64, Vec<Pmhf>)> = (config.layers.iter().enumerate())
+        .map(|(i, spec)| {
+            let word_count =
+                (config.segment_bits[spec.segment] as u64 / u64::from(spec.word_bits())).max(1);
+            let hashers = (0..spec.replicas as usize)
+                .map(|r| Pmhf {
+                    layout: config.word_layout,
+                    ..Pmhf::new(spec.level, spec.offset_bits(), seeds[i * 8 + r])
+                })
+                .collect();
+            (spec.segment, word_count, hashers)
+        })
+        .collect();
+    let exact_admits = |key: u64| match config.exact_level {
+        Some(e) => arrays[config.segment_bits.len()].get(shr(key, e) as usize),
+        None => true,
+    };
+    keys.iter()
+        .map(|&key| {
+            key <= config.max_key()
+                && exact_admits(key)
+                && layers.iter().all(|(segment, word_count, hashers)| {
+                    (hashers.iter())
+                        .all(|h| arrays[*segment].get(h.bit_position(key, *word_count) as usize))
+                })
+        })
+        .collect()
+}
+
 /// Assert the batch entry points answer the per-key calls exactly, for
-/// points and ranges, and that the filter sits on the intended side of the
-/// crossover.
+/// points and ranges, that the point calls answer [`reference_points`], and
+/// that the filter sits on the intended side of the crossover.
 fn assert_batch_matches_per_key(
     filter: &BloomRf,
     above: bool,
@@ -43,7 +90,9 @@ fn assert_batch_matches_per_key(
     ranges: &[(u64, u64)],
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(filter.memory_bits() >= CROSSOVER_BITS, above);
-    let point_reference: Vec<bool> = points.iter().map(|&k| filter.contains_point(k)).collect();
+    let point_reference = reference_points(filter, points);
+    let per_key: Vec<bool> = points.iter().map(|&k| filter.contains_point(k)).collect();
+    prop_assert_eq!(&per_key, &point_reference, "contains_point diverged");
     let range_reference: Vec<bool> = ranges
         .iter()
         .map(|&(lo, hi)| filter.contains_range(lo, hi))
@@ -143,9 +192,13 @@ proptest! {
     }
 
     /// Hand-built replicated layout on a small domain: several hashers per
-    /// layer and segments small enough that probes die at every depth. Up to
-    /// 2 × 8 + 1 = 17 positions overflow the probe's inline window of 16, so
-    /// the batch recomputes the last one from the key.
+    /// layer. Up to 2 × 8 + 1 = 17 positions overflow the probe's inline
+    /// window of 16, so the point drivers recompute the last one, the top
+    /// layer's, from the key. With a 4 096-bit first segment probes die at
+    /// every depth; with a saturated 64-bit one every key passes the
+    /// replicated layers, so for the neighbours of inserted keys (same
+    /// exact-layer prefix, another level-12 prefix) that last position
+    /// decides.
     #[test]
     fn kernel_matches_scalar_replicated_small_domain(
         keys in prop::collection::vec(any::<u64>() , 1..150),
@@ -154,7 +207,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let keys: Vec<u64> = keys.iter().map(|k| k & 0xFFFF_FFFF).collect();
-        let extra: Vec<u64> = extra.iter().map(|k| k & 0xFFFF_FFFF).collect();
+        let extra: Vec<u64> = (extra.iter().map(|k| k & 0xFFFF_FFFF))
+            .chain(keys.iter().map(|k| k ^ (1 << 12)))
+            .collect();
         let points = probes(&keys, &extra);
         let ranges = ranges_around(&points, &[1, 1 << 8, 1 << 16]);
         let layers = vec![
@@ -162,14 +217,17 @@ proptest! {
             LayerSpec::new(6, 6, replicas, 0),
             LayerSpec::new(12, 6, 1, 1),
         ];
-        // Exact layer sits at the top boundary (18); its bitmap spans the
-        // remaining 2^(32-18) prefixes.
-        let config = BloomRfConfig::new(32, layers, vec![1 << 12, 1 << 10], Some(18), seed)
-            .unwrap();
-        for (bits, above) in SIZES {
-            let filter = BloomRf::builder().config(sized(&config, bits)).build().unwrap();
-            filter.insert_batch(&keys);
-            assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
+        for first_segment in [1 << 12, 64] {
+            // Exact layer sits at the top boundary (18); its bitmap spans
+            // the remaining 2^(32-18) prefixes.
+            let segments = vec![first_segment, 1 << 10];
+            let config = BloomRfConfig::new(32, layers.clone(), segments, Some(18), seed)
+                .unwrap();
+            for (bits, above) in SIZES {
+                let filter = BloomRf::builder().config(sized(&config, bits)).build().unwrap();
+                filter.insert_batch(&keys);
+                assert_batch_matches_per_key(&filter, above, &points, &ranges)?;
+            }
         }
     }
 
